@@ -97,8 +97,6 @@ from .exact import (
 from .db import EnergyDB, EnergyRecord
 from .workbench import (
     ScanSpec,
-    db_put,
-    db_query,
     emit_curve,
     run_scan,
     scan_point,

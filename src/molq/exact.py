@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ResourceError, UsageError
 from .integrals_io import MOIntegrals
 from .pauli import PauliSum
-from .statevector import Statevector
+from .statevector import Statevector, pauli_phase
 
 DENSE_MAX_QUBITS = 14
 FCI_MAX_ORBITALS = 6
@@ -32,31 +32,14 @@ class SpectrumResult:
 def pauli_matrix(s: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a PauliSum (little-endian basis order).
 
-    For a string P, P|b> = i^{#Y} (-1)^{popcount(b & (Ymask|Zmask))} |b ^ flip>
-    with flip the X|Y support, which fills one diagonal band per term.
+    A string with masks (x, z) maps |b> to pauli_phase(b) |b ^ x>, which
+    fills one diagonal band per term.
     """
     dim = 2**s.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim, dtype=np.int64)
     for term in s.terms:
-        xm = ym = zm = 0
-        for q, letter in term.letters.items():
-            bit = 1 << q
-            if letter == "X":
-                xm |= bit
-            elif letter == "Y":
-                ym |= bit
-            else:
-                zm |= bit
-        par = np.zeros(dim, dtype=np.int64)
-        mask, q = ym | zm, 0
-        while mask:
-            if mask & 1:
-                par ^= (idx >> q) & 1
-            mask >>= 1
-            q += 1
-        values = complex(term.coefficient) * (1j) ** bin(ym).count("1") * (1.0 - 2.0 * par)
-        mat[idx ^ (xm | ym), idx] += values
+        mat[idx ^ term.x, idx] += complex(term.coefficient) * pauli_phase(idx, term.x, term.z)
     return mat
 
 

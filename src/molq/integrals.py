@@ -237,14 +237,10 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
             H[i, j] = H[j, i] = t + v
 
     eri = np.zeros((n, n, n, n))
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(p + 1):
-                s_max = r if r < p else q
-                for s in range(s_max + 1):
-                    val = _contract4(funcs[p], funcs[q], funcs[r], funcs[s])
-                    for idx in _eri_orbit(p, q, r, s):
-                        eri[idx] = val
+    for p, q, r, s in _eri_quartets(n):
+        val = _contract4(funcs[p], funcs[q], funcs[r], funcs[s])
+        for idx in _eri_orbit(p, q, r, s):
+            eri[idx] = val
 
     return AOIntegrals(
         n_ao=n,
@@ -254,6 +250,17 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
         e_nuclear=e_nn,
         n_electrons=geometry.n_electrons,
     )
+
+
+def _eri_quartets(n):
+    """One representative (p, q, r, s) of each 8-fold symmetry orbit over n
+    orbitals (p >= q, p >= r, s <= r, and s <= q when r == p), in the line
+    order of the FCIDUMP and AO-file writers."""
+    for p in range(n):
+        for q in range(p + 1):
+            for r in range(p + 1):
+                for s in range((r if r < p else q) + 1):
+                    yield p, q, r, s
 
 
 def _eri_orbit(p, q, r, s):

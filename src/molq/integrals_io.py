@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .integrals import AOIntegrals, _eri_orbit
+from .integrals import AOIntegrals, _eri_orbit, _eri_quartets
 
 # drop integrals below this when writing; also the round-trip fidelity bound
 WRITE_THRESHOLD = 1e-14
@@ -125,14 +125,10 @@ def write_fcidump(mo: MOIntegrals, ms2: int = 0) -> str:
     def fmt(value, i, j, k, l):
         return f"{value:.17g} {i} {j} {k} {l}"
 
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(p + 1):
-                s_max = r if r < p else q
-                for s in range(s_max + 1):
-                    v = mo.g[p, q, r, s]
-                    if abs(v) >= WRITE_THRESHOLD:
-                        out.append(fmt(v, p + 1, q + 1, r + 1, s + 1))
+    for p, q, r, s in _eri_quartets(n):
+        v = mo.g[p, q, r, s]
+        if abs(v) >= WRITE_THRESHOLD:
+            out.append(fmt(v, p + 1, q + 1, r + 1, s + 1))
     for p in range(n):
         for q in range(p + 1):
             if abs(mo.h[p, q]) >= WRITE_THRESHOLD:
@@ -222,14 +218,10 @@ def write_ao_file(ao: AOIntegrals) -> str:
             if abs(ao.core_hamiltonian[p, q]) >= WRITE_THRESHOLD:
                 out.append(f"{ao.core_hamiltonian[p, q]:.17g} {p + 1} {q + 1}")
     out.append("SECTION ERI")
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(p + 1):
-                s_max = r if r < p else q
-                for s in range(s_max + 1):
-                    v = ao.eri[p, q, r, s]
-                    if abs(v) >= WRITE_THRESHOLD:
-                        out.append(f"{v:.17g} {p + 1} {q + 1} {r + 1} {s + 1}")
+    for p, q, r, s in _eri_quartets(n):
+        v = ao.eri[p, q, r, s]
+        if abs(v) >= WRITE_THRESHOLD:
+            out.append(f"{v:.17g} {p + 1} {q + 1} {r + 1} {s + 1}")
     out.append("SECTION ENUC")
     out.append(f"{ao.e_nuclear:.17g}")
     out.append("SECTION NELEC")

@@ -1,7 +1,10 @@
 """Pauli-string algebra and the Jordan-Wigner transform.
 
-A Pauli term stores only its non-identity letters as a qubit -> letter map.
-Jordan-Wigner maps ladder operators to strings with Z parity chains:
+A Pauli string is two integer bit masks in symplectic form: bit q of `x`
+is set where qubit q carries X or Y, bit q of `z` where it carries Z or Y.
+With Y = i X Z, a string is P = i^|x&z| X^x Z^z, so a product is an XOR of
+the masks and its phase follows from popcounts. Jordan-Wigner maps ladder
+operators to strings with Z parity chains:
 
     a+_p -> 1/2 (X_p - i Y_p) Z_{p-1} ... Z_0
     a_p  -> 1/2 (X_p + i Y_p) Z_{p-1} ... Z_0
@@ -13,47 +16,58 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, UsageError
-from .fermion import ANNIHILATION, CREATION, FermionOperator
+from .fermion import ANNIHILATION, CREATION, FermionOperator, _format_coefficient
 
 COEFF_DROP = 1e-12
 
-# Single-qubit products P1 * P2 -> (phase, letter); None letter = identity.
-_PRODUCTS = {
-    ("X", "X"): (1, None),
-    ("Y", "Y"): (1, None),
-    ("Z", "Z"): (1, None),
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
+_LETTERS = "IXZY"           # indexed by x_bit + 2 * z_bit
+_PHASES = (1, 1j, -1, -1j)  # i^k
 
 
-@dataclass
+@dataclass(init=False)
 class PauliTerm:
-    """coefficient * tensor product of letters (identity on absent qubits)."""
+    """coefficient * Pauli string (identity on qubits outside the masks).
+
+    Built from a {qubit: letter} map, or from the masks with x= and z=.
+    """
 
     coefficient: complex
-    letters: dict = field(default_factory=dict)
+    x: int
+    z: int
 
-    def __post_init__(self):
-        for qubit, letter in self.letters.items():
+    def __init__(self, coefficient, letters=None, *, x=0, z=0):
+        self.coefficient = coefficient
+        for qubit, letter in (letters or {}).items():
             if letter not in ("X", "Y", "Z"):
                 raise UsageError(f"bad Pauli letter {letter!r} on qubit {qubit}")
             if qubit < 0:
                 raise UsageError(f"negative qubit index {qubit}")
+            if letter != "Z":
+                x |= 1 << qubit
+            if letter != "X":
+                z |= 1 << qubit
+        self.x, self.z = x, z
+
+    @property
+    def letters(self) -> dict:
+        """{qubit: letter} over the non-identity qubits, ascending."""
+        support = self.x | self.z
+        return {
+            q: _LETTERS[(self.x >> q & 1) | (self.z >> q & 1) << 1]
+            for q in range(support.bit_length())
+            if support >> q & 1
+        }
 
     @property
     def weight(self) -> int:
-        return len(self.letters)
+        return (self.x | self.z).bit_count()
 
     def pattern_key(self):
-        return tuple(sorted(self.letters.items()))
+        return tuple(self.letters.items())
 
     def pattern(self, n_qubits: int) -> str:
-        return "".join(self.letters.get(q, "I") for q in range(n_qubits))
+        letters = self.letters
+        return "".join(letters.get(q, "I") for q in range(n_qubits))
 
 
 @dataclass
@@ -63,38 +77,38 @@ class PauliSum:
 
     def __post_init__(self):
         for term in self.terms:
-            for qubit in term.letters:
-                if qubit >= self.n_qubits:
-                    raise UsageError(
-                        f"qubit {qubit} outside 0..{self.n_qubits - 1}"
-                    )
+            support = term.x | term.z
+            if support >> self.n_qubits:
+                raise UsageError(
+                    f"qubit {support.bit_length() - 1} outside 0..{self.n_qubits - 1}"
+                )
 
 
 def pauli_multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Product of two terms: per-qubit letter products with accumulated phase."""
-    coeff = a.coefficient * b.coefficient
-    letters = dict(a.letters)
-    for qubit, lb in b.letters.items():
-        la = letters.pop(qubit, None)
-        if la is None:
-            letters[qubit] = lb
-            continue
-        phase, lc = _PRODUCTS[(la, lb)]
-        coeff *= phase
-        if lc is not None:
-            letters[qubit] = lc
-    return PauliTerm(coeff, letters)
+    """Product of two terms: XOR of the masks times an exact phase i^k.
+
+    Writing each factor as i^|x&z| X^x Z^z, moving Z^{z_a} past X^{x_b}
+    costs (-1)^|z_a&x_b|, and the product's own Y count is divided out.
+    """
+    x, z = a.x ^ b.x, a.z ^ b.z
+    k = (
+        (a.x & a.z).bit_count()
+        + (b.x & b.z).bit_count()
+        + 2 * (a.z & b.x).bit_count()
+        - (x & z).bit_count()
+    )
+    return PauliTerm(a.coefficient * b.coefficient * _PHASES[k % 4], x=x, z=z)
 
 
 def canonicalize(s: PauliSum) -> PauliSum:
     """Merge equal patterns, drop |c| < 1e-12, sort by (weight, pattern)."""
     merged = {}
     for term in s.terms:
-        key = term.pattern_key()
+        key = (term.x, term.z)
         merged[key] = merged.get(key, 0.0) + term.coefficient
     terms = [
-        PauliTerm(coeff, dict(key))
-        for key, coeff in merged.items()
+        PauliTerm(coeff, x=x, z=z)
+        for (x, z), coeff in merged.items()
         if abs(coeff) >= COEFF_DROP
     ]
     terms.sort(key=lambda t: (t.weight, t.pattern(s.n_qubits)))
@@ -103,11 +117,9 @@ def canonicalize(s: PauliSum) -> PauliSum:
 
 def _ladder_strings(mode: int, kind: str) -> list:
     """The two Pauli terms of a JW-mapped ladder operator on `mode`."""
-    chain = {q: "Z" for q in range(mode)}
+    bit, chain = 1 << mode, (1 << mode) - 1
     sign = -0.5j if kind == CREATION else 0.5j
-    x_term = PauliTerm(0.5, {**chain, mode: "X"})
-    y_term = PauliTerm(sign, {**chain, mode: "Y"})
-    return [x_term, y_term]
+    return [PauliTerm(0.5, x=bit, z=chain), PauliTerm(sign, x=bit, z=chain | bit)]
 
 
 def jordan_wigner(op: FermionOperator) -> PauliSum:
@@ -119,9 +131,9 @@ def jordan_wigner(op: FermionOperator) -> PauliSum:
     """
     terms = []
     if op.constant != 0.0:
-        terms.append(PauliTerm(complex(op.constant), {}))
+        terms.append(PauliTerm(complex(op.constant)))
     for fterm in op.terms:
-        partial = [PauliTerm(complex(fterm.coefficient), {})]
+        partial = [PauliTerm(complex(fterm.coefficient))]
         for mode, kind in fterm.factors:
             expansion = _ladder_strings(mode, kind)
             partial = [pauli_multiply(p, e) for p in partial for e in expansion]
@@ -133,6 +145,11 @@ def jordan_wigner(op: FermionOperator) -> PauliSum:
     return result
 
 
+def _qubitwise_commute(a: PauliTerm, b: PauliTerm) -> bool:
+    """True iff the letters agree on every qubit where both act."""
+    return (((a.x ^ b.x) | (a.z ^ b.z)) & (a.x | a.z) & (b.x | b.z)) == 0
+
+
 def qwc_group(s: PauliSum) -> list:
     """Greedy first-fit grouping of terms into qubit-wise-commuting sets.
 
@@ -140,34 +157,29 @@ def qwc_group(s: PauliSum) -> list:
     least one is identity. Returns a list of term lists covering the input.
     """
     groups = []
-    bases = []  # per group, the union letter map
+    bases = []  # per group, a term holding the union of its members' masks
     for term in s.terms:
         for group, basis in zip(groups, bases):
-            if all(basis.get(q, letter) == letter for q, letter in term.letters.items()):
+            if _qubitwise_commute(basis, term):
                 group.append(term)
-                basis.update(term.letters)
+                basis.x |= term.x
+                basis.z |= term.z
                 break
         else:
             groups.append([term])
-            bases.append(dict(term.letters))
+            bases.append(PauliTerm(1.0, x=term.x, z=term.z))
     return groups
 
 
 def group_measurement_basis(group: list) -> dict:
     """Union letter map of a QWC group: the shared measurement basis."""
-    basis = {}
+    basis = PauliTerm(1.0)
     for term in group:
-        for qubit, letter in term.letters.items():
-            if basis.setdefault(qubit, letter) != letter:
-                raise UsageError("terms do not qubit-wise commute")
-    return basis
-
-
-def _format_coefficient(c) -> str:
-    c = complex(c)
-    if abs(c.imag) <= 1e-12:
-        return repr(c.real)
-    return repr(c)
+        if not _qubitwise_commute(basis, term):
+            raise UsageError("terms do not qubit-wise commute")
+        basis.x |= term.x
+        basis.z |= term.z
+    return basis.letters
 
 
 def serialize_pauli(s: PauliSum) -> str:

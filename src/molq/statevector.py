@@ -1,11 +1,16 @@
 """Dense statevector simulator with little-endian qubit indexing.
 
 State index bit k is qubit k (qubit 0 least significant). Gates update the
-amplitude array in place through strided views; no gate matrix is ever
-materialized. Gate set: X, RY, RZ, CNOT, CZ with
+amplitude array in place; no gate matrix is ever materialized. Gate set:
+X, RY, RZ, CNOT, CZ (through strided views) and the Pauli rotation
+(kind "pauli_rot", through one index permutation), with
 
     RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
     RZ(t) = diag(e^{-it/2}, e^{+it/2})
+    PauliRot(t) = exp(-i t/2 P) = cos(t/2) - i sin(t/2) P
+
+for a Pauli string P held as its (x, z) masks (see `pauli`), which acts as
+P|b> = pauli_phase(b) |b ^ x>.
 
 Parameterized gates carry a slot into the parameter vector; the effective
 angle is `angle + scale * theta[slot]` (fixed gates have slot None).
@@ -26,11 +31,13 @@ MAX_QUBITS = 24
 
 @dataclass(frozen=True)
 class Gate:
-    kind: str                 # "x" | "ry" | "rz" | "cnot" | "cz"
+    kind: str                 # "x" | "ry" | "rz" | "cnot" | "cz" | "pauli_rot"
     qubits: tuple
     slot: int | None = None   # index into theta, None = fixed angle
     angle: float = 0.0        # fixed angle, or offset added to scale*theta
     scale: float = 1.0
+    x: int = 0                # pauli_rot: the string's X/Y mask
+    z: int = 0                # pauli_rot: the string's Z/Y mask
 
     def effective_angle(self, theta) -> float:
         if self.slot is None:
@@ -80,6 +87,14 @@ class Circuit:
     def cz(self, a, b):
         return self.add(Gate("cz", (a, b)))
 
+    def pauli_rot(self, x, z, slot=None, angle=0.0, scale=1.0):
+        """exp(-i t/2 P) for the Pauli string P with masks (x, z)."""
+        support = x | z
+        qubits = tuple(q for q in range(support.bit_length()) if support >> q & 1)
+        return self.add(
+            Gate("pauli_rot", qubits, slot=slot, angle=angle, scale=scale, x=x, z=z)
+        )
+
 
 @dataclass
 class Statevector:
@@ -104,6 +119,12 @@ def _slices(n, assignments):
     for q, bit in assignments.items():
         sl[n - 1 - q] = bit
     return tuple(sl)
+
+
+def pauli_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
+    """<b ^ x|P|b> for each basis index b in idx: i^|x&z| (-1)^|b&z|."""
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
+    return (1j) ** (x & z).bit_count() * signs
 
 
 def _apply_gate(amps: np.ndarray, n: int, gate: Gate, theta):
@@ -139,6 +160,12 @@ def _apply_gate(amps: np.ndarray, n: int, gate: Gate, theta):
     elif gate.kind == "cz":
         a, b = gate.qubits
         view[_slices(n, {a: 1, b: 1})] *= -1.0
+    elif gate.kind == "pauli_rot":
+        t = gate.effective_angle(theta)
+        idx = np.arange(amps.size, dtype=np.int64)
+        flipped = (pauli_phase(idx, gate.x, gate.z) * amps)[idx ^ gate.x]
+        amps *= math.cos(0.5 * t)
+        amps -= 1j * math.sin(0.5 * t) * flipped
     else:
         raise UsageError(f"unknown gate kind {gate.kind!r}")
 
@@ -160,50 +187,20 @@ def run_circuit(c: Circuit, theta=None) -> Statevector:
     return Statevector(n_qubits=c.n_qubits, amplitudes=amps)
 
 
-def _term_masks(letters):
-    xm = ym = zm = 0
-    for q, letter in letters.items():
-        bit = 1 << q
-        if letter == "X":
-            xm |= bit
-        elif letter == "Y":
-            ym |= bit
-        else:
-            zm |= bit
-    return xm, ym, zm
-
-
-def _parity(values: np.ndarray, mask: int) -> np.ndarray:
-    par = np.zeros_like(values)
-    q = 0
-    while mask:
-        if mask & 1:
-            par ^= (values >> q) & 1
-        mask >>= 1
-        q += 1
-    return par
-
-
-def _term_expectation(amps: np.ndarray, letters) -> complex:
-    xm, ym, zm = _term_masks(letters)
-    flip = xm | ym
-    idx = np.arange(amps.size, dtype=np.int64)
-    signs = 1.0 - 2.0 * _parity(idx, ym | zm)
-    ny = bin(ym).count("1")
-    return (1j) ** ny * np.sum(np.conj(amps[idx ^ flip]) * signs * amps)
-
-
 def expectation(psi: Statevector, h: PauliSum) -> float:
     """Exact <psi|H|psi>, accumulated term by term in the given term order."""
     if psi.n_qubits != h.n_qubits:
         raise UsageError("statevector and Hamiltonian qubit counts differ")
+    amps = psi.amplitudes
+    idx = np.arange(amps.size, dtype=np.int64)
     total = 0.0 + 0.0j
     hermitian = True
     for term in h.terms:
         coeff = complex(term.coefficient)
         if abs(coeff.imag) > 1e-12:
             hermitian = False
-        total += coeff * _term_expectation(psi.amplitudes, term.letters)
+        phases = pauli_phase(idx, term.x, term.z)
+        total += coeff * np.sum(np.conj(amps[idx ^ term.x]) * phases * amps)
     if hermitian and abs(total.imag) > 1e-10:
         raise ComputationError(
             f"imaginary residual {total.imag:.3e} for a Hermitian operator"
@@ -245,11 +242,8 @@ def sample_expectation(psi: Statevector, h: PauliSum, shots: int, seed: int) -> 
             _apply_gate(rotated, psi.n_qubits, gate, ())
         probs = np.abs(rotated) ** 2
         probs /= probs.sum()
-        samples = rng.choice(probs.size, size=shots, p=probs)
+        samples = rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
         for term in group:
-            mask = 0
-            for q in term.letters:
-                mask |= 1 << q
-            values = 1.0 - 2.0 * _parity(samples.astype(np.int64), mask)
+            values = 1.0 - 2.0 * (np.bitwise_count(samples & (term.x | term.z)) & 1)
             total += complex(term.coefficient).real * float(np.mean(values))
     return total

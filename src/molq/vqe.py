@@ -1,10 +1,10 @@
 """VQE: ansatz construction, parameter-shift gradients, classical optimizers.
 
 Both ansatz kinds start from the Hartree-Fock reference (theta = 0 prepares
-it exactly). UCCSD exponentials exp(-i phi/2 P) are compiled with the
-standard basis-rotation + CNOT-staircase + RZ(phi) pattern; phi enters a
-shared parameter slot through the gate's scale factor, which keeps the
-parameter-shift rule exact.
+it exactly). UCCSD is the product of factors exp(-i phi/2 P), one per Pauli
+string P of each excitation generator, and each factor is one native Pauli
+rotation gate; phi enters a shared parameter slot through the gate's scale
+factor, which keeps the parameter-shift rule exact.
 """
 
 from __future__ import annotations
@@ -79,36 +79,6 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int = 0) -
     )
 
 
-def _rotate_to_z(circuit: Circuit, qubit: int, letter: str):
-    if letter == "X":
-        circuit.ry(qubit, angle=-0.5 * math.pi)
-    elif letter == "Y":
-        circuit.rz(qubit, angle=-0.5 * math.pi)
-        circuit.ry(qubit, angle=-0.5 * math.pi)
-
-
-def _rotate_from_z(circuit: Circuit, qubit: int, letter: str):
-    if letter == "X":
-        circuit.ry(qubit, angle=0.5 * math.pi)
-    elif letter == "Y":
-        circuit.ry(qubit, angle=0.5 * math.pi)
-        circuit.rz(qubit, angle=0.5 * math.pi)
-
-
-def _append_pauli_exponential(circuit: Circuit, letters: dict, slot: int, scale: float):
-    """exp(-i (scale*theta[slot])/2 * P) for a Pauli string P."""
-    qubits = sorted(letters)
-    for q in qubits:
-        _rotate_to_z(circuit, q, letters[q])
-    for a, b in zip(qubits, qubits[1:]):
-        circuit.cnot(a, b)
-    circuit.rz(qubits[-1], slot=slot, scale=scale)
-    for a, b in reversed(list(zip(qubits, qubits[1:]))):
-        circuit.cnot(a, b)
-    for q in reversed(qubits):
-        _rotate_from_z(circuit, q, letters[q])
-
-
 def _append_excitation(circuit: Circuit, factors: tuple, n_qubits: int, slot: int):
     """Append exp(theta_slot * (T - T^dagger)) for T given by `factors`.
 
@@ -126,7 +96,7 @@ def _append_excitation(circuit: Circuit, factors: tuple, n_qubits: int, slot: in
         coeff = complex(term.coefficient)
         if abs(coeff.real) > 1e-12:
             raise UsageError("excitation generator is not anti-Hermitian")
-        _append_pauli_exponential(circuit, term.letters, slot, -2.0 * coeff.imag)
+        circuit.pauli_rot(term.x, term.z, slot=slot, scale=-2.0 * coeff.imag)
 
 
 def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:

@@ -183,14 +183,6 @@ def run_scan(spec: ScanSpec, db: EnergyDB | None = None) -> list:
     return sorted(records, key=lambda r: r.bond_length)
 
 
-def db_put(db: EnergyDB, record: EnergyRecord) -> str:
-    return db.put(record)
-
-
-def db_query(db: EnergyDB, molecule=None, basis=None, method=None) -> list:
-    return db.query(molecule=molecule, basis=basis, method=method)
-
-
 CURVE_HEADER = "bond_length_angstrom,e_hf,e_vqe,e_exact"
 
 

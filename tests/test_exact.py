@@ -57,6 +57,14 @@ def test_pauli_matrix_two_qubit_kron():
     # X on qubit 0, Y on qubit 1 -> kron(Y, X) with qubit 0 least significant.
     mat = pauli_matrix(single(2, {0: "X", 1: "Y"}))
     assert np.allclose(mat, np.kron(Y, X))
+    # Y-containing strings on up to 5 qubits, written qubit 0 leftmost.
+    mats = {"I": I2, "X": X, "Y": Y, "Z": Z}
+    for pattern in ("YY", "ZYX", "YIZY", "XYZIY", "YYYYY"):
+        letters = {q: c for q, c in enumerate(pattern) if c != "I"}
+        want = np.array([[0.5j]])
+        for c in pattern:
+            want = np.kron(mats[c], want)
+        assert np.allclose(pauli_matrix(single(len(pattern), letters, 0.5j)), want)
 
 
 def test_pauli_matrix_sums_terms():

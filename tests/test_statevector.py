@@ -142,6 +142,16 @@ def test_expectation_matches_dense_matrix(h2_hamiltonian):
     dense = pauli_matrix(h2_hamiltonian)
     want = (amps.conj() @ dense @ amps).real
     assert abs(expectation(psi, h2_hamiltonian) - want) < 1e-10
+    # Y-containing strings on up to 5 qubits against their kron matrices.
+    from test_pauli import term_matrix
+
+    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    amps /= np.linalg.norm(amps)
+    for letters in ({0: "Y"}, {1: "Y", 3: "Y"}, {0: "X", 2: "Y", 4: "Z"},
+                    {0: "Y", 1: "Z", 2: "X", 3: "Y", 4: "Y"}):
+        term = PauliTerm(0.7, letters)
+        want = (amps.conj() @ term_matrix(term, 5) @ amps).real
+        assert abs(expectation(Statevector(5, amps), PauliSum(5, (term,))) - want) < 1e-12
 
 
 def test_qubit_count_mismatch_rejected():

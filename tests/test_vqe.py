@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from molq import (
@@ -25,6 +26,8 @@ from molq import (
     uccsd_ansatz,
     vqe_solve,
 )
+
+from test_pauli import term_matrix
 
 Z0 = PauliSum(1, (PauliTerm(1.0, {0: "Z"}),))
 
@@ -98,6 +101,30 @@ def test_uccsd_zero_angles_exact_hf():
     psi = run_circuit(ansatz.circuit, np.zeros(3))
     ref = run_circuit(hf_reference_circuit(4, 2), None)
     assert_allclose(psi.amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits,n_electrons,n_rotations", [(4, 2, 12), (8, 4, 144)])
+def test_uccsd_matches_expm_reference(n_qubits, n_electrons, n_rotations):
+    # HF X gates, then one exp(-i phi/2 P) per generator string. The strings
+    # of one excitation commute, so the reference applies, excitation by
+    # excitation, expm(-i/2 sum_P phi_P M_P) with M_P the kron matrix of P.
+    ansatz = uccsd_ansatz(n_qubits, n_electrons)
+    gates = ansatz.circuit.gates
+    assert [g.kind for g in gates] == ["x"] * n_electrons + ["pauli_rot"] * n_rotations
+    n_occ = n_electrons // 2
+    occupied = list(range(n_occ)) + [n_qubits // 2 + q for q in range(n_occ)]
+    ref = np.zeros(2**n_qubits, dtype=complex)
+    ref[sum(1 << q for q in occupied)] = 1.0
+    theta = np.random.default_rng(5).uniform(-np.pi, np.pi, ansatz.parameter_count)
+    for slot in range(ansatz.parameter_count):
+        generator = sum(
+            g.scale * theta[slot] * term_matrix(PauliTerm(1.0, x=g.x, z=g.z), n_qubits)
+            for g in gates[n_electrons:]
+            if g.slot == slot
+        )
+        ref = scipy.linalg.expm(-0.5j * generator) @ ref
+    psi = run_circuit(ansatz.circuit, theta)
+    assert_allclose(psi.amplitudes, ref, rtol=0, atol=1e-12)
 
 
 def test_uccsd_vqe_hits_exact_h2(h2_hamiltonian):
