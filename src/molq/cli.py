@@ -140,7 +140,7 @@ def cmd_exact(args):
         energy = fci_determinant_oracle(mo)
     else:
         energy = dense_ground_energy(
-            jordan_wigner(build_fermionic_hamiltonian(mo))
+            jordan_wigner(build_fermionic_hamiltonian(mo)), mo.n_electrons
         ).ground_energy
     print(f"E_exact = {energy!r} Hartree")
 
@@ -297,7 +297,9 @@ def build_parser() -> _Parser:
 
     p = add("exact", cmd_exact, "exact ground-state energy")
     add_input_flags(p)
-    p.add_argument("--method", choices=("dense", "fci"), default="dense")
+    p.add_argument("--method", choices=("dense", "fci"), default="dense",
+                   help="dense: JW Hamiltonian diagonalized in the molecule's "
+                        "electron-number sector; fci: determinant oracle")
 
     p = add("scan", cmd_scan, "bond-length scan")
     p.add_argument("--molecule", required=True, help="formula label, e.g. H2")

@@ -1,14 +1,18 @@
 """Exact ground-state energies.
 
-Two independent paths: dense diagonalization of a qubit PauliSum, and a
-determinant-basis FCI oracle built directly from the MO integrals via
+"Exact" means the ground state in the molecule's own electron-number
+sector. Two independent paths compute it: dense diagonalization of a qubit
+PauliSum restricted to the (ceil(N/2), floor(N/2)) determinant block, and
+a determinant-basis FCI oracle built directly from the MO integrals via
 Slater-Condon rules (never touching the fermion/qubit pipeline). Their
-agreement is the main correctness check of the whole package.
+agreement is the main correctness check of the whole package. The dense
+guard bounds the dimension diagonalized: at most 2**DENSE_MAX_QUBITS.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +20,7 @@ import numpy as np
 from .errors import ResourceError, UsageError
 from .integrals_io import MOIntegrals
 from .pauli import PauliSum
-from .statevector import Statevector, pauli_phase
+from .statevector import MAX_QUBITS, Statevector, pauli_signs
 
 DENSE_MAX_QUBITS = 14
 FCI_MAX_ORBITALS = 6
@@ -29,34 +33,89 @@ class SpectrumResult:
     n_qubits: int
 
 
-def pauli_matrix(s: PauliSum) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a PauliSum (little-endian basis order).
+def pauli_matrix(s: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
+    """Dense matrix of a PauliSum over `basis`, a sorted int64 array of
+    basis states: entry (row, col) is <basis[row]|H|basis[col]>. The
+    default is the whole 2^n space in little-endian order.
 
-    A string with masks (x, z) maps |b> to pauli_phase(b) |b ^ x>, which
-    fills one diagonal band per term.
+    A string with masks (x, z) maps |b> to pauli_phase(b) |b ^ x>. The
+    terms sharing one flip mask x fill the same entries: rows of the
+    states b ^ x that lie in the basis (the rest are dropped), each
+    entry the sum of the terms' coefficient * pauli_phase(b).
     """
-    dim = 2**s.n_qubits
+    if basis is None:
+        basis = np.arange(2**s.n_qubits, dtype=np.int64)
+    dim = len(basis)
     mat = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim, dtype=np.int64)
+    cols = np.arange(dim)
+    by_flip = {}
     for term in s.terms:
-        mat[idx ^ term.x, idx] += complex(term.coefficient) * pauli_phase(idx, term.x, term.z)
+        by_flip.setdefault(term.x, []).append(term)
+    for x, terms in by_flip.items():
+        targets = basis ^ x
+        rows = np.minimum(np.searchsorted(basis, targets), dim - 1)
+        hit = basis[rows] == targets
+        coefficients = np.array(
+            [complex(t.coefficient) * 1j ** (x & t.z).bit_count() for t in terms]
+        )
+        z = np.array([t.z for t in terms], dtype=np.int64)[:, None]
+        mat[rows[hit], cols[hit]] += coefficients @ pauli_signs(basis[hit], z)
     return mat
 
 
-def dense_ground_energy(h: PauliSum) -> SpectrumResult:
-    """Minimal eigenvalue of the materialized Hermitian matrix."""
-    if h.n_qubits > DENSE_MAX_QUBITS:
+def _sector_basis(n_orbitals: int, n_alpha: int, n_beta: int) -> np.ndarray:
+    """Sorted basis states with n_alpha electrons on qubits 0..n_orbitals-1
+    and n_beta on the rest (blocked spin ordering)."""
+
+    def masks(k):
+        combos = itertools.combinations(range(n_orbitals), k)
+        return np.array([sum(1 << p for p in occ) for occ in combos], dtype=np.int64)
+
+    return np.sort(((masks(n_beta) << n_orbitals)[:, None] | masks(n_alpha)).ravel())
+
+
+def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> SpectrumResult:
+    """Minimal eigenvalue of the materialized Hermitian matrix.
+
+    With n_electrons, only the (ceil(N/2), floor(N/2)) determinant block
+    is built and diagonalized: for a spin-free, number-conserving
+    Hamiltonian that block holds the N-electron ground state, whatever the
+    parity of N. Without it, the whole Fock space is diagonalized and the
+    lowest state of any electron count is returned. The ground vector is
+    returned on the full 2^n basis either way.
+    """
+    if n_electrons is None:
+        dim = 2**h.n_qubits
+    else:
+        if h.n_qubits % 2 or not 0 <= n_electrons <= h.n_qubits:
+            raise UsageError(
+                f"no {n_electrons}-electron sector on {h.n_qubits} spin orbitals"
+            )
+        n = h.n_qubits // 2
+        n_beta = n_electrons // 2
+        n_alpha = n_electrons - n_beta
+        dim = math.comb(n, n_alpha) * math.comb(n, n_beta)
+    if dim > 2**DENSE_MAX_QUBITS:
         raise ResourceError(
-            f"{h.n_qubits} qubits exceeds the {DENSE_MAX_QUBITS}-qubit dense guard"
+            f"dimension {dim} exceeds the {DENSE_MAX_QUBITS}-qubit dense guard"
         )
-    mat = pauli_matrix(h)
+    if h.n_qubits > MAX_QUBITS:
+        raise ResourceError(
+            f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit statevector guard"
+        )
+    if n_electrons is None:
+        basis = np.arange(dim, dtype=np.int64)
+    else:
+        basis = _sector_basis(n, n_alpha, n_beta)
+    mat = pauli_matrix(h, basis)
     if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
         raise UsageError("PauliSum is not Hermitian")
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    vector = Statevector(h.n_qubits, eigenvectors[:, 0].astype(complex))
+    amplitudes = np.zeros(2**h.n_qubits, dtype=complex)
+    amplitudes[basis] = eigenvectors[:, 0]
     return SpectrumResult(
         ground_energy=float(eigenvalues[0]),
-        ground_vector=vector,
+        ground_vector=Statevector(h.n_qubits, amplitudes),
         n_qubits=h.n_qubits,
     )
 

@@ -121,10 +121,15 @@ def _slices(n, assignments):
     return tuple(sl)
 
 
+def pauli_signs(idx: np.ndarray, z) -> np.ndarray:
+    """(-1)^|b&z| for each basis index b in idx; a column of z masks gives
+    one row of signs per mask."""
+    return 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
+
+
 def pauli_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
     """<b ^ x|P|b> for each basis index b in idx: i^|x&z| (-1)^|b&z|."""
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-    return (1j) ** (x & z).bit_count() * signs
+    return (1j) ** (x & z).bit_count() * pauli_signs(idx, z)
 
 
 def _apply_gate(amps: np.ndarray, n: int, gate: Gate, theta):

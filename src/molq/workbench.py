@@ -130,7 +130,7 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
         seed=spec.seed if "vqe" in spec.methods else None,
     )
     if "exact" in spec.methods:
-        record.e_exact = dense_ground_energy(pauli).ground_energy
+        record.e_exact = dense_ground_energy(pauli, mo.n_electrons).ground_energy
     if "vqe" in spec.methods:
         ansatz = _build_ansatz(spec, fermion_op.n_modes, mo.n_electrons)
         config = OptimizerConfig(

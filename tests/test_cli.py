@@ -7,7 +7,11 @@ import pytest
 
 from molq.cli import main
 from molq.exact import dense_ground_energy
+from molq.integrals import Geometry
+from molq.integrals_io import write_fcidump
 from molq.pauli import parse_pauli
+
+from conftest import pipeline
 
 H2_GEOMETRY = """\
 # hydrogen molecule near equilibrium
@@ -183,6 +187,22 @@ def test_exact_methods_agree(capsys, h2_fcidump, method):
     assert main(["exact", "--fcidump", h2_fcidump, "--method", method]) == 0
     energy = float(value_after(capsys.readouterr().out, "E_exact = "))
     assert energy == pytest.approx(E_EXACT_H2, abs=1e-9)
+
+
+def test_exact_dense_is_the_cation_sector(capsys, tmp_path, sto3g):
+    """HeH+ has two electrons; the dense path must not return the lower
+    energy of the neutral (three-electron) sector."""
+    geometry = Geometry.from_angstrom(
+        [("He", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 0.774))], charge=1
+    )
+    _, _, mo = pipeline(geometry, sto3g)
+    path = tmp_path / "heh.fcidump"
+    path.write_text(write_fcidump(mo))
+    energies = {}
+    for method in ("dense", "fci"):
+        assert main(["exact", "--fcidump", str(path), "--method", method]) == 0
+        energies[method] = float(value_after(capsys.readouterr().out, "E_exact = "))
+    assert energies["dense"] == pytest.approx(energies["fci"], abs=1e-9)
 
 
 def test_exact_freeze_core(capsys):

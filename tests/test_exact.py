@@ -72,6 +72,21 @@ def test_pauli_matrix_sums_terms():
     assert np.allclose(pauli_matrix(s), 0.5 * X - 2.0 * Z)
 
 
+def test_pauli_matrix_on_a_basis_is_the_submatrix():
+    s = PauliSum(
+        3,
+        (
+            PauliTerm(0.5, {0: "X", 1: "Y"}),
+            PauliTerm(-0.25, {1: "X", 2: "X"}),
+            PauliTerm(0.75, {0: "Z", 2: "Y"}),
+            PauliTerm(1.5, {}),
+        ),
+    )
+    basis = np.array([1, 2, 4, 7], dtype=np.int64)
+    full = pauli_matrix(s)
+    assert np.array_equal(pauli_matrix(s, basis), full[np.ix_(basis, basis)])
+
+
 # ---------------------------------------------------------------------------
 # dense_ground_energy
 # ---------------------------------------------------------------------------
@@ -111,6 +126,77 @@ def test_dense_qubit_guard():
     s = single(DENSE_MAX_QUBITS + 1, {0: "Z"})
     with pytest.raises(ResourceError):
         dense_ground_energy(s)
+
+
+def test_dense_guard_bounds_the_sector_dimension():
+    """16 qubits is beyond the full-space guard, but its (1, 1) block of 64
+    states is not. H = sum_q (q + 1) Z_q is lowest with the alpha electron
+    on qubit 7 and the beta electron on qubit 15: 136 - 2 (8 + 16) = 88."""
+    n = 16
+    s = PauliSum(n, tuple(PauliTerm(q + 1.0, {q: "Z"}) for q in range(n)))
+    with pytest.raises(ResourceError):
+        dense_ground_energy(s)
+    result = dense_ground_energy(s, n_electrons=2)
+    assert result.ground_energy == pytest.approx(88.0, abs=1e-12)
+    ground = np.flatnonzero(np.abs(result.ground_vector.amplitudes) > 1e-12)
+    assert ground.tolist() == [(1 << 7) | (1 << 15)]
+    # The block is small, but the ground vector is embedded in 2^n states.
+    with pytest.raises(ResourceError):
+        dense_ground_energy(single(26, {0: "Z"}), n_electrons=2)
+
+
+@pytest.mark.parametrize("n_qubits,n_electrons", [(3, 1), (4, 5), (4, -1)])
+def test_dense_rejects_impossible_sector(n_qubits, n_electrons):
+    with pytest.raises(UsageError):
+        dense_ground_energy(single(n_qubits, {0: "Z"}), n_electrons)
+
+
+def _in_sector(n_qubits, n_electrons):
+    """Mask over the 2^n basis of the (ceil(N/2), floor(N/2)) block."""
+    n = n_qubits // 2
+    idx = np.arange(2**n_qubits, dtype=np.int64)
+    n_alpha = np.bitwise_count(idx & ((1 << n) - 1))
+    n_beta = np.bitwise_count(idx >> n)
+    return (n_alpha == n_electrons - n_electrons // 2) & (n_beta == n_electrons // 2)
+
+
+@pytest.mark.parametrize("n,n_e", [(2, 2), (3, 2), (2, 4), (3, 4)])
+def test_dense_sector_matches_fci_without_penalty(n, n_e):
+    """The sector block holds the N-electron ground state by itself: no
+    number penalty is needed for dense and FCI to agree."""
+    rng = np.random.default_rng(100 * n + n_e)
+    for _ in range(3):
+        mo = random_mo_integrals(rng, n, n_e, scale=0.5)
+        h = jordan_wigner(build_fermionic_hamiltonian(mo))
+        result = dense_ground_energy(h, n_e)
+        assert result.ground_energy == pytest.approx(
+            fci_determinant_oracle(mo), abs=1e-9
+        )
+        amplitudes = result.ground_vector.amplitudes
+        assert result.ground_vector.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.all(amplitudes[~_in_sector(2 * n, n_e)] == 0)
+        assert expectation(result.ground_vector, h) == pytest.approx(
+            result.ground_energy, abs=1e-10
+        )
+
+
+def test_dense_sector_odd_electrons_matches_penalized_full_space():
+    """N = 3 is beyond the closed-shell oracle; the (2, 1) block must give
+    the same energy as the whole Fock space with a number penalty."""
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        mo = random_mo_integrals(rng, 3, 3, scale=0.5)
+        h = jordan_wigner(build_fermionic_hamiltonian(mo))
+        penalized = with_number_penalty(mo, penalty_strength(mo))
+        reference = dense_ground_energy(
+            jordan_wigner(build_fermionic_hamiltonian(penalized))
+        ).ground_energy
+        result = dense_ground_energy(h, 3)
+        assert result.ground_energy == pytest.approx(reference, abs=1e-9)
+        assert np.all(result.ground_vector.amplitudes[~_in_sector(6, 3)] == 0)
+        assert expectation(result.ground_vector, h) == pytest.approx(
+            result.ground_energy, abs=1e-10
+        )
 
 
 # ---------------------------------------------------------------------------

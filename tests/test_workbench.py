@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from molq import (
+    Geometry,
     ScanSpec,
     dense_ground_energy,
     emit_curve,
+    fci_determinant_oracle,
     jordan_wigner,
     run_scan,
     scan_point,
@@ -16,6 +18,8 @@ from molq.errors import ScanError, UsageError
 from molq.fermion import build_fermionic_hamiltonian, parse_terms
 from molq.integrals_io import write_fcidump
 from molq.pauli import parse_pauli
+
+from conftest import pipeline
 
 
 def h2_spec(**overrides):
@@ -228,6 +232,43 @@ def test_run_scan_raises_when_every_point_fails(tmp_path):
 def test_run_scan_validates_spec():
     with pytest.raises(UsageError):
         run_scan(h2_spec(bond_lengths=[]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScanSpec(
+            molecule="HeH+",
+            bond_lengths=[0.774, 1.2],
+            fragment_a=[("He", (0.0, 0.0, 0.0))],
+            fragment_b=[("H", (0.0, 0.0, 0.0))],
+            basis="sto-3g",
+            charge=1,
+        ),
+        # Equilateral triangle of side 0.9 Angstrom: the third H sits at the
+        # triangle's height from the midpoint of the first two.
+        ScanSpec(
+            molecule="H3+",
+            bond_lengths=[0.9 * 3**0.5 / 2],
+            fragment_a=[("H", (0.0, -0.45, 0.0)), ("H", (0.0, 0.45, 0.0))],
+            fragment_b=[("H", (0.0, 0.0, 0.0))],
+            axis=(1.0, 0.0, 0.0),
+            basis="sto-3g",
+            charge=1,
+        ),
+    ],
+    ids=["HeH+", "H3+"],
+)
+def test_run_scan_cation_exact_is_fci(spec, sto3g):
+    """A cation's e_exact is the ground state of its own electron count,
+    not the lowest state of the whole Fock space."""
+    for record in run_scan(spec):
+        assert record.error is None
+        geometry = Geometry.from_angstrom(
+            [(sym, (x, y, z)) for sym, x, y, z in record.geometry], charge=1
+        )
+        _, _, mo = pipeline(geometry, sto3g)
+        assert record.e_exact == pytest.approx(fci_determinant_oracle(mo), abs=1e-10)
 
 
 def test_run_scan_workers_match_serial(tmp_path):
