@@ -33,10 +33,12 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"  {r.record_id}  R={r.bond_length:.1f} A  "
               f"E_exact={r.e_exact:.8f}")
 
-    print("\n== 2. On-disk layout ==")
+    print("\n== 2. On-disk layout: the records/ listing is the index ==")
     for path in sorted(db.root.rglob("*")):
         if path.is_file():
             print(f"  {path.relative_to(db.root)}")
+    print("  records/<id>.v<N>.json is version N; hamiltonians/ files are named")
+    print("  by a hash of their text, so identical operators are stored once")
 
     print("\n== 3. Record ids hash the configuration, not the results ==")
     again = scan_point(spec, 0.7, db)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: integrals, scf, ham, vqe, exact, scan, db put|get|list|query,
-curve. Exit codes: 0 success, 1 usage error, 2 computation error, 3 I/O
-error.
+Subcommands: integrals, scf, ham, vqe, exact, scan, db
+put|get|list|query|audit, curve. Exit codes: 0 success, 1 usage error, 2
+computation error or a failed db audit, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -226,9 +226,8 @@ def cmd_db(args):
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
     elif args.action == "list":
         for record_id in db.list_ids():
-            entries = db.versions(record_id)
             record = db.get(record_id)
-            line = f"{record_id} versions={len(entries)} molecule={record.molecule}"
+            line = f"{record_id} versions={len(db.versions(record_id))} molecule={record.molecule}"
             if record.bond_length is not None:
                 line += f" length={record.bond_length:g}"
             print(line)
@@ -240,8 +239,12 @@ def cmd_db(args):
             records = records[: args.limit]
         for record in records:
             print(json.dumps(record.to_dict(), sort_keys=True))
-    else:
-        raise UsageError(f"unknown db action {args.action!r}")
+    elif args.action == "audit":
+        problems = db.audit()
+        for problem in problems:
+            print(problem)
+        if problems:
+            raise SystemExit(2)
 
 
 def cmd_curve(args):
@@ -324,30 +327,29 @@ def build_parser() -> _Parser:
 
     p = add("db", cmd_db, "database operations")
     dbsub = p.add_subparsers(dest="action", required=True,
-                             metavar="{put,get,list,query}")
+                             metavar="{put,get,list,query,audit}")
 
     q = dbsub.add_parser("put", help="insert a record from a JSON file")
-    q.set_defaults(func=cmd_db)
     q.add_argument("target", metavar="record.json", help="record JSON file")
     q.add_argument("--db", required=True, help="database directory")
 
     q = dbsub.add_parser("get", help="print one record version as JSON")
-    q.set_defaults(func=cmd_db)
     q.add_argument("target", metavar="record-id")
     q.add_argument("--db", required=True, help="database directory")
     q.add_argument("--version", type=int, help="default: latest")
 
     q = dbsub.add_parser("list", help="list record ids with version counts")
-    q.set_defaults(func=cmd_db)
     q.add_argument("--db", required=True, help="database directory")
 
     q = dbsub.add_parser("query", help="filter records, one JSON per line")
-    q.set_defaults(func=cmd_db)
     q.add_argument("--db", required=True, help="database directory")
     q.add_argument("--molecule")
     q.add_argument("--basis")
     q.add_argument("--method", choices=("hf", "vqe", "exact"))
     q.add_argument("--limit", type=int)
+
+    q = dbsub.add_parser("audit", help="print integrity problems; exit 2 if any")
+    q.add_argument("--db", required=True, help="database directory")
 
     p = add("curve", cmd_curve, "emit a CSV dissociation curve from the database")
     p.add_argument("--db", required=True)

@@ -1,19 +1,23 @@
 """File-backed energy/Hamiltonian database.
 
-Layout: one JSON file per record version under records/, a single
-index.json mapping record_id -> version entries, and hamiltonians/ for
-serialized operator files. Every index update happens under an exclusive
-flock on .lock and lands via write-new-then-rename, so a crash can orphan
-a record file but never corrupt the index. Readers never take the lock.
+records/<record_id>.v<N>.json is version N of a record and the directory
+listing is the whole index; hamiltonians/<sha256 of text>.fop|.pauli hold
+serialized operators. Each file is fsynced under a temporary name, then
+os.link-ed to its final name, which fails if that name exists: concurrent
+writers (threads or processes) claim distinct versions without a lock, and
+a crash leaves at most a temporary file, which audit reports.
 """
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
+import itertools
 import json
 import os
-from contextlib import contextmanager
+import re
+import tempfile
+from collections import defaultdict
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,15 +25,17 @@ from pathlib import Path
 from .errors import UsageError
 
 VARIATIONAL_SLACK = 1e-9
+RECORD_NAME = re.compile(r"(?P<id>[0-9a-f]{16})\.v(?P<version>[1-9][0-9]*)\.json")
+TMP_SUFFIX = ".tmp"
 
 
 @dataclass
 class EnergyRecord:
     """One scan point: identity, energies, and method provenance.
 
-    record_id hashes only (molecule, geometry, basis, ansatz, optimizer,
-    seed), so re-running the same configuration yields the same id and
-    differing results stack up as versions under it.
+    record_id hashes only (molecule, geometry, bond length, basis, ansatz,
+    optimizer, seed), so re-running the same configuration yields the same
+    id and differing results stack up as versions under it.
     """
 
     molecule: str
@@ -53,6 +59,7 @@ class EnergyRecord:
         return {
             "molecule": self.molecule,
             "geometry": self.geometry,
+            "bond_length": self.bond_length,
             "basis": self.basis,
             "ansatz": self.ansatz,
             "optimizer": self.optimizer,
@@ -66,6 +73,8 @@ class EnergyRecord:
     def validate(self):
         if not self.molecule:
             raise UsageError("record needs a molecule label")
+        if self.record_id and not re.fullmatch("[0-9a-f]{16}", self.record_id):
+            raise UsageError(f"record_id {self.record_id!r} is not 16 hex digits")
         for lo, hi in (("e_exact", "e_hf"), ("e_exact", "e_vqe")):
             a, b = getattr(self, lo), getattr(self, hi)
             if a is not None and b is not None and b < a - VARIATIONAL_SLACK:
@@ -79,42 +88,33 @@ class EnergyRecord:
         return cls(**data)
 
 
+def _file(record_id: str, version: int) -> str:
+    return f"records/{record_id}.v{version}.json"
+
+
+def _write_new(directory: Path, text: str, paths) -> None:
+    """Write text, fsynced, to the first of paths not taken yet, if any is free."""
+    fd, staged = tempfile.mkstemp(dir=directory, suffix=TMP_SUFFIX)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        for path in paths:
+            with suppress(FileExistsError):
+                os.link(staged, path)
+                return
+    finally:
+        os.unlink(staged)
+
+
 class EnergyDB:
     def __init__(self, root):
         self.root = Path(root)
         self.records_dir = self.root / "records"
         self.hamiltonians_dir = self.root / "hamiltonians"
-        self.index_path = self.root / "index.json"
-        self.lock_path = self.root / ".lock"
         self.records_dir.mkdir(parents=True, exist_ok=True)
         self.hamiltonians_dir.mkdir(exist_ok=True)
-
-    @contextmanager
-    def _locked(self):
-        # A fresh fd per acquisition: flock then serializes across both
-        # threads and processes.
-        fd = os.open(self.lock_path, os.O_CREAT | os.O_RDWR)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
-    def _read_index(self) -> dict:
-        try:
-            with open(self.index_path) as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return {"records": {}}
-
-    def _write_index(self, index: dict):
-        tmp = self.index_path.with_suffix(".json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(index, fh, indent=1, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.index_path)
 
     def put(self, record: EnergyRecord) -> str:
         """Append the record as a new version under its content id."""
@@ -123,48 +123,50 @@ class EnergyDB:
             record.record_id = record.compute_id()
         if not record.created_at:
             record.created_at = datetime.now(timezone.utc).isoformat()
-        with self._locked():
-            index = self._read_index()
-            entries = index["records"].setdefault(record.record_id, [])
-            version = len(entries) + 1
-            filename = f"{record.record_id}.v{version}.json"
-            with open(self.records_dir / filename, "w") as fh:
-                json.dump(record.to_dict(), fh, indent=1, sort_keys=True)
-                fh.flush()
-                os.fsync(fh.fileno())
-            entries.append(
-                {
-                    "version": version,
-                    "file": f"records/{filename}",
-                    "created_at": record.created_at,
-                }
-            )
-            self._write_index(index)
+        start = len(self.versions(record.record_id)) + 1
+        _write_new(
+            self.records_dir,
+            json.dumps(record.to_dict(), indent=1, sort_keys=True),
+            (self.root / _file(record.record_id, v) for v in itertools.count(start)),
+        )
         return record.record_id
 
-    def versions(self, record_id: str) -> list:
-        return list(self._read_index()["records"].get(record_id, []))
+    def put_hamiltonian(self, text: str, suffix: str) -> str:
+        """Store text as hamiltonians/<hash of text><suffix>; return that name."""
+        file = f"hamiltonians/{hashlib.sha256(text.encode()).hexdigest()[:16]}{suffix}"
+        _write_new(self.hamiltonians_dir, text, [self.root / file])
+        return file
 
-    def _load(self, entry: dict) -> EnergyRecord:
-        with open(self.root / entry["file"]) as fh:
+    def versions(self, record_id: str) -> list:
+        """{"version", "file"} entries for versions 1, 2, ... up to the first absent one."""
+        entries = []
+        while (self.root / (file := _file(record_id, len(entries) + 1))).exists():
+            entries.append({"version": len(entries) + 1, "file": file})
+        return entries
+
+    def _load(self, file: str) -> EnergyRecord:
+        with open(self.root / file) as fh:
             return EnergyRecord.from_dict(json.load(fh))
 
     def get(self, record_id: str, version: int | None = None) -> EnergyRecord:
-        entries = self.versions(record_id)
-        if not entries:
-            raise KeyError(record_id)
         if version is None:
-            return self._load(entries[-1])
-        for entry in entries:
-            if entry["version"] == version:
-                return self._load(entry)
-        raise KeyError(f"{record_id} version {version}")
+            version = len(self.versions(record_id))
+        try:
+            return self._load(_file(record_id, version))
+        except FileNotFoundError:
+            raise KeyError(f"{record_id} version {version}") from None
+
+    def _listing(self) -> dict:
+        """One read of records/: record_id -> its version numbers."""
+        found = defaultdict(list)
+        for name in os.listdir(self.records_dir):
+            if match := RECORD_NAME.fullmatch(name):
+                found[match["id"]].append(int(match["version"]))
+        return found
 
     def list_ids(self) -> list:
-        return sorted(self._read_index()["records"])
-
-    def all_records(self) -> list:
-        return [self.get(record_id) for record_id in self.list_ids()]
+        """Ids with a version 1; audit reports files beyond a missing version."""
+        return sorted(record_id for record_id, versions in self._listing().items() if 1 in versions)
 
     def query(self, molecule=None, basis=None, method=None) -> list:
         """Latest-version records matching the filters, sorted by
@@ -172,14 +174,14 @@ class EnergyDB:
         if method is not None and method not in ("hf", "vqe", "exact"):
             raise UsageError(f"unknown method filter {method!r}")
         matches = []
-        for record in self.all_records():
-            if molecule is not None and record.molecule != molecule:
-                continue
-            if basis is not None and record.basis != basis:
-                continue
-            if method is not None and getattr(record, f"e_{method}") is None:
-                continue
-            matches.append(record)
+        for record_id in self.list_ids():
+            record = self.get(record_id)
+            if (
+                (molecule is None or record.molecule == molecule)
+                and (basis is None or record.basis == basis)
+                and (method is None or getattr(record, f"e_{method}") is not None)
+            ):
+                matches.append(record)
         matches.sort(
             key=lambda r: (
                 r.molecule,
@@ -190,25 +192,24 @@ class EnergyDB:
         return matches
 
     def audit(self) -> list:
-        """Integrity problems found in the index; empty means healthy."""
-        problems = []
-        index = self._read_index()
-        for record_id, entries in index["records"].items():
-            seen_versions = [entry["version"] for entry in entries]
-            if seen_versions != list(range(1, len(entries) + 1)):
-                problems.append(f"{record_id}: versions not contiguous: {seen_versions}")
-            for entry in entries:
-                path = self.root / entry["file"]
-                if not path.exists():
-                    problems.append(f"{record_id}: missing file {entry['file']}")
-                    continue
+        """Integrity problems found on disk; empty means healthy."""
+        problems = [
+            f"leftover temporary file {directory.name}/{name}"
+            for directory in (self.records_dir, self.hamiltonians_dir)
+            for name in sorted(os.listdir(directory)) if name.endswith(TMP_SUFFIX)
+        ]
+        for record_id, versions in sorted(self._listing().items()):
+            versions.sort()
+            missing = [_file(record_id, v) for v in range(1, versions[-1]) if v not in versions]
+            if missing:
+                problems.append(f"{record_id}: versions not contiguous: {versions} "
+                                f"(missing file {', '.join(missing)})")
+            for file in (_file(record_id, v) for v in versions):
                 try:
-                    record = self._load(entry)
+                    record = self._load(file)
                 except (OSError, ValueError, TypeError) as exc:
-                    problems.append(f"{record_id}: unreadable {entry['file']}: {exc}")
+                    problems.append(f"{record_id}: unreadable {file}: {exc}")
                     continue
                 if record.record_id != record_id:
-                    problems.append(
-                        f"{record_id}: file {entry['file']} claims id {record.record_id}"
-                    )
+                    problems.append(f"{record_id}: file {file} claims id {record.record_id}")
         return problems

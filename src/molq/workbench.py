@@ -142,13 +142,9 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
 
     record.record_id = record.compute_id()
     if db is not None:
-        fop_path = db.hamiltonians_dir / f"{record.record_id}.fop"
-        pauli_path = db.hamiltonians_dir / f"{record.record_id}.pauli"
-        fop_path.write_text(serialize_terms(fermion_op))
-        pauli_path.write_text(serialize_pauli(pauli))
         record.hamiltonian_ref = {
-            "fermion": str(fop_path.relative_to(db.root)),
-            "pauli": str(pauli_path.relative_to(db.root)),
+            "fermion": db.put_hamiltonian(serialize_terms(fermion_op), ".fop"),
+            "pauli": db.put_hamiltonian(serialize_pauli(pauli), ".pauli"),
         }
         db.put(record)
     return record

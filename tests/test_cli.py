@@ -319,6 +319,31 @@ def test_db_put_without_file(capsys, tmp_path):
     assert main(["db", "put", "--db", str(tmp_path / "db")]) == 1
 
 
+def test_db_audit_healthy_exits_0(capsys, tmp_path):
+    db_dir = str(tmp_path / "db")
+    record_file = tmp_path / "rec.json"
+    record_file.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g"}))
+    assert main(["db", "put", "--db", db_dir, str(record_file)]) == 0
+    capsys.readouterr()
+    assert main(["db", "audit", "--db", db_dir]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_db_audit_problems_exit_2(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    record_file = tmp_path / "rec.json"
+    record_file.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g"}))
+    assert main(["db", "put", "--db", str(db_dir), str(record_file)]) == 0
+    record_id = capsys.readouterr().out.strip()
+    (db_dir / "records" / f"{record_id}.v1.json").write_text("{not json")
+    (db_dir / "records" / "tmpx1.tmp").write_text("")
+    assert main(["db", "audit", "--db", str(db_dir)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "leftover temporary file records/tmpx1.tmp"
+    assert lines[1].startswith(f"{record_id}: unreadable records/{record_id}.v1.json")
+    assert len(lines) == 2
+
+
 def test_curve_without_matches(capsys, tmp_path):
     assert main(["curve", "--db", str(tmp_path / "db"), "--molecule", "H2"]) == 1
 

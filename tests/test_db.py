@@ -1,12 +1,17 @@
 """File-backed energy database: identity, versioning, queries, audit."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
-from molq.db import VARIATIONAL_SLACK, EnergyDB, EnergyRecord
+import molq
+from molq.db import TMP_SUFFIX, VARIATIONAL_SLACK, EnergyDB, EnergyRecord
 from molq.errors import UsageError
 
 
@@ -53,6 +58,7 @@ def test_compute_id_ignores_results():
         ("optimizer", "spsa"),
         ("seed", 8),
         ("geometry", [["H", 0.0, 0.0, 0.0], ["H", 0.0, 0.0, 0.74]]),
+        ("bond_length", 0.8),
     ],
 )
 def test_compute_id_tracks_configuration(field, value):
@@ -144,6 +150,15 @@ def test_put_rejects_invalid_record(tmp_path):
     with pytest.raises(UsageError):
         db.put(make_record(e_vqe=-1.0e2))
     assert db.list_ids() == []
+
+
+@pytest.mark.parametrize("record_id", ["../outside", "abc", "F" * 16])
+def test_put_rejects_malformed_record_id(tmp_path, record_id):
+    # The id names the record's file, so it must stay a plain file name.
+    db = EnergyDB(tmp_path / "db")
+    with pytest.raises(UsageError, match="16 hex digits"):
+        db.put(make_record(record_id=record_id))
+    assert [p for p in db.root.rglob("*") if p.is_file()] == []
 
 
 def test_list_ids_sorted(tmp_path):
@@ -241,6 +256,7 @@ def test_audit_clean(tmp_path):
 def test_audit_detects_missing_file(tmp_path):
     db = EnergyDB(tmp_path / "db")
     record_id = db.put(make_record())
+    db.put(make_record())
     (db.root / db.versions(record_id)[0]["file"]).unlink()
     problems = db.audit()
     assert len(problems) == 1
@@ -268,10 +284,37 @@ def test_audit_detects_id_mismatch(tmp_path):
 def test_audit_detects_version_gap(tmp_path):
     db = EnergyDB(tmp_path / "db")
     record_id = db.put(make_record())
-    index = json.loads(db.index_path.read_text())
-    index["records"][record_id][0]["version"] = 3
-    db.index_path.write_text(json.dumps(index))
+    v1 = db.records_dir / f"{record_id}.v1.json"
+    v1.rename(v1.with_name(f"{record_id}.v3.json"))
     assert any("not contiguous" in p for p in db.audit())
+
+
+def test_versions_past_a_gap_are_seen_only_by_audit(tmp_path):
+    db = EnergyDB(tmp_path / "db")
+    record_id = db.put(make_record())
+    db.put(make_record(e_vqe=-1.1373))
+    other = db.put(make_record(seed=8))
+    (db.records_dir / f"{record_id}.v1.json").unlink()
+    assert db.list_ids() == [other]
+    assert [r.record_id for r in db.query()] == [other]
+    with pytest.raises(KeyError):
+        db.get(record_id)
+    assert db.get(record_id, version=2).e_vqe == -1.1373
+    assert len(db.audit()) == 1
+
+
+def test_stray_temporary_file_is_invisible_but_audited(tmp_path):
+    # What a put interrupted between writing and linking leaves behind.
+    db = EnergyDB(tmp_path / "db")
+    record_id = db.put(make_record())
+    stray = db.records_dir / f"tmpk3j9x2{TMP_SUFFIX}"
+    stray.write_text(json.dumps(make_record(record_id="f" * 16, seed=8).to_dict()))
+    assert db.list_ids() == [record_id]
+    assert [r.record_id for r in db.query()] == [record_id]
+    assert [e["version"] for e in db.versions(record_id)] == [1]
+    with pytest.raises(KeyError):
+        db.get("f" * 16)
+    assert db.audit() == [f"leftover temporary file records/{stray.name}"]
 
 
 # ---------------------------------------------------------------------------
@@ -302,4 +345,49 @@ def test_concurrent_puts_preserve_every_version(tmp_path):
     assert [e["version"] for e in entries] == list(
         range(1, n_threads * per_thread + 1)
     )
+    assert db.audit() == []
+
+
+PUT_WORKER = """
+import sys
+from molq.db import EnergyDB, EnergyRecord
+
+root, k, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+db = EnergyDB(root)
+print("ready", flush=True)
+sys.stdin.readline()
+for j in range(count):
+    db.put(EnergyRecord(molecule="H2", basis="sto-3g", e_vqe=-1.1373 + 1e-6 * (k * count + j)))
+"""
+
+
+def test_concurrent_processes_preserve_every_version(tmp_path):
+    root, n_procs, per_proc = tmp_path / "db", 2, 12
+    EnergyDB(root)
+    env = {**os.environ, "PYTHONPATH": str(Path(molq.__file__).parents[1])}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", PUT_WORKER, str(root), str(k), str(per_proc)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        for k in range(n_procs)
+    ]
+    try:
+        for proc in procs:       # both are loaded before either puts
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.close()
+        for proc in procs:
+            assert proc.wait(timeout=60) == 0
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.stdout.close()
+    db = EnergyDB(root)
+    (record_id,) = db.list_ids()
+    entries = db.versions(record_id)
+    assert [e["version"] for e in entries] == list(range(1, n_procs * per_proc + 1))
+    written = {db.get(record_id, version=e["version"]).e_vqe for e in entries}
+    assert len(written) == n_procs * per_proc
     assert db.audit() == []

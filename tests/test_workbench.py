@@ -1,5 +1,7 @@
 """Bond-length scans, record persistence, and curve emission."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,26 @@ def test_scan_point_writes_hamiltonians(tmp_path, h2_hamiltonian):
     assert len(op.terms) > 0
 
 
+def test_rerun_keeps_each_versions_hamiltonian(tmp_path, h2_fcidump_pattern, h2_stretched):
+    # Same FCIDUMP path, new contents: the re-run is version 2 of the same
+    # id, and version 1 must still point at the operator it was run with.
+    db = EnergyDB(tmp_path / "db")
+    spec = ScanSpec(molecule="H2", bond_lengths=[0.7354],
+                    fcidump_pattern=h2_fcidump_pattern, methods=("exact",))
+    first = scan_point(spec, 0.7354, db)
+    _, _, mo = h2_stretched
+    Path(h2_fcidump_pattern.format(length=0.7354)).write_text(write_fcidump(mo))
+    second = scan_point(spec, 0.7354, db)
+    assert second.record_id == first.record_id
+    assert second.e_exact != pytest.approx(first.e_exact, abs=1e-6)
+    for version, record in ((1, first), (2, second)):
+        stored = db.get(first.record_id, version=version)
+        pauli = parse_pauli((db.root / stored.hamiltonian_ref["pauli"]).read_text())
+        assert dense_ground_energy(pauli, 2).ground_energy == pytest.approx(
+            record.e_exact, abs=1e-9
+        )
+
+
 # ---------------------------------------------------------------------------
 # scan_point, FCIDUMP route
 # ---------------------------------------------------------------------------
@@ -227,6 +249,20 @@ def test_run_scan_raises_when_every_point_fails(tmp_path):
     )
     with pytest.raises(ScanError):
         run_scan(spec)
+
+
+def test_failed_points_get_distinct_ids(tmp_path):
+    db = EnergyDB(tmp_path / "db")
+    spec = ScanSpec(
+        molecule="H2",
+        bond_lengths=[0.7, 0.8],
+        fcidump_pattern=str(tmp_path / "absent_{length}.fcidump"),
+        methods=("exact",),
+    )
+    with pytest.raises(ScanError):
+        run_scan(spec, db)
+    assert len(db.list_ids()) == 2
+    assert [r.bond_length for r in db.query()] == [0.7, 0.8]
 
 
 def test_run_scan_validates_spec():
