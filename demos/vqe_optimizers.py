@@ -65,4 +65,4 @@ for shots in (100, 10_000, 1_000_000):
     print(f"  {shots:>9,} shots: {sampled:.8f} Ha "
           f"(error {abs(sampled - best.energy):.1e})")
 print("Sampling error falls roughly as 1/sqrt(shots); the infinite-shot "
-      "limit\nis the statevector expectation value used during optimization.")
+      "limit\nis the exact energy the optimizer minimized.")

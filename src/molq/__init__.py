@@ -80,6 +80,7 @@ from .vqe import (
     Ansatz,
     MinimizeResult,
     OptimizerConfig,
+    UCCSDBlock,
     VQEResult,
     hardware_efficient_ansatz,
     hf_reference_circuit,

@@ -249,7 +249,8 @@ def cmd_db(args):
 
 def cmd_curve(args):
     db = EnergyDB(args.db)
-    records = db.query(molecule=args.molecule, basis=args.basis, method=args.method)
+    records = db.query(molecule=args.molecule, basis=args.basis, method=args.method,
+                       ansatz=args.ansatz)
     if not records:
         raise UsageError("no matching records")
     _write_output(emit_curve(records), args.output)
@@ -356,6 +357,8 @@ def build_parser() -> _Parser:
     p.add_argument("--molecule", required=True)
     p.add_argument("--basis")
     p.add_argument("--method", choices=("hf", "vqe", "exact"))
+    p.add_argument("--ansatz", choices=("hea", "uccsd"),
+                   help="only records of this VQE ansatz")
     p.add_argument("--output", help="write the CSV here")
 
     return parser

@@ -25,7 +25,8 @@ from pathlib import Path
 from .errors import UsageError
 
 VARIATIONAL_SLACK = 1e-9
-RECORD_NAME = re.compile(r"(?P<id>[0-9a-f]{16})\.v(?P<version>[1-9][0-9]*)\.json")
+RECORD_ID = "[0-9a-f]{16}"
+RECORD_NAME = re.compile(rf"(?P<id>{RECORD_ID})\.v(?P<version>[1-9][0-9]*)\.json")
 TMP_SUFFIX = ".tmp"
 
 
@@ -73,8 +74,8 @@ class EnergyRecord:
     def validate(self):
         if not self.molecule:
             raise UsageError("record needs a molecule label")
-        if self.record_id and not re.fullmatch("[0-9a-f]{16}", self.record_id):
-            raise UsageError(f"record_id {self.record_id!r} is not 16 hex digits")
+        if self.record_id:
+            check_record_id(self.record_id, UsageError)
         for lo, hi in (("e_exact", "e_hf"), ("e_exact", "e_vqe")):
             a, b = getattr(self, lo), getattr(self, hi)
             if a is not None and b is not None and b < a - VARIATIONAL_SLACK:
@@ -86,6 +87,13 @@ class EnergyRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "EnergyRecord":
         return cls(**data)
+
+
+def check_record_id(record_id, error=KeyError) -> None:
+    """Raise `error` unless record_id is 16 lowercase hex digits: the id
+    names a file under records/, so nothing else may reach a path."""
+    if not (isinstance(record_id, str) and re.fullmatch(RECORD_ID, record_id)):
+        raise error(f"record_id {record_id!r} is not 16 hex digits")
 
 
 def _file(record_id: str, version: int) -> str:
@@ -139,6 +147,7 @@ class EnergyDB:
 
     def versions(self, record_id: str) -> list:
         """{"version", "file"} entries for versions 1, 2, ... up to the first absent one."""
+        check_record_id(record_id)
         entries = []
         while (self.root / (file := _file(record_id, len(entries) + 1))).exists():
             entries.append({"version": len(entries) + 1, "file": file})
@@ -149,6 +158,9 @@ class EnergyDB:
             return EnergyRecord.from_dict(json.load(fh))
 
     def get(self, record_id: str, version: int | None = None) -> EnergyRecord:
+        """Version `version` (default: the latest) of a record; KeyError if
+        the id is malformed or that version does not exist."""
+        check_record_id(record_id)
         if version is None:
             version = len(self.versions(record_id))
         try:
@@ -168,7 +180,7 @@ class EnergyDB:
         """Ids with a version 1; audit reports files beyond a missing version."""
         return sorted(record_id for record_id, versions in self._listing().items() if 1 in versions)
 
-    def query(self, molecule=None, basis=None, method=None) -> list:
+    def query(self, molecule=None, basis=None, method=None, ansatz=None) -> list:
         """Latest-version records matching the filters, sorted by
         (molecule, bond length, created_at). method requires e_<method>."""
         if method is not None and method not in ("hf", "vqe", "exact"):
@@ -180,6 +192,7 @@ class EnergyDB:
                 (molecule is None or record.molecule == molecule)
                 and (basis is None or record.basis == basis)
                 and (method is None or getattr(record, f"e_{method}") is not None)
+                and (ansatz is None or record.ansatz == ansatz)
             ):
                 matches.append(record)
         matches.sort(

@@ -7,15 +7,19 @@ a determinant-basis FCI oracle built directly from the MO integrals via
 Slater-Condon rules (never touching the fermion/qubit pipeline). Their
 agreement is the main correctness check of the whole package. The dense
 guard bounds the dimension diagonalized: at most 2**DENSE_MAX_QUBITS.
+
+pauli_operator (a sparse matrix of a PauliSum on any sorted basis) and
+sector_basis (the states of one determinant block) are shared with the
+UCCSD block of `vqe`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ResourceError, UsageError
 from .integrals_io import MOIntegrals
@@ -33,8 +37,8 @@ class SpectrumResult:
     n_qubits: int
 
 
-def pauli_matrix(s: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
-    """Dense matrix of a PauliSum over `basis`, a sorted int64 array of
+def pauli_operator(s: PauliSum, basis: np.ndarray | None = None) -> scipy.sparse.csr_array:
+    """Sparse matrix of a PauliSum over `basis`, a sorted int64 array of
     basis states: entry (row, col) is <basis[row]|H|basis[col]>. The
     default is the whole 2^n space in little-endian order.
 
@@ -46,32 +50,49 @@ def pauli_matrix(s: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
     if basis is None:
         basis = np.arange(2**s.n_qubits, dtype=np.int64)
     dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
+    rows, cols, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, complex)]
     by_flip = {}
     for term in s.terms:
         by_flip.setdefault(term.x, []).append(term)
     for x, terms in by_flip.items():
         targets = basis ^ x
-        rows = np.minimum(np.searchsorted(basis, targets), dim - 1)
-        hit = basis[rows] == targets
+        found = np.minimum(np.searchsorted(basis, targets), dim - 1)
+        hit = basis[found] == targets
         coefficients = np.array(
             [complex(t.coefficient) * 1j ** (x & t.z).bit_count() for t in terms]
         )
         z = np.array([t.z for t in terms], dtype=np.int64)[:, None]
-        mat[rows[hit], cols[hit]] += coefficients @ pauli_signs(basis[hit], z)
-    return mat
+        rows.append(found[hit])
+        cols.append(np.flatnonzero(hit))
+        values.append(coefficients @ pauli_signs(basis[hit], z))
+    return scipy.sparse.csr_array(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
 
 
-def _sector_basis(n_orbitals: int, n_alpha: int, n_beta: int) -> np.ndarray:
-    """Sorted basis states with n_alpha electrons on qubits 0..n_orbitals-1
-    and n_beta on the rest (blocked spin ordering)."""
+def pauli_matrix(s: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
+    """Dense form of pauli_operator(s, basis)."""
+    return pauli_operator(s, basis).toarray()
+
+
+def sector_basis(n_qubits: int, n_electrons: int) -> np.ndarray:
+    """Sorted basis states of the N-electron determinant block: ceil(N/2)
+    electrons on the alpha qubits 0..n-1 and floor(N/2) on the beta qubits
+    n..2n-1 (blocked spin ordering, n = n_qubits / 2)."""
+    if n_qubits % 2 or not 0 <= n_electrons <= n_qubits:
+        raise UsageError(
+            f"no {n_electrons}-electron sector on {n_qubits} spin orbitals"
+        )
+    n_orbitals = n_qubits // 2
+    n_beta = n_electrons // 2
 
     def masks(k):
         combos = itertools.combinations(range(n_orbitals), k)
         return np.array([sum(1 << p for p in occ) for occ in combos], dtype=np.int64)
 
-    return np.sort(((masks(n_beta) << n_orbitals)[:, None] | masks(n_alpha)).ravel())
+    alpha = masks(n_electrons - n_beta)
+    return np.sort(((masks(n_beta) << n_orbitals)[:, None] | alpha).ravel())
 
 
 def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> SpectrumResult:
@@ -84,29 +105,21 @@ def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> Spectrum
     lowest state of any electron count is returned. The ground vector is
     returned on the full 2^n basis either way.
     """
-    if n_electrons is None:
-        dim = 2**h.n_qubits
-    else:
-        if h.n_qubits % 2 or not 0 <= n_electrons <= h.n_qubits:
-            raise UsageError(
-                f"no {n_electrons}-electron sector on {h.n_qubits} spin orbitals"
-            )
-        n = h.n_qubits // 2
-        n_beta = n_electrons // 2
-        n_alpha = n_electrons - n_beta
-        dim = math.comb(n, n_alpha) * math.comb(n, n_beta)
-    if dim > 2**DENSE_MAX_QUBITS:
-        raise ResourceError(
-            f"dimension {dim} exceeds the {DENSE_MAX_QUBITS}-qubit dense guard"
-        )
     if h.n_qubits > MAX_QUBITS:
         raise ResourceError(
             f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit statevector guard"
         )
     if n_electrons is None:
-        basis = np.arange(dim, dtype=np.int64)
+        dim = 2**h.n_qubits
     else:
-        basis = _sector_basis(n, n_alpha, n_beta)
+        basis = sector_basis(h.n_qubits, n_electrons)
+        dim = len(basis)
+    if dim > 2**DENSE_MAX_QUBITS:
+        raise ResourceError(
+            f"dimension {dim} exceeds the {DENSE_MAX_QUBITS}-qubit dense guard"
+        )
+    if n_electrons is None:
+        basis = np.arange(dim, dtype=np.int64)
     mat = pauli_matrix(h, basis)
     if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
         raise UsageError("PauliSum is not Hermitian")

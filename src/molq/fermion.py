@@ -72,9 +72,6 @@ class FermionOperator:
                 if kind not in (CREATION, ANNIHILATION):
                     raise UsageError(f"unknown ladder kind {kind!r}")
 
-    def sorted_terms(self):
-        return sorted(self.terms, key=FermionTerm.sort_key)
-
 
 def is_hermitian(op: FermionOperator, tol: float = 1e-12) -> bool:
     """True when every term's adjoint appears with the conjugate coefficient."""
@@ -188,7 +185,7 @@ def serialize_terms(op: FermionOperator, limit: int | None = None) -> str:
     constant offset is not emitted. limit caps the number of lines.
     """
     lines = []
-    for term in op.sorted_terms()[:limit]:
+    for term in sorted(op.terms, key=FermionTerm.sort_key)[:limit]:
         factors = " ".join(f"{kind}_{mode}" for mode, kind in term.factors)
         lines.append(f"{_format_coefficient(term.coefficient)} * ( {factors} )")
     if not lines:

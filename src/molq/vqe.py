@@ -1,24 +1,38 @@
-"""VQE: ansatz construction, parameter-shift gradients, classical optimizers.
+"""VQE: ansatz construction, the UCCSD electron-number block, adjoint and
+parameter-shift gradients, classical optimizers.
 
 Both ansatz kinds start from the Hartree-Fock reference (theta = 0 prepares
-it exactly). UCCSD is the product of factors exp(-i phi/2 P), one per Pauli
-string P of each excitation generator, and each factor is one native Pauli
-rotation gate; phi enters a shared parameter slot through the gate's scale
-factor, which keeps the parameter-shift rule exact.
+it exactly). UCCSD is the product over slots k of exp(theta_k G_k), with
+G_k = JW(T_k - T_k^dagger) the anti-Hermitian generator of one spin-
+conserving excitation. Its circuit holds one native Pauli rotation
+exp(-i phi/2 P) per string P of each G_k (the strings of one G_k commute);
+phi enters a shared slot through the gate's scale factor, which keeps the
+parameter-shift rule exact.
+
+vqe_solve runs each kind on one path, chosen by the kind. UCCSD conserves
+N and S_z, so its state never leaves the (N/2, N/2) determinant block: H
+and every G_k are built once per solve as sparse matrices over that block
+(UCCSDBlock), each factor is applied exactly as
+exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2, which holds because
+G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA leaves
+the block and runs its circuit on the full-space simulator, with
+parameter-shift gradients. The circuit, `expectation` and
+`parameter_shift_gradient` stay the oracles of the block path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
 
-from .errors import UsageError
+from .errors import ComputationError, ResourceError, UsageError
+from .exact import pauli_operator, sector_basis
 from .fermion import ANNIHILATION, CREATION, FermionOperator, FermionTerm
 from .pauli import PauliSum, jordan_wigner
-from .statevector import Circuit, run_circuit, expectation
+from .statevector import MAX_QUBITS, Circuit, run_circuit, expectation
 
 
 @dataclass
@@ -26,6 +40,8 @@ class Ansatz:
     circuit: Circuit          # includes the HF preparation prefix
     parameter_count: int
     descriptor: str
+    generators: tuple = ()    # UCCSD: G_k = JW(T_k - T_k^dagger) per slot k
+    n_electrons: int | None = None   # UCCSD: electrons of the HF reference
 
 
 @dataclass
@@ -37,21 +53,24 @@ class VQEResult:
     converged: bool
 
 
-def hf_reference_circuit(n_qubits: int, n_electrons: int) -> Circuit:
-    """X gates filling the occupied alpha and beta blocks (blocked ordering)."""
+def _hf_occupied(n_qubits: int, n_electrons: int) -> list:
+    """Qubits of the occupied alpha and beta blocks (blocked ordering)."""
     if n_electrons % 2 != 0:
         raise UsageError("HF reference needs an even electron count")
-    circuit = Circuit(n_qubits)
     if n_electrons == 0:
-        return circuit
+        return []
     if n_qubits % 2 != 0:
         raise UsageError("blocked spin ordering needs an even qubit count")
     n_occ = n_electrons // 2
     if n_occ > n_qubits // 2:
         raise UsageError("more electron pairs than spatial orbitals")
-    for q in range(n_occ):
-        circuit.x(q)
-    for q in range(n_qubits // 2, n_qubits // 2 + n_occ):
+    return list(range(n_occ)) + list(range(n_qubits // 2, n_qubits // 2 + n_occ))
+
+
+def hf_reference_circuit(n_qubits: int, n_electrons: int) -> Circuit:
+    """X gates filling the occupied alpha and beta blocks (blocked ordering)."""
+    circuit = Circuit(n_qubits)
+    for q in _hf_occupied(n_qubits, n_electrons):
         circuit.x(q)
     return circuit
 
@@ -79,12 +98,13 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int = 0) -
     )
 
 
-def _append_excitation(circuit: Circuit, factors: tuple, n_qubits: int, slot: int):
-    """Append exp(theta_slot * (T - T^dagger)) for T given by `factors`.
+def _append_excitation(circuit: Circuit, factors: tuple, n_qubits: int, slot: int) -> PauliSum:
+    """Append exp(theta_slot * (T - T^dagger)) for T given by `factors` and
+    return its generator, the Jordan-Wigner image of T - T^dagger.
 
-    The Jordan-Wigner image of T - T^dagger is a sum of mutually commuting
-    Pauli strings with purely imaginary coefficients i*k; each becomes one
-    exponential factor with phi = -2*k*theta.
+    That image is a sum of mutually commuting Pauli strings with purely
+    imaginary coefficients i*k; each becomes one exponential factor with
+    phi = -2*k*theta.
     """
     t = FermionTerm(1.0, factors)
     t_dag = t.adjoint()
@@ -97,6 +117,7 @@ def _append_excitation(circuit: Circuit, factors: tuple, n_qubits: int, slot: in
         if abs(coeff.real) > 1e-12:
             raise UsageError("excitation generator is not anti-Hermitian")
         circuit.pauli_rot(term.x, term.z, slot=slot, scale=-2.0 * coeff.imag)
+    return image
 
 
 def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
@@ -113,14 +134,15 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
         raise UsageError("no virtual orbitals to excite into")
 
     circuit = hf_reference_circuit(n_qubits, n_electrons)
-    slot = 0
+    generators = []
     n_singles = 0
     for spin in (0, n_spatial):
         for i in range(n_occ):
             for a in range(n_occ, n_spatial):
                 factors = ((a + spin, CREATION), (i + spin, ANNIHILATION))
-                _append_excitation(circuit, factors, n_qubits, slot)
-                slot += 1
+                generators.append(
+                    _append_excitation(circuit, factors, n_qubits, len(generators))
+                )
                 n_singles += 1
     n_doubles = 0
     for i in range(n_occ):
@@ -133,14 +155,78 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
                         (j + n_spatial, ANNIHILATION),
                         (i, ANNIHILATION),
                     )
-                    _append_excitation(circuit, factors, n_qubits, slot)
-                    slot += 1
+                    generators.append(
+                        _append_excitation(circuit, factors, n_qubits, len(generators))
+                    )
                     n_doubles += 1
     return Ansatz(
         circuit=circuit,
-        parameter_count=slot,
+        parameter_count=len(generators),
         descriptor=f"uccsd(singles={n_singles},doubles={n_doubles})",
+        generators=tuple(generators),
+        n_electrons=n_electrons,
     )
+
+
+class UCCSDBlock:
+    """A UCCSD ansatz and a Hamiltonian on the ansatz's (N/2, N/2)
+    determinant block.
+
+    The state has no amplitude outside the block, so psi^dagger H_B psi
+    equals <psi|H|psi> for any H, number-conserving or not. H_B, each G_k
+    and G_k^2 are sparse matrices over the block, built once here.
+    """
+
+    def __init__(self, h: PauliSum, a: Ansatz):
+        if a.circuit.n_qubits != h.n_qubits:
+            raise UsageError("ansatz and Hamiltonian qubit counts differ")
+        if h.n_qubits > MAX_QUBITS:
+            raise ResourceError(f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
+        basis = sector_basis(h.n_qubits, a.n_electrons)
+        self.h = pauli_operator(h, basis)
+        self.generators = []
+        for generator in a.generators:
+            g = pauli_operator(generator, basis)
+            self.generators.append((g, g @ g))
+        self.reference = np.zeros(len(basis), dtype=complex)
+        occupied = sum(1 << q for q in _hf_occupied(h.n_qubits, a.n_electrons))
+        self.reference[np.searchsorted(basis, occupied)] = 1.0
+        self.hermitian = all(abs(complex(t.coefficient).imag) <= 1e-12 for t in h.terms)
+
+    def state(self, theta) -> np.ndarray:
+        """psi(theta) as amplitudes over the block."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (len(self.generators),):
+            raise UsageError(f"expected {len(self.generators)} parameters, got {theta.shape}")
+        psi = self.reference
+        for (g, g2), t in zip(self.generators, theta):
+            psi = psi + math.sin(t) * (g @ psi) + (1.0 - math.cos(t)) * (g2 @ psi)
+        return psi
+
+    def energy(self, theta) -> float:
+        psi = self.state(theta)
+        value = np.vdot(psi, self.h @ psi)
+        if self.hermitian and abs(value.imag) > 1e-10:
+            raise ComputationError(
+                f"imaginary residual {value.imag:.3e} for a Hermitian operator"
+            )
+        return float(value.real)
+
+    def gradient(self, theta) -> np.ndarray:
+        """dE/dtheta_k = 2 Re <lambda_k|G_k|psi_k>, with psi_k the state after
+        slot k and lambda_k = (U_P ... U_{k+1})^dagger H psi: one backward
+        sweep undoes each factor on both vectors (Hermitian H)."""
+        psi = self.state(theta)
+        theta = np.asarray(theta, dtype=float)
+        lam = self.h @ psi
+        grad = np.zeros(theta.size)
+        for k in reversed(range(theta.size)):
+            (g, g2), t = self.generators[k], theta[k]
+            grad[k] = 2.0 * np.vdot(lam, g @ psi).real
+            s, c = math.sin(t), 1.0 - math.cos(t)
+            psi = psi - s * (g @ psi) + c * (g2 @ psi)
+            lam = lam - s * (g @ lam) + c * (g2 @ lam)
+        return grad
 
 
 def parameter_shift_gradient(a: Ansatz, h: PauliSum, theta) -> np.ndarray:
@@ -284,22 +370,31 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
 
 
 def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log=None) -> VQEResult:
-    """Minimize theta -> <psi(theta)|H|psi(theta)> from theta = 0."""
+    """Minimize theta -> <psi(theta)|H|psi(theta)> from theta = 0: UCCSD on
+    its electron-number block with adjoint gradients, any other ansatz on
+    the full-space circuit with parameter-shift gradients."""
     config = config or OptimizerConfig()
     if a.circuit.n_qubits != h.n_qubits:
         raise UsageError("ansatz and Hamiltonian qubit counts differ")
+    if a.generators:
+        block = UCCSDBlock(h, a)
+        energy, gradient = block.energy, block.gradient
+    else:
+        def energy(theta):
+            return expectation(run_circuit(a.circuit, theta), h)
+
+        def gradient(theta):
+            return parameter_shift_gradient(a, h, theta)
     history = []
 
     def objective(theta):
-        energy = expectation(run_circuit(a.circuit, theta), h)
+        value = energy(theta)
         if log is not None:
-            log.write(f"eval {len(history) + 1} E={energy:.12f}\n")
-        history.append(min(energy, history[-1]) if history else energy)
-        return energy
+            log.write(f"eval {len(history) + 1} E={value:.12f}\n")
+        history.append(min(value, history[-1]) if history else value)
+        return value
 
-    grad = None
-    if config.method == "gradient_descent":
-        grad = lambda theta: parameter_shift_gradient(a, h, theta)
+    grad = gradient if config.method == "gradient_descent" else None
     res = minimize(objective, np.zeros(a.parameter_count), config, gradient=grad)
     return VQEResult(
         energy=res.value,

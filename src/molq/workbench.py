@@ -23,6 +23,7 @@ from .integrals import Geometry, assign_basis, build_ao_integrals, load_basis
 from .integrals_io import parse_fcidump
 from .pauli import jordan_wigner, serialize_pauli
 from .scf import ao_to_mo, hf_reference_energy, scf_solve
+from .statevector import run_circuit
 from .vqe import OptimizerConfig, hardware_efficient_ansatz, uccsd_ansatz, vqe_solve
 
 VALID_METHODS = ("hf", "vqe", "exact")
@@ -90,6 +91,17 @@ def _build_ansatz(spec: ScanSpec, n_qubits: int, n_electrons: int):
     return hardware_efficient_ansatz(n_qubits, spec.depth, n_electrons)
 
 
+def _check_electron_count(ansatz, theta, n_electrons: int):
+    """HEA does not conserve N: fail unless its final state keeps the
+    molecule's electron count, <N> = sum_b popcount(b) |psi_b|^2."""
+    probabilities = run_circuit(ansatz.circuit, theta).probabilities
+    found = float(np.bitwise_count(np.arange(probabilities.size)) @ probabilities)
+    if abs(found - n_electrons) > 1e-6:
+        raise ComputationError(
+            f"HEA state left the {n_electrons}-electron sector: <N> = {found:.6f}"
+        )
+
+
 def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> EnergyRecord:
     """Run one bond length end to end and return its record."""
     if spec.fcidump_pattern is not None:
@@ -137,6 +149,8 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
             method=spec.optimizer, budget=spec.budget, seed=spec.seed
         )
         result = vqe_solve(pauli, ansatz, config)
+        if spec.ansatz == "hea":
+            _check_electron_count(ansatz, result.parameters, mo.n_electrons)
         record.e_vqe = result.energy
         record.evaluations = result.evaluations
 
@@ -184,7 +198,7 @@ CURVE_HEADER = "bond_length_angstrom,e_hf,e_vqe,e_exact"
 
 def emit_curve(records: list) -> str:
     """CSV rows ascending by bond length, 12 significant digits, absent
-    energies left empty."""
+    energies left empty. A bond length may appear only once."""
     molecules = {record.molecule for record in records}
     if len(molecules) > 1:
         raise UsageError(f"records mix molecules: {sorted(molecules)}")
@@ -197,9 +211,16 @@ def emit_curve(records: list) -> str:
         records,
         key=lambda r: r.bond_length if r.bond_length is not None else float("inf"),
     )
-    for record in ordered:
+    for previous, record in zip([None] + ordered, ordered):
         if record.bond_length is None:
             raise UsageError("record without bond length in curve emission")
+        if previous is not None and previous.bond_length == record.bond_length:
+            a, b = previous.to_dict(), record.to_dict()
+            differ = [k for k in a if k not in ("record_id", "created_at") and a[k] != b[k]]
+            raise UsageError(
+                f"two records at bond length {record.bond_length:g}, differing in "
+                f"{', '.join(differ) or 'nothing'}; filter the query to one configuration"
+            )
         rows.append(
             f"{fmt(record.bond_length)},{fmt(record.e_hf)},"
             f"{fmt(record.e_vqe)},{fmt(record.e_exact)}"

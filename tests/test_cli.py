@@ -315,6 +315,23 @@ def test_db_get_missing_record(capsys, tmp_path):
     assert main(["db", "get", "--db", str(tmp_path / "db"), "0" * 16]) == 1
 
 
+def test_db_get_rejects_path_traversal(capsys, tmp_path):
+    # a record file beside records/ must not be reachable through the id
+    db_dir = tmp_path / "db"
+    record_file = tmp_path / "rec.json"
+    record_file.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g"}))
+    assert main(["db", "put", "--db", str(db_dir), str(record_file)]) == 0
+    record_id = capsys.readouterr().out.strip()
+    (db_dir / "outside.v1.json").write_text(
+        (db_dir / "records" / f"{record_id}.v1.json").read_text()
+    )
+    for args in (["../outside"], ["../outside", "--version", "1"]):
+        assert main(["db", "get", "--db", str(db_dir), *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "16 hex digits" in captured.err
+
+
 def test_db_put_without_file(capsys, tmp_path):
     assert main(["db", "put", "--db", str(tmp_path / "db")]) == 1
 
@@ -346,6 +363,25 @@ def test_db_audit_problems_exit_2(capsys, tmp_path):
 
 def test_curve_without_matches(capsys, tmp_path):
     assert main(["curve", "--db", str(tmp_path / "db"), "--molecule", "H2"]) == 1
+
+
+def test_curve_picks_one_configuration(capsys, tmp_path):
+    # an hf,exact scan and an hf,vqe scan of the same lengths: two records
+    # per length, so the curve needs the ansatz filter
+    db_dir = str(tmp_path / "db")
+    for methods in ("hf,exact", "hf,vqe"):
+        assert main(["scan", "--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H",
+                     "--basis", "sto-3g", "--lengths", "0.7,0.9",
+                     "--methods", methods, "--db", db_dir]) == 0
+    capsys.readouterr()
+    assert main(["curve", "--db", db_dir, "--molecule", "H2"]) == 1
+    err = capsys.readouterr().err
+    assert "two records at bond length 0.7" in err
+    assert "ansatz" in err and "e_vqe" in err
+    assert main(["curve", "--db", db_dir, "--molecule", "H2", "--ansatz", "uccsd"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.7", "0.9"]
+    assert all(row.split(",")[2] and not row.split(",")[3] for row in rows[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,21 @@ def test_get_unknown_id(tmp_path):
         db.get("0" * 16)
 
 
+@pytest.mark.parametrize("record_id", ["../outside", "abc", "F" * 16, 7])
+def test_get_and_versions_reject_malformed_id(tmp_path, record_id):
+    # The id names a file, so only 16 lowercase hex digits may reach a path.
+    db = EnergyDB(tmp_path / "db")
+    (tmp_path / "db" / "outside.v1.json").write_text(
+        json.dumps(make_record(record_id="0" * 16).to_dict())
+    )
+    with pytest.raises(KeyError, match="16 hex digits"):
+        db.get(record_id)
+    with pytest.raises(KeyError, match="16 hex digits"):
+        db.get(record_id, version=1)
+    with pytest.raises(KeyError, match="16 hex digits"):
+        db.versions(record_id)
+
+
 def test_get_unknown_version(tmp_path):
     db = EnergyDB(tmp_path / "db")
     record_id = db.put(make_record())
@@ -219,6 +234,15 @@ def test_query_by_method(tmp_path):
     # The LiH record carries no VQE or exact energy, so it drops out.
     assert len(db.query(method="vqe")) == 3
     assert len(db.query(method="exact")) == 3
+
+
+def test_query_by_ansatz(tmp_path):
+    db = EnergyDB(tmp_path / "db")
+    fill_query_db(db)
+    hea_id = db.put(make_record(bond_length=0.7, ansatz="hea"))
+    assert len(db.query(molecule="H2")) == 4
+    assert [r.record_id for r in db.query(ansatz="hea")] == [hea_id]
+    assert [r.bond_length for r in db.query(molecule="H2", ansatz="uccsd")] == [0.5, 0.7, 0.9]
 
 
 def test_query_unknown_method(tmp_path):

@@ -7,19 +7,26 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from molq import (
     Ansatz,
     Circuit,
+    ComputationError,
+    Geometry,
     OptimizerConfig,
     PauliSum,
     PauliTerm,
+    ResourceError,
+    UCCSDBlock,
     UsageError,
+    build_fermionic_hamiltonian,
     dense_ground_energy,
     expectation,
     hardware_efficient_ansatz,
     hf_reference_circuit,
+    jordan_wigner,
     minimize,
     parameter_shift_gradient,
     run_circuit,
@@ -27,6 +34,7 @@ from molq import (
     vqe_solve,
 )
 
+from conftest import pipeline
 from test_pauli import term_matrix
 
 Z0 = PauliSum(1, (PauliTerm(1.0, {0: "Z"}),))
@@ -177,6 +185,78 @@ def test_gradient_small_at_converged_optimum(h2_hamiltonian):
     assert result.converged
     grad = parameter_shift_gradient(ansatz, h2_hamiltonian, result.parameters)
     assert np.max(np.abs(grad)) <= 1e-4
+
+
+# --------------------------------------------------------------- UCCSDBlock
+@pytest.fixture(scope="module")
+def h4_hamiltonian(sto3g):
+    """Linear H4 / STO-3G at 0.9 Angstrom spacing: 8 qubits, 4 electrons."""
+    geom = Geometry.from_angstrom([("H", (0.0, 0.0, 0.9 * k)) for k in range(4)])
+    _, _, mo = pipeline(geom, sto3g)
+    return jordan_wigner(build_fermionic_hamiltonian(mo))
+
+
+def random_hermitian_sum(n_qubits, n_terms, rng):
+    """Real-coefficient strings with random (x, z) masks: Hermitian, and
+    its X/Y letters move electrons between sectors."""
+    masks = rng.integers(0, 2**n_qubits, size=(n_terms, 2))
+    return PauliSum(n_qubits, tuple(
+        PauliTerm(float(rng.standard_normal()), x=int(x), z=int(z)) for x, z in masks
+    ))
+
+
+@pytest.mark.parametrize("system", ["H2", "H4", "random-4q"])
+def test_block_energy_matches_circuit(system, h2_hamiltonian, h4_hamiltonian):
+    # The UCCSD state has no amplitude outside its block, so the block
+    # energy equals the full-space one even for an H that changes N.
+    rng = np.random.default_rng(17)
+    h, n_electrons = {
+        "H2": (h2_hamiltonian, 2),
+        "H4": (h4_hamiltonian, 4),
+        "random-4q": (random_hermitian_sum(4, 30, rng), 2),
+    }[system]
+    ansatz = uccsd_ansatz(h.n_qubits, n_electrons)
+    block = UCCSDBlock(h, ansatz)
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
+        full = expectation(run_circuit(ansatz.circuit, theta), h)
+        assert abs(block.energy(theta) - full) <= 1e-12
+
+
+@pytest.mark.parametrize("system", ["H2", "H4"])
+def test_adjoint_gradient_matches_parameter_shift(system, h2_hamiltonian, h4_hamiltonian):
+    h, n_electrons = {"H2": (h2_hamiltonian, 2), "H4": (h4_hamiltonian, 4)}[system]
+    ansatz = uccsd_ansatz(h.n_qubits, n_electrons)
+    theta = np.random.default_rng(23).uniform(-np.pi, np.pi, ansatz.parameter_count)
+    adjoint = UCCSDBlock(h, ansatz).gradient(theta)
+    assert_allclose(adjoint, parameter_shift_gradient(ansatz, h, theta), rtol=0, atol=1e-10)
+
+
+def test_block_keeps_the_circuit_checks(h2_hamiltonian):
+    ansatz = uccsd_ansatz(4, 2)
+    block = UCCSDBlock(h2_hamiltonian, ansatz)
+    for call in (block.energy, block.gradient):
+        with pytest.raises(UsageError):
+            call(np.zeros(2))
+    with pytest.raises(UsageError):
+        UCCSDBlock(PauliSum(6, ()), ansatz)
+    big = uccsd_ansatz(26, 2)
+    with pytest.raises(ResourceError):
+        vqe_solve(PauliSum(26, (PauliTerm(1.0, {0: "Z"}),)), big)
+    # a Hermitian H must give a real energy
+    block.h = block.h + 1j * scipy.sparse.eye_array(block.h.shape[0])
+    with pytest.raises(ComputationError):
+        block.energy(np.zeros(3))
+
+
+def test_gradient_descent_charges_adjoint_gradients(h2_hamiltonian):
+    # each supplied gradient costs 2 * P evaluations against the budget
+    config = OptimizerConfig(method="gradient_descent", budget=1000, gd_step=0.5)
+    result = vqe_solve(h2_hamiltonian, uccsd_ansatz(4, 2), config)
+    assert result.converged
+    assert result.evaluations == len(result.history) * (1 + 2 * 3)
+    exact = dense_ground_energy(h2_hamiltonian, 2).ground_energy
+    assert exact - 1e-9 <= result.energy <= exact + 1e-6
 
 
 # ------------------------------------------------------------------ minimize

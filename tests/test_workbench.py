@@ -16,7 +16,7 @@ from molq import (
     scan_point,
 )
 from molq.db import EnergyDB, EnergyRecord
-from molq.errors import ScanError, UsageError
+from molq.errors import ComputationError, ScanError, UsageError
 from molq.fermion import build_fermionic_hamiltonian, parse_terms
 from molq.integrals_io import write_fcidump
 from molq.pauli import parse_pauli
@@ -307,6 +307,22 @@ def test_run_scan_cation_exact_is_fci(spec, sto3g):
         assert record.e_exact == pytest.approx(fci_determinant_oracle(mo), abs=1e-10)
 
 
+def test_hea_point_that_leaves_the_sector_fails_by_name(tmp_path):
+    # HEA does not conserve N: on HeH+ its optimum drifts into the
+    # three-electron sector, which must be named rather than stored (or
+    # rejected later as a violated variational bound).
+    spec = ScanSpec(
+        molecule="HeH+", bond_lengths=[0.774],
+        fragment_a=[("He", (0.0, 0.0, 0.0))], fragment_b=[("H", (0.0, 0.0, 0.0))],
+        basis="sto-3g", charge=1, methods=("hf", "vqe", "exact"),
+        ansatz="hea", depth=2,
+    )
+    db = EnergyDB(tmp_path / "db")
+    with pytest.raises(ComputationError, match=r"2-electron sector: <N> = 3\.0"):
+        scan_point(spec, 0.774, db)
+    assert db.list_ids() == []
+
+
 def test_run_scan_workers_match_serial(tmp_path):
     spec_serial = h2_spec(bond_lengths=[0.65, 0.75], methods=("hf",))
     spec_pool = h2_spec(bond_lengths=[0.65, 0.75], methods=("hf",), workers=2)
@@ -353,6 +369,17 @@ def test_emit_curve_rejects_mixed_molecules():
 def test_emit_curve_rejects_missing_length():
     with pytest.raises(UsageError, match="bond length"):
         emit_curve([EnergyRecord(molecule="H2", basis="b")])
+
+
+def test_emit_curve_rejects_repeated_length():
+    # two configurations at one length would give two rows for it
+    records = [
+        EnergyRecord(molecule="H2", basis="b", bond_length=0.7, e_hf=-1.1, e_exact=-1.13),
+        EnergyRecord(molecule="H2", basis="b", bond_length=0.7, e_hf=-1.1,
+                     e_vqe=-1.12, ansatz="uccsd"),
+    ]
+    with pytest.raises(UsageError, match="bond length 0.7, differing in e_vqe, e_exact, ansatz"):
+        emit_curve(records)
 
 
 def test_emit_curve_round_trips_through_db(tmp_path):
