@@ -9,6 +9,14 @@ exp(-a|r-A|^2), with p = a + b, mu = a*b/p, P = (a*A + b*B)/p:
     (ab|cd)    2 pi^(5/2) / (pq sqrt(p+q)) exp(-mu_ab|A-B|^2)
                exp(-mu_cd|C-D|^2) F0(pq/(p+q) |P-Q|^2)
 
+None of these is evaluated one primitive at a time. The contracted
+functions are packed into padded (n_ao, K) arrays, the Gaussian-product
+quantities (p, mu, P, exp(-mu|A-B|^2) c_a c_b) are built once for every
+function pair i >= j, and each integral class is a numpy reduction over
+those primitive-pair arrays; the ERIs loop over bra pairs only. This pair
+layout is what a McMurchie-Davidson engine for higher angular momentum
+would extend with Hermite expansion coefficients.
+
 Everything internal is in atomic units (Bohr, Hartree); user-facing
 geometry input is Angstrom.
 """
@@ -125,17 +133,23 @@ class AOIntegrals:
     n_electrons: int
 
 
-def boys_f0(x: float) -> float:
-    """Boys function F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)).
+def boys_f0(x):
+    """Boys function F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)), elementwise.
 
-    Below the cutoff the Taylor series 1 - x/3 + x^2/10 - x^3/42 avoids the
-    0/0 cancellation at the origin.
+    Takes a float or an array and returns the same shape (a float for a
+    scalar). At and below the cutoff the Taylor series
+    1 - x/3 + x^2/10 - x^3/42 avoids the 0/0 cancellation at the origin.
     """
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise UsageError(f"boys_f0 requires finite x >= 0, got {x!r}")
-    if x <= _BOYS_SERIES_CUTOFF:
-        return 1.0 - x / 3.0 + x * x / 10.0 - x * x * x / 42.0
-    return 0.5 * math.sqrt(math.pi / x) * special.erf(math.sqrt(x))
+    x = np.asarray(x, dtype=float)
+    valid = np.isfinite(x) & (x >= 0.0)
+    if not valid.all():
+        raise UsageError(f"boys_f0 requires finite x >= 0, got {float(x[~valid].flat[0])!r}")
+    out = np.empty_like(x)
+    series = x <= _BOYS_SERIES_CUTOFF
+    xs, xc = x[series], x[~series]
+    out[series] = 1.0 - xs / 3.0 + xs * xs / 10.0 - xs * xs * xs / 42.0
+    out[~series] = 0.5 * np.sqrt(np.pi / xc) * special.erf(np.sqrt(xc))
+    return float(out) if out.ndim == 0 else out
 
 
 def nuclear_repulsion(geometry: Geometry) -> float:
@@ -153,66 +167,45 @@ def nuclear_repulsion(geometry: Geometry) -> float:
     return e
 
 
-def _overlap_prim(a, A, b, B):
-    p = a + b
-    ab2 = float(np.dot(A - B, A - B))
-    return (np.pi / p) ** 1.5 * np.exp(-a * b / p * ab2)
+def _primitive_pairs(funcs):
+    """Gaussian-product quantities of every primitive pair of every function
+    pair i >= j, in pair order (0,0), (1,0), (1,1), (2,0), ...
 
-
-def _kinetic_prim(a, A, b, B):
+    Functions are packed into padded (n_ao, K) exponent and coefficient
+    arrays; a padded slot has exponent 1.0 and weight 0, so it contributes
+    nothing. Returned per-pair arrays have shape (n_pair, K, K): p, mu,
+    ab2 = |A-B|^2 (broadcast), the centre P (with a trailing axis of 3), and
+    weight = c_a c_b exp(-mu |A-B|^2).
+    """
+    k = max(len(f.exponents) for f in funcs)
+    exps = np.ones((len(funcs), k))
+    coefs = np.zeros((len(funcs), k))
+    for row, f in enumerate(funcs):
+        exps[row, : len(f.exponents)] = f.exponents
+        coefs[row, : len(f.exponents)] = f.primitive_coefficients
+    centers = np.array([f.center for f in funcs], dtype=float)
+    i, j = np.tril_indices(len(funcs))
+    a = exps[i][:, :, None]
+    b = exps[j][:, None, :]
     p = a + b
     mu = a * b / p
-    ab2 = float(np.dot(A - B, A - B))
-    return mu * (3.0 - 2.0 * mu * ab2) * (np.pi / p) ** 1.5 * np.exp(-mu * ab2)
-
-
-def _attraction_prim(a, A, b, B, C):
-    p = a + b
-    ab2 = float(np.dot(A - B, A - B))
-    P = (a * A + b * B) / p
-    pc2 = float(np.dot(P - C, P - C))
-    return -(2.0 * np.pi / p) * np.exp(-a * b / p * ab2) * boys_f0(p * pc2)
-
-
-def _eri_prim(a, A, b, B, c, C, d, D):
-    p = a + b
-    q = c + d
-    ab2 = float(np.dot(A - B, A - B))
-    cd2 = float(np.dot(C - D, C - D))
-    P = (a * A + b * B) / p
-    Q = (c * C + d * D) / q
-    pq2 = float(np.dot(P - Q, P - Q))
-    pref = 2.0 * np.pi**2.5 / (p * q * np.sqrt(p + q))
-    return pref * np.exp(-a * b / p * ab2 - c * d / q * cd2) * boys_f0(p * q / (p + q) * pq2)
-
-
-def _contract2(kernel, f1, f2):
-    val = 0.0
-    A = np.asarray(f1.center)
-    B = np.asarray(f2.center)
-    for a, ca in zip(f1.exponents, f1.primitive_coefficients):
-        for b, cb in zip(f2.exponents, f2.primitive_coefficients):
-            val += ca * cb * kernel(a, A, b, B)
-    return val
-
-
-def _contract4(f1, f2, f3, f4):
-    val = 0.0
-    A, B, C, D = (np.asarray(f.center) for f in (f1, f2, f3, f4))
-    for a, ca in zip(f1.exponents, f1.primitive_coefficients):
-        for b, cb in zip(f2.exponents, f2.primitive_coefficients):
-            for c, cc in zip(f3.exponents, f3.primitive_coefficients):
-                for d, cd in zip(f4.exponents, f4.primitive_coefficients):
-                    val += ca * cb * cc * cd * _eri_prim(a, A, b, B, c, C, d, D)
-    return val
+    ab2 = np.sum((centers[i] - centers[j]) ** 2, axis=1)[:, None, None]
+    P = (a[..., None] * centers[i][:, None, None, :]
+         + b[..., None] * centers[j][:, None, None, :]) / p[..., None]
+    weight = coefs[i][:, :, None] * coefs[j][:, None, :] * np.exp(-mu * ab2)
+    return p, mu, ab2, P, weight
 
 
 def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     """Evaluate S, Hcore and the ERI tensor over contracted s functions.
 
     `basis_functions` is a flat ordered list of ContractedGaussian already
-    placed on their centers (see `assign_basis`). The ERI tensor is stored in
-    full but evaluated only on unique 8-fold-symmetry representatives.
+    placed on their centers (see `assign_basis`). Every integral is a
+    reduction over the primitive-pair arrays of `_primitive_pairs`; the
+    ERIs run one bra pair against all ket pairs at or below it, so the
+    temporaries stay O(n_pair K^4). Each unique value is computed once and
+    gathered through the pair-index map, so S, Hcore and the ERI tensor
+    carry their permutation symmetries exactly.
     """
     funcs = list(basis_functions)
     if not funcs:
@@ -220,33 +213,39 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     n = len(funcs)
     e_nn = nuclear_repulsion(geometry)
 
-    S = np.zeros((n, n))
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            S[i, j] = S[j, i] = _contract2(_overlap_prim, funcs[i], funcs[j])
-            t = _contract2(_kinetic_prim, funcs[i], funcs[j])
-            v = 0.0
-            for atom in geometry.atoms:
-                Cpos = np.asarray(atom.position)
-                v += atom.atomic_number * _contract2(
-                    lambda a, A, b, B: _attraction_prim(a, A, b, B, Cpos),
-                    funcs[i],
-                    funcs[j],
-                )
-            H[i, j] = H[j, i] = t + v
+    p, mu, ab2, P, weight = _primitive_pairs(funcs)
+    overlap = weight * (np.pi / p) ** 1.5
+    s = overlap.sum(axis=(1, 2))
+    t = (mu * (3.0 - 2.0 * mu * ab2) * overlap).sum(axis=(1, 2))
+    charges = np.array([atom.atomic_number for atom in geometry.atoms], dtype=float)
+    nuclei = np.array([atom.position for atom in geometry.atoms], dtype=float)
+    pc2 = np.sum((P[..., None, :] - nuclei) ** 2, axis=-1)  # (n_pair, K, K, n_atoms)
+    v = -2.0 * np.pi * np.einsum(
+        "xab,xabc,c->x", weight / p, boys_f0(p[..., None] * pc2), charges
+    )
 
-    eri = np.zeros((n, n, n, n))
-    for p, q, r, s in _eri_quartets(n):
-        val = _contract4(funcs[p], funcs[q], funcs[r], funcs[s])
-        for idx in _eri_orbit(p, q, r, s):
-            eri[idx] = val
+    # (ab|cd) of bra pair x against ket pairs 0..x, over axes (ket, a, b, c, d)
+    n_pair = len(s)
+    pairs = np.zeros((n_pair, n_pair))
+    q, Q = p[:, None, None], P[:, None, None]
+    for x in range(n_pair):
+        pb, qk = p[x][:, :, None, None], q[: x + 1]
+        pq2 = np.sum((P[x][:, :, None, None] - Q[: x + 1]) ** 2, axis=-1)
+        kernel = 2.0 * np.pi**2.5 / (pb * qk * np.sqrt(pb + qk))
+        kernel *= boys_f0(pb * qk / (pb + qk) * pq2)
+        pairs[x, : x + 1] = np.einsum("ab,kcd,kabcd->k", weight[x], weight[: x + 1], kernel)
+    upper = np.triu_indices(n_pair, 1)
+    pairs[upper] = pairs.T[upper]
 
+    # pair index of (i, j) for either order: max(i,j)(max(i,j)+1)/2 + min(i,j)
+    hi = np.maximum.outer(np.arange(n), np.arange(n))
+    lo = np.minimum.outer(np.arange(n), np.arange(n))
+    index = hi * (hi + 1) // 2 + lo
     return AOIntegrals(
         n_ao=n,
-        overlap=S,
-        core_hamiltonian=H,
-        eri=eri,
+        overlap=s[index],
+        core_hamiltonian=(t + v)[index],
+        eri=pairs[index[:, :, None, None], index[None, None, :, :]],
         e_nuclear=e_nn,
         n_electrons=geometry.n_electrons,
     )

@@ -8,6 +8,14 @@ operators to strings with Z parity chains:
 
     a+_p -> 1/2 (X_p - i Y_p) Z_{p-1} ... Z_0
     a_p  -> 1/2 (X_p + i Y_p) Z_{p-1} ... Z_0
+
+`pauli_multiply` is that product rule on one pair of terms. The transform
+itself applies the same rule to int64 mask arrays: fermion terms are grouped
+by factor count and each group is expanded in one array pass per factor.
+Equal strings are then merged on the key x << 32 | z, summing coefficients
+in the order the scalar fold would produce them, and sorted by (weight,
+pattern); `canonicalize` is that same merge. The int64 key bounds every
+register to MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -15,13 +23,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError, UsageError
+import numpy as np
+
+from .errors import ParseError, ResourceError, UsageError
 from .fermion import ANNIHILATION, CREATION, FermionOperator, _format_coefficient
 
 COEFF_DROP = 1e-12
 
 _LETTERS = "IXZY"           # indexed by x_bit + 2 * z_bit
 _PHASES = (1, 1j, -1, -1j)  # i^k
+_PHASE_VALUES = np.array(_PHASES, dtype=complex)
+_SORT_CODE = np.array([0, 1, 3, 2])  # x_bit + 2 * z_bit -> rank of I, X, Z, Y in "IXYZ"
+
+# Largest register any molq consumer of a PauliSum accepts; it also keeps
+# the merge key x << 32 | z inside int64.
+MAX_QUBITS = 24
 
 
 @dataclass(init=False)
@@ -100,26 +116,78 @@ def pauli_multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     return PauliTerm(a.coefficient * b.coefficient * _PHASES[k % 4], x=x, z=z)
 
 
+def _merge_sorted(n_qubits: int, x, z, coeffs) -> tuple:
+    """Merge equal strings, drop |c| < 1e-12, sort by (weight, pattern).
+
+    x, z are int64 mask arrays and coeffs their coefficients, in the order
+    the terms were produced. np.add.at sums each string's coefficients in
+    that order, starting from 0, so a merged coefficient is the same
+    floating-point sum as a left-to-right fold. Returns the sorted arrays.
+    """
+    keys, inverse = np.unique(x << 32 | z, return_inverse=True)
+    merged = np.zeros(len(keys), dtype=coeffs.dtype)
+    np.add.at(merged, inverse, coeffs)
+    keep = np.abs(merged) >= COEFF_DROP
+    keys, merged = keys[keep], merged[keep]
+    x, z = keys >> 32, keys & 0xFFFFFFFF
+    # the pattern string compares qubit 0 first, letter by letter, I < X < Y < Z
+    qubits = np.arange(n_qubits)
+    codes = _SORT_CODE[(x[:, None] >> qubits & 1) + 2 * (z[:, None] >> qubits & 1)]
+    order = np.lexsort((*codes.T[::-1], np.bitwise_count(x | z)))
+    return x[order], z[order], merged[order]
+
+
+def _terms(x, z, coeffs) -> list:
+    """PauliTerms with Python int masks and Python float/complex coefficients."""
+    return [
+        PauliTerm(c, x=xi, z=zi)
+        for xi, zi, c in zip(x.tolist(), z.tolist(), coeffs.tolist())
+    ]
+
+
 def canonicalize(s: PauliSum) -> PauliSum:
     """Merge equal patterns, drop |c| < 1e-12, sort by (weight, pattern)."""
-    merged = {}
-    for term in s.terms:
-        key = (term.x, term.z)
-        merged[key] = merged.get(key, 0.0) + term.coefficient
-    terms = [
-        PauliTerm(coeff, x=x, z=z)
-        for (x, z), coeff in merged.items()
-        if abs(coeff) >= COEFF_DROP
-    ]
-    terms.sort(key=lambda t: (t.weight, t.pattern(s.n_qubits)))
-    return PauliSum(n_qubits=s.n_qubits, terms=terms)
+    if s.n_qubits > MAX_QUBITS:
+        raise ResourceError(f"{s.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
+    coeffs = np.array([t.coefficient for t in s.terms])
+    if coeffs.dtype.kind != "c":
+        coeffs = coeffs.astype(float)
+    x = np.array([t.x for t in s.terms], dtype=np.int64)
+    z = np.array([t.z for t in s.terms], dtype=np.int64)
+    return PauliSum(n_qubits=s.n_qubits, terms=_terms(*_merge_sorted(s.n_qubits, x, z, coeffs)))
 
 
-def _ladder_strings(mode: int, kind: str) -> list:
-    """The two Pauli terms of a JW-mapped ladder operator on `mode`."""
-    bit, chain = 1 << mode, (1 << mode) - 1
-    sign = -0.5j if kind == CREATION else 0.5j
-    return [PauliTerm(0.5, x=bit, z=chain), PauliTerm(sign, x=bit, z=chain | bit)]
+def _expand(products) -> tuple:
+    """JW images of equal-length ladder products, 2^k strings per product.
+
+    products is a list of (factors, coefficient) with k factors each. Every
+    factor a+_p / a_p is the two strings 1/2 X_p Z_<p and -+i/2 Y_p Z_<p;
+    the partial products are multiplied by them in turn, so each product's
+    strings come out in the order of the scalar fold
+    `[pauli_multiply(a, e) for a in partial for e in ladder]`.
+    """
+    # arrays are (strings so far, products): the long axis last
+    x = np.zeros((1, len(products)), dtype=np.int64)
+    z = np.zeros_like(x)
+    c = np.array([[complex(coefficient) for _, coefficient in products]])
+    modes = np.array([[mode for mode, _ in f] for f, _ in products], dtype=np.int64).T
+    creation = np.array([[kind == CREATION for _, kind in f] for f, _ in products]).T
+    for bit, create in zip(np.left_shift(1, modes), creation):
+        ex = np.stack([bit, bit])[None]
+        ez = np.stack([bit - 1, (bit - 1) | bit])[None]
+        ec = np.stack([np.full(len(bit), 0.5 + 0j), np.where(create, -0.5j, 0.5j)])[None]
+        ax, az = x[:, None], z[:, None]
+        x, z = ax ^ ex, az ^ ez
+        # pauli_multiply's i^k, with -|x&z| written as +3|x&z| (mod 4)
+        k = (
+            np.bitwise_count(ax & az)
+            + np.bitwise_count(ex & ez)
+            + 2 * np.bitwise_count(az & ex)
+            + 3 * np.bitwise_count(x & z)
+        )
+        c = c[:, None] * ec * _PHASE_VALUES[k & 3]
+        x, z, c = (a.reshape(-1, a.shape[-1]) for a in (x, z, c))
+    return x.T.ravel(), z.T.ravel(), c.T.ravel()
 
 
 def jordan_wigner(op: FermionOperator) -> PauliSum:
@@ -127,22 +195,29 @@ def jordan_wigner(op: FermionOperator) -> PauliSum:
 
     The constant offset becomes the identity-term coefficient. When the
     image is real up to 1e-12 (always the case for Hermitian input) the
-    imaginary parts are truncated.
+    imaginary parts are truncated. Terms are expanded in one array pass
+    per factor count, then put back in input order for the merge.
     """
-    terms = []
+    if op.n_modes > MAX_QUBITS:
+        raise ResourceError(f"{op.n_modes} modes exceed the {MAX_QUBITS}-qubit guard")
+    products = [(t.factors, t.coefficient) for t in op.terms]
     if op.constant != 0.0:
-        terms.append(PauliTerm(complex(op.constant)))
-    for fterm in op.terms:
-        partial = [PauliTerm(complex(fterm.coefficient))]
-        for mode, kind in fterm.factors:
-            expansion = _ladder_strings(mode, kind)
-            partial = [pauli_multiply(p, e) for p in partial for e in expansion]
-        terms.extend(partial)
-    result = canonicalize(PauliSum(n_qubits=op.n_modes, terms=terms))
-    if all(abs(t.coefficient.imag) <= 1e-12 for t in result.terms):
-        for t in result.terms:
-            t.coefficient = t.coefficient.real
-    return result
+        products.insert(0, ((), op.constant))  # the identity string comes first
+    by_count = {}
+    for index, (factors, _) in enumerate(products):
+        by_count.setdefault(len(factors), []).append(index)
+    if not by_count:
+        return PauliSum(n_qubits=op.n_modes)
+    parts = [  # (producing term per string, x, z, coefficients)
+        (np.repeat(indices, 2**count), *_expand([products[i] for i in indices]))
+        for count, indices in by_count.items()
+    ]
+    owner, x, z, c = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    x, z, c = _merge_sorted(op.n_modes, x[order], z[order], c[order])
+    if np.all(np.abs(c.imag) <= 1e-12):
+        c = c.real
+    return PauliSum(n_qubits=op.n_modes, terms=_terms(x, z, c))
 
 
 def _qubitwise_commute(a: PauliTerm, b: PauliTerm) -> bool:

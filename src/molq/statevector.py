@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
-from .pauli import PauliSum, group_measurement_basis, qwc_group
-
-MAX_QUBITS = 24
+from .pauli import MAX_QUBITS, PauliSum, group_measurement_basis, qwc_group
 
 
 @dataclass(frozen=True)

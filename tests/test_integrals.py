@@ -1,11 +1,13 @@
 """Gaussian s-orbital integrals: Boys function, the four integral classes,
 geometry handling, and basis parsing."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from molq import (
     BOHR_PER_ANGSTROM,
@@ -23,6 +25,7 @@ from molq import (
     parse_basis,
     parse_geometry,
 )
+from molq.integrals import _eri_orbit, _eri_quartets
 from conftest import h2_geometry_bohr, pipeline
 
 
@@ -46,6 +49,28 @@ def test_boys_series_closed_form_agree_at_crossover():
     for x in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
         series = sum((-x) ** k / (math.factorial(k) * (2 * k + 1)) for k in range(8))
         assert abs(boys_f0(x) - series) < 1e-14
+
+
+def test_boys_array_matches_scalar_calls():
+    def scalar(x):  # the two branches written with math on one float
+        if x <= 1e-6:
+            return 1.0 - x / 3.0 + x * x / 10.0 - x * x * x / 42.0
+        return 0.5 * math.sqrt(math.pi / x) * float(special.erf(math.sqrt(x)))
+
+    xs = np.array([0.0, 1e-8, 1e-7, 1e-6, 1.0000001e-6, 1e-5, 1e-4, 0.5, 40.0])
+    out = boys_f0(xs)
+    assert out.shape == xs.shape
+    assert [float(v) for v in out] == [boys_f0(float(x)) for x in xs]
+    assert [float(v) for v in out] == [scalar(float(x)) for x in xs]
+    assert boys_f0(xs.reshape(3, 3)).shape == (3, 3)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+def test_boys_rejects_bad_argument_inside_array(bad):
+    with pytest.raises(UsageError):
+        boys_f0(bad)
+    with pytest.raises(UsageError):
+        boys_f0(np.array([0.0, 2.0, bad]))
 
 
 def test_boys_monotone_decreasing():
@@ -126,6 +151,95 @@ def test_kinetic_positive_definite_via_core_limit(sto3g):
     # both H sites see the same on-site kinetic energy; nuclear attraction
     # from the far partner decays like -1/R
     assert abs(ao.core_hamiltonian[0, 0] - (ao1.core_hamiltonian[0, 0] - 1.0 / 80.0)) < 1e-6
+
+
+# The scalar closed forms and contraction loops the array passes replaced,
+# kept here as the reference they are checked against.
+def _overlap_prim(a, A, b, B):
+    p = a + b
+    ab2 = float(np.dot(A - B, A - B))
+    return (np.pi / p) ** 1.5 * np.exp(-a * b / p * ab2)
+
+
+def _kinetic_prim(a, A, b, B):
+    p = a + b
+    mu = a * b / p
+    ab2 = float(np.dot(A - B, A - B))
+    return mu * (3.0 - 2.0 * mu * ab2) * (np.pi / p) ** 1.5 * np.exp(-mu * ab2)
+
+
+def _attraction_prim(a, A, b, B, C):
+    p = a + b
+    ab2 = float(np.dot(A - B, A - B))
+    P = (a * A + b * B) / p
+    pc2 = float(np.dot(P - C, P - C))
+    return -(2.0 * np.pi / p) * np.exp(-a * b / p * ab2) * boys_f0(p * pc2)
+
+
+def _eri_prim(a, A, b, B, c, C, d, D):
+    p = a + b
+    q = c + d
+    ab2 = float(np.dot(A - B, A - B))
+    cd2 = float(np.dot(C - D, C - D))
+    P = (a * A + b * B) / p
+    Q = (c * C + d * D) / q
+    pq2 = float(np.dot(P - Q, P - Q))
+    pref = 2.0 * np.pi**2.5 / (p * q * np.sqrt(p + q))
+    return pref * np.exp(-a * b / p * ab2 - c * d / q * cd2) * boys_f0(p * q / (p + q) * pq2)
+
+
+def _contract(kernel, *funcs):
+    """sum over primitive tuples of the coefficient product times kernel."""
+    centers = [np.asarray(f.center) for f in funcs]
+    val = 0.0
+    for prims in itertools.product(
+        *(zip(f.exponents, f.primitive_coefficients) for f in funcs)
+    ):
+        args = [x for (e, _), A in zip(prims, centers) for x in (e, A)]
+        val += math.prod(c for _, c in prims) * kernel(*args)
+    return val
+
+
+def reference_integrals(geometry, funcs):
+    n = len(funcs)
+    S, H, eri = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n, n, n))
+    for i, j in itertools.product(range(n), repeat=2):
+        S[i, j] = _contract(_overlap_prim, funcs[i], funcs[j])
+        H[i, j] = _contract(_kinetic_prim, funcs[i], funcs[j])
+        for atom in geometry.atoms:
+            C = np.asarray(atom.position)
+            H[i, j] += atom.atomic_number * _contract(
+                lambda a, A, b, B: _attraction_prim(a, A, b, B, C), funcs[i], funcs[j]
+            )
+    for quartet in _eri_quartets(n):
+        val = _contract(_eri_prim, *(funcs[k] for k in quartet))
+        for idx in _eri_orbit(*quartet):
+            eri[idx] = val
+    return S, H, eri
+
+
+ORACLE_GEOMETRIES = {
+    "LiH-H2": Geometry.from_angstrom(
+        [("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)), ("H", (0, 0, 3.34))]
+    ),
+    "HeH+": Geometry.from_angstrom([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], charge=1),
+    "Li-He-H bent": Geometry.from_angstrom(
+        [("Li", (0, 0, 0)), ("He", (0.9, 0.4, -0.3)), ("H", (-0.5, 1.1, 0.7))]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GEOMETRIES)
+def test_array_integrals_match_scalar_reference(sto3g, name):
+    geom = ORACLE_GEOMETRIES[name]
+    funcs = assign_basis(geom, sto3g)
+    ao = build_ao_integrals(geom, funcs)
+    S, H, eri = reference_integrals(geom, funcs)
+    assert_allclose(ao.overlap, S, rtol=0, atol=1e-12)
+    assert_allclose(ao.core_hamiltonian, H, rtol=0, atol=1e-12)
+    assert_allclose(ao.eri, eri, rtol=0, atol=1e-12)
+    assert np.array_equal(ao.overlap, ao.overlap.T)
+    assert np.array_equal(ao.core_hamiltonian, ao.core_hamiltonian.T)
 
 
 def test_atom_without_basis_function_rejected(sto3g):

@@ -1,27 +1,38 @@
 """Pauli algebra, the Jordan-Wigner transform, canonicalization,
 qubit-wise-commuting grouping, and the text format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import molq.vqe
 from molq import (
     ANNIHILATION,
     CREATION,
     FermionOperator,
     FermionTerm,
+    Geometry,
     ParseError,
     PauliSum,
     PauliTerm,
+    ResourceError,
     build_fermionic_hamiltonian,
     canonicalize,
+    freeze_core,
     group_measurement_basis,
     jordan_wigner,
+    parse_fcidump,
     parse_pauli,
     pauli_multiply,
     qwc_group,
     serialize_pauli,
+    uccsd_ansatz,
 )
+from conftest import pipeline
+
+FCIDUMPS = sorted((Path(__file__).resolve().parent.parent / "data" / "fcidump").glob("*.fcidump"))
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -152,6 +163,97 @@ def test_constant_becomes_identity_term():
     s = jordan_wigner(op)
     assert len(s.terms) == 1
     assert s.terms[0].letters == {} and s.terms[0].coefficient == 0.25
+
+
+def test_jw_rejects_more_modes_than_the_qubit_guard():
+    op = FermionOperator(25, (FermionTerm(1.0, ((24, CREATION), (0, ANNIHILATION))),))
+    with pytest.raises(ResourceError, match="25 modes"):
+        jordan_wigner(op)
+    with pytest.raises(ResourceError, match="25 qubits"):
+        canonicalize(PauliSum(25, (PauliTerm(1.0, {24: "X"}),)))
+    # the largest accepted register still maps, with its top qubit intact
+    edge = jordan_wigner(FermionOperator(24, (FermionTerm(1.0, ((23, CREATION),)),)))
+    assert all(t.letters[23] in "XY" and len(t.letters) == 24 for t in edge.terms)
+
+
+def reference_jordan_wigner(op):
+    """The scalar transform: a pauli_multiply fold per term, then a dict merge."""
+    terms = [PauliTerm(complex(op.constant))] if op.constant != 0.0 else []
+    for fterm in op.terms:
+        partial = [PauliTerm(complex(fterm.coefficient))]
+        for mode, kind in fterm.factors:
+            bit, chain, sign = 1 << mode, (1 << mode) - 1, -0.5j if kind == CREATION else 0.5j
+            ladder = [PauliTerm(0.5, x=bit, z=chain), PauliTerm(sign, x=bit, z=chain | bit)]
+            partial = [pauli_multiply(p, e) for p in partial for e in ladder]
+        terms.extend(partial)
+    merged = {}
+    for t in terms:
+        merged[t.x, t.z] = merged.get((t.x, t.z), 0.0) + t.coefficient
+    kept = [PauliTerm(c, x=x, z=z) for (x, z), c in merged.items() if abs(c) >= 1e-12]
+    kept.sort(key=lambda t: (t.weight, t.pattern(op.n_modes)))
+    if all(abs(t.coefficient.imag) <= 1e-12 for t in kept):
+        for t in kept:
+            t.coefficient = t.coefficient.real
+    return PauliSum(op.n_modes, kept)
+
+
+def assert_jw_byte_identical(op):
+    assert serialize_pauli(jordan_wigner(op)) == serialize_pauli(reference_jordan_wigner(op))
+
+
+def test_jw_byte_identical_on_molecules(sto3g, h2_equilibrium):
+    assert_jw_byte_identical(build_fermionic_hamiltonian(h2_equilibrium[2]))
+    for atoms, charge in (
+        ([("H", (0, 0, 0.9 * k)) for k in range(4)], 0),
+        ([("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)), ("H", (0, 0, 3.34))], 0),
+        ([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], 1),
+    ):
+        _, _, mo = pipeline(Geometry.from_angstrom(atoms, charge=charge), sto3g)
+        assert_jw_byte_identical(build_fermionic_hamiltonian(mo))
+
+
+@pytest.mark.parametrize("path", FCIDUMPS, ids=lambda p: p.stem)
+def test_jw_byte_identical_on_lih_fcidumps(path):
+    mo = parse_fcidump(path.read_text())
+    assert_jw_byte_identical(build_fermionic_hamiltonian(mo))
+    assert_jw_byte_identical(build_fermionic_hamiltonian(freeze_core(mo, 1)))
+
+
+def test_jw_byte_identical_on_uccsd_generators(monkeypatch):
+    seen = []
+
+    def recording(op):
+        seen.append(op)
+        return jordan_wigner(op)
+
+    monkeypatch.setattr(molq.vqe, "jordan_wigner", recording)
+    ansatz = uccsd_ansatz(8, 4)
+    assert len(seen) == ansatz.parameter_count
+    for op in seen:
+        assert_jw_byte_identical(op)
+
+
+def test_jw_byte_identical_on_random_operators():
+    # mixed factor counts, out-of-order and repeated modes, complex
+    # non-Hermitian coefficients whose imaginary parts survive
+    rng = np.random.default_rng(7)
+    kept_complex = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        terms = tuple(
+            FermionTerm(
+                complex(rng.standard_normal(), rng.standard_normal() * (rng.random() < 0.7)),
+                tuple(
+                    (int(rng.integers(0, n)), CREATION if rng.random() < 0.5 else ANNIHILATION)
+                    for _ in range(rng.integers(0, 5))
+                ),
+            )
+            for _ in range(rng.integers(0, 12))
+        )
+        op = FermionOperator(n, terms, constant=float(rng.standard_normal()) * (rng.random() < 0.5))
+        assert_jw_byte_identical(op)
+        kept_complex += any(isinstance(t.coefficient, complex) for t in jordan_wigner(op).terms)
+    assert kept_complex > 0
 
 
 # ------------------------------------------------------------- canonicalize

@@ -240,7 +240,9 @@ def test_block_keeps_the_circuit_checks(h2_hamiltonian):
             call(np.zeros(2))
     with pytest.raises(UsageError):
         UCCSDBlock(PauliSum(6, ()), ansatz)
-    big = uccsd_ansatz(26, 2)
+    with pytest.raises(ResourceError, match="26 modes"):
+        uccsd_ansatz(26, 2)  # its generators' JW images are refused first
+    big = Ansatz(Circuit(26), 1, "uccsd", generators=(PauliSum(26, ()),), n_electrons=2)
     with pytest.raises(ResourceError):
         vqe_solve(PauliSum(26, (PauliTerm(1.0, {0: "Z"}),)), big)
     # a Hermitian H must give a real energy

@@ -318,8 +318,11 @@ def test_hea_point_that_leaves_the_sector_fails_by_name(tmp_path):
         ansatz="hea", depth=2,
     )
     db = EnergyDB(tmp_path / "db")
-    with pytest.raises(ComputationError, match=r"2-electron sector: <N> = 3\.0"):
+    with pytest.raises(ComputationError, match=r"2-electron sector: <N> = ") as err:
         scan_point(spec, 0.774, db)
+    # the optimizer's end point moves with the last bits of the integrals,
+    # so <N> is checked as a number, not by its printed digits
+    assert float(str(err.value).rsplit("= ", 1)[1]) == pytest.approx(3.0, abs=1e-5)
     assert db.list_ids() == []
 
 
