@@ -232,9 +232,8 @@ def cmd_db(args):
                 line += f" length={record.bond_length:g}"
             print(line)
     elif args.action == "query":
-        records = db.query(
-            molecule=args.molecule, basis=args.basis, method=args.method
-        )
+        records = db.query(molecule=args.molecule, basis=args.basis,
+                           method=args.method, ansatz=args.ansatz)
         if args.limit is not None:
             records = records[: args.limit]
         for record in records:
@@ -347,6 +346,8 @@ def build_parser() -> _Parser:
     q.add_argument("--molecule")
     q.add_argument("--basis")
     q.add_argument("--method", choices=("hf", "vqe", "exact"))
+    q.add_argument("--ansatz", choices=("hea", "uccsd"),
+                   help="only records of this VQE ansatz")
     q.add_argument("--limit", type=int)
 
     q = dbsub.add_parser("audit", help="print integrity problems; exit 2 if any")

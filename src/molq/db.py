@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import tempfile
@@ -76,6 +77,12 @@ class EnergyRecord:
             raise UsageError("record needs a molecule label")
         if self.record_id:
             check_record_id(self.record_id, UsageError)
+        for name in ("e_hf", "e_vqe", "e_exact"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, (int, float)) and math.isfinite(value)
+            ):
+                raise UsageError(f"{name} must be a finite number, got {value!r}")
         for lo, hi in (("e_exact", "e_hf"), ("e_exact", "e_vqe")):
             a, b = getattr(self, lo), getattr(self, hi)
             if a is not None and b is not None and b < a - VARIATIONAL_SLACK:

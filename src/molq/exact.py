@@ -17,14 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ResourceError, UsageError
 from .integrals_io import MOIntegrals
 from .pauli import PauliSum
 from .statevector import MAX_QUBITS, Statevector, pauli_signs
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 DENSE_MAX_QUBITS = 14
 FCI_MAX_ORBITALS = 6
@@ -47,6 +50,8 @@ def pauli_operator(s: PauliSum, basis: np.ndarray | None = None) -> scipy.sparse
     states b ^ x that lie in the basis (the rest are dropped), each
     entry the sum of the terms' coefficient * pauli_phase(b).
     """
+    import scipy.sparse   # here, so `import molq` loads no scipy
+
     if basis is None:
         basis = np.arange(2**s.n_qubits, dtype=np.int64)
     dim = len(basis)

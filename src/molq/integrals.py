@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy import special
 
 from .errors import GeometryError, ParseError, UsageError
 
@@ -148,7 +147,9 @@ def boys_f0(x):
     series = x <= _BOYS_SERIES_CUTOFF
     xs, xc = x[series], x[~series]
     out[series] = 1.0 - xs / 3.0 + xs * xs / 10.0 - xs * xs * xs / 42.0
-    out[~series] = 0.5 * np.sqrt(np.pi / xc) * special.erf(np.sqrt(xc))
+    from scipy.special import erf   # here, so `import molq` loads no scipy
+
+    out[~series] = 0.5 * np.sqrt(np.pi / xc) * erf(np.sqrt(xc))
     return float(out) if out.ndim == 0 else out
 
 

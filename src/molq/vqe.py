@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .errors import ComputationError, ResourceError, UsageError
 from .exact import pauli_operator, sector_basis
@@ -248,9 +247,12 @@ def parameter_shift_gradient(a: Ansatz, h: PauliSum, theta) -> np.ndarray:
     return grad
 
 
+OPTIMIZER_METHODS = ("nelder_mead", "spsa", "gradient_descent")
+
+
 @dataclass
 class OptimizerConfig:
-    method: str = "nelder_mead"   # nelder_mead | spsa | gradient_descent
+    method: str = "nelder_mead"   # one of OPTIMIZER_METHODS
     budget: int = 2000            # objective-evaluation budget
     seed: int = 0
     spsa_a: float = 0.1
@@ -281,6 +283,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
     parameter shifts of the objective itself.
     """
     config = config or OptimizerConfig()
+    if config.budget < 1:
+        raise UsageError(f"optimizer budget must be >= 1, got {config.budget}")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     n_params = theta0.size
 
@@ -308,6 +312,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
         return result(True)
 
     if config.method == "nelder_mead":
+        import scipy.optimize   # here, so `import molq` loads no scipy
+
         simplex = np.tile(theta0, (n_params + 1, 1))
         for k in range(n_params):
             simplex[k + 1, k] += 0.1

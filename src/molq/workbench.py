@@ -24,7 +24,13 @@ from .integrals_io import parse_fcidump
 from .pauli import jordan_wigner, serialize_pauli
 from .scf import ao_to_mo, hf_reference_energy, scf_solve
 from .statevector import run_circuit
-from .vqe import OptimizerConfig, hardware_efficient_ansatz, uccsd_ansatz, vqe_solve
+from .vqe import (
+    OPTIMIZER_METHODS,
+    OptimizerConfig,
+    hardware_efficient_ansatz,
+    uccsd_ansatz,
+    vqe_solve,
+)
 
 VALID_METHODS = ("hf", "vqe", "exact")
 
@@ -68,6 +74,12 @@ class ScanSpec:
                 )
         if self.ansatz not in ("uccsd", "hea"):
             raise UsageError(f"unknown ansatz {self.ansatz!r}")
+        if self.optimizer not in OPTIMIZER_METHODS:
+            raise UsageError(f"unknown optimizer {self.optimizer!r}")
+        if self.budget < 1:
+            raise UsageError("budget must be >= 1")
+        if self.n_frozen < 0:
+            raise UsageError("n_frozen must be >= 0")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from molq.cli import main
+from molq.db import EnergyDB
 from molq.exact import dense_ground_energy
 from molq.integrals import Geometry
 from molq.integrals_io import write_fcidump
@@ -174,6 +175,22 @@ def test_vqe_verbose_streams_evals(capsys, h2_fcidump):
     assert "eval 1 E=" in capsys.readouterr().err
 
 
+def test_vqe_budget_below_one_exits_1(capsys, h2_fcidump):
+    assert main(["vqe", "--fcidump", h2_fcidump, "--budget", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "budget" in captured.err
+    assert "E_VQE" not in captured.out
+
+
+def test_scan_budget_below_one_writes_nothing(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    assert main(["scan", "--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H",
+                 "--basis", "sto-3g", "--lengths", "0.7", "--methods", "hf,vqe",
+                 "--budget", "0", "--db", str(db_dir)]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert EnergyDB(db_dir).list_ids() == []
+
+
 def test_vqe_hea(capsys, h2_fcidump):
     assert main(["vqe", "--fcidump", h2_fcidump, "--ansatz", "hea",
                  "--depth", "1", "--budget", "300"]) == 0
@@ -298,6 +315,25 @@ def test_db_put_get_query(capsys, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["molecule"] == "H2"
+
+
+def test_db_query_filters_by_ansatz(capsys, tmp_path):
+    db_dir = str(tmp_path / "db")
+    for ansatz in ("hea", "uccsd"):
+        record_file = tmp_path / f"{ansatz}.json"
+        record_file.write_text(json.dumps({
+            "molecule": "H2", "basis": "sto-3g", "bond_length": 0.7354,
+            "e_vqe": E_EXACT_H2, "ansatz": ansatz, "optimizer": "nelder_mead", "seed": 0,
+        }))
+        assert main(["db", "put", "--db", db_dir, str(record_file)]) == 0
+    capsys.readouterr()
+    assert main(["db", "query", "--db", db_dir]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    for ansatz in ("hea", "uccsd"):
+        assert main(["db", "query", "--db", db_dir, "--ansatz", ansatz]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["ansatz"] for line in lines] == [ansatz]
+    assert main(["db", "query", "--db", db_dir, "--ansatz", "qaoa"]) == 1
 
 
 def test_db_put_rejects_bound_violation(capsys, tmp_path):

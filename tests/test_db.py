@@ -88,6 +88,18 @@ def test_validate_allows_slack(field):
     ).validate()
 
 
+@pytest.mark.parametrize("field", ["e_hf", "e_vqe", "e_exact"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), "-1.0"])
+def test_validate_rejects_non_finite_energy(tmp_path, field, value):
+    record = make_record(**{field: value})
+    with pytest.raises(UsageError, match=f"{field} must be a finite number"):
+        record.validate()
+    db = EnergyDB(tmp_path / "db")
+    with pytest.raises(UsageError):
+        db.put(record)
+    assert db.list_ids() == []
+
+
 def test_validate_skips_missing_energies():
     make_record(e_exact=None).validate()
     make_record(e_vqe=None, e_hf=None).validate()

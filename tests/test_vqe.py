@@ -327,6 +327,20 @@ def test_budget_respected():
         assert result.evaluations == count[0]
 
 
+@pytest.mark.parametrize("method", ["nelder_mead", "spsa", "gradient_descent"])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_rejected(method, budget):
+    count = [0]
+
+    def f(t):
+        count[0] += 1
+        return float(np.sum(t**2))
+
+    with pytest.raises(UsageError, match="budget"):
+        minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=budget))
+    assert count[0] == 0
+
+
 def test_best_seen_value_reported():
     # the reported value must be the best evaluation, not the last one
     def f(t):

@@ -60,11 +60,25 @@ def test_valid_spec_passes():
         (dict(fragment_a=None), "fcidump_pattern"),
         (dict(ansatz="qaoa"), "unknown ansatz"),
         (dict(workers=0), "workers"),
+        (dict(budget=0), "budget"),
+        (dict(n_frozen=-1), "n_frozen"),
+        (dict(optimizer="bogus"), "unknown optimizer"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
     with pytest.raises(UsageError, match=fragment):
         h2_spec(**overrides).validate()
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(budget=0), dict(n_frozen=-1), dict(optimizer="bogus")]
+)
+def test_run_scan_rejects_bad_spec_before_any_point(tmp_path, overrides):
+    db = EnergyDB(tmp_path / "db")
+    spec = h2_spec(bond_lengths=[0.7, 0.8], methods=("hf", "vqe"), **overrides)
+    with pytest.raises(UsageError):
+        run_scan(spec, db)
+    assert db.list_ids() == []
 
 
 def test_fcidump_pattern_needs_no_fragments():
