@@ -2,7 +2,8 @@
 
 Pipeline: s-type Gaussian integrals -> restricted Hartree-Fock -> MO
 integrals -> second-quantized Hamiltonian -> Jordan-Wigner qubit
-Hamiltonian -> VQE on a dense statevector simulator and exact
+Hamiltonian -> VQE (UCCSD inside the molecule's determinant block,
+hardware-efficient on a dense statevector simulator) and exact
 diagonalization -> bond-length scans persisted in a file-backed database.
 """
 

@@ -1,15 +1,19 @@
 """Second-quantized electronic Hamiltonians over spin orbitals.
 
 Spin orbitals use BLOCKED ordering: alpha spins occupy modes 0..n-1 and beta
-spins occupy modes n..2n-1 for n spatial orbitals. The Hamiltonian built here
-is
+spins occupy modes n..2n-1 for n spatial orbitals, so spin orbital P is
+spatial orbital P % n with spin P // n. The Hamiltonian built here is
 
-    H = e_core + sum_pq h_pq a+_p a_q
-               + 1/2 sum_pqrs <pq|rs> a+_p a+_q a_s a_r
+    H = e_core + sum_PQ h_PQ a+_P a_Q
+               + 1/2 sum_PQRS <PQ|RS> a+_P a+_Q a_S a_R
 
-with physicist-notation <pq|rs> = (pr|qs) and spin deltas between p,r and
-between q,s. Terms whose operator is identically zero (repeated creation or
-annihilation mode) are not emitted.
+with physicist-notation <PQ|RS> = (PR|QS), nonzero only when P,R and Q,S
+carry the same spin. build_fermionic_hamiltonian forms h_PQ and
+1/2 <PQ|RS> as (2n)^2 and (2n)^4 spin-orbital arrays indexed [P, Q] and
+[P, Q, S, R], zeroes the spin-forbidden entries and those whose operator is
+identically zero (P = Q or S = R), and emits one term per remaining entry
+in C order. That order is the serialized order (factor count, then the
+(mode, kind) sequence with "+" before "-"), so the built list needs no sort.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ CREATION = "+"
 ANNIHILATION = "-"
 
 DROP_TOLERANCE = 1e-12
-
-_KIND_RANK = {CREATION: 0, ANNIHILATION: 1}
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,6 @@ class FermionTerm:
             for mode, kind in reversed(self.factors)
         )
         return FermionTerm(np.conjugate(self.coefficient), flipped)
-
-    def sort_key(self):
-        flat = []
-        for mode, kind in self.factors:
-            flat.append(mode)
-            flat.append(_KIND_RANK[kind])
-        return (len(self.factors), tuple(flat))
 
 
 @dataclass
@@ -90,46 +85,32 @@ def build_fermionic_hamiltonian(mo: MOIntegrals) -> FermionOperator:
 
     Coefficients below DROP_TOLERANCE are dropped, as are two-body index
     combinations with a repeated creation or annihilation mode (Pauli
-    exclusion makes those terms the zero operator).
+    exclusion makes those terms the zero operator). Terms come out in
+    serialized order.
     """
     n = mo.n_orbitals
-    terms = []
-    for p in range(n):
-        for q in range(n):
-            c = float(mo.h[p, q])
-            if abs(c) < DROP_TOLERANCE:
-                continue
-            for spin in (0, n):
-                terms.append(
-                    FermionTerm(c, ((p + spin, CREATION), (q + spin, ANNIHILATION)))
-                )
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    # <pq|rs> = (pr|qs); electron 1 carries spin sigma on p,r
-                    # and electron 2 carries spin tau on q,s.
-                    c = 0.5 * float(mo.g[p, r, q, s])
-                    if abs(c) < DROP_TOLERANCE:
-                        continue
-                    for sigma in (0, n):
-                        for tau in (0, n):
-                            pi, qi = p + sigma, q + tau
-                            si, ri = s + tau, r + sigma
-                            if pi == qi or si == ri:
-                                continue
-                            terms.append(
-                                FermionTerm(
-                                    c,
-                                    (
-                                        (pi, CREATION),
-                                        (qi, CREATION),
-                                        (si, ANNIHILATION),
-                                        (ri, ANNIHILATION),
-                                    ),
-                                )
-                            )
-    terms.sort(key=FermionTerm.sort_key)
+    orb = np.tile(np.arange(n), 2)
+    spin = np.repeat([0, 1], n)
+    same = spin[:, None] == spin
+    distinct = ~np.eye(2 * n, dtype=bool)
+    one = np.where(same, mo.h[np.ix_(orb, orb)], 0.0)
+    # two[P, Q, S, R] = <PQ|RS> / 2 = (PR|QS) / 2: electron 1 on P, R and
+    # electron 2 on Q, S keep their spins
+    two = 0.5 * mo.g[np.ix_(orb, orb, orb, orb)].transpose(0, 2, 3, 1)
+    mask = (same[:, None, None, :] & same[None, :, :, None]
+            & distinct[:, :, None, None] & distinct[None, None, :, :])
+    two = np.where(mask, two, 0.0)
+    # not (|c| < tol) rather than |c| >= tol, so a NaN integral is kept
+    keep = ~(np.abs(one) < DROP_TOLERANCE)
+    terms = [
+        FermionTerm(c, ((p, CREATION), (q, ANNIHILATION)))
+        for (p, q), c in zip(np.argwhere(keep).tolist(), one[keep].tolist())
+    ]
+    keep = ~(np.abs(two) < DROP_TOLERANCE)
+    terms += [
+        FermionTerm(c, ((p, CREATION), (q, CREATION), (s, ANNIHILATION), (r, ANNIHILATION)))
+        for (p, q, s, r), c in zip(np.argwhere(keep).tolist(), two[keep].tolist())
+    ]
     return FermionOperator(n_modes=2 * n, terms=terms, constant=float(mo.e_core))
 
 
@@ -181,11 +162,12 @@ def _format_coefficient(c) -> str:
 def serialize_terms(op: FermionOperator, limit: int | None = None) -> str:
     """Render terms one per line as `<coefficient> * ( +_p -_q ... )`.
 
-    Terms are ordered by (factor count, then mode/kind sequence); the
-    constant offset is not emitted. limit caps the number of lines.
+    Terms are ordered by factor count, then by (mode, kind) sequence with
+    "+" before "-"; the constant offset is not emitted. limit caps the
+    number of lines.
     """
     lines = []
-    for term in sorted(op.terms, key=FermionTerm.sort_key)[:limit]:
+    for term in sorted(op.terms, key=lambda t: (len(t.factors), t.factors))[:limit]:
         factors = " ".join(f"{kind}_{mode}" for mode, kind in term.factors)
         lines.append(f"{_format_coefficient(term.coefficient)} * ( {factors} )")
     if not lines:

@@ -248,6 +248,11 @@ def parameter_shift_gradient(a: Ansatz, h: PauliSum, theta) -> np.ndarray:
 
 
 OPTIMIZER_METHODS = ("nelder_mead", "spsa", "gradient_descent")
+SPSA_A = 0.1          # step-size gain a in a_k = a / (k + 1 + A)^0.602
+SPSA_C = 0.1          # perturbation gain c in c_k = c / (k + 1)^0.101
+GD_TOL = 1e-6         # gradient descent stops once max |g_i| < GD_TOL
+NM_FATOL = 1e-9       # Nelder-Mead absolute tolerance on the value
+NM_XATOL = 1e-8       # Nelder-Mead absolute tolerance on the parameters
 
 
 @dataclass
@@ -255,12 +260,7 @@ class OptimizerConfig:
     method: str = "nelder_mead"   # one of OPTIMIZER_METHODS
     budget: int = 2000            # objective-evaluation budget
     seed: int = 0
-    spsa_a: float = 0.1
-    spsa_c: float = 0.1
     gd_step: float = 0.1
-    gd_tol: float = 1e-6
-    nm_fatol: float = 1e-9
-    nm_xatol: float = 1e-8
 
 
 @dataclass
@@ -323,8 +323,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
             method="Nelder-Mead",
             options={
                 "initial_simplex": simplex,
-                "fatol": config.nm_fatol,
-                "xatol": config.nm_xatol,
+                "fatol": NM_FATOL,
+                "xatol": NM_XATOL,
                 "maxfev": config.budget,
                 "maxiter": config.budget,
                 "disp": False,
@@ -338,8 +338,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
         theta = theta0.copy()
         k = 0
         while state["count"] + 2 <= config.budget:
-            a_k = config.spsa_a / (k + 1 + big_a) ** 0.602
-            c_k = config.spsa_c / (k + 1) ** 0.101
+            a_k = SPSA_A / (k + 1 + big_a) ** 0.602
+            c_k = SPSA_C / (k + 1) ** 0.101
             delta = rng.integers(0, 2, size=n_params) * 2.0 - 1.0
             f_plus = f(theta + c_k * delta)
             f_minus = f(theta - c_k * delta)
@@ -366,7 +366,7 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
             f(theta)
             g = np.asarray(gradient(theta), dtype=float)
             state["count"] += gradient_cost
-            if np.max(np.abs(g)) < config.gd_tol:
+            if np.max(np.abs(g)) < GD_TOL:
                 return result(True)
             if state["count"] + 1 + max(gradient_cost, 2 * n_params) > config.budget:
                 return result(False)

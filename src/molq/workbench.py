@@ -80,6 +80,8 @@ class ScanSpec:
             raise UsageError("budget must be >= 1")
         if self.n_frozen < 0:
             raise UsageError("n_frozen must be >= 0")
+        if self.depth < 0:
+            raise UsageError("depth must be >= 0")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
 

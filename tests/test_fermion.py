@@ -89,6 +89,23 @@ def test_term_count_bound(h2_equilibrium):
     assert len(op.terms) <= n2**2 + n2**4
 
 
+def test_nan_integral_is_kept():
+    # only |c| < DROP_TOLERANCE is dropped, so a bad integral still shows
+    op = build_fermionic_hamiltonian(one_orbital(float("nan")))
+    assert len(op.terms) == 2
+    assert all(np.isnan(t.coefficient) for t in op.terms)
+
+
+def test_builder_emits_serialized_order(h2_equilibrium):
+    _, _, h2 = h2_equilibrium
+    lih = freeze_core(parse_fcidump(LIH_FCIDUMP.read_text()), 1)
+    random = random_mo_integrals(np.random.default_rng(4), 3, 2)
+    for mo in (h2, lih, random):
+        terms = build_fermionic_hamiltonian(mo).terms
+        assert {len(t.factors) for t in terms} == {2, 4}
+        assert terms == sorted(terms, key=lambda t: (len(t.factors), t.factors))
+
+
 def test_operator_validation():
     with pytest.raises(UsageError):
         FermionOperator(1, (FermionTerm(1.0, ((5, CREATION),)),))  # mode range
@@ -145,6 +162,29 @@ def test_one_body_terms_listed_before_two_body(h2_equilibrium):
     lines = serialize_terms(build_fermionic_hamiltonian(mo)).splitlines()
     sizes = [line.count("+_") + line.count("-_") for line in lines]
     assert sizes == sorted(sizes)
+
+
+def test_serialize_orders_creation_before_annihilation():
+    ordered = [
+        ((0, CREATION),),
+        ((0, ANNIHILATION),),
+        ((1, CREATION),),
+        ((0, CREATION), (0, ANNIHILATION)),
+        ((0, CREATION), (1, ANNIHILATION)),
+        ((0, ANNIHILATION), (0, CREATION)),
+        ((1, CREATION), (0, ANNIHILATION)),
+        ((0, CREATION), (1, CREATION), (1, ANNIHILATION), (0, ANNIHILATION)),
+        ((0, ANNIHILATION), (1, CREATION), (0, CREATION), (1, ANNIHILATION)),
+    ]
+    terms = [FermionTerm(float(k), factors) for k, factors in enumerate(ordered)]
+    shuffled = list(terms)
+    np.random.default_rng(7).shuffle(shuffled)
+    assert shuffled != terms
+    expected = serialize_terms(FermionOperator(2, terms))
+    assert [float(line.split()[0]) for line in expected.splitlines()] == list(
+        range(len(ordered))
+    )
+    assert serialize_terms(FermionOperator(2, shuffled)) == expected
 
 
 def test_limit_slices_output(h2_equilibrium):

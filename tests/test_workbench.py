@@ -63,6 +63,7 @@ def test_valid_spec_passes():
         (dict(budget=0), "budget"),
         (dict(n_frozen=-1), "n_frozen"),
         (dict(optimizer="bogus"), "unknown optimizer"),
+        (dict(depth=-1), "depth"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
@@ -71,7 +72,13 @@ def test_spec_validation_errors(overrides, fragment):
 
 
 @pytest.mark.parametrize(
-    "overrides", [dict(budget=0), dict(n_frozen=-1), dict(optimizer="bogus")]
+    "overrides",
+    [
+        dict(budget=0),
+        dict(n_frozen=-1),
+        dict(optimizer="bogus"),
+        dict(ansatz="hea", depth=-1),
+    ],
 )
 def test_run_scan_rejects_bad_spec_before_any_point(tmp_path, overrides):
     db = EnergyDB(tmp_path / "db")
