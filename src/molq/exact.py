@@ -5,10 +5,10 @@ sector. Two independent paths compute it: dense diagonalization of a qubit
 PauliSum restricted to the (ceil(N/2), floor(N/2)) determinant block, and
 a determinant-basis FCI oracle built directly from the MO integrals via
 Slater-Condon rules (never touching the fermion/qubit pipeline). Their
-agreement is the main correctness check of the whole package. The dense
-guard bounds the dimension diagonalized: at most 2**DENSE_MAX_QUBITS.
+agreement is the main correctness check of the whole package.
 
-pauli_operator (a sparse matrix of a PauliSum on any sorted basis) and
+pauli_matrix (a PauliSum as a numpy array over any sorted basis of at most
+2**DENSE_MAX_QUBITS states), its per-flip-mask entries _flip_blocks and
 sector_basis (the states of one determinant block) are shared with the
 UCCSD block of `vqe`.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .errors import ResourceError, UsageError
 from .integrals_io import MOIntegrals
 from .pauli import PauliSum
 from .statevector import MAX_QUBITS, Statevector, pauli_signs
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 DENSE_MAX_QUBITS = 14
 FCI_MAX_ORBITALS = 6
@@ -40,45 +36,44 @@ class SpectrumResult:
     n_qubits: int
 
 
-def pauli_operator(s: PauliSum, basis: np.ndarray | None = None) -> scipy.sparse.csr_array:
-    """Sparse matrix of a PauliSum over `basis`, a sorted int64 array of
-    basis states: entry (row, col) is <basis[row]|H|basis[col]>. The
-    default is the whole 2^n space in little-endian order.
+def _flip_blocks(s: PauliSum, basis: np.ndarray):
+    """Yield (rows, cols, values) for each distinct flip mask x of `s`: the
+    entries <basis[row]|s|basis[col]> that its strings with that x fill,
+    over `basis`, a sorted int64 array of basis states.
 
     A string with masks (x, z) maps |b> to pauli_phase(b) |b ^ x>. The
     terms sharing one flip mask x fill the same entries: rows of the
     states b ^ x that lie in the basis (the rest are dropped), each
-    entry the sum of the terms' coefficient * pauli_phase(b).
+    entry the sum of the terms' coefficient * pauli_phase(b). No entry
+    is yielded twice.
     """
-    import scipy.sparse   # here, so `import molq` loads no scipy
-
-    if basis is None:
-        basis = np.arange(2**s.n_qubits, dtype=np.int64)
-    dim = len(basis)
-    rows, cols, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, complex)]
     by_flip = {}
     for term in s.terms:
         by_flip.setdefault(term.x, []).append(term)
     for x, terms in by_flip.items():
         targets = basis ^ x
-        found = np.minimum(np.searchsorted(basis, targets), dim - 1)
+        found = np.minimum(np.searchsorted(basis, targets), len(basis) - 1)
         hit = basis[found] == targets
         coefficients = np.array(
             [complex(t.coefficient) * 1j ** (x & t.z).bit_count() for t in terms]
         )
         z = np.array([t.z for t in terms], dtype=np.int64)[:, None]
-        rows.append(found[hit])
-        cols.append(np.flatnonzero(hit))
-        values.append(coefficients @ pauli_signs(basis[hit], z))
-    return scipy.sparse.csr_array(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+        yield found[hit], np.flatnonzero(hit), coefficients @ pauli_signs(basis[hit], z)
 
 
 def pauli_matrix(s: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
-    """Dense form of pauli_operator(s, basis)."""
-    return pauli_operator(s, basis).toarray()
+    """Matrix <basis[row]|s|basis[col]> of a PauliSum over a sorted basis
+    (default: the whole 2^n space in little-endian order). A basis above
+    2**DENSE_MAX_QUBITS states is refused before anything is allocated."""
+    dim = 2**s.n_qubits if basis is None else len(basis)
+    if dim > 2**DENSE_MAX_QUBITS:
+        raise ResourceError(f"dimension {dim} exceeds the {DENSE_MAX_QUBITS}-qubit dense guard")
+    if basis is None:
+        basis = np.arange(dim, dtype=np.int64)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for rows, cols, values in _flip_blocks(s, basis):
+        mat[rows, cols] = values
+    return mat
 
 
 def sector_basis(n_qubits: int, n_electrons: int) -> np.ndarray:
@@ -115,17 +110,11 @@ def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> Spectrum
             f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit statevector guard"
         )
     if n_electrons is None:
-        dim = 2**h.n_qubits
+        mat = pauli_matrix(h)
+        basis = np.arange(len(mat), dtype=np.int64)
     else:
         basis = sector_basis(h.n_qubits, n_electrons)
-        dim = len(basis)
-    if dim > 2**DENSE_MAX_QUBITS:
-        raise ResourceError(
-            f"dimension {dim} exceeds the {DENSE_MAX_QUBITS}-qubit dense guard"
-        )
-    if n_electrons is None:
-        basis = np.arange(dim, dtype=np.int64)
-    mat = pauli_matrix(h, basis)
+        mat = pauli_matrix(h, basis)
     if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
         raise UsageError("PauliSum is not Hermitian")
     eigenvalues, eigenvectors = np.linalg.eigh(mat)

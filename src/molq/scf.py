@@ -17,14 +17,14 @@ from .integrals import AOIntegrals
 from .integrals_io import MOIntegrals
 
 S_EIGENVALUE_FLOOR = 1e-10
+ENERGY_TOL = 1e-10      # |dE| threshold, Hartree
+ERROR_TOL = 1e-8        # max |FDS - SDF| in the orthonormal basis
+DIIS_CAPACITY = 8       # (Fock, error) pairs kept for extrapolation
 
 
 @dataclass
 class SCFOptions:
-    energy_tol: float = 1e-10     # |dE| threshold, Hartree
-    error_tol: float = 1e-8       # max |FDS - SDF| in the orthonormal basis
     max_iterations: int = 200
-    diis_capacity: int = 8
 
 
 @dataclass
@@ -41,7 +41,7 @@ class SCFResult:
 class DIISHistory:
     """Bounded queue of (Fock, error) pairs for Pulay extrapolation."""
 
-    capacity: int = 8
+    capacity: int = DIIS_CAPACITY
     entries: deque = field(default_factory=deque)
 
     def push(self, fock, error):
@@ -101,7 +101,7 @@ def scf_solve(ao: AOIntegrals, options: SCFOptions | None = None, log=None) -> S
     """Iterate the closed-shell SCF to self-consistency.
 
     Starts from the core-Hamiltonian guess. Convergence requires both
-    |dE| <= energy_tol and max|error| <= error_tol; hitting the iteration
+    |dE| <= ENERGY_TOL and max|error| <= ERROR_TOL; hitting the iteration
     cap returns converged=False with the last iterate retained.
     """
     opts = options or SCFOptions()
@@ -124,7 +124,7 @@ def scf_solve(ao: AOIntegrals, options: SCFOptions | None = None, log=None) -> S
     C, eps = diagonalize(H)
     D = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
 
-    history = DIISHistory(capacity=opts.diis_capacity)
+    history = DIISHistory()
     e_old = 0.0
     e_hf = 0.0
     converged = False
@@ -142,7 +142,7 @@ def scf_solve(ao: AOIntegrals, options: SCFOptions | None = None, log=None) -> S
         de = e_hf - e_old
         if log is not None:
             log.write(f"iter {k} E={e_hf:.12f} dE={de:.3e} err={err_norm:.3e}\n")
-        if k > 1 and abs(de) <= opts.energy_tol and err_norm <= opts.error_tol:
+        if k > 1 and abs(de) <= ENERGY_TOL and err_norm <= ERROR_TOL:
             converged = True
             break
         e_old = e_hf

@@ -11,8 +11,8 @@ parameter-shift rule exact.
 
 vqe_solve runs each kind on one path, chosen by the kind. UCCSD conserves
 N and S_z, so its state never leaves the (N/2, N/2) determinant block: H
-and every G_k are built once per solve as sparse matrices over that block
-(UCCSDBlock), each factor is applied exactly as
+(a dense matrix) and every G_k (gather arrays, one entry per row) are built
+once per solve over that block (UCCSDBlock), each factor is applied exactly as
 exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2, which holds because
 G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA leaves
 the block and runs its circuit on the full-space simulator, with
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
-from .exact import pauli_operator, sector_basis
+from .exact import _flip_blocks, pauli_matrix, sector_basis
 from .fermion import ANNIHILATION, CREATION, FermionOperator, FermionTerm
 from .pauli import PauliSum, jordan_wigner
 from .statevector import MAX_QUBITS, Circuit, run_circuit, expectation
@@ -172,8 +172,10 @@ class UCCSDBlock:
     determinant block.
 
     The state has no amplitude outside the block, so psi^dagger H_B psi
-    equals <psi|H|psi> for any H, number-conserving or not. H_B, each G_k
-    and G_k^2 are sparse matrices over the block, built once here.
+    equals <psi|H|psi> for any H, number-conserving or not. H_B is a dense
+    matrix (pauli_matrix, whose guard bounds the block). The strings of one
+    G_k share one flip mask, so G_k psi = val * psi[src] (val = 0 on rows
+    G_k does not reach) and G_k^2 is diagonal, val * val[src].
     """
 
     def __init__(self, h: PauliSum, a: Ansatz):
@@ -182,11 +184,16 @@ class UCCSDBlock:
         if h.n_qubits > MAX_QUBITS:
             raise ResourceError(f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
         basis = sector_basis(h.n_qubits, a.n_electrons)
-        self.h = pauli_operator(h, basis)
+        self.h = pauli_matrix(h, basis)
         self.generators = []
         for generator in a.generators:
-            g = pauli_operator(generator, basis)
-            self.generators.append((g, g @ g))
+            blocks = list(_flip_blocks(generator, basis))
+            if len(blocks) > 1:
+                raise UsageError("an excitation generator must have one flip mask")
+            src, val = np.arange(len(basis)), np.zeros(len(basis), dtype=complex)
+            for rows, cols, values in blocks:
+                src[rows], val[rows] = cols, values
+            self.generators.append((src, val, val * val[src]))
         self.reference = np.zeros(len(basis), dtype=complex)
         occupied = sum(1 << q for q in _hf_occupied(h.n_qubits, a.n_electrons))
         self.reference[np.searchsorted(basis, occupied)] = 1.0
@@ -198,8 +205,8 @@ class UCCSDBlock:
         if theta.shape != (len(self.generators),):
             raise UsageError(f"expected {len(self.generators)} parameters, got {theta.shape}")
         psi = self.reference
-        for (g, g2), t in zip(self.generators, theta):
-            psi = psi + math.sin(t) * (g @ psi) + (1.0 - math.cos(t)) * (g2 @ psi)
+        for (src, val, g2), t in zip(self.generators, theta):
+            psi = psi + math.sin(t) * (val * psi[src]) + (1.0 - math.cos(t)) * (g2 * psi)
         return psi
 
     def energy(self, theta) -> float:
@@ -220,11 +227,12 @@ class UCCSDBlock:
         lam = self.h @ psi
         grad = np.zeros(theta.size)
         for k in reversed(range(theta.size)):
-            (g, g2), t = self.generators[k], theta[k]
-            grad[k] = 2.0 * np.vdot(lam, g @ psi).real
+            (src, val, g2), t = self.generators[k], theta[k]
+            g_psi = val * psi[src]
+            grad[k] = 2.0 * np.vdot(lam, g_psi).real
             s, c = math.sin(t), 1.0 - math.cos(t)
-            psi = psi - s * (g @ psi) + c * (g2 @ psi)
-            lam = lam - s * (g @ lam) + c * (g2 @ lam)
+            psi = psi - s * g_psi + c * (g2 * psi)
+            lam = lam - s * (val * lam[src]) + c * (g2 * lam)
         return grad
 
 

@@ -1,9 +1,10 @@
-"""`import molq` and the database commands load numpy, not scipy; the
-names the benchmark tracer wraps still exist.
+"""`import molq`, the database commands and an FCIDUMP-to-UCCSD gradient-
+descent point load numpy, not scipy; the names the benchmark tracer wraps
+still exist.
 
-scipy is imported inside the three functions that call it (Nelder-Mead,
-boys_f0, pauli_operator). The check runs in a fresh interpreter because
-the test process has scipy loaded already.
+scipy is imported inside the two functions that call it (Nelder-Mead and
+boys_f0). The checks run in a fresh interpreter because the test process
+has scipy loaded already.
 """
 
 import importlib
@@ -26,14 +27,37 @@ assert molq.cli.main(["db", "list", "--db", sys.argv[1]]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
+# The lih-fcidump-gd path: FCIDUMP, frozen core, JW, the sector-exact
+# energy and UCCSD gradient descent on the electron-number block.
+FCIDUMP_GD_CHILD = """\
+import sys
+from pathlib import Path
+import molq
+mo = molq.freeze_core(molq.parse_fcidump(Path(sys.argv[1]).read_text()), 1)
+h = molq.jordan_wigner(molq.build_fermionic_hamiltonian(mo))
+molq.dense_ground_energy(h, mo.n_electrons)
+config = molq.OptimizerConfig(method="gradient_descent", budget=120)
+molq.vqe_solve(h, molq.uccsd_ansatz(h.n_qubits, mo.n_electrons), config)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
 
-def test_import_and_db_commands_load_no_scipy(tmp_path):
+
+def scipy_modules_loaded(child, argument):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path / "db")],
+        [sys.executable, "-c", child, str(argument)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_and_db_commands_load_no_scipy(tmp_path):
+    assert scipy_modules_loaded(CHILD, tmp_path / "db") == "[]"
+
+
+def test_fcidump_uccsd_gradient_descent_loads_no_scipy():
+    fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
+    assert scipy_modules_loaded(FCIDUMP_GD_CHILD, fcidump) == "[]"
 
 
 def test_benchmark_trace_bindings_resolve(monkeypatch):

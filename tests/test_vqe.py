@@ -251,6 +251,25 @@ def test_block_keeps_the_circuit_checks(h2_hamiltonian):
         block.energy(np.zeros(3))
 
 
+def test_block_rejects_a_generator_with_two_flip_masks(h2_hamiltonian):
+    # the gather form keeps one entry per row, so one flip mask per generator
+    generator = PauliSum(4, (PauliTerm(1j, {0: "X"}), PauliTerm(1j, {1: "X"})))
+    ansatz = Ansatz(hf_reference_circuit(4, 2), 1, "uccsd", generators=(generator,), n_electrons=2)
+    with pytest.raises(UsageError, match="flip mask"):
+        UCCSDBlock(h2_hamiltonian, ansatz)
+
+
+def test_block_above_the_dense_guard_is_refused_first():
+    # 20 qubits with 10 electrons: a (5, 5) block of 252**2 = 63 504 states.
+    # The generator would be refused if it were gathered before the guard.
+    generator = PauliSum(20, (PauliTerm(1j, {0: "X"}), PauliTerm(1j, {1: "X"})))
+    big = Ansatz(Circuit(20), 1, "uccsd", generators=(generator,), n_electrons=10)
+    h = PauliSum(20, (PauliTerm(1.0, {0: "Z"}),))
+    for build in (UCCSDBlock, vqe_solve):
+        with pytest.raises(ResourceError, match="63504 exceeds"):
+            build(h, big)
+
+
 def test_gradient_descent_charges_adjoint_gradients(h2_hamiltonian):
     # each supplied gradient costs 2 * P evaluations against the budget
     config = OptimizerConfig(method="gradient_descent", budget=1000, gd_step=0.5)
