@@ -63,7 +63,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\n== 6. The Hamiltonian files round-trip ==")
     pauli_file = db.root / record.hamiltonian_ref["pauli"]
     pauli = parse_pauli(pauli_file.read_text())
-    print(f"  {pauli_file.name}: {len(pauli.terms)} Pauli strings on "
+    print(f"  {pauli_file.name}: {len(pauli.coefficients)} Pauli strings on "
           f"{pauli.n_qubits} qubits")
 
     print("\n== 7. Integrity audit ==")

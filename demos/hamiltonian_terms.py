@@ -51,18 +51,18 @@ print(f"constant (nuclear repulsion) = {mo.e_core:+.10f}")
 
 print("\n== 4. Second-quantized Hamiltonian ==")
 fermion_op = build_fermionic_hamiltonian(mo)
-print(f"{len(fermion_op.terms)} ladder-operator terms on "
+print(f"{len(fermion_op.coefficients)} ladder-operator terms on "
       f"{fermion_op.n_modes} spin orbitals; first five:")
 print(serialize_terms(fermion_op, limit=5), end="")
 
 print("\n== 5. Jordan-Wigner qubit Hamiltonian ==")
 pauli = jordan_wigner(fermion_op)
-print(f"{len(pauli.terms)} Pauli strings on {pauli.n_qubits} qubits:")
+print(f"{len(pauli.coefficients)} Pauli strings on {pauli.n_qubits} qubits:")
 print(serialize_pauli(pauli), end="")
 
 print("\n== 6. Qubit-wise commuting measurement groups ==")
 groups = qwc_group(pauli)
-print(f"{len(pauli.terms)} strings fit in {len(groups)} simultaneously "
+print(f"{len(pauli.coefficients)} strings fit in {len(groups)} simultaneously "
       f"measurable groups:")
 for k, group in enumerate(groups, start=1):
     basis_map = group_measurement_basis(group)

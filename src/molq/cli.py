@@ -23,6 +23,8 @@ from .scf import ao_to_mo, scf_solve
 from .vqe import OptimizerConfig, hardware_efficient_ansatz, uccsd_ansatz, vqe_solve
 from .workbench import ScanSpec, emit_curve, run_scan
 
+MAX_SCAN_POINTS = 10_000  # lengths in one --lengths start:stop:step range
+
 OPTIMIZERS = {
     "nm": "nelder_mead",
     "nelder_mead": "nelder_mead",
@@ -146,23 +148,21 @@ def cmd_exact(args):
 
 
 def _parse_lengths(text: str) -> list:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("length range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise UsageError("length step must be positive")
-        lengths = []
-        k = 0
-        while True:
-            value = start + k * step
-            if value > stop + 1e-9:
-                break
-            lengths.append(round(value, 10))
-            k += 1
-        return lengths
-    return [float(p) for p in text.split(",") if p]
+    """`a,b,c` or an inclusive `start:stop:step` range of at most
+    MAX_SCAN_POINTS lengths, counted before any is made."""
+    try:
+        if ":" not in text:
+            return [float(p) for p in text.split(",") if p]
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise UsageError(f"bad --lengths {text!r}: want a,b,c or start:stop:step") from None
+    if step <= 0:
+        raise UsageError("length step must be positive")
+    span = (stop + 1e-9 - start) / step  # steps from start to stop; NaN if not finite
+    if not span < MAX_SCAN_POINTS:
+        raise UsageError(f"length range {text!r} is not finite or exceeds {MAX_SCAN_POINTS} points")
+    values = (start + k * step for k in range(max(0, int(span) + 2)))
+    return [round(value, 10) for value in values if value <= stop + 1e-9]
 
 
 def _parse_fragment(text: str) -> list:

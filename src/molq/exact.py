@@ -10,7 +10,8 @@ agreement is the main correctness check of the whole package.
 pauli_matrix (a PauliSum as a numpy array over any sorted basis of at most
 2**DENSE_MAX_QUBITS states), its per-flip-mask entries _flip_blocks and
 sector_basis (the states of one determinant block) are shared with the
-UCCSD block of `vqe`.
+UCCSD block of `vqe`. _flip_blocks reads the PauliSum's columns: one pass
+per distinct x mask, with every string of that mask applied at once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ResourceError, UsageError
 from .integrals_io import MOIntegrals
-from .pauli import PauliSum
+from .pauli import _PHASE_VALUES, PauliSum
 from .statevector import MAX_QUBITS, Statevector, pauli_signs
 
 DENSE_MAX_QUBITS = 14
@@ -44,21 +45,17 @@ def _flip_blocks(s: PauliSum, basis: np.ndarray):
     A string with masks (x, z) maps |b> to pauli_phase(b) |b ^ x>. The
     terms sharing one flip mask x fill the same entries: rows of the
     states b ^ x that lie in the basis (the rest are dropped), each
-    entry the sum of the terms' coefficient * pauli_phase(b). No entry
-    is yielded twice.
+    entry the sum of the terms' coefficient * pauli_phase(b), in term
+    order. No entry is yielded twice.
     """
-    by_flip = {}
-    for term in s.terms:
-        by_flip.setdefault(term.x, []).append(term)
-    for x, terms in by_flip.items():
+    for x in np.unique(s.x).tolist():
+        mine = s.x == x
         targets = basis ^ x
         found = np.minimum(np.searchsorted(basis, targets), len(basis) - 1)
         hit = basis[found] == targets
-        coefficients = np.array(
-            [complex(t.coefficient) * 1j ** (x & t.z).bit_count() for t in terms]
-        )
-        z = np.array([t.z for t in terms], dtype=np.int64)[:, None]
-        yield found[hit], np.flatnonzero(hit), coefficients @ pauli_signs(basis[hit], z)
+        z = s.z[mine]
+        coefficients = s.coefficients[mine] * _PHASE_VALUES[np.bitwise_count(x & z) & 3]
+        yield found[hit], np.flatnonzero(hit), coefficients @ pauli_signs(basis[hit], z[:, None])
 
 
 def pauli_matrix(s: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:

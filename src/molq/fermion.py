@@ -8,18 +8,26 @@ spatial orbital P % n with spin P // n. The Hamiltonian built here is
                + 1/2 sum_PQRS <PQ|RS> a+_P a+_Q a_S a_R
 
 with physicist-notation <PQ|RS> = (PR|QS), nonzero only when P,R and Q,S
-carry the same spin. build_fermionic_hamiltonian forms h_PQ and
-1/2 <PQ|RS> as (2n)^2 and (2n)^4 spin-orbital arrays indexed [P, Q] and
-[P, Q, S, R], zeroes the spin-forbidden entries and those whose operator is
-identically zero (P = Q or S = R), and emits one term per remaining entry
-in C order. That order is the serialized order (factor count, then the
-(mode, kind) sequence with "+" before "-"), so the built list needs no sort.
+carry the same spin.
+
+A FermionOperator is stored as two columns: its coefficients, and its
+factors as an int64 (n_terms, width) array with one code per ladder
+factor, 2*mode for a+_mode and 2*mode + 1 for a_mode, each row padded with
+-1 after its last factor. Code order is the serialized (mode, kind) order,
+"+" before "-", so serialize_terms sorts the rows with one np.lexsort over
+(factor count, codes). FermionTerms are only built when `terms` is read.
+
+build_fermionic_hamiltonian forms h_PQ and 1/2 <PQ|RS> as (2n)^2 and (2n)^4
+spin-orbital arrays indexed [P, Q] and [P, Q, S, R], zeroes the
+spin-forbidden entries and those whose operator is identically zero (P = Q
+or S = R), and emits the codes of the remaining entries, 2 * index + kind,
+in C order: already the serialized order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,21 +59,57 @@ class FermionTerm:
         return FermionTerm(np.conjugate(self.coefficient), flipped)
 
 
-@dataclass
+_KINDS = (CREATION, ANNIHILATION)  # indexed by code & 1
+
+
+def _coefficient_column(values) -> np.ndarray:
+    """float64, or complex128 if any value is complex."""
+    return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+
+
+def _code(mode, kind, n_modes: int) -> int:
+    """2*mode + (kind == ANNIHILATION), checked before encoding: mode -1
+    would otherwise read as the -1 padding."""
+    if kind not in _KINDS or not 0 <= mode < n_modes:
+        raise UsageError(f"bad ladder factor ({mode}, {kind!r}) for modes 0..{n_modes - 1}")
+    return 2 * mode + (kind == ANNIHILATION)
+
+
+@dataclass(init=False, eq=False)
 class FermionOperator:
-    """A sum of FermionTerms plus a real constant offset (houses E_core)."""
+    """A sum of ladder-operator products plus a real constant offset
+    (houses E_core), held as the columns `coefficients` and `factors` (see
+    the module docstring). Built from FermionTerms or from the columns."""
 
     n_modes: int
-    terms: list = field(default_factory=list)
-    constant: float = 0.0
+    coefficients: np.ndarray
+    factors: np.ndarray
+    constant: float
 
-    def __post_init__(self):
-        for term in self.terms:
-            for mode, kind in term.factors:
-                if not 0 <= mode < self.n_modes:
-                    raise UsageError(f"mode {mode} outside 0..{self.n_modes - 1}")
-                if kind not in (CREATION, ANNIHILATION):
-                    raise UsageError(f"unknown ladder kind {kind!r}")
+    def __init__(self, n_modes, terms=(), constant=0.0, *, coefficients=None, factors=None):
+        if coefficients is None:
+            terms = list(terms)
+            coefficients = [term.coefficient for term in terms]
+            rows = [[_code(mode, kind, n_modes) for mode, kind in t.factors] for t in terms]
+            width = max(map(len, rows), default=0)
+            factors = [row + [-1] * (width - len(row)) for row in rows]
+            factors = np.array(factors, dtype=np.int64).reshape(len(rows), width)
+        self.n_modes, self.constant = n_modes, constant
+        self.coefficients = _coefficient_column(coefficients)
+        self.factors = np.asarray(factors, dtype=np.int64)
+        if self.factors.ndim != 2 or len(self.factors) != len(self.coefficients):
+            raise UsageError("factors must hold one row per coefficient")
+        valid = (self.factors >= 0) & (self.factors < 2 * n_modes)
+        if np.any(~valid & (self.factors != -1)) or np.any(valid[:, 1:] > valid[:, :-1]):
+            raise UsageError(f"factor codes must lie in 0..{2 * n_modes - 1}, padded after with -1")
+
+    @property
+    def terms(self) -> list:
+        """The terms as FermionTerms, built afresh from the columns."""
+        return [
+            FermionTerm(c, tuple((code >> 1, _KINDS[code & 1]) for code in row if code >= 0))
+            for c, row in zip(self.coefficients.tolist(), self.factors.tolist())
+        ]
 
 
 def is_hermitian(op: FermionOperator, tol: float = 1e-12) -> bool:
@@ -101,17 +145,15 @@ def build_fermionic_hamiltonian(mo: MOIntegrals) -> FermionOperator:
             & distinct[:, :, None, None] & distinct[None, None, :, :])
     two = np.where(mask, two, 0.0)
     # not (|c| < tol) rather than |c| >= tol, so a NaN integral is kept
-    keep = ~(np.abs(one) < DROP_TOLERANCE)
-    terms = [
-        FermionTerm(c, ((p, CREATION), (q, ANNIHILATION)))
-        for (p, q), c in zip(np.argwhere(keep).tolist(), one[keep].tolist())
-    ]
-    keep = ~(np.abs(two) < DROP_TOLERANCE)
-    terms += [
-        FermionTerm(c, ((p, CREATION), (q, CREATION), (s, ANNIHILATION), (r, ANNIHILATION)))
-        for (p, q, s, r), c in zip(np.argwhere(keep).tolist(), two[keep].tolist())
-    ]
-    return FermionOperator(n_modes=2 * n, terms=terms, constant=float(mo.e_core))
+    keep_one, keep_two = ~(np.abs(one) < DROP_TOLERANCE), ~(np.abs(two) < DROP_TOLERANCE)
+    factors = np.concatenate([  # a+_P a_Q, then a+_P a+_Q a_S a_R
+        np.pad(2 * np.argwhere(keep_one) + [0, 1], ((0, 0), (0, 2)), constant_values=-1),
+        2 * np.argwhere(keep_two) + [0, 0, 1, 1],
+    ])
+    return FermionOperator(
+        2 * n, constant=float(mo.e_core), factors=factors,
+        coefficients=np.concatenate([one[keep_one], two[keep_two]]),
+    )
 
 
 def freeze_core(mo: MOIntegrals, n_frozen: int) -> MOIntegrals:
@@ -166,10 +208,13 @@ def serialize_terms(op: FermionOperator, limit: int | None = None) -> str:
     "+" before "-"; the constant offset is not emitted. limit caps the
     number of lines.
     """
+    counts = (op.factors >= 0).sum(axis=1)
+    order = np.lexsort((*op.factors.T[::-1], counts))[:limit]
+    tokens = {code: f"{_KINDS[code & 1]}_{code >> 1}" for code in np.unique(op.factors).tolist()}
     lines = []
-    for term in sorted(op.terms, key=lambda t: (len(t.factors), t.factors))[:limit]:
-        factors = " ".join(f"{kind}_{mode}" for mode, kind in term.factors)
-        lines.append(f"{_format_coefficient(term.coefficient)} * ( {factors} )")
+    for c, row in zip(op.coefficients[order].tolist(), op.factors[order].tolist()):
+        factors = " ".join([tokens[code] for code in row if code >= 0])
+        lines.append(f"{_format_coefficient(c)} * ( {factors} )")
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

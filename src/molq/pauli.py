@@ -9,28 +9,33 @@ operators to strings with Z parity chains:
     a+_p -> 1/2 (X_p - i Y_p) Z_{p-1} ... Z_0
     a_p  -> 1/2 (X_p + i Y_p) Z_{p-1} ... Z_0
 
-`pauli_multiply` is that product rule on one pair of terms. The transform
-itself applies the same rule to int64 mask arrays: fermion terms are grouped
-by factor count and each group is expanded in one array pass per factor.
-Equal strings are then merged on the key x << 32 | z, summing coefficients
-in the order the scalar fold would produce them, and sorted by (weight,
-pattern); `canonicalize` is that same merge. The int64 key bounds every
-register to MAX_QUBITS.
+A PauliSum is stored as three columns: int64 masks `x` and `z` and its
+`coefficients`, the form JW, the simulator, the exact path and the text
+format all read; PauliTerms are only built when `terms` is read.
+`pauli_multiply` is the product rule on one pair of terms. The transform
+applies the same rule to the columns of a FermionOperator: its rows are
+grouped by factor count and each group is expanded in one array pass per
+factor. Equal strings are then merged on the key x << 32 | z, summing
+coefficients in the order the scalar fold would produce them, and sorted
+by (weight, pattern); `canonicalize` is that same merge. The int64 key
+bounds the transform and the merge to MAX_QUBITS; the int64 masks bound a
+PauliSum to MASK_QUBITS.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ResourceError, UsageError
-from .fermion import ANNIHILATION, CREATION, FermionOperator, _format_coefficient
+from .fermion import FermionOperator, _coefficient_column, _format_coefficient
 
 COEFF_DROP = 1e-12
 
 _LETTERS = "IXZY"           # indexed by x_bit + 2 * z_bit
+_LETTER_BYTES = np.frombuffer(_LETTERS.encode(), dtype="S1")
 _PHASES = (1, 1j, -1, -1j)  # i^k
 _PHASE_VALUES = np.array(_PHASES, dtype=complex)
 _SORT_CODE = np.array([0, 1, 3, 2])  # x_bit + 2 * z_bit -> rank of I, X, Z, Y in "IXYZ"
@@ -38,6 +43,8 @@ _SORT_CODE = np.array([0, 1, 3, 2])  # x_bit + 2 * z_bit -> rank of I, X, Z, Y i
 # Largest register any molq consumer of a PauliSum accepts; it also keeps
 # the merge key x << 32 | z inside int64.
 MAX_QUBITS = 24
+# Largest register a PauliSum holds: its masks are int64
+MASK_QUBITS = 62
 
 
 @dataclass(init=False)
@@ -86,18 +93,42 @@ class PauliTerm:
         return "".join(letters.get(q, "I") for q in range(n_qubits))
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class PauliSum:
-    n_qubits: int
-    terms: list = field(default_factory=list)
+    """Sum of Pauli strings on n_qubits, held as the columns x, z and
+    coefficients. Built from PauliTerms or from the columns."""
 
-    def __post_init__(self):
-        for term in self.terms:
-            support = term.x | term.z
-            if support >> self.n_qubits:
-                raise UsageError(
-                    f"qubit {support.bit_length() - 1} outside 0..{self.n_qubits - 1}"
-                )
+    n_qubits: int
+    x: np.ndarray
+    z: np.ndarray
+    coefficients: np.ndarray
+
+    def __init__(self, n_qubits, terms=(), *, x=None, z=None, coefficients=None):
+        if n_qubits > MASK_QUBITS:
+            raise ResourceError(f"{n_qubits} qubits exceed the {MASK_QUBITS}-qubit int64 masks")
+        if coefficients is None:
+            terms = list(terms)
+            x, z = [t.x for t in terms], [t.z for t in terms]
+            coefficients = [t.coefficient for t in terms]
+        self.n_qubits = n_qubits
+        try:
+            self.x, self.z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+        except OverflowError:
+            raise UsageError(f"a Pauli mask reaches past qubit {n_qubits - 1}") from None
+        self.coefficients = _coefficient_column(coefficients)
+        if not self.x.ndim == 1 or not self.x.shape == self.z.shape == self.coefficients.shape:
+            raise UsageError("x, z and coefficients must be columns of one length")
+        if np.any((self.x | self.z) >> n_qubits):
+            raise UsageError(f"a Pauli mask reaches past qubit {n_qubits - 1}")
+
+    @property
+    def terms(self) -> list:
+        """The terms as PauliTerms with Python int masks and Python
+        float/complex coefficients, built afresh from the columns."""
+        return [
+            PauliTerm(c, x=xi, z=zi)
+            for xi, zi, c in zip(self.x.tolist(), self.z.tolist(), self.coefficients.tolist())
+        ]
 
 
 def pauli_multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
@@ -137,45 +168,32 @@ def _merge_sorted(n_qubits: int, x, z, coeffs) -> tuple:
     return x[order], z[order], merged[order]
 
 
-def _terms(x, z, coeffs) -> list:
-    """PauliTerms with Python int masks and Python float/complex coefficients."""
-    return [
-        PauliTerm(c, x=xi, z=zi)
-        for xi, zi, c in zip(x.tolist(), z.tolist(), coeffs.tolist())
-    ]
-
-
 def canonicalize(s: PauliSum) -> PauliSum:
     """Merge equal patterns, drop |c| < 1e-12, sort by (weight, pattern)."""
     if s.n_qubits > MAX_QUBITS:
         raise ResourceError(f"{s.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
-    coeffs = np.array([t.coefficient for t in s.terms])
-    if coeffs.dtype.kind != "c":
-        coeffs = coeffs.astype(float)
-    x = np.array([t.x for t in s.terms], dtype=np.int64)
-    z = np.array([t.z for t in s.terms], dtype=np.int64)
-    return PauliSum(n_qubits=s.n_qubits, terms=_terms(*_merge_sorted(s.n_qubits, x, z, coeffs)))
+    x, z, c = _merge_sorted(s.n_qubits, s.x, s.z, s.coefficients)
+    return PauliSum(s.n_qubits, x=x, z=z, coefficients=c)
 
 
-def _expand(products) -> tuple:
+def _expand(codes, coefficients) -> tuple:
     """JW images of equal-length ladder products, 2^k strings per product.
 
-    products is a list of (factors, coefficient) with k factors each. Every
-    factor a+_p / a_p is the two strings 1/2 X_p Z_<p and -+i/2 Y_p Z_<p;
-    the partial products are multiplied by them in turn, so each product's
-    strings come out in the order of the scalar fold
+    codes is the (products, k) array of their factor codes (see `fermion`).
+    Every factor a+_p / a_p is the two strings 1/2 X_p Z_<p and
+    -+i/2 Y_p Z_<p; the partial products are multiplied by them in turn, so
+    each product's strings come out in the order of the scalar fold
     `[pauli_multiply(a, e) for a in partial for e in ladder]`.
     """
     # arrays are (strings so far, products): the long axis last
-    x = np.zeros((1, len(products)), dtype=np.int64)
+    x = np.zeros((1, len(codes)), dtype=np.int64)
     z = np.zeros_like(x)
-    c = np.array([[complex(coefficient) for _, coefficient in products]])
-    modes = np.array([[mode for mode, _ in f] for f, _ in products], dtype=np.int64).T
-    creation = np.array([[kind == CREATION for _, kind in f] for f, _ in products]).T
-    for bit, create in zip(np.left_shift(1, modes), creation):
+    c = coefficients.astype(complex)[None]
+    for code in codes.T:
+        bit = 1 << (code >> 1)
         ex = np.stack([bit, bit])[None]
         ez = np.stack([bit - 1, (bit - 1) | bit])[None]
-        ec = np.stack([np.full(len(bit), 0.5 + 0j), np.where(create, -0.5j, 0.5j)])[None]
+        ec = np.stack([np.full(len(bit), 0.5 + 0j), np.where(code & 1, 0.5j, -0.5j)])[None]
         ax, az = x[:, None], z[:, None]
         x, z = ax ^ ex, az ^ ez
         # pauli_multiply's i^k, with -|x&z| written as +3|x&z| (mod 4)
@@ -195,29 +213,29 @@ def jordan_wigner(op: FermionOperator) -> PauliSum:
 
     The constant offset becomes the identity-term coefficient. When the
     image is real up to 1e-12 (always the case for Hermitian input) the
-    imaginary parts are truncated. Terms are expanded in one array pass
+    imaginary parts are truncated. Rows are expanded in one array pass
     per factor count, then put back in input order for the merge.
     """
     if op.n_modes > MAX_QUBITS:
         raise ResourceError(f"{op.n_modes} modes exceed the {MAX_QUBITS}-qubit guard")
-    products = [(t.factors, t.coefficient) for t in op.terms]
-    if op.constant != 0.0:
-        products.insert(0, ((), op.constant))  # the identity string comes first
-    by_count = {}
-    for index, (factors, _) in enumerate(products):
-        by_count.setdefault(len(factors), []).append(index)
-    if not by_count:
-        return PauliSum(n_qubits=op.n_modes)
-    parts = [  # (producing term per string, x, z, coefficients)
-        (np.repeat(indices, 2**count), *_expand([products[i] for i in indices]))
-        for count, indices in by_count.items()
-    ]
+    factors, coefficients = op.factors, op.coefficients
+    if op.constant != 0.0:  # a leading 0-factor row: the identity string comes first
+        factors = np.vstack([np.full((1, factors.shape[1]), -1), factors])
+        coefficients = np.concatenate([[op.constant], coefficients])
+    counts = (factors >= 0).sum(axis=1)
+    if not len(counts):
+        return PauliSum(op.n_modes)
+    parts = []  # (producing row per string, x, z, coefficients)
+    for count in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == count)
+        strings = _expand(factors[rows, :count], coefficients[rows])
+        parts.append((np.repeat(rows, 2**count), *strings))
     owner, x, z, c = (np.concatenate(column) for column in zip(*parts))
     order = np.argsort(owner, kind="stable")
     x, z, c = _merge_sorted(op.n_modes, x[order], z[order], c[order])
     if np.all(np.abs(c.imag) <= 1e-12):
         c = c.real
-    return PauliSum(n_qubits=op.n_modes, terms=_terms(x, z, c))
+    return PauliSum(op.n_modes, x=x, z=z, coefficients=c)
 
 
 def _qubitwise_commute(a: PauliTerm, b: PauliTerm) -> bool:
@@ -259,20 +277,21 @@ def group_measurement_basis(group: list) -> dict:
 
 def serialize_pauli(s: PauliSum) -> str:
     """One `<coeff> <pattern>` line per term, qubit 0 leftmost in the pattern."""
-    lines = [
-        f"{_format_coefficient(t.coefficient)} {t.pattern(s.n_qubits) or 'I' * max(s.n_qubits, 1)}"
-        for t in s.terms
-    ]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    qubits = np.arange(max(s.n_qubits, 1))
+    letters = _LETTER_BYTES[(s.x[:, None] >> qubits & 1) + 2 * (s.z[:, None] >> qubits & 1)]
+    patterns = letters.view(f"S{len(qubits)}").ravel().astype(str).tolist()
+    return "".join(
+        f"{_format_coefficient(c)} {pattern}\n"
+        for c, pattern in zip(s.coefficients.tolist(), patterns)
+    )
 
 
 _PAULI_LINE = re.compile(r"^\s*(?P<coeff>\S+)\s+(?P<pattern>[IXYZ]+)\s*$")
 
 
 def parse_pauli(text: str) -> PauliSum:
-    """Inverse of serialize_pauli; n_qubits is the pattern length."""
+    """Inverse of serialize_pauli; n_qubits is the pattern length, which
+    every line must share."""
     terms = []
     n_qubits = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -289,7 +308,11 @@ def parse_pauli(text: str) -> PauliSum:
         if abs(coeff.imag) <= 1e-12:
             coeff = coeff.real
         pattern = m.group("pattern")
-        n_qubits = max(n_qubits, len(pattern))
+        n_qubits = n_qubits or len(pattern)
+        if len(pattern) != n_qubits:
+            raise ParseError(
+                f"{len(pattern)}-qubit pattern after {n_qubits}-qubit ones", line=lineno
+            )
         letters = {q: c for q, c in enumerate(pattern) if c != "I"}
         terms.append(PauliTerm(coeff, letters))
-    return PauliSum(n_qubits=n_qubits, terms=terms)
+    return PauliSum(n_qubits, terms)

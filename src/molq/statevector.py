@@ -197,13 +197,10 @@ def expectation(psi: Statevector, h: PauliSum) -> float:
     amps = psi.amplitudes
     idx = np.arange(amps.size, dtype=np.int64)
     total = 0.0 + 0.0j
-    hermitian = True
-    for term in h.terms:
-        coeff = complex(term.coefficient)
-        if abs(coeff.imag) > 1e-12:
-            hermitian = False
-        phases = pauli_phase(idx, term.x, term.z)
-        total += coeff * np.sum(np.conj(amps[idx ^ term.x]) * phases * amps)
+    hermitian = not np.any(np.abs(h.coefficients.imag) > 1e-12)
+    for x, z, coeff in zip(h.x.tolist(), h.z.tolist(), h.coefficients.tolist()):
+        phases = pauli_phase(idx, x, z)
+        total += complex(coeff) * np.sum(np.conj(amps[idx ^ x]) * phases * amps)
     if hermitian and abs(total.imag) > 1e-10:
         raise ComputationError(
             f"imaginary residual {total.imag:.3e} for a Hermitian operator"

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
 from .exact import _flip_blocks, pauli_matrix, sector_basis
-from .fermion import ANNIHILATION, CREATION, FermionOperator, FermionTerm
+from .fermion import FermionOperator
 from .pauli import PauliSum, jordan_wigner
 from .statevector import MAX_QUBITS, Circuit, run_circuit, expectation
 
@@ -97,25 +97,26 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int = 0) -
     )
 
 
-def _append_excitation(circuit: Circuit, factors: tuple, n_qubits: int, slot: int) -> PauliSum:
-    """Append exp(theta_slot * (T - T^dagger)) for T given by `factors` and
-    return its generator, the Jordan-Wigner image of T - T^dagger.
+def _append_excitation(circuit: Circuit, codes: tuple, n_qubits: int, slot: int) -> PauliSum:
+    """Append exp(theta_slot * (T - T^dagger)) for the ladder product T with
+    factor `codes` (see `fermion`) and return its generator, the
+    Jordan-Wigner image of T - T^dagger.
 
     That image is a sum of mutually commuting Pauli strings with purely
     imaginary coefficients i*k; each becomes one exponential factor with
     phi = -2*k*theta.
     """
-    t = FermionTerm(1.0, factors)
-    t_dag = t.adjoint()
+    codes = np.array(codes)
+    adjoint = codes[::-1] ^ 1  # reversed, each a+ <-> a
     generator = FermionOperator(
-        n_modes=n_qubits, terms=[t, FermionTerm(-t_dag.coefficient, t_dag.factors)]
+        n_qubits, coefficients=[1.0, -1.0], factors=np.stack([codes, adjoint])
     )
     image = jordan_wigner(generator)
-    for term in image.terms:
-        coeff = complex(term.coefficient)
-        if abs(coeff.real) > 1e-12:
-            raise UsageError("excitation generator is not anti-Hermitian")
-        circuit.pauli_rot(term.x, term.z, slot=slot, scale=-2.0 * coeff.imag)
+    if np.any(np.abs(image.coefficients.real) > 1e-12):
+        raise UsageError("excitation generator is not anti-Hermitian")
+    scales = (-2.0 * image.coefficients.imag).tolist()
+    for x, z, scale in zip(image.x.tolist(), image.z.tolist(), scales):
+        circuit.pauli_rot(x, z, slot=slot, scale=scale)
     return image
 
 
@@ -138,9 +139,9 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
     for spin in (0, n_spatial):
         for i in range(n_occ):
             for a in range(n_occ, n_spatial):
-                factors = ((a + spin, CREATION), (i + spin, ANNIHILATION))
+                codes = (2 * (a + spin), 2 * (i + spin) + 1)  # a+_a a_i
                 generators.append(
-                    _append_excitation(circuit, factors, n_qubits, len(generators))
+                    _append_excitation(circuit, codes, n_qubits, len(generators))
                 )
                 n_singles += 1
     n_doubles = 0
@@ -148,14 +149,10 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
         for j in range(n_occ):
             for a in range(n_occ, n_spatial):
                 for b in range(n_occ, n_spatial):
-                    factors = (
-                        (a, CREATION),
-                        (b + n_spatial, CREATION),
-                        (j + n_spatial, ANNIHILATION),
-                        (i, ANNIHILATION),
-                    )
+                    # a+_a a+_(b beta) a_(j beta) a_i
+                    codes = (2 * a, 2 * (b + n_spatial), 2 * (j + n_spatial) + 1, 2 * i + 1)
                     generators.append(
-                        _append_excitation(circuit, factors, n_qubits, len(generators))
+                        _append_excitation(circuit, codes, n_qubits, len(generators))
                     )
                     n_doubles += 1
     return Ansatz(
@@ -197,7 +194,7 @@ class UCCSDBlock:
         self.reference = np.zeros(len(basis), dtype=complex)
         occupied = sum(1 << q for q in _hf_occupied(h.n_qubits, a.n_electrons))
         self.reference[np.searchsorted(basis, occupied)] = 1.0
-        self.hermitian = all(abs(complex(t.coefficient).imag) <= 1e-12 for t in h.terms)
+        self.hermitian = bool(np.all(np.abs(h.coefficients.imag) <= 1e-12))
 
     def state(self, theta) -> np.ndarray:
         """psi(theta) as amplitudes over the block."""

@@ -280,11 +280,15 @@ def test_scan_comma_lengths(capsys, tmp_path):
 
 
 def test_scan_rejects_bad_lengths(capsys):
-    assert main([
-        "scan", "--molecule", "H2",
-        "--fragment-a", "H", "--fragment-b", "H",
-        "--basis", "sto-3g", "--lengths", "0.8:0.6:0.1:9",
-    ]) == 1
+    # unparsable numbers, and a range refused by its point count before
+    # any point is made (1e-12 steps would be 2e11 points)
+    for lengths in ("0.8:0.6:0.1:9", "abc", "0.5:abc:0.1", "0.5:0.7:1e-12", "0.5:inf:0.1"):
+        assert main([
+            "scan", "--molecule", "H2",
+            "--fragment-a", "H", "--fragment-b", "H",
+            "--basis", "sto-3g", "--lengths", lengths,
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_db_put_get_query(capsys, tmp_path):

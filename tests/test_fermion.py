@@ -110,7 +110,17 @@ def test_operator_validation():
     with pytest.raises(UsageError):
         FermionOperator(1, (FermionTerm(1.0, ((5, CREATION),)),))  # mode range
     with pytest.raises(UsageError):
+        FermionOperator(1, (FermionTerm(1.0, ((-1, ANNIHILATION),)),))  # code -1, not padding
+    with pytest.raises(UsageError):
         FermionOperator(1, (FermionTerm(1.0, ((0, "?"),)),))  # bad kind
+    # the column form: codes 2*mode + (kind == "-"), rows padded with -1
+    for factors in ([[2]], [[-2]], [[-1, 0]], [[0], [1]]):
+        with pytest.raises(UsageError):
+            FermionOperator(1, coefficients=[1.0], factors=factors)
+    op = FermionOperator(2, coefficients=[0.5, 2.0], factors=[[0, 3], [-1, -1]])
+    assert op.terms == [
+        FermionTerm(0.5, ((0, CREATION), (1, ANNIHILATION))), FermionTerm(2.0, ())
+    ]
 
 
 # -------------------------------------------------------------- freeze_core

@@ -18,6 +18,7 @@ from molq import (
     PauliSum,
     PauliTerm,
     ResourceError,
+    UsageError,
     build_fermionic_hamiltonian,
     canonicalize,
     freeze_core,
@@ -174,6 +175,29 @@ def test_jw_rejects_more_modes_than_the_qubit_guard():
     # the largest accepted register still maps, with its top qubit intact
     edge = jordan_wigner(FermionOperator(24, (FermionTerm(1.0, ((23, CREATION),)),)))
     assert all(t.letters[23] in "XY" and len(t.letters) == 24 for t in edge.terms)
+
+
+def test_sum_validation_and_columns():
+    with pytest.raises(UsageError):  # a mask outside the register, from terms
+        PauliSum(2, (PauliTerm(1.0, {2: "X"}),))
+    with pytest.raises(UsageError):  # ... past the int64 masks
+        PauliSum(2, (PauliTerm(1.0, {70: "X"}),))
+    for x in (4, -1):  # ... and from columns
+        with pytest.raises(UsageError):
+            PauliSum(2, x=[x], z=[0], coefficients=[1.0])
+    with pytest.raises(UsageError):
+        PauliSum(2, x=[1, 2], z=[0], coefficients=[1.0, 1.0])
+    with pytest.raises(ResourceError, match="63 qubits"):
+        PauliSum(63)
+    assert PauliSum(62).n_qubits == 62
+    s = PauliSum(2, x=[1, 0], z=[2, 3], coefficients=[0.5, -1.0])
+    assert s.coefficients.dtype == np.float64
+    assert [(t.letters, t.coefficient) for t in s.terms] == [
+        ({0: "X", 1: "Z"}, 0.5), ({0: "Z", 1: "Z"}, -1.0)
+    ]
+    assert PauliSum(1, (PauliTerm(1.0), PauliTerm(2j, {0: "Y"}))).coefficients.dtype == complex
+    s.terms[0].coefficient = 7.0  # terms is a fresh view: the sum is unchanged
+    assert s.terms[0].coefficient == 0.5 and s.coefficients[0] == 0.5
 
 
 def reference_jordan_wigner(op):
@@ -335,4 +359,7 @@ def test_parse_pauli_errors():
         parse_pauli("1.0 XQ\n")
     with pytest.raises(ParseError) as err:
         parse_pauli("1.0 XI\nbroken\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError) as err:  # ragged patterns are not padded
+        parse_pauli("1.0 XI\n2.0 Z\n")
     assert err.value.line == 2

@@ -1,10 +1,12 @@
 """Bond-length scans, record persistence, and curve emission."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import molq.vqe
 from molq import (
     Geometry,
     ScanSpec,
@@ -14,14 +16,17 @@ from molq import (
     jordan_wigner,
     run_scan,
     scan_point,
+    uccsd_ansatz,
 )
 from molq.db import EnergyDB, EnergyRecord
 from molq.errors import ComputationError, ScanError, UsageError
-from molq.fermion import build_fermionic_hamiltonian, parse_terms
-from molq.integrals_io import write_fcidump
-from molq.pauli import parse_pauli
+from molq.fermion import build_fermionic_hamiltonian, freeze_core, parse_terms, serialize_terms
+from molq.integrals_io import parse_fcidump, write_fcidump
+from molq.pauli import parse_pauli, serialize_pauli
 
 from conftest import pipeline
+
+FCIDUMP_DIR = Path(__file__).resolve().parent.parent / "data" / "fcidump"
 
 
 def h2_spec(**overrides):
@@ -164,6 +169,56 @@ def test_scan_point_writes_hamiltonians(tmp_path, h2_hamiltonian):
     )
     op = parse_terms(fop_path.read_text(), n_modes=4)
     assert len(op.terms) > 0
+
+
+# sha256(text)[:16], the name put_hamiltonian files each text under:
+# (fermion .fop, pauli .pauli)
+PINNED_NAMES = {
+    "H2 0.7354": ("e274ac4b19171854", "f822f7abbffd803a"),
+    "LiH...H2": ("5e348552457236bb", "23454df632b946b5"),
+    "HeH+ 0.9": ("3cd4e39b78191214", "52190b406b4f0249"),
+    "LiH 1.60 fcidump": ("6df3b5c5326dd9bc", "80561efd518b0951"),
+    "LiH 1.60 fcidump, frozen core": ("c181f7f2ccd6e789", "7655b10931560651"),
+}
+# uccsd_ansatz(12, 6): every generator's texts, concatenated
+PINNED_UCCSD_12_6 = ("03ebeea70d34bffa", "4ff3cd2e92c9d7c8")
+
+
+def test_hamiltonian_file_names_are_pinned(sto3g, monkeypatch):
+    def name(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    lih = parse_fcidump((FCIDUMP_DIR / "lih_d1.60.fcidump").read_text())
+    molecules = {
+        "H2 0.7354": ([("H", (0, 0, 0)), ("H", (0, 0, 0.7354))], 0),
+        "LiH...H2": ([("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)),
+                      ("H", (0, 0, 3.34))], 0),
+        "HeH+ 0.9": ([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], 1),
+    }
+    mos = {
+        label: pipeline(Geometry.from_angstrom(atoms, charge=charge), sto3g)[2]
+        for label, (atoms, charge) in molecules.items()
+    }
+    mos["LiH 1.60 fcidump"] = lih
+    mos["LiH 1.60 fcidump, frozen core"] = freeze_core(lih, 1)
+    found = {}
+    for label, mo in mos.items():
+        op = build_fermionic_hamiltonian(mo)
+        found[label] = (name(serialize_terms(op)), name(serialize_pauli(jordan_wigner(op))))
+    assert found == PINNED_NAMES
+    fermion_generators = []
+
+    def recording(op):
+        fermion_generators.append(op)
+        return jordan_wigner(op)
+
+    monkeypatch.setattr(molq.vqe, "jordan_wigner", recording)
+    generators = uccsd_ansatz(12, 6).generators
+    assert len(fermion_generators) == len(generators) == 99
+    assert (
+        name("".join(serialize_terms(op) for op in fermion_generators)),
+        name("".join(serialize_pauli(g) for g in generators)),
+    ) == PINNED_UCCSD_12_6
 
 
 def test_rerun_keeps_each_versions_hamiltonian(tmp_path, h2_fcidump_pattern, h2_stretched):
