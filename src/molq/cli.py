@@ -225,9 +225,9 @@ def cmd_db(args):
             raise UsageError(f"no such record: {exc}")
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
     elif args.action == "list":
-        for record_id in db.list_ids():
-            record = db.get(record_id)
-            line = f"{record_id} versions={len(db.versions(record_id))} molecule={record.molecule}"
+        for record_id, version in db.latest_versions().items():
+            record = db.get(record_id, version)
+            line = f"{record_id} versions={version} molecule={record.molecule}"
             if record.bond_length is not None:
                 line += f" length={record.bond_length:g}"
             print(line)

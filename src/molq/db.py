@@ -6,6 +6,13 @@ serialized operators. Each file is fsynced under a temporary name, then
 os.link-ed to its final name, which fails if that name exists: concurrent
 writers (threads or processes) claim distinct versions without a lock, and
 a crash leaves at most a temporary file, which audit reports.
+
+Reads trust the listing too. A record's current version is its latest
+contiguous one: v1, v2, ... up to the first missing number; files past a
+gap are seen only by audit. query and latest_versions take that version for
+every id from one listing of records/ and read one file per id, with no
+per-version existence checks. put accepts a preset record_id only when it
+equals the record's content id, so one id never names two computations.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import re
 import tempfile
 from collections import defaultdict
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -89,11 +96,26 @@ class EnergyRecord:
                 raise UsageError(f"variational bound violated: {hi} < {lo}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in fresh lists and dicts, so editing the
+        result never edits the record."""
+        return _copy(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnergyRecord":
         return cls(**data)
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def _copy(container):
+    """Copy a JSON-shaped list, tuple or dict and the containers inside it;
+    the numbers and strings at its leaves are immutable and shared."""
+    if isinstance(container, dict):
+        return {key: _copy(item) if isinstance(item, _CONTAINERS) else item
+                for key, item in container.items()}
+    items = [_copy(item) if isinstance(item, _CONTAINERS) else item for item in container]
+    return items if isinstance(container, list) else tuple(items)
 
 
 def check_record_id(record_id, error=KeyError) -> None:
@@ -126,6 +148,7 @@ def _write_new(directory: Path, text: str, paths) -> None:
 class EnergyDB:
     def __init__(self, root):
         self.root = Path(root)
+        self._root = str(self.root)
         self.records_dir = self.root / "records"
         self.hamiltonians_dir = self.root / "hamiltonians"
         self.records_dir.mkdir(parents=True, exist_ok=True)
@@ -134,35 +157,43 @@ class EnergyDB:
     def put(self, record: EnergyRecord) -> str:
         """Append the record as a new version under its content id."""
         record.validate()
-        if not record.record_id:
-            record.record_id = record.compute_id()
+        content_id = record.compute_id()
+        if record.record_id and record.record_id != content_id:
+            raise UsageError(f"record_id {record.record_id} is not the record's "
+                             f"content id {content_id}")
+        record.record_id = content_id
         if not record.created_at:
             record.created_at = datetime.now(timezone.utc).isoformat()
         start = len(self.versions(record.record_id)) + 1
         _write_new(
             self.records_dir,
-            json.dumps(record.to_dict(), indent=1, sort_keys=True),
-            (self.root / _file(record.record_id, v) for v in itertools.count(start)),
+            json.dumps(vars(record), indent=1, sort_keys=True),
+            (f"{self._root}/{_file(record.record_id, v)}" for v in itertools.count(start)),
         )
         return record.record_id
 
     def put_hamiltonian(self, text: str, suffix: str) -> str:
         """Store text as hamiltonians/<hash of text><suffix>; return that name."""
         file = f"hamiltonians/{hashlib.sha256(text.encode()).hexdigest()[:16]}{suffix}"
-        _write_new(self.hamiltonians_dir, text, [self.root / file])
+        _write_new(self.hamiltonians_dir, text, [f"{self._root}/{file}"])
         return file
 
     def versions(self, record_id: str) -> list:
         """{"version", "file"} entries for versions 1, 2, ... up to the first absent one."""
         check_record_id(record_id)
         entries = []
-        while (self.root / (file := _file(record_id, len(entries) + 1))).exists():
+        while os.path.exists(f"{self._root}/" + (file := _file(record_id, len(entries) + 1))):
             entries.append({"version": len(entries) + 1, "file": file})
         return entries
 
-    def _load(self, file: str) -> EnergyRecord:
-        with open(self.root / file) as fh:
-            return EnergyRecord.from_dict(json.load(fh))
+    def _load(self, record_id: str, version: int) -> EnergyRecord:
+        """Version `version` of a well-formed id; KeyError if its file does not exist."""
+        try:
+            with open(f"{self._root}/{_file(record_id, version)}") as fh:
+                data = json.load(fh)
+        except FileNotFoundError:
+            raise KeyError(f"{record_id} version {version}") from None
+        return EnergyRecord.from_dict(data)
 
     def get(self, record_id: str, version: int | None = None) -> EnergyRecord:
         """Version `version` (default: the latest) of a record; KeyError if
@@ -170,10 +201,7 @@ class EnergyDB:
         check_record_id(record_id)
         if version is None:
             version = len(self.versions(record_id))
-        try:
-            return self._load(_file(record_id, version))
-        except FileNotFoundError:
-            raise KeyError(f"{record_id} version {version}") from None
+        return self._load(record_id, version)
 
     def _listing(self) -> dict:
         """One read of records/: record_id -> its version numbers."""
@@ -183,9 +211,22 @@ class EnergyDB:
                 found[match["id"]].append(int(match["version"]))
         return found
 
+    def latest_versions(self) -> dict:
+        """One listing's record_id -> N, the highest version with 1..N all
+        present, in id order, for the ids with a version 1; audit reports
+        files beyond a missing version."""
+        latest = {}
+        for record_id, versions in sorted(self._listing().items()):
+            present, version = set(versions), 0
+            while version + 1 in present:
+                version += 1
+            if version:
+                latest[record_id] = version
+        return latest
+
     def list_ids(self) -> list:
-        """Ids with a version 1; audit reports files beyond a missing version."""
-        return sorted(record_id for record_id, versions in self._listing().items() if 1 in versions)
+        """Ids with a version 1."""
+        return list(self.latest_versions())
 
     def query(self, molecule=None, basis=None, method=None, ansatz=None) -> list:
         """Latest-version records matching the filters, sorted by
@@ -193,8 +234,8 @@ class EnergyDB:
         if method is not None and method not in ("hf", "vqe", "exact"):
             raise UsageError(f"unknown method filter {method!r}")
         matches = []
-        for record_id in self.list_ids():
-            record = self.get(record_id)
+        for record_id, version in self.latest_versions().items():
+            record = self._load(record_id, version)
             if (
                 (molecule is None or record.molecule == molecule)
                 and (basis is None or record.basis == basis)
@@ -224,12 +265,15 @@ class EnergyDB:
             if missing:
                 problems.append(f"{record_id}: versions not contiguous: {versions} "
                                 f"(missing file {', '.join(missing)})")
-            for file in (_file(record_id, v) for v in versions):
+            for version in versions:
+                file = _file(record_id, version)
                 try:
-                    record = self._load(file)
-                except (OSError, ValueError, TypeError) as exc:
+                    record = self._load(record_id, version)
+                except (KeyError, OSError, ValueError, TypeError) as exc:
                     problems.append(f"{record_id}: unreadable {file}: {exc}")
                     continue
                 if record.record_id != record_id:
                     problems.append(f"{record_id}: file {file} claims id {record.record_id}")
+                if (content_id := record.compute_id()) != record_id:
+                    problems.append(f"{record_id}: file {file} holds content id {content_id}")
         return problems

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from molq.cli import main
-from molq.db import EnergyDB
+from molq.db import EnergyDB, EnergyRecord
 from molq.exact import dense_ground_energy
 from molq.integrals import Geometry
 from molq.integrals_io import write_fcidump
@@ -349,6 +349,43 @@ def test_db_put_rejects_bound_violation(capsys, tmp_path):
     }))
     assert main(["db", "put", "--db", db_dir, str(record_file)]) == 1
     assert "variational bound" in capsys.readouterr().err
+
+
+def test_db_put_rejects_a_record_id_of_other_content(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    record_file = tmp_path / "rec.json"
+    record_file.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g",
+                                       "record_id": "0" * 16}))
+    assert main(["db", "put", "--db", str(db_dir), str(record_file)]) == 1
+    err = capsys.readouterr().err
+    assert "0" * 16 in err and "content id" in err
+    assert EnergyDB(db_dir).list_ids() == []
+
+
+def test_db_list_matches_the_per_id_path(capsys, tmp_path, monkeypatch):
+    # re-puts, an id with a version gap and an id without v1
+    db = EnergyDB(tmp_path / "db")
+    ids = []
+    for length, puts in ((0.5, 1), (0.7, 4), (0.9, 2), (None, 3)):
+        for k in range(puts):
+            ids.append(db.put(EnergyRecord(molecule="H2", basis="sto-3g",
+                                           bond_length=length, e_hf=-1.0 - k)))
+    gap, no_v1 = ids[1], ids[5]
+    (db.records_dir / f"{gap}.v3.json").unlink()
+    (db.records_dir / f"{no_v1}.v1.json").unlink()
+    expected = ""
+    for record_id in db.list_ids():
+        record = db.get(record_id)
+        expected += f"{record_id} versions={len(db.versions(record_id))} molecule=H2"
+        expected += "\n" if record.bond_length is None else f" length={record.bond_length:g}\n"
+    assert f"{gap} versions=2 " in expected and no_v1 not in expected
+
+    def probe(self, record_id):
+        raise AssertionError("db list probed versions")
+
+    monkeypatch.setattr(EnergyDB, "versions", probe)
+    assert main(["db", "list", "--db", str(db.root)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_db_get_missing_record(capsys, tmp_path):

@@ -1,10 +1,13 @@
 """File-backed energy database: identity, versioning, queries, audit."""
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
 
@@ -110,6 +113,30 @@ def test_round_trip_dict():
     assert EnergyRecord.from_dict(record.to_dict()) == record
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"geometry": {"fcidump": "data/fcidump/lih_d1.60.fcidump"}},
+    {"hamiltonian_ref": {"fermion": "hamiltonians/0123456789abcdef.fop",
+                         "pauli": "hamiltonians/fedcba9876543210.pauli"}},
+    {"geometry": (("H", 0.0, 0.0, 0.0), ("H", 0.0, 0.0, 0.7354))},
+])
+def test_to_dict_is_asdict_in_fresh_containers(overrides):
+    record = make_record(**overrides)
+    data = record.to_dict()
+    assert data == asdict(record)
+    assert list(data) == list(asdict(record))
+    assert type(data["geometry"]) is type(record.geometry)
+    before = asdict(record)
+    if isinstance(data["geometry"], dict):
+        data["geometry"]["fcidump"] = "elsewhere"
+    elif isinstance(data["geometry"], list):
+        data["geometry"][1][3] = 9.0
+        data["geometry"].append(["He", 0.0, 0.0, 0.0])
+    if data["hamiltonian_ref"] is not None:
+        data["hamiltonian_ref"]["pauli"] = "elsewhere"
+    assert asdict(record) == before
+
+
 # ---------------------------------------------------------------------------
 # put / get / versions
 # ---------------------------------------------------------------------------
@@ -142,6 +169,38 @@ def test_same_configuration_stacks_versions(tmp_path):
     assert [e["version"] for e in entries] == [1, 2]
     assert db.get(first).e_vqe == -1.13729          # latest wins by default
     assert db.get(first, version=1).e_vqe == -1.13728
+
+
+def test_record_file_is_asdict_json(tmp_path):
+    db = EnergyDB(tmp_path / "db")
+    records = [
+        make_record(),
+        make_record(geometry={"fcidump": "data/fcidump/lih_d1.60.fcidump"}, e_vqe=None,
+                    hamiltonian_ref={"fermion": "hamiltonians/a.fop",
+                                     "pauli": "hamiltonians/b.pauli"}),
+        make_record(geometry=(("H", 0.0, 0.0, 0.0), ("H", 0.0, 0.0, 0.7354)), seed=8),
+        EnergyRecord(molecule="H2", basis="sto-3g", bond_length=0.9,
+                     error="ComputationError: SCF did not converge at 0.9 Angstrom"),
+    ]
+    for record in records:
+        record_id = db.put(record)
+        (entry,) = db.versions(record_id)
+        assert (db.root / entry["file"]).read_text() == json.dumps(
+            asdict(record), indent=1, sort_keys=True)
+
+
+def test_put_refuses_a_preset_id_of_another_computation(tmp_path):
+    # Kept, the id "0"*16 would hold H2 as v1 and LiH as v2: query would
+    # show only LiH and audit would find nothing wrong.
+    db = EnergyDB(tmp_path / "db")
+    h2 = make_record(record_id="0" * 16)
+    lih = make_record(molecule="LiH", record_id="0" * 16,
+                      geometry=[["Li", 0.0, 0.0, 0.0], ["H", 0.0, 0.0, 1.6]], bond_length=1.6)
+    for record in (h2, lih):
+        with pytest.raises(UsageError, match=f"{'0' * 16}.*{record.compute_id()}"):
+            db.put(record)
+    assert [p for p in db.root.rglob("*") if p.is_file()] == []
+    assert db.put(make_record(record_id=h2.compute_id())) == h2.compute_id()
 
 
 def test_get_unknown_id(tmp_path):
@@ -278,6 +337,93 @@ def test_query_sorts_across_molecules(tmp_path):
     assert names == sorted(names)
 
 
+def fill_churned_db(db, seed):
+    """Seeded records with re-puts and error records, then a version gap,
+    an id whose v1 is gone and a stray temporary file. Returns the id with
+    the gap and the id without v1."""
+    rng = random.Random(seed)
+    written = []
+    for k in range(40):
+        if written and rng.random() < 0.3:
+            record = EnergyRecord.from_dict(rng.choice(written))
+            record.created_at = ""
+            record.evaluations = rng.randrange(1000)
+        elif rng.random() < 0.15:
+            record = EnergyRecord(molecule=rng.choice(("H2", "LiH")), basis="sto-3g",
+                                  bond_length=round(rng.uniform(0.5, 3.0), 3),
+                                  error=f"ComputationError: point {k} failed")
+        else:
+            length = round(rng.uniform(0.5, 3.0), 3)
+            ansatz = rng.choice((None, "uccsd", "hea"))
+            record = make_record(
+                molecule=rng.choice(("H2", "LiH", "HeH+")),
+                basis=rng.choice(("sto-3g", "6-31g")),
+                geometry=[["H", 0.0, 0.0, 0.0], ["H", 0.0, 0.0, length]],
+                bond_length=length if rng.random() < 0.9 else None,
+                e_hf=-1.0, e_exact=-1.1 if rng.random() < 0.7 else None,
+                e_vqe=-1.05 if ansatz else None, ansatz=ansatz,
+                optimizer="nelder_mead" if ansatz else None, seed=k if ansatz else None,
+            )
+        db.put(record)
+        written.append(record.to_dict())
+    stacked = [i for i in db.list_ids() if len(db.versions(i)) >= 2]
+    gap = db.put(EnergyRecord.from_dict({**written[0], "created_at": ""}))
+    while len(db.versions(gap)) < 4:
+        db.put(EnergyRecord.from_dict({**written[0], "created_at": ""}))
+    (db.records_dir / f"{gap}.v3.json").unlink()
+    no_v1 = next(i for i in stacked if i != gap)
+    (db.records_dir / f"{no_v1}.v1.json").unlink()
+    (db.records_dir / f"tmpq8z0{TMP_SUFFIX}").write_text(json.dumps(written[1]))
+    return gap, no_v1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_query_matches_the_per_id_path(tmp_path, seed):
+    db = EnergyDB(tmp_path / "db")
+    gap, no_v1 = fill_churned_db(db, seed)
+    assert gap in db.list_ids() and no_v1 not in db.list_ids()
+    assert db.latest_versions()[gap] == len(db.versions(gap)) == 2
+    per_id = [db.get(record_id) for record_id in db.list_ids()]
+    for molecule, basis, method, ansatz in itertools.product(
+        (None, "H2", "LiH", "HeH+", "He"), (None, "sto-3g", "6-31g"),
+        (None, "hf", "vqe", "exact"), (None, "uccsd", "hea"),
+    ):
+        expected = sorted(
+            (r for r in per_id
+             if (molecule is None or r.molecule == molecule)
+             and (basis is None or r.basis == basis)
+             and (method is None or getattr(r, f"e_{method}") is not None)
+             and (ansatz is None or r.ansatz == ansatz)),
+            key=lambda r: (r.molecule, r.bond_length if r.bond_length is not None
+                           else float("inf"), r.created_at),
+        )
+        got = db.query(molecule=molecule, basis=basis, method=method, ansatz=ansatz)
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in expected]
+
+
+def test_query_makes_no_per_id_version_probe(tmp_path, monkeypatch):
+    db = EnergyDB(tmp_path / "db")
+    fill_query_db(db)
+    expected = [r.to_dict() for r in db.query()]
+
+    def probe(self, record_id):
+        raise AssertionError("query probed versions")
+
+    monkeypatch.setattr(EnergyDB, "versions", probe)
+    assert [r.to_dict() for r in db.query()] == expected
+    assert len(expected) == 4
+
+
+def test_query_raises_key_error_for_a_file_gone_after_the_listing(tmp_path, monkeypatch):
+    db = EnergyDB(tmp_path / "db")
+    record_id = db.put(make_record())
+    listing = db._listing()
+    (db.records_dir / f"{record_id}.v1.json").unlink()
+    monkeypatch.setattr(EnergyDB, "_listing", lambda self: listing)
+    with pytest.raises(KeyError, match=record_id):
+        db.query()
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
@@ -315,6 +461,15 @@ def test_audit_detects_id_mismatch(tmp_path):
     data["record_id"] = "f" * 16
     path.write_text(json.dumps(data))
     assert any("claims id" in p for p in db.audit())
+
+
+def test_audit_detects_content_of_another_id(tmp_path):
+    # A hand-written file whose record hashes to another id than its name's.
+    db = EnergyDB(tmp_path / "db")
+    other = make_record(molecule="LiH", record_id="0" * 16)
+    (db.records_dir / f"{'0' * 16}.v1.json").write_text(json.dumps(other.to_dict()))
+    assert db.audit() == [f"{'0' * 16}: file records/{'0' * 16}.v1.json holds "
+                          f"content id {other.compute_id()}"]
 
 
 def test_audit_detects_version_gap(tmp_path):
