@@ -2,8 +2,10 @@
 
 State index bit k is qubit k (qubit 0 least significant). Gates update the
 amplitude array in place; no gate matrix is ever materialized. Gate set:
-X, RY, RZ, CNOT, CZ (through strided views) and the Pauli rotation
-(kind "pauli_rot", through one index permutation), with
+X, RY, RZ (on axis 1 of the view amps.reshape(-1, 2, 2**q)), CNOT and CZ
+(on axes 1 and 3 of amps.reshape(-1, 2, 2**(hi-lo-1), 2, 2**lo)) and the
+Pauli rotation (kind "pauli_rot", gathered through the flat basis index
+that run_circuit builds once), with
 
     RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
     RZ(t) = diag(e^{-it/2}, e^{+it/2})
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
-from .pauli import MAX_QUBITS, PauliSum, group_measurement_basis, qwc_group
+from .pauli import MAX_QUBITS, PauliSum, qwc_group
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,9 @@ class Gate:
         return self.angle + self.scale * float(theta[self.slot])
 
 
+_ARITY = {"x": 1, "ry": 1, "rz": 1, "cnot": 2, "cz": 2}   # pauli_rot: its masks
+
+
 @dataclass
 class Circuit:
     n_qubits: int
@@ -56,6 +61,13 @@ class Circuit:
     def validate(self):
         slots = set()
         for gate in self.gates:
+            if gate.kind == "pauli_rot":
+                if not 0 <= gate.x | gate.z < 2**self.n_qubits:
+                    raise UsageError(f"pauli_rot masks ({gate.x}, {gate.z}) outside the register")
+            elif gate.kind not in _ARITY:
+                raise UsageError(f"unknown gate kind {gate.kind!r}")
+            elif len(gate.qubits) != _ARITY[gate.kind]:
+                raise UsageError(f"{gate.kind} needs {_ARITY[gate.kind]} qubit(s)")
             for q in gate.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise UsageError(f"qubit {q} outside 0..{self.n_qubits - 1}")
@@ -107,17 +119,6 @@ class Statevector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
-
-
-def _slices(n, assignments):
-    """Index tuple fixing qubit->bit assignments on a [2]*n reshaped view."""
-    sl = [slice(None)] * n
-    for q, bit in assignments.items():
-        sl[n - 1 - q] = bit
-    return tuple(sl)
-
 
 def pauli_signs(idx: np.ndarray, z) -> np.ndarray:
     """(-1)^|b&z| for each basis index b in idx; a column of z masks gives
@@ -130,47 +131,37 @@ def pauli_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
     return (1j) ** (x & z).bit_count() * pauli_signs(idx, z)
 
 
-def _apply_gate(amps: np.ndarray, n: int, gate: Gate, theta):
-    view = amps.reshape([2] * n)
-    if gate.kind == "x":
-        q = gate.qubits[0]
-        i0, i1 = _slices(n, {q: 0}), _slices(n, {q: 1})
-        tmp = view[i0].copy()
-        view[i0] = view[i1]
-        view[i1] = tmp
-    elif gate.kind == "ry":
-        q = gate.qubits[0]
-        t = gate.effective_angle(theta)
-        c, s = math.cos(0.5 * t), math.sin(0.5 * t)
-        i0, i1 = _slices(n, {q: 0}), _slices(n, {q: 1})
-        a0 = view[i0].copy()
-        a1 = view[i1].copy()
-        view[i0] = c * a0 - s * a1
-        view[i1] = s * a0 + c * a1
-    elif gate.kind == "rz":
-        q = gate.qubits[0]
-        t = gate.effective_angle(theta)
-        i0, i1 = _slices(n, {q: 0}), _slices(n, {q: 1})
-        view[i0] *= np.exp(-0.5j * t)
-        view[i1] *= np.exp(0.5j * t)
-    elif gate.kind == "cnot":
-        control, target = gate.qubits
-        i10 = _slices(n, {control: 1, target: 0})
-        i11 = _slices(n, {control: 1, target: 1})
-        tmp = view[i10].copy()
-        view[i10] = view[i11]
-        view[i11] = tmp
-    elif gate.kind == "cz":
-        a, b = gate.qubits
-        view[_slices(n, {a: 1, b: 1})] *= -1.0
-    elif gate.kind == "pauli_rot":
-        t = gate.effective_angle(theta)
-        idx = np.arange(amps.size, dtype=np.int64)
+def _apply_gate(amps: np.ndarray, idx: np.ndarray, gate: Gate, theta):
+    """Apply one validated gate to amps in place; idx is arange(amps.size)."""
+    t = gate.effective_angle(theta)
+    if gate.kind == "pauli_rot":
         flipped = (pauli_phase(idx, gate.x, gate.z) * amps)[idx ^ gate.x]
         amps *= math.cos(0.5 * t)
         amps -= 1j * math.sin(0.5 * t) * flipped
+    elif gate.kind in ("cnot", "cz"):
+        a, b = gate.qubits
+        lo, hi = min(a, b), max(a, b)
+        view = amps.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)
+        if a < b:
+            view = view.swapaxes(1, 3)   # axis 1 holds qubit a, axis 3 qubit b
+        if gate.kind == "cz":
+            view[:, 1, :, 1] *= -1.0
+        else:
+            tmp = view[:, 1, :, 0].copy()
+            view[:, 1, :, 0] = view[:, 1, :, 1]
+            view[:, 1, :, 1] = tmp
     else:
-        raise UsageError(f"unknown gate kind {gate.kind!r}")
+        view = amps.reshape(-1, 2, 2 ** gate.qubits[0])
+        if gate.kind == "x":
+            view[:, [0, 1]] = view[:, [1, 0]]
+        elif gate.kind == "ry":
+            c, s = math.cos(0.5 * t), math.sin(0.5 * t)
+            a0, a1 = view[:, 0].copy(), view[:, 1].copy()
+            view[:, 0] = c * a0 - s * a1
+            view[:, 1] = s * a0 + c * a1
+        else:
+            view[:, 0] *= np.exp(-0.5j * t)
+            view[:, 1] *= np.exp(0.5j * t)
 
 
 def run_circuit(c: Circuit, theta=None) -> Statevector:
@@ -185,8 +176,9 @@ def run_circuit(c: Circuit, theta=None) -> Statevector:
         )
     amps = np.zeros(2**c.n_qubits, dtype=complex)
     amps[0] = 1.0
+    idx = np.arange(amps.size, dtype=np.int64)
     for gate in c.gates:
-        _apply_gate(amps, c.n_qubits, gate, theta)
+        _apply_gate(amps, idx, gate, theta)
     return Statevector(n_qubits=c.n_qubits, amplitudes=amps)
 
 
@@ -208,16 +200,15 @@ def expectation(psi: Statevector, h: PauliSum) -> float:
     return float(total.real)
 
 
-def _basis_rotation(n_qubits: int, basis: dict) -> Circuit:
-    """Circuit mapping each X/Y letter to a computational-basis Z measurement:
-    X needs RY(-pi/2); Y needs RZ(-pi/2) then RY(-pi/2)."""
+def _basis_rotation(n_qubits: int, x: int, z: int) -> Circuit:
+    """Circuit mapping the strings under the union masks (x, z) to a
+    computational-basis Z measurement: an X bit needs RY(-pi/2), a Y bit
+    (x & z) RZ(-pi/2) then RY(-pi/2)."""
     rot = Circuit(n_qubits)
-    for q in sorted(basis):
-        letter = basis[q]
-        if letter == "X":
-            rot.ry(q, angle=-0.5 * math.pi)
-        elif letter == "Y":
-            rot.rz(q, angle=-0.5 * math.pi)
+    for q in range(x.bit_length()):
+        if x >> q & 1:
+            if z >> q & 1:
+                rot.rz(q, angle=-0.5 * math.pi)
             rot.ry(q, angle=-0.5 * math.pi)
     return rot
 
@@ -231,19 +222,21 @@ def sample_expectation(psi: Statevector, h: PauliSum, shots: int, seed: int) -> 
     """
     if psi.n_qubits != h.n_qubits:
         raise UsageError("statevector and Hamiltonian qubit counts differ")
-    if shots < 1:
-        raise UsageError("shots must be >= 1")
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise UsageError(f"shots must be an integer >= 1, got {shots!r}")
     rng = np.random.default_rng(seed)
     total = 0.0
     for group in qwc_group(h):
-        basis = group_measurement_basis(group)
+        x = z = 0
+        for term in group:
+            x, z = x | term.x, z | term.z
         rotated = psi.amplitudes.copy()
-        for gate in _basis_rotation(psi.n_qubits, basis).gates:
-            _apply_gate(rotated, psi.n_qubits, gate, ())
+        for gate in _basis_rotation(psi.n_qubits, x, z).gates:
+            _apply_gate(rotated, None, gate, ())   # RY and RZ need no index
         probs = np.abs(rotated) ** 2
         probs /= probs.sum()
         samples = rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
         for term in group:
-            values = 1.0 - 2.0 * (np.bitwise_count(samples & (term.x | term.z)) & 1)
+            values = pauli_signs(samples, term.x | term.z)
             total += complex(term.coefficient).real * float(np.mean(values))
     return total

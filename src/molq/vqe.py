@@ -16,7 +16,8 @@ once per solve over that block (UCCSDBlock), each factor is applied exactly as
 exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2, which holds because
 G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA leaves
 the block and runs its circuit on the full-space simulator, with
-parameter-shift gradients. The circuit, `expectation` and
+parameter-shift gradients and, when it declares its electron count, a check
+of <N> on its final state. The circuit, `expectation` and
 `parameter_shift_gradient` stay the oracles of the block path.
 """
 
@@ -40,7 +41,7 @@ class Ansatz:
     parameter_count: int
     descriptor: str
     generators: tuple = ()    # UCCSD: G_k = JW(T_k - T_k^dagger) per slot k
-    n_electrons: int | None = None   # UCCSD: electrons of the HF reference
+    n_electrons: int | None = None   # electrons of the HF reference, if declared
 
 
 @dataclass
@@ -74,12 +75,13 @@ def hf_reference_circuit(n_qubits: int, n_electrons: int) -> Circuit:
     return circuit
 
 
-def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int = 0) -> Ansatz:
-    """HF prefix, then `depth` [RY layer + CZ chain] blocks, then a final RY
-    layer; n_qubits*(depth+1) parameters."""
+def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int | None = None) -> Ansatz:
+    """HF prefix (none without n_electrons), then `depth` [RY layer + CZ
+    chain] blocks, then a final RY layer; n_qubits*(depth+1) parameters.
+    A declared n_electrons is also the sector vqe_solve checks the result in."""
     if depth < 0:
         raise UsageError("depth must be >= 0")
-    circuit = hf_reference_circuit(n_qubits, n_electrons)
+    circuit = hf_reference_circuit(n_qubits, n_electrons or 0)
     slot = 0
     for _ in range(depth):
         for q in range(n_qubits):
@@ -94,6 +96,7 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int = 0) -
         circuit=circuit,
         parameter_count=n_qubits * (depth + 1),
         descriptor=f"hea(depth={depth})",
+        n_electrons=n_electrons,
     )
 
 
@@ -383,7 +386,10 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
 def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log=None) -> VQEResult:
     """Minimize theta -> <psi(theta)|H|psi(theta)> from theta = 0: UCCSD on
     its electron-number block with adjoint gradients, any other ansatz on
-    the full-space circuit with parameter-shift gradients."""
+    the full-space circuit with parameter-shift gradients. Such an ansatz
+    need not conserve N: one that declares n_electrons raises
+    ComputationError unless <N> = sum_b popcount(b) |psi_b|^2 of its final
+    state is that count."""
     config = config or OptimizerConfig()
     if a.circuit.n_qubits != h.n_qubits:
         raise UsageError("ansatz and Hamiltonian qubit counts differ")
@@ -407,6 +413,13 @@ def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log
 
     grad = gradient if config.method == "gradient_descent" else None
     res = minimize(objective, np.zeros(a.parameter_count), config, gradient=grad)
+    if not a.generators and a.n_electrons is not None:
+        probabilities = run_circuit(a.circuit, res.parameters).probabilities
+        found = float(np.bitwise_count(np.arange(probabilities.size)) @ probabilities)
+        if abs(found - a.n_electrons) > 1e-6:
+            raise ComputationError(
+                f"HEA state left the {a.n_electrons}-electron sector: <N> = {found:.6f}"
+            )
     return VQEResult(
         energy=res.value,
         parameters=res.parameters,

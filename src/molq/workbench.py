@@ -23,7 +23,6 @@ from .integrals import Geometry, assign_basis, build_ao_integrals, load_basis
 from .integrals_io import parse_fcidump
 from .pauli import jordan_wigner, serialize_pauli
 from .scf import ao_to_mo, hf_reference_energy, scf_solve
-from .statevector import run_circuit
 from .vqe import (
     OPTIMIZER_METHODS,
     OptimizerConfig,
@@ -105,17 +104,6 @@ def _build_ansatz(spec: ScanSpec, n_qubits: int, n_electrons: int):
     return hardware_efficient_ansatz(n_qubits, spec.depth, n_electrons)
 
 
-def _check_electron_count(ansatz, theta, n_electrons: int):
-    """HEA does not conserve N: fail unless its final state keeps the
-    molecule's electron count, <N> = sum_b popcount(b) |psi_b|^2."""
-    probabilities = run_circuit(ansatz.circuit, theta).probabilities
-    found = float(np.bitwise_count(np.arange(probabilities.size)) @ probabilities)
-    if abs(found - n_electrons) > 1e-6:
-        raise ComputationError(
-            f"HEA state left the {n_electrons}-electron sector: <N> = {found:.6f}"
-        )
-
-
 def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> EnergyRecord:
     """Run one bond length end to end and return its record."""
     if spec.fcidump_pattern is not None:
@@ -163,8 +151,6 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
             method=spec.optimizer, budget=spec.budget, seed=spec.seed
         )
         result = vqe_solve(pauli, ansatz, config)
-        if spec.ansatz == "hea":
-            _check_electron_count(ansatz, result.parameters, mo.n_electrons)
         record.e_vqe = result.energy
         record.evaluations = result.evaluations
 

@@ -199,6 +199,21 @@ def test_vqe_hea(capsys, h2_fcidump):
     assert float(value_after(out, "E_VQE = ")) >= E_EXACT_H2 - 1e-9
 
 
+def test_vqe_hea_outside_the_sector_exits_2(capsys, tmp_path):
+    # at 1.8 Angstrom the depth-2 HEA optimum drifts out of the 2-electron
+    # sector; its energy must not be printed as the molecule's
+    xyz = tmp_path / "h2_stretched.xyz"
+    xyz.write_text("H 0.0 0.0 0.0\nH 0.0 0.0 1.8\n")
+    assert main(["vqe", "--geometry", str(xyz), "--basis", "sto-3g",
+                 "--ansatz", "hea", "--depth", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "E_VQE" not in captured.out
+    assert "HEA state left the 2-electron sector: <N> = " in captured.err
+    # the optimizer's end point moves with the last bits of the integrals
+    found = float(captured.err.rsplit("= ", 1)[1])
+    assert found == pytest.approx(2.010507, abs=1e-5)
+
+
 @pytest.mark.parametrize("method", ["dense", "fci"])
 def test_exact_methods_agree(capsys, h2_fcidump, method):
     assert main(["exact", "--fcidump", h2_fcidump, "--method", method]) == 0

@@ -2,6 +2,7 @@
 and shot sampling."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from molq import (
     run_circuit,
     sample_expectation,
 )
-from molq.statevector import MAX_QUBITS, Statevector
+from molq.statevector import MAX_QUBITS, Gate, Statevector
+from test_pauli import I2, X, term_matrix
 
 
 def state(circ, theta=None):
@@ -111,6 +113,90 @@ def test_slot_density_validated():
     c = Circuit(1).ry(0, slot=3)  # slots 0..2 unused
     with pytest.raises(UsageError):
         run_circuit(c, [0.0, 0.0, 0.0, 0.0])
+
+
+def test_negative_pauli_masks_rejected():
+    # qubits (0,) yet mask -1 would flip every bit through idx ^ -1
+    with pytest.raises(UsageError, match="masks"):
+        run_circuit(Circuit(2).pauli_rot(-1, 0, angle=math.pi))
+    with pytest.raises(UsageError, match="masks"):
+        run_circuit(Circuit(2, [Gate("pauli_rot", (0,), x=1, z=-2)]))
+    with pytest.raises(UsageError, match="masks"):
+        run_circuit(Circuit(2, [Gate("pauli_rot", (0,), x=4)]))
+
+
+def test_gate_arity_checked():
+    for gate in (Gate("cnot", (0,)), Gate("cz", (0, 1, 2)), Gate("ry", (0, 1)),
+                 Gate("x", ())):
+        with pytest.raises(UsageError, match="needs"):
+            run_circuit(Circuit(3, [gate]))
+
+
+def test_unknown_gate_kind_rejected():
+    with pytest.raises(UsageError, match="unknown gate kind"):
+        run_circuit(Circuit(1, [Gate("h", (0,))]))
+
+
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+def kron_on(n, ops):
+    """Kronecker product of one 2x2 factor per qubit, qubit 0 the last."""
+    return reduce(np.kron, [ops.get(q, I2) for q in reversed(range(n))], np.eye(1))
+
+
+def gate_matrix(gate, n, theta):
+    t = gate.effective_angle(theta)
+    c, s = math.cos(0.5 * t), math.sin(0.5 * t)
+    if gate.kind == "x":
+        return kron_on(n, {gate.qubits[0]: X})
+    if gate.kind == "ry":
+        return kron_on(n, {gate.qubits[0]: np.array([[c, -s], [s, c]])})
+    if gate.kind == "rz":
+        return kron_on(n, {gate.qubits[0]: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])})
+    if gate.kind == "cnot":
+        control, target = gate.qubits
+        return kron_on(n, {control: _P0}) + kron_on(n, {control: _P1, target: X})
+    if gate.kind == "cz":
+        a, b = gate.qubits
+        return kron_on(n, {}) - 2.0 * kron_on(n, {a: _P1, b: _P1})
+    return c * kron_on(n, {}) - 1j * s * term_matrix(PauliTerm(1.0, x=gate.x, z=gate.z), n)
+
+
+def test_gates_match_kron_reference():
+    rng = np.random.default_rng(20)
+    seen = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        c = Circuit(n)
+        for _ in range(int(rng.integers(1, 16))):
+            kind = int(rng.integers(0, 6))
+            q = int(rng.integers(0, n))
+            angle = float(rng.uniform(-4, 4))
+            slot = c.parameter_count if rng.random() < 0.5 else None
+            if kind == 0:
+                c.x(q)
+            elif kind == 1:
+                c.ry(q, slot=slot, angle=angle, scale=1.5)
+            elif kind == 2:
+                c.rz(q, slot=slot, angle=angle, scale=-0.5)
+            elif kind in (3, 4) and n > 1:
+                a, b = (int(v) for v in rng.choice(n, 2, replace=False))
+                (c.cnot if kind == 3 else c.cz)(a, b)
+                seen.add(("cnot" if kind == 3 else "cz", a < b))
+            elif kind == 5:
+                x, z = (int(v) for v in rng.integers(0, 2**n, 2))
+                c.pauli_rot(x, z, slot=slot, angle=angle, scale=0.75)
+                if (x | z).bit_count() > 1 and x & z:
+                    seen.add(("pauli_rot", "multi-qubit with Y"))
+        theta = rng.uniform(-3, 3, c.parameter_count)
+        want = np.zeros(2**n, dtype=complex)
+        want[0] = 1.0
+        for gate in c.gates:
+            want = gate_matrix(gate, n, theta) @ want
+        assert_allclose(run_circuit(c, theta).amplitudes, want, rtol=0, atol=1e-12)
+    assert {("cnot", True), ("cnot", False), ("cz", True), ("cz", False),
+            ("pauli_rot", "multi-qubit with Y")} <= seen
 
 
 # ------------------------------------------------------------- expectation
@@ -219,3 +305,25 @@ def test_sampling_shot_validation(h2_hamiltonian):
     psi = state(Circuit(4))
     with pytest.raises(UsageError):
         sample_expectation(psi, h2_hamiltonian, shots=0, seed=0)
+
+
+def test_sampling_rejects_non_integer_shots(h2_hamiltonian):
+    psi = state(Circuit(4))
+    for shots in (2.5, 100.0, "100"):
+        with pytest.raises(UsageError, match="shots"):
+            sample_expectation(psi, h2_hamiltonian, shots, 0)
+
+
+def test_sampling_basis_change_on_eigenstates():
+    # each state is the +1 eigenstate of its string, so every shot reads +1
+    half = math.pi / 2
+    cases = (
+        (Circuit(1).ry(0, angle=half), {0: "X"}),
+        (Circuit(1).ry(0, angle=half).rz(0, angle=half), {0: "Y"}),
+        (Circuit(2).ry(0, angle=half).ry(1, angle=half).rz(1, angle=half), {0: "X", 1: "Y"}),
+    )
+    for circ, letters in cases:
+        psi = state(circ)
+        h = PauliSum(circ.n_qubits, (PauliTerm(1.0, letters),))
+        for seed in range(5):
+            assert sample_expectation(psi, h, shots=500, seed=seed) == 1.0

@@ -97,6 +97,21 @@ def test_hea_finds_correlation_at_stretched_geometry(h2_stretched):
     assert result.energy <= scf.e_hf - 0.01
 
 
+def test_vqe_solve_checks_a_declared_hea_electron_count(sto3g):
+    geom = Geometry.from_angstrom([("H", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 1.8))])
+    _, _, mo = pipeline(geom, sto3g)
+    h = jordan_wigner(build_fermionic_hamiltonian(mo))
+    config = OptimizerConfig(method="nelder_mead", budget=2000, seed=0)
+    declared = hardware_efficient_ansatz(4, 2, 2)
+    assert declared.n_electrons == 2
+    with pytest.raises(ComputationError, match=r"HEA state left the 2-electron sector"):
+        vqe_solve(h, declared, config)
+    # without a count there is no HF prefix and nothing to check against
+    undeclared = hardware_efficient_ansatz(4, 2)
+    assert undeclared.n_electrons is None
+    assert vqe_solve(h, undeclared, config).evaluations > 0
+
+
 # ------------------------------------------------------------- uccsd_ansatz
 def test_uccsd_h2_parameter_count():
     ansatz = uccsd_ansatz(4, 2)
