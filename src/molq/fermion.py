@@ -194,11 +194,12 @@ def freeze_core(mo: MOIntegrals, n_frozen: int) -> MOIntegrals:
     )
 
 
-def _format_coefficient(c) -> str:
-    c = complex(c)
-    if abs(c.imag) <= 1e-12:
-        return repr(c.real)
-    return repr(c)
+def _format_coefficients(column: np.ndarray) -> list:
+    """repr of each coefficient of a column, a complex one as its real part
+    when |imag| <= 1e-12."""
+    if not np.iscomplexobj(column):
+        return list(map(repr, column.tolist()))
+    return [repr(c.real) if abs(c.imag) <= 1e-12 else repr(c) for c in column.tolist()]
 
 
 def serialize_terms(op: FermionOperator, limit: int | None = None) -> str:
@@ -210,14 +211,14 @@ def serialize_terms(op: FermionOperator, limit: int | None = None) -> str:
     """
     counts = (op.factors >= 0).sum(axis=1)
     order = np.lexsort((*op.factors.T[::-1], counts))[:limit]
-    tokens = {code: f"{_KINDS[code & 1]}_{code >> 1}" for code in np.unique(op.factors).tolist()}
-    lines = []
-    for c, row in zip(op.coefficients[order].tolist(), op.factors[order].tolist()):
-        factors = " ".join([tokens[code] for code in row if code >= 0])
-        lines.append(f"{_format_coefficient(c)} * ( {factors} )")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    tokens = [f"{_KINDS[code & 1]}_{code >> 1}" for code in range(2 * op.n_modes)]
+    tokens = np.array(tokens, dtype=object)
+    rows, counts = op.factors[order], counts[order]
+    factors = []   # rows come sorted by factor count, so each count is one run
+    for count in np.unique(counts).tolist():
+        factors += map(" ".join, tokens[rows[counts == count, :count]].tolist())
+    coefficients = _format_coefficients(op.coefficients[order])
+    return "".join(map("{} * ( {} )\n".format, coefficients, factors))
 
 
 _TERM_LINE = re.compile(r"^\s*(?P<coeff>\S+)\s*\*\s*\(\s*(?P<factors>[^()]*?)\s*\)\s*$")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ResourceError, UsageError
-from .fermion import FermionOperator, _coefficient_column, _format_coefficient
+from .fermion import FermionOperator, _coefficient_column, _format_coefficients
 
 COEFF_DROP = 1e-12
 
@@ -280,10 +280,7 @@ def serialize_pauli(s: PauliSum) -> str:
     qubits = np.arange(max(s.n_qubits, 1))
     letters = _LETTER_BYTES[(s.x[:, None] >> qubits & 1) + 2 * (s.z[:, None] >> qubits & 1)]
     patterns = letters.view(f"S{len(qubits)}").ravel().astype(str).tolist()
-    return "".join(
-        f"{_format_coefficient(c)} {pattern}\n"
-        for c, pattern in zip(s.coefficients.tolist(), patterns)
-    )
+    return "".join(map("{} {}\n".format, _format_coefficients(s.coefficients), patterns))
 
 
 _PAULI_LINE = re.compile(r"^\s*(?P<coeff>\S+)\s+(?P<pattern>[IXYZ]+)\s*$")

@@ -69,6 +69,8 @@ class Circuit:
             elif len(gate.qubits) != _ARITY[gate.kind]:
                 raise UsageError(f"{gate.kind} needs {_ARITY[gate.kind]} qubit(s)")
             for q in gate.qubits:
+                if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+                    raise UsageError(f"qubit index {q!r} is not an integer")
                 if not 0 <= q < self.n_qubits:
                     raise UsageError(f"qubit {q} outside 0..{self.n_qubits - 1}")
             if gate.kind in ("cnot", "cz") and gate.qubits[0] == gate.qubits[1]:
@@ -155,10 +157,16 @@ def _apply_gate(amps: np.ndarray, idx: np.ndarray, gate: Gate, theta):
         if gate.kind == "x":
             view[:, [0, 1]] = view[:, [1, 0]]
         elif gate.kind == "ry":
+            # c a0 - s a1 and c a1 + s a0 in place, each product and sum
+            # as the out-of-place form rounds it
             c, s = math.cos(0.5 * t), math.sin(0.5 * t)
-            a0, a1 = view[:, 0].copy(), view[:, 1].copy()
-            view[:, 0] = c * a0 - s * a1
-            view[:, 1] = s * a0 + c * a1
+            a0, a1 = view[:, 0], view[:, 1]
+            saved = a0.copy()
+            a0 *= c
+            product = np.multiply(a1, s)
+            a0 -= product
+            a1 *= c
+            a1 += np.multiply(saved, s, out=product)
         else:
             view[:, 0] *= np.exp(-0.5j * t)
             view[:, 1] *= np.exp(0.5j * t)

@@ -11,8 +11,9 @@ parameter-shift rule exact.
 
 vqe_solve runs each kind on one path, chosen by the kind. UCCSD conserves
 N and S_z, so its state never leaves the (N/2, N/2) determinant block: H
-(a dense matrix) and every G_k (gather arrays, one entry per row) are built
-once per solve over that block (UCCSDBlock), each factor is applied exactly as
+(a dense matrix) and every G_k (gather arrays, one entry per row) are read
+once per solve from their compiled operators on that block (UCCSDBlock,
+in real arithmetic when both are real). Each factor is applied exactly as
 exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2, which holds because
 G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA leaves
 the block and runs its circuit on the full-space simulator, with
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
-from .exact import _flip_blocks, pauli_matrix, sector_basis
+from .exact import compile_operator, pauli_matrix, sector_basis
 from .fermion import FermionOperator
 from .pauli import PauliSum, jordan_wigner
 from .statevector import MAX_QUBITS, Circuit, run_circuit, expectation
@@ -172,10 +173,15 @@ class UCCSDBlock:
     determinant block.
 
     The state has no amplitude outside the block, so psi^dagger H_B psi
-    equals <psi|H|psi> for any H, number-conserving or not. H_B is a dense
-    matrix (pauli_matrix, whose guard bounds the block). The strings of one
+    equals <psi|H|psi> for any H, number-conserving or not. H_B and every
+    G_k come from their BlockOperators (see `exact`): H_B densified
+    (pauli_matrix, whose guard bounds the block, checked before any
+    generator is compiled), each G_k as gather arrays. The strings of one
     G_k share one flip mask, so G_k psi = val * psi[src] (val = 0 on rows
-    G_k does not reach) and G_k^2 is diagonal, val * val[src].
+    G_k does not reach) and G_k^2 is diagonal, val * val[src]. The block
+    keeps one dtype: float64 for the reference, the state and lambda when
+    H_B and every G_k are real, as molecular Hamiltonians and UCCSD
+    generators are in this basis; complex128 otherwise.
     """
 
     def __init__(self, h: PauliSum, a: Ansatz):
@@ -185,16 +191,19 @@ class UCCSDBlock:
             raise ResourceError(f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
         basis = sector_basis(h.n_qubits, a.n_electrons)
         self.h = pauli_matrix(h, basis)
-        self.generators = []
+        ops = []
         for generator in a.generators:
-            blocks = list(_flip_blocks(generator, basis))
-            if len(blocks) > 1:
+            if np.unique(generator.x).size > 1:
                 raise UsageError("an excitation generator must have one flip mask")
-            src, val = np.arange(len(basis)), np.zeros(len(basis), dtype=complex)
-            for rows, cols, values in blocks:
-                src[rows], val[rows] = cols, values
+            ops.append(compile_operator(generator, basis))
+        dtype = np.result_type(self.h, *{op.values.dtype for op in ops})
+        self.h = self.h.astype(dtype, copy=False)
+        self.generators = []
+        for op in ops:
+            src, val = np.arange(len(basis)), np.zeros(len(basis), dtype=dtype)
+            src[op.rows], val[op.rows] = op.cols, op.values
             self.generators.append((src, val, val * val[src]))
-        self.reference = np.zeros(len(basis), dtype=complex)
+        self.reference = np.zeros(len(basis), dtype=dtype)
         occupied = sum(1 << q for q in _hf_occupied(h.n_qubits, a.n_electrons))
         self.reference[np.searchsorted(basis, occupied)] = 1.0
         self.hermitian = bool(np.all(np.abs(h.coefficients.imag) <= 1e-12))

@@ -1,22 +1,31 @@
-"""Dense diagonalization and the determinant-basis FCI oracle."""
+"""The compiled block operator, dense and Lanczos diagonalization, and
+the determinant-basis FCI oracle."""
 
 import numpy as np
 import pytest
 
+import molq.exact
 from molq import (
+    Geometry,
     build_fermionic_hamiltonian,
     dense_ground_energy,
     fci_determinant_oracle,
     jordan_wigner,
     pauli_matrix,
 )
-from molq.errors import ResourceError, UsageError
-from molq.exact import DENSE_MAX_QUBITS
+from molq.errors import ComputationError, ResourceError, UsageError
+from molq.exact import (
+    DENSE_MAX_QUBITS,
+    LANCZOS_MIN_STATES,
+    _lanczos,
+    compile_operator,
+    sector_basis,
+)
 from molq.integrals_io import MOIntegrals
-from molq.pauli import PauliSum, PauliTerm
-from molq.statevector import Statevector, expectation
+from molq.pauli import _PHASE_VALUES, PauliSum, PauliTerm
+from molq.statevector import Statevector, expectation, pauli_signs
 
-from conftest import penalty_strength, random_mo_integrals, with_number_penalty
+from conftest import penalty_strength, pipeline, random_mo_integrals, with_number_penalty
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -85,6 +94,162 @@ def test_pauli_matrix_on_a_basis_is_the_submatrix():
     basis = np.array([1, 2, 4, 7], dtype=np.int64)
     full = pauli_matrix(s)
     assert np.array_equal(pauli_matrix(s, basis), full[np.ix_(basis, basis)])
+
+
+# ---------------------------------------------------------------------------
+# compile_operator against the per-flip-mask loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def flip_mask_entries(s, basis):
+    """(rows, cols, values) of s over a sorted basis, one pass per
+    distinct flip mask x: the strings with that x map column b to row
+    b ^ x where that lies in the basis, with value coefficient *
+    pauli_phase(b) summed in term order."""
+    rows, cols, values = [], [], []
+    for x in np.unique(s.x).tolist():
+        mine = s.x == x
+        targets = basis ^ x
+        found = np.minimum(np.searchsorted(basis, targets), len(basis) - 1)
+        hit = basis[found] == targets
+        z = s.z[mine]
+        coefficients = s.coefficients[mine] * _PHASE_VALUES[np.bitwise_count(x & z) & 3]
+        rows.append(found[hit])
+        cols.append(np.flatnonzero(hit))
+        values.append(coefficients @ pauli_signs(basis[hit], z[:, None]))
+    return tuple(np.concatenate(column) for column in (rows, cols, values))
+
+
+def assert_matches_flip_mask_loop(s, basis):
+    op = compile_operator(s, basis)
+    rows, cols, values = flip_mask_entries(s, basis)
+    want, got = np.argsort(rows * len(basis) + cols), np.argsort(op.rows * len(basis) + op.cols)
+    assert np.array_equal(op.rows[got], rows[want])
+    assert np.array_equal(op.cols[got], cols[want])
+    assert np.max(np.abs(op.values[got] - values[want]), initial=0.0) <= 1e-14
+    return op
+
+
+MOLECULES = {  # (atoms, charge), all STO-3G
+    "H2": ([("H", (0, 0, 0)), ("H", (0, 0, 0.7354))], 0),
+    "H4": ([("H", (0, 0, 0.9 * k)) for k in range(4)], 0),
+    "LiH-H2": ([("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)),
+                ("H", (0, 0, 3.34))], 0),
+    "HeH+": ([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], 1),
+    "H6": ([("H", (0, 0, 0.9 * k)) for k in range(6)], 0),
+}
+
+
+@pytest.fixture(scope="module")
+def molecules(sto3g):
+    """name -> (qubit Hamiltonian, electron count, HF energy)."""
+    out = {}
+    for name, (atoms, charge) in MOLECULES.items():
+        _, scf, mo = pipeline(Geometry.from_angstrom(atoms, charge=charge), sto3g)
+        out[name] = (jordan_wigner(build_fermionic_hamiltonian(mo)), mo.n_electrons, scf.e_hf)
+    return out
+
+
+@pytest.mark.parametrize("name", MOLECULES)
+def test_operator_matches_the_flip_mask_loop(molecules, name):
+    h, n_electrons, _ = molecules[name]
+    full = np.arange(2**h.n_qubits, dtype=np.int64)
+    for basis in (full, sector_basis(h.n_qubits, n_electrons)):
+        op = assert_matches_flip_mask_loop(h, basis)
+        assert op.values.dtype == np.float64  # molecular Hamiltonians are real here
+
+
+def test_operator_matches_the_flip_mask_loop_on_complex_sums():
+    """Random strings with complex coefficients (not Hermitian) and with
+    real ones (Hermitian, complex entries where a string has an odd Y
+    count), neither number-conserving: the complex path and every flip
+    mask run."""
+    rng = np.random.default_rng(41)
+    for n_qubits in (2, 5, 8):
+        masks = rng.integers(0, 2**n_qubits, size=(60, 2))
+        coefficients = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        full = np.arange(2**n_qubits, dtype=np.int64)
+        for c in (coefficients, coefficients.real):
+            s = PauliSum(n_qubits, x=masks[:, 0], z=masks[:, 1], coefficients=c)
+            for basis in (full, np.sort(rng.choice(full, 2**n_qubits // 2, replace=False))):
+                op = assert_matches_flip_mask_loop(s, basis)
+                assert op.values.dtype == np.complex128
+                mat = op.dense()
+                assert op.hermitian == (c is not coefficients)
+                assert op.hermitian == (np.max(np.abs(mat - mat.conj().T)) <= 1e-10)
+                psi = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+                assert np.allclose(op.apply(psi), mat @ psi, rtol=0, atol=1e-12)
+
+
+def test_operator_chunks_whole_flip_mask_groups(molecules, monkeypatch):
+    # a chunk of a few terms splits H4 into many runs, never inside a group
+    h, n_electrons, _ = molecules["H4"]
+    basis = sector_basis(h.n_qubits, n_electrons)
+    monkeypatch.setattr(molq.exact, "OPERATOR_CHUNK_ENTRIES", 3 * len(basis))
+    assert_matches_flip_mask_loop(h, basis)
+
+
+def test_operator_guard_refuses_before_building(molecules, monkeypatch):
+    h, n_electrons, _ = molecules["H4"]
+    basis = sector_basis(h.n_qubits, n_electrons)
+    entries = len(compile_operator(h, basis).rows)
+
+    def no_build(*args):
+        raise AssertionError("an entry was built before the guard")
+
+    monkeypatch.setattr(molq.exact, "pauli_signs", no_build)
+    monkeypatch.setattr(molq.exact, "OPERATOR_MAX_BYTES", 24 * entries - 1)
+    with pytest.raises(ResourceError, match=f"{entries} operator entries"):
+        compile_operator(h, basis)
+    with pytest.raises(ResourceError, match="operator guard"):
+        dense_ground_energy(h, n_electrons)
+
+
+# ---------------------------------------------------------------------------
+# Lanczos
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["H4", "H6"])
+def test_lanczos_matches_eigh_on_blocks(molecules, name):
+    h, n_electrons, _ = molecules[name]
+    op = compile_operator(h, sector_basis(h.n_qubits, n_electrons))
+    energy, vector = _lanczos(op.apply, op.dim, op.values.dtype)
+    assert energy == pytest.approx(np.linalg.eigvalsh(op.dense())[0], abs=1e-10)
+    assert np.linalg.norm(op.apply(vector) - energy * vector) <= 1e-9
+
+
+def test_lanczos_matches_eigh_on_a_random_symmetric_operator(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((700, 700))
+    a = a + a.T
+    energy, vector = _lanczos(lambda v: a @ v, 700, np.float64)
+    assert energy == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-10)
+    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr(molq.exact, "LANCZOS_MAX_STEPS", 5)
+    with pytest.raises(ComputationError, match="did not converge in 5 steps"):
+        _lanczos(lambda v: a @ v, 700, np.float64)
+
+
+def test_h8_block_is_solved_by_lanczos(sto3g):
+    """Linear H8 at 0.9 A: 16 qubits, a (4, 4) block of 4 900 states, past
+    the dense guard and solved on its operator."""
+    geometry = Geometry.from_angstrom([("H", (0, 0, 0.9 * k)) for k in range(8)])
+    _, scf, mo = pipeline(geometry, sto3g)
+    h = jordan_wigner(build_fermionic_hamiltonian(mo))
+    basis = sector_basis(16, 8)
+    assert len(basis) == 4900 > max(LANCZOS_MIN_STATES, 2**DENSE_MAX_QUBITS)
+    result = dense_ground_energy(h, 8)
+    amplitudes = result.ground_vector.amplitudes
+    v = amplitudes[basis]
+    assert np.all(amplitudes[np.setdiff1d(np.arange(2**16), basis)] == 0)
+    rows, cols, values = flip_mask_entries(h, basis)
+    hv = np.zeros(len(basis), dtype=complex)
+    np.add.at(hv, rows, values * v[cols])
+    assert np.linalg.norm(hv - result.ground_energy * v) <= 1e-8
+    occupation = np.bitwise_count(np.arange(2**16)) @ np.abs(amplitudes) ** 2
+    assert occupation == pytest.approx(8.0, abs=1e-10)
+    assert result.ground_energy < scf.e_hf
 
 
 # ---------------------------------------------------------------------------

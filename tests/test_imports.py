@@ -1,6 +1,6 @@
-"""`import molq`, the database commands and an FCIDUMP-to-UCCSD gradient-
-descent point load numpy, not scipy; the names the benchmark tracer wraps
-still exist.
+"""`import molq`, the database commands, an FCIDUMP-to-UCCSD gradient-
+descent point and a Lanczos-sized exact energy load numpy, not scipy; the
+names the benchmark tracer wraps still exist.
 
 scipy is imported inside the two functions that call it (Nelder-Mead and
 boys_f0). The checks run in a fresh interpreter because the test process
@@ -42,6 +42,26 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
+# dense_ground_energy on a block above LANCZOS_MIN_STATES: random 8-fold
+# symmetric integrals on 7 orbitals, 6 electrons, a (3, 3) block of 1 225.
+LANCZOS_CHILD = """\
+import sys
+import numpy as np
+import molq
+from molq.exact import LANCZOS_MIN_STATES, sector_basis
+rng = np.random.default_rng(int(sys.argv[1]))
+n = 7
+h = rng.standard_normal((n, n))
+g = rng.standard_normal((n, n, n, n))
+perms = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+         (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+mo = molq.MOIntegrals(n, 6, h + h.T, sum(g.transpose(p) for p in perms) / 8, 0.0)
+assert len(sector_basis(2 * n, 6)) > LANCZOS_MIN_STATES
+molq.dense_ground_energy(molq.jordan_wigner(molq.build_fermionic_hamiltonian(mo)), 6)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
 def scipy_modules_loaded(child, argument):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -58,6 +78,10 @@ def test_import_and_db_commands_load_no_scipy(tmp_path):
 def test_fcidump_uccsd_gradient_descent_loads_no_scipy():
     fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
     assert scipy_modules_loaded(FCIDUMP_GD_CHILD, fcidump) == "[]"
+
+
+def test_lanczos_exact_energy_loads_no_scipy():
+    assert scipy_modules_loaded(LANCZOS_CHILD, 3) == "[]"
 
 
 def test_benchmark_trace_bindings_resolve(monkeypatch):

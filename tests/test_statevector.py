@@ -132,6 +132,12 @@ def test_gate_arity_checked():
             run_circuit(Circuit(3, [gate]))
 
 
+def test_non_integer_qubit_index_rejected():
+    for gate in (Gate("x", (0.5,)), Gate("cnot", (0, 1.0)), Gate("ry", (True,))):
+        with pytest.raises(UsageError, match="not an integer"):
+            run_circuit(Circuit(2, [gate]))
+
+
 def test_unknown_gate_kind_rejected():
     with pytest.raises(UsageError, match="unknown gate kind"):
         run_circuit(Circuit(1, [Gate("h", (0,))]))

@@ -238,6 +238,22 @@ def test_block_energy_matches_circuit(system, h2_hamiltonian, h4_hamiltonian):
         assert abs(block.energy(theta) - full) <= 1e-12
 
 
+def test_block_keeps_one_dtype(h2_hamiltonian, h4_hamiltonian):
+    # real H and generators keep the whole block real; a complex H makes
+    # every array complex, so no product mixes the two
+    rng = np.random.default_rng(29)
+    for h, n_electrons, dtype in ((h2_hamiltonian, 2, np.float64),
+                                  (h4_hamiltonian, 4, np.float64),
+                                  (random_hermitian_sum(4, 30, rng), 2, np.complex128)):
+        ansatz = uccsd_ansatz(h.n_qubits, n_electrons)
+        block = UCCSDBlock(h, ansatz)
+        theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
+        arrays = [block.h, block.reference, block.state(theta)]
+        arrays += [array for generator in block.generators for array in generator[1:]]
+        assert {array.dtype for array in arrays} == {np.dtype(dtype)}
+        assert block.gradient(theta).dtype == np.float64
+
+
 @pytest.mark.parametrize("system", ["H2", "H4"])
 def test_adjoint_gradient_matches_parameter_shift(system, h2_hamiltonian, h4_hamiltonian):
     h, n_electrons = {"H2": (h2_hamiltonian, 2), "H4": (h4_hamiltonian, 4)}[system]
