@@ -18,10 +18,10 @@ builds whole groups a chunk at a time, so no temporary holds more than
 OPERATOR_CHUNK_ENTRIES values; an operator of more than
 OPERATOR_MAX_BYTES is refused before it is built.
 
-dense_ground_energy runs eigh on a block of up to LANCZOS_MIN_STATES
-states and Lanczos on BlockOperator.apply above it; the whole Fock space
-(no electron count) is always dense, and pauli_matrix refuses a basis of
-more than 2**DENSE_MAX_QUBITS states.
+pauli_matrix refuses a basis of more than 2**DENSE_MAX_QUBITS states.
+dense_ground_energy runs eigh on every block within that guard and
+Lanczos on BlockOperator.apply only on a block past it; the whole Fock
+space (no electron count) is always dense, within the guard.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from .statevector import MAX_QUBITS, Statevector, pauli_signs
 # A 2**12 complex matrix is 268 MB, its eigenvectors as much again
 DENSE_MAX_QUBITS = 12
 FCI_MAX_ORBITALS = 6
-# Largest block solved by eigh: on H8/STO-3G blocks, real eigh and Lanczos
-# each took 19 ms at 400 states; at 784, 100 ms against 51 (2-core Xeon)
-LANCZOS_MIN_STATES = 500
 # Lanczos stops once the lowest Ritz pair's residual is at most LANCZOS_TOL
 # times the largest |Ritz value|
 LANCZOS_TOL = 1e-12
@@ -106,20 +103,24 @@ def compile_operator(s: PauliSum, basis: np.ndarray) -> BlockOperator:
     A string with masks (x, z) maps |b> to pauli_phase(b) |b ^ x>, so the
     strings sharing one flip mask x fill the same entries: column b, row
     b ^ x where that lies in the basis. The terms are sorted by x (stably,
-    so each group keeps term order); each term's row of signs over the
-    basis times its coefficient and i^|x&z| phase is summed per group
-    with np.add.reduceat, and one searchsorted over basis ^ x finds the
-    rows. The values are float64 when every phased coefficient is real,
-    complex128 otherwise. The entries are counted from the hits before
-    any is stored.
+    so each group keeps term order) and one searchsorted over basis ^ x
+    finds each group's hit columns and their rows. Every term is signed
+    on its group's hit columns only, times its coefficient and i^|x&z|
+    phase, and each entry sums its group's products (np.add.reduceat, in
+    term order). The values are float64 when every phased coefficient is
+    real, complex128 otherwise. Where every flip mask hitting every column
+    could pass OPERATOR_MAX_BYTES, the hits are counted before any entry is
+    built.
     """
     order = np.argsort(s.x, kind="stable")
     x, z = s.x[order], s.z[order]
     coefficients = s.coefficients[order] * _PHASE_VALUES[np.bitwise_count(x & z) & 3]
     if not np.any(coefficients.imag):
         coefficients = coefficients.real
-    flips, starts = np.unique(x, return_index=True)
-    bounds = np.append(starts, len(x))
+    # bounds: where each run of one flip mask starts, then len(x) (x[:1] >= 0
+    # is [True] unless there are no terms)
+    bounds = np.flatnonzero(np.concatenate((x[:1] >= 0, x[1:] != x[:-1], [True])))
+    flips = x[bounds[:-1]]
     chunks = list(_chunks(bounds, len(basis)))
 
     def targets(g0, g1):
@@ -127,27 +128,33 @@ def compile_operator(s: PauliSum, basis: np.ndarray) -> BlockOperator:
         found = np.minimum(np.searchsorted(basis, flipped), len(basis) - 1)
         return found, basis[found] == flipped
 
-    n_entries = sum(np.count_nonzero(targets(g0, g1)[1]) for g0, g1 in chunks)
-    if n_entries * (16 + coefficients.itemsize) > OPERATOR_MAX_BYTES:   # int64 row and col
-        raise ResourceError(
-            f"{n_entries} operator entries exceed the {OPERATOR_MAX_BYTES >> 20} MB operator guard"
-        )
+    entry_bytes = 16 + coefficients.itemsize   # int64 row and col
+    if len(flips) * len(basis) * entry_bytes > OPERATOR_MAX_BYTES:
+        n_entries = sum(np.count_nonzero(targets(g0, g1)[1]) for g0, g1 in chunks)
+        if n_entries * entry_bytes > OPERATOR_MAX_BYTES:
+            raise ResourceError(
+                f"{n_entries} operator entries exceed the {OPERATOR_MAX_BYTES >> 20} MB operator guard"
+            )
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     values = [np.zeros(0, dtype=coefficients.dtype)]
     hermitian = True
     for g0, g1 in chunks:
-        t0, t1 = bounds[g0], bounds[g1]
         found, hit = targets(g0, g1)
-        terms = pauli_signs(basis, z[t0:t1, None]) * coefficients[t0:t1, None]
-        # sums[g, c]: the entry of group g in column c, at row found[g, c]
-        sums = np.add.reduceat(terms, bounds[g0:g1] - t0, axis=0)
-        group, col = np.nonzero(hit)
+        group, col = np.nonzero(hit)   # entries by group, columns ascending
         row = found[group, col]
+        # each entry's products with its group's terms, in term order
+        n_terms = (bounds[g0 + 1 : g1 + 1] - bounds[g0:g1])[group]
+        first = np.cumsum(n_terms) - n_terms
+        term = np.arange(n_terms.sum()) + np.repeat(bounds[g0:g1][group] - first, n_terms)
+        products = pauli_signs(np.repeat(basis[col], n_terms), z[term]) * coefficients[term]
+        value = np.add.reduceat(products, first)
         rows.append(row)
         cols.append(col)
-        values.append(sums[group, col])
-        # the transposed entry (col, row) is group g's entry in column row
-        hermitian &= bool(np.all(np.abs(values[-1] - sums[group, row].conj()) <= 1e-10))
+        values.append(value)
+        # the transposed entry (col, row) is the same group's entry in column row
+        key = group * len(basis)
+        transposed = np.searchsorted(key + col, key + row)
+        hermitian &= bool(np.all(np.abs(value - value[transposed].conj()) <= 1e-10))
     return BlockOperator(
         len(basis), np.concatenate(rows), np.concatenate(cols), np.concatenate(values), hermitian
     )
@@ -222,8 +229,8 @@ def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> Spectrum
     With n_electrons, only the (ceil(N/2), floor(N/2)) determinant block
     is diagonalized: for a spin-free, number-conserving Hamiltonian that
     block holds the N-electron ground state, whatever the parity of N. A
-    block of up to LANCZOS_MIN_STATES states is densified and solved by
-    eigh, a larger one by Lanczos on its BlockOperator. Without
+    block within the dense guard (2**DENSE_MAX_QUBITS states) is densified
+    and solved by eigh, a larger one by Lanczos on its BlockOperator. Without
     n_electrons, the whole Fock space is diagonalized densely (within
     DENSE_MAX_QUBITS) and the lowest state of any electron count is
     returned. Either way the operator's dtype is kept (real for a real
@@ -241,7 +248,7 @@ def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> Spectrum
     op = compile_operator(h, basis)
     if not op.hermitian:
         raise UsageError("PauliSum is not Hermitian")
-    if n_electrons is not None and op.dim > LANCZOS_MIN_STATES:
+    if op.dim > 2**DENSE_MAX_QUBITS:
         energy, vector = _lanczos(op.apply, op.dim, op.values.dtype)
     else:
         eigenvalues, eigenvectors = np.linalg.eigh(op.dense())

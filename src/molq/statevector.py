@@ -157,16 +157,10 @@ def _apply_gate(amps: np.ndarray, idx: np.ndarray, gate: Gate, theta):
         if gate.kind == "x":
             view[:, [0, 1]] = view[:, [1, 0]]
         elif gate.kind == "ry":
-            # c a0 - s a1 and c a1 + s a0 in place, each product and sum
-            # as the out-of-place form rounds it
             c, s = math.cos(0.5 * t), math.sin(0.5 * t)
-            a0, a1 = view[:, 0], view[:, 1]
-            saved = a0.copy()
-            a0 *= c
-            product = np.multiply(a1, s)
-            a0 -= product
-            a1 *= c
-            a1 += np.multiply(saved, s, out=product)
+            a0, a1 = view[:, 0].copy(), view[:, 1].copy()
+            view[:, 0] = c * a0 - s * a1
+            view[:, 1] = s * a0 + c * a1
         else:
             view[:, 0] *= np.exp(-0.5j * t)
             view[:, 1] *= np.exp(0.5j * t)

@@ -42,13 +42,16 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-# dense_ground_energy on a block above LANCZOS_MIN_STATES: random 8-fold
-# symmetric integrals on 7 orbitals, 6 electrons, a (3, 3) block of 1 225.
+# dense_ground_energy on a block past the dense guard, which the child
+# lowers to 10 qubits: random 8-fold symmetric integrals on 7 orbitals, 6
+# electrons, a (3, 3) block of 1 225 states.
 LANCZOS_CHILD = """\
 import sys
 import numpy as np
 import molq
-from molq.exact import LANCZOS_MIN_STATES, sector_basis
+import molq.exact
+from molq.exact import sector_basis
+molq.exact.DENSE_MAX_QUBITS = 10
 rng = np.random.default_rng(int(sys.argv[1]))
 n = 7
 h = rng.standard_normal((n, n))
@@ -56,7 +59,7 @@ g = rng.standard_normal((n, n, n, n))
 perms = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
          (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
 mo = molq.MOIntegrals(n, 6, h + h.T, sum(g.transpose(p) for p in perms) / 8, 0.0)
-assert len(sector_basis(2 * n, 6)) > LANCZOS_MIN_STATES
+assert len(sector_basis(2 * n, 6)) > 2**molq.exact.DENSE_MAX_QUBITS
 molq.dense_ground_energy(molq.jordan_wigner(molq.build_fermionic_hamiltonian(mo)), 6)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
