@@ -84,12 +84,14 @@ class EnergyRecord:
             raise UsageError("record needs a molecule label")
         if self.record_id:
             check_record_id(self.record_id, UsageError)
-        for name in ("e_hf", "e_vqe", "e_exact"):
+        for name in ("bond_length", "e_hf", "e_vqe", "e_exact"):
             value = getattr(self, name)
-            if value is not None and not (
-                isinstance(value, (int, float)) and math.isfinite(value)
-            ):
+            if value is not None and not _finite_real(value):
                 raise UsageError(f"{name} must be a finite number, got {value!r}")
+        for name in ("n_qubits", "evaluations", "seed"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         for lo, hi in (("e_exact", "e_hf"), ("e_exact", "e_vqe")):
             a, b = getattr(self, lo), getattr(self, hi)
             if a is not None and b is not None and b < a - VARIATIONAL_SLACK:
@@ -103,6 +105,16 @@ class EnergyRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "EnergyRecord":
         return cls(**data)
+
+
+def _finite_real(value) -> bool:
+    """An int or float (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int past the float range
+        return False
 
 
 _CONTAINERS = (list, tuple, dict)

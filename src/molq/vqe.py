@@ -20,6 +20,12 @@ the block and runs its circuit on the full-space simulator, with
 parameter-shift gradients and, when it declares its electron count, a check
 of <N> on its final state. The circuit, `expectation` and
 `parameter_shift_gradient` stay the oracles of the block path.
+
+`minimize` holds the three optimizers, all under one evaluation budget and
+all failing on a non-finite objective value. Nelder-Mead is molq's own
+loop on Python floats; it evaluates the same points as scipy.optimize's
+Nelder-Mead with the same simplex, tolerances and budget, which stays its
+oracle in the tests, so no VQE path imports scipy.
 """
 
 from __future__ import annotations
@@ -292,6 +298,84 @@ class MinimizeResult:
         yield from (self.parameters, self.value, self.evaluations)
 
 
+class _BudgetSpent(Exception):
+    """A Nelder-Mead step asked for an evaluation past the budget."""
+
+
+def _nelder_mead(f, theta0: list, budget: int) -> bool:
+    """Minimize f from theta0 by scipy's Nelder-Mead (non-adaptive, no
+    bounds), iterate for iterate, on Python floats: reflection 1, expansion
+    2, contraction 0.5 and shrink 0.5 about the best vertex, starting from
+    the simplex theta0 + 0.1 e_k. Each step first tests NM_XATOL and
+    NM_FATOL; an evaluation past the budget aborts its step, and the
+    simplex is re-sorted after every step, aborted or not. f must return
+    finite floats. Returns whether it converged within the budget.
+
+    scipy also stops after `budget` steps, which never binds first: the
+    simplex costs n + 1 calls and every later step at least one.
+    """
+    n, calls = len(theta0), 0
+
+    def value(x):
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return f(x)
+
+    def ordered(sim, fsim):
+        # np.argsort, as scipy: it decides the order of tied values
+        ind = np.argsort(fsim).tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+    sim = [list(theta0) for _ in range(n + 1)]
+    for k in range(n):
+        sim[k + 1][k] += 0.1
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = value(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = ordered(sim, fsim)
+    while calls < budget:
+        best, worst = sim[0], sim[-1]
+        if (max(abs(x - b) for row in sim[1:] for x, b in zip(row, best)) <= NM_XATOL
+                and max(abs(fsim[0] - v) for v in fsim[1:]) <= NM_FATOL):
+            break
+        xbar = best                             # rows summed from the first
+        for row in sim[1:-1]:
+            xbar = [s + x for s, x in zip(xbar, row)]
+        xbar = [s / n for s in xbar]
+
+        def along(c):                           # (1 + c) xbar - c worst
+            return [(1.0 + c) * s - c * w for s, w in zip(xbar, worst)]
+
+        try:
+            xr = along(1.0)
+            fxr = value(xr)
+            if fxr < fsim[0]:
+                xe = along(2.0)
+                fxe = value(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = along(0.5 if outside else -0.5)
+                fxc = value(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (x - b) for x, b in zip(sim[j], best)]
+                        fsim[j] = value(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return calls < budget
+
+
 def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=None) -> MinimizeResult:
     """Derivative-free / gradient minimization, deterministic given the seed.
 
@@ -311,6 +395,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
         x = np.asarray(x, dtype=float)
         state["count"] += 1
         value = float(objective(x))
+        if not math.isfinite(value):
+            raise ComputationError(f"objective evaluation {state['count']} returned {value}")
         if value < state["best_value"]:
             state["best_value"] = value
             state["best_theta"] = x.copy()
@@ -329,25 +415,7 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
         return result(True)
 
     if config.method == "nelder_mead":
-        import scipy.optimize   # here, so `import molq` loads no scipy
-
-        simplex = np.tile(theta0, (n_params + 1, 1))
-        for k in range(n_params):
-            simplex[k + 1, k] += 0.1
-        res = scipy.optimize.minimize(
-            f,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "fatol": NM_FATOL,
-                "xatol": NM_XATOL,
-                "maxfev": config.budget,
-                "maxiter": config.budget,
-                "disp": False,
-            },
-        )
-        return result(bool(res.success))
+        return result(_nelder_mead(f, theta0.tolist(), config.budget))
 
     if config.method == "spsa":
         rng = np.random.default_rng(config.seed)

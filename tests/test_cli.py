@@ -377,6 +377,24 @@ def test_db_put_rejects_a_record_id_of_other_content(capsys, tmp_path):
     assert EnergyDB(db_dir).list_ids() == []
 
 
+def test_db_put_rejects_mistyped_fields_and_the_db_still_reads(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g", "bond_length": 0.7354,
+                                "e_hf": E_HF_H2, "e_exact": E_EXACT_H2}))
+    assert main(["db", "put", "--db", str(db_dir), str(good)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g",
+                               "bond_length": "abc", "e_hf": True}))
+    assert main(["db", "put", "--db", str(db_dir), str(bad)]) == 1
+    assert "bond_length must be a finite number" in capsys.readouterr().err
+    assert len(list((db_dir / "records").iterdir())) == 1
+    for command in (["db", "query"], ["db", "list"], ["curve", "--molecule", "H2"]):
+        assert main(command + ["--db", str(db_dir)]) == 0
+        assert "0.7354" in capsys.readouterr().out
+
+
 def test_db_list_matches_the_per_id_path(capsys, tmp_path, monkeypatch):
     # re-puts, an id with a version gap and an id without v1
     db = EnergyDB(tmp_path / "db")

@@ -103,6 +103,28 @@ def test_validate_rejects_non_finite_energy(tmp_path, field, value):
     assert db.list_ids() == []
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bond_length", "abc"), ("bond_length", float("nan")), ("bond_length", True),
+    pytest.param("bond_length", 10**400, id="bond_length-huge-int"), ("e_hf", True), ("e_exact", False),
+])
+def test_validate_rejects_a_non_real_number(field, value):
+    with pytest.raises(UsageError, match=f"{field} must be a finite number"):
+        make_record(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_qubits", 4.0), ("n_qubits", True), ("evaluations", "211"),
+    ("seed", 7.5), ("seed", False),
+])
+def test_validate_rejects_a_non_integer_count(field, value):
+    with pytest.raises(UsageError, match=f"{field} must be an integer"):
+        make_record(**{field: value}).validate()
+
+
+def test_validate_accepts_integer_lengths_and_missing_counts():
+    make_record(bond_length=1, n_qubits=None, evaluations=None, seed=None).validate()
+
+
 def test_validate_skips_missing_energies():
     make_record(e_exact=None).validate()
     make_record(e_vqe=None, e_hf=None).validate()

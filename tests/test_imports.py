@@ -1,10 +1,11 @@
 """`import molq`, the database commands, an FCIDUMP-to-UCCSD gradient-
-descent point and a Lanczos-sized exact energy load numpy, not scipy; the
-names the benchmark tracer wraps still exist.
+descent point, a `molq vqe` run with the default Nelder-Mead and a
+Lanczos-sized exact energy load numpy, not scipy; the names the benchmark
+tracer wraps still exist.
 
-scipy is imported inside the two functions that call it (Nelder-Mead and
-boys_f0). The checks run in a fresh interpreter because the test process
-has scipy loaded already.
+scipy is imported only inside boys_f0 (erf), the one function that calls
+it. The checks run in a fresh interpreter because the test process has
+scipy loaded already.
 """
 
 import importlib
@@ -38,6 +39,18 @@ h = molq.jordan_wigner(molq.build_fermionic_hamiltonian(mo))
 molq.dense_ground_energy(h, mo.n_electrons)
 config = molq.OptimizerConfig(method="gradient_descent", budget=120)
 molq.vqe_solve(h, molq.uccsd_ansatz(h.n_qubits, mo.n_electrons), config)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+# `molq vqe` on an FCIDUMP with the default optimizer, Nelder-Mead.
+CLI_VQE_CHILD = """\
+import contextlib
+import io
+import sys
+import molq.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = molq.cli.main(["vqe", "--fcidump", sys.argv[1], "--freeze", "1"])
+assert code == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -81,6 +94,11 @@ def test_import_and_db_commands_load_no_scipy(tmp_path):
 def test_fcidump_uccsd_gradient_descent_loads_no_scipy():
     fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
     assert scipy_modules_loaded(FCIDUMP_GD_CHILD, fcidump) == "[]"
+
+
+def test_cli_vqe_nelder_mead_loads_no_scipy():
+    fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
+    assert scipy_modules_loaded(CLI_VQE_CHILD, fcidump) == "[]"
 
 
 def test_lanczos_exact_energy_loads_no_scipy():

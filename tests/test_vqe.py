@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 from numpy.testing import assert_allclose
 
@@ -408,6 +409,78 @@ def test_unknown_method_rejected():
 def test_result_unpacks_as_triple():
     theta, value, evals = minimize(lambda t: (t[0] - 1) ** 2, [0.0])
     assert abs(theta[0] - 1.0) <= 1e-6 and value <= 1e-10 and evals > 0
+
+
+def recorded(objective):
+    """objective, and the list of (x, value) it appends each call to."""
+    calls = []
+
+    def f(t):
+        value = float(objective(np.asarray(t, dtype=float)))
+        calls.append((tuple(np.asarray(t, dtype=float).tolist()), value))
+        return value
+
+    return f, calls
+
+
+def nelder_mead_objectives(h2_hamiltonian):
+    """Rosenbrock from (-1.2, 1), the 3-parameter H2 UCCSD block energy and
+    an 8-parameter HEA depth-1 energy, whose initial simplex has tied
+    vertices, each from its start point."""
+    def rosen(t):
+        return (1 - t[0]) ** 2 + 100.0 * (t[1] - t[0] ** 2) ** 2
+
+    hea = hardware_efficient_ansatz(4, 1, 2)
+    return {
+        "rosenbrock": (rosen, [-1.2, 1.0]),
+        "h2-uccsd": (UCCSDBlock(h2_hamiltonian, uccsd_ansatz(4, 2)).energy, [0.0] * 3),
+        "hea-depth-1": (lambda t: expectation(run_circuit(hea.circuit, t), h2_hamiltonian),
+                        [0.0] * 8),
+    }
+
+
+@pytest.mark.parametrize("budget", [2000, 37, 3])
+@pytest.mark.parametrize("case", ["rosenbrock", "h2-uccsd", "hea-depth-1"])
+def test_nelder_mead_iterates_match_scipy(h2_hamiltonian, case, budget):
+    # scipy's Nelder-Mead with the same simplex, tolerances and budget is
+    # the oracle: every evaluated point and value, bit for bit
+    from molq.vqe import NM_FATOL, NM_XATOL
+
+    objective, theta0 = nelder_mead_objectives(h2_hamiltonian)[case]
+    n = len(theta0)
+    simplex = np.tile(theta0, (n + 1, 1))
+    simplex[1:] += 0.1 * np.eye(n)
+    f, expected = recorded(objective)
+    res = scipy.optimize.minimize(f, theta0, method="Nelder-Mead", options={
+        "initial_simplex": simplex, "fatol": NM_FATOL, "xatol": NM_XATOL,
+        "maxfev": budget, "maxiter": budget,
+    })
+    f, seen = recorded(objective)
+    result = minimize(f, theta0, OptimizerConfig(method="nelder_mead", budget=budget))
+    assert seen == expected
+    assert result.evaluations == len(seen) == min(res.nfev, budget)
+    assert result.converged == res.success
+    assert result.value == min(value for _, value in seen)
+    if case == "hea-depth-1":
+        vertices = [objective(row) for row in simplex]
+        assert len(set(vertices)) < len(vertices)
+
+
+@pytest.mark.parametrize("method", ["nelder_mead", "spsa", "gradient_descent"])
+def test_non_finite_objective_fails_by_evaluation(method):
+    config = OptimizerConfig(method=method, budget=200, seed=3)
+    with pytest.raises(ComputationError, match=r"objective evaluation 1 returned nan"):
+        minimize(lambda t: math.nan, [0.5, -0.3], config)
+    # a value past the first few is never taken as the best either
+    count = [0]
+
+    def f(t):
+        count[0] += 1
+        return -math.inf if count[0] == 5 else float(np.sum(t**2))
+
+    with pytest.raises(ComputationError, match=r"objective evaluation 5 returned -inf"):
+        minimize(f, [0.5, -0.3], config)
+    assert count[0] == 5
 
 
 # ----------------------------------------------------------------- vqe_solve
