@@ -67,7 +67,7 @@ print(f"{len(pauli.coefficients)} strings fit in {len(groups)} simultaneously "
 for k, group in enumerate(groups, start=1):
     basis_map = group_measurement_basis(group)
     label = "".join(basis_map.get(q, "Z") for q in range(pauli.n_qubits))
-    patterns = ", ".join(t.pattern(pauli.n_qubits) for t in group)
+    patterns = ", ".join(line.split()[1] for line in serialize_pauli(group).splitlines())
     print(f"  group {k} (measure {label}): {patterns}")
 
 print("\n== 7. Cross-check against SCF ==")

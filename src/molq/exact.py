@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
 from .integrals_io import MOIntegrals
-from .pauli import _PHASE_VALUES, PauliSum
-from .statevector import MAX_QUBITS, Statevector, pauli_signs
+from .pauli import _PHASE_VALUES, MAX_QUBITS, PauliSum, pauli_signs
+from .statevector import Statevector
 
 # A 2**12 complex matrix is 268 MB, its eigenvectors as much again
 DENSE_MAX_QUBITS = 12

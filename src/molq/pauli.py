@@ -10,8 +10,10 @@ operators to strings with Z parity chains:
     a_p  -> 1/2 (X_p + i Y_p) Z_{p-1} ... Z_0
 
 A PauliSum is stored as three columns: int64 masks `x` and `z` and its
-`coefficients`, the form JW, the simulator, the exact path and the text
-format all read; PauliTerms are only built when `terms` is read.
+`coefficients`, the one form JW, the simulator, the exact path, QWC
+grouping (one PauliSum per group), sampling and the text format all read;
+PauliTerms are only built when `terms` is read. A string acts as
+P|b> = pauli_phase(b) |b ^ x>, whose (-1)^|b&z| part is `pauli_signs`.
 `pauli_multiply` is the product rule on one pair of terms. The transform
 applies the same rule to the columns of a FermionOperator: its rows are
 grouped by factor count and each group is expanded in one array pass per
@@ -47,6 +49,15 @@ MAX_QUBITS = 24
 MASK_QUBITS = 62
 
 
+def _letters(x: int, z: int) -> dict:
+    """{qubit: letter} of the string with masks (x, z), ascending."""
+    return {
+        q: _LETTERS[(x >> q & 1) | (z >> q & 1) << 1]
+        for q in range((x | z).bit_length())
+        if (x | z) >> q & 1
+    }
+
+
 @dataclass(init=False)
 class PauliTerm:
     """coefficient * Pauli string (identity on qubits outside the masks).
@@ -74,12 +85,7 @@ class PauliTerm:
     @property
     def letters(self) -> dict:
         """{qubit: letter} over the non-identity qubits, ascending."""
-        support = self.x | self.z
-        return {
-            q: _LETTERS[(self.x >> q & 1) | (self.z >> q & 1) << 1]
-            for q in range(support.bit_length())
-            if support >> q & 1
-        }
+        return _letters(self.x, self.z)
 
     @property
     def weight(self) -> int:
@@ -145,6 +151,17 @@ def pauli_multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
         - (x & z).bit_count()
     )
     return PauliTerm(a.coefficient * b.coefficient * _PHASES[k % 4], x=x, z=z)
+
+
+def pauli_signs(idx: np.ndarray, z) -> np.ndarray:
+    """(-1)^|b&z| for each basis index b in idx; a column of z masks gives
+    one row of signs per mask."""
+    return 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
+
+
+def pauli_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
+    """<b ^ x|P|b> for each basis index b in idx: i^|x&z| (-1)^|b&z|."""
+    return (1j) ** (x & z).bit_count() * pauli_signs(idx, z)
 
 
 def _merge_sorted(n_qubits: int, x, z, coeffs) -> tuple:
@@ -238,41 +255,31 @@ def jordan_wigner(op: FermionOperator) -> PauliSum:
     return PauliSum(op.n_modes, x=x, z=z, coefficients=c)
 
 
-def _qubitwise_commute(a: PauliTerm, b: PauliTerm) -> bool:
-    """True iff the letters agree on every qubit where both act."""
-    return (((a.x ^ b.x) | (a.z ^ b.z)) & (a.x | a.z) & (b.x | b.z)) == 0
-
-
 def qwc_group(s: PauliSum) -> list:
     """Greedy first-fit grouping of terms into qubit-wise-commuting sets.
 
-    Two terms fit together iff on every qubit their letters agree or at
-    least one is identity. Returns a list of term lists covering the input.
+    Two strings fit together iff on every qubit their letters agree or at
+    least one is identity; a term joins the first group whose union masks
+    it fits. Returns one PauliSum per group, its terms in input order.
     """
-    groups = []
-    bases = []  # per group, a term holding the union of its members' masks
-    for term in s.terms:
-        for group, basis in zip(groups, bases):
-            if _qubitwise_commute(basis, term):
-                group.append(term)
-                basis.x |= term.x
-                basis.z |= term.z
+    rows, unions = [], []   # per group: its term rows and its union masks (x, z)
+    for row, (x, z) in enumerate(zip(s.x.tolist(), s.z.tolist())):
+        for k, (ux, uz) in enumerate(unions):
+            if ((ux ^ x) | (uz ^ z)) & (ux | uz) & (x | z) == 0:
+                rows[k].append(row)
+                unions[k] = (ux | x, uz | z)
                 break
         else:
-            groups.append([term])
-            bases.append(PauliTerm(1.0, x=term.x, z=term.z))
-    return groups
+            rows.append([row])
+            unions.append((x, z))
+    return [PauliSum(s.n_qubits, x=s.x[r], z=s.z[r], coefficients=s.coefficients[r]) for r in rows]
 
 
-def group_measurement_basis(group: list) -> dict:
-    """Union letter map of a QWC group: the shared measurement basis."""
-    basis = PauliTerm(1.0)
-    for term in group:
-        if not _qubitwise_commute(basis, term):
-            raise UsageError("terms do not qubit-wise commute")
-        basis.x |= term.x
-        basis.z |= term.z
-    return basis.letters
+def group_measurement_basis(group: PauliSum) -> dict:
+    """{qubit: letter} of a QWC group's union masks: its shared measurement basis."""
+    if len(qwc_group(group)) > 1:
+        raise UsageError("terms do not qubit-wise commute")
+    return _letters(int(np.bitwise_or.reduce(group.x)), int(np.bitwise_or.reduce(group.z)))
 
 
 def serialize_pauli(s: PauliSum) -> str:
@@ -289,7 +296,7 @@ _PAULI_LINE = re.compile(r"^\s*(?P<coeff>\S+)\s+(?P<pattern>[IXYZ]+)\s*$")
 def parse_pauli(text: str) -> PauliSum:
     """Inverse of serialize_pauli; n_qubits is the pattern length, which
     every line must share."""
-    terms = []
+    coefficients, patterns = [], []
     n_qubits = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -310,6 +317,13 @@ def parse_pauli(text: str) -> PauliSum:
             raise ParseError(
                 f"{len(pattern)}-qubit pattern after {n_qubits}-qubit ones", line=lineno
             )
-        letters = {q: c for q, c in enumerate(pattern) if c != "I"}
-        terms.append(PauliTerm(coeff, letters))
-    return PauliSum(n_qubits, terms)
+        coefficients.append(coeff)
+        patterns.append(pattern)
+    if n_qubits > MASK_QUBITS:  # before the weights 1 << q overflow int64
+        raise ResourceError(f"{n_qubits} qubits exceed the {MASK_QUBITS}-qubit int64 masks")
+    # each letter's code x_bit + 2 * z_bit: its index in serialize_pauli's table
+    letters = np.frombuffer("".join(patterns).encode(), dtype="S1").reshape(-1, 1)
+    codes = np.argmax(letters == _LETTER_BYTES, axis=1).reshape(len(patterns), n_qubits)
+    weights = 1 << np.arange(n_qubits, dtype=np.int64)
+    return PauliSum(n_qubits, x=(codes & 1) @ weights, z=(codes >> 1) @ weights,
+                    coefficients=coefficients)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
-from .pauli import MAX_QUBITS, PauliSum, qwc_group
+from .pauli import MAX_QUBITS, PauliSum, pauli_phase, pauli_signs, qwc_group
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,6 @@ class Statevector:
         return np.abs(self.amplitudes) ** 2
 
 
-def pauli_signs(idx: np.ndarray, z) -> np.ndarray:
-    """(-1)^|b&z| for each basis index b in idx; a column of z masks gives
-    one row of signs per mask."""
-    return 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-
-
-def pauli_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
-    """<b ^ x|P|b> for each basis index b in idx: i^|x&z| (-1)^|b&z|."""
-    return (1j) ** (x & z).bit_count() * pauli_signs(idx, z)
-
-
 def _apply_gate(amps: np.ndarray, idx: np.ndarray, gate: Gate, theta):
     """Apply one validated gate to amps in place; idx is arange(amps.size)."""
     t = gate.effective_angle(theta)
@@ -202,25 +191,14 @@ def expectation(psi: Statevector, h: PauliSum) -> float:
     return float(total.real)
 
 
-def _basis_rotation(n_qubits: int, x: int, z: int) -> Circuit:
-    """Circuit mapping the strings under the union masks (x, z) to a
-    computational-basis Z measurement: an X bit needs RY(-pi/2), a Y bit
-    (x & z) RZ(-pi/2) then RY(-pi/2)."""
-    rot = Circuit(n_qubits)
-    for q in range(x.bit_length()):
-        if x >> q & 1:
-            if z >> q & 1:
-                rot.rz(q, angle=-0.5 * math.pi)
-            rot.ry(q, angle=-0.5 * math.pi)
-    return rot
-
-
 def sample_expectation(psi: Statevector, h: PauliSum, shots: int, seed: int) -> float:
     """Shot-sampled <psi|H|psi> sharing samples across each QWC group.
 
     Each group's terms are estimated from the same `shots` bitstrings drawn
-    after rotating a copy of psi into the group's shared basis. Identical
-    (psi, h, shots, seed) reproduce the result bit for bit.
+    after rotating a copy of psi into the group's shared basis: on each
+    qubit of its union masks (x, z), an X bit takes RY(-pi/2) and a Y bit
+    (x & z) RZ(-pi/2) then RY(-pi/2). Identical (psi, h, shots, seed)
+    reproduce the result bit for bit.
     """
     if psi.n_qubits != h.n_qubits:
         raise UsageError("statevector and Hamiltonian qubit counts differ")
@@ -229,16 +207,16 @@ def sample_expectation(psi: Statevector, h: PauliSum, shots: int, seed: int) -> 
     rng = np.random.default_rng(seed)
     total = 0.0
     for group in qwc_group(h):
-        x = z = 0
-        for term in group:
-            x, z = x | term.x, z | term.z
+        x, z = int(np.bitwise_or.reduce(group.x)), int(np.bitwise_or.reduce(group.z))
         rotated = psi.amplitudes.copy()
-        for gate in _basis_rotation(psi.n_qubits, x, z).gates:
-            _apply_gate(rotated, None, gate, ())   # RY and RZ need no index
+        for q in range(x.bit_length()):
+            if x >> q & 1:
+                if z >> q & 1:
+                    _apply_gate(rotated, None, Gate("rz", (q,), angle=-0.5 * math.pi), ())
+                _apply_gate(rotated, None, Gate("ry", (q,), angle=-0.5 * math.pi), ())
         probs = np.abs(rotated) ** 2
         probs /= probs.sum()
         samples = rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
-        for term in group:
-            values = pauli_signs(samples, term.x | term.z)
-            total += complex(term.coefficient).real * float(np.mean(values))
+        for support, c in zip((group.x | group.z).tolist(), group.coefficients.real.tolist()):
+            total += c * float(np.mean(pauli_signs(samples, support)))
     return total

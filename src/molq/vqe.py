@@ -413,6 +413,11 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
     if n_params == 0:
         f(theta0)
         return result(True)
+    # too small for one SPSA pair or one gradient step: theta0 is the answer
+    first_step = {"spsa": 2, "gradient_descent": 1 + 2 * n_params}.get(config.method, 1)
+    if config.budget < first_step:
+        f(theta0)
+        return result(False)
 
     if config.method == "nelder_mead":
         return result(_nelder_mead(f, theta0.tolist(), config.budget))

@@ -57,6 +57,16 @@ def h2_hamiltonian(h2_equilibrium):
 
 
 @pytest.fixture(scope="session")
+def lih_h2_hamiltonian(sto3g):
+    """Mapped qubit Hamiltonian for the LiH...H2 chain, 10 qubits."""
+    geom = Geometry.from_angstrom(
+        [("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)), ("H", (0, 0, 3.34))]
+    )
+    _, _, mo = pipeline(geom, sto3g)
+    return jordan_wigner(build_fermionic_hamiltonian(mo))
+
+
+@pytest.fixture(scope="session")
 def h2_stretched(sto3g):
     """H2 / STO-3G at 2.0 Angstrom (stretched): ao, scf, mo."""
     geom = Geometry.from_angstrom([("H", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 2.0))])

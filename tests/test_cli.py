@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,17 @@ def test_vqe_budget_below_one_exits_1(capsys, h2_fcidump):
     captured = capsys.readouterr()
     assert "budget" in captured.err
     assert "E_VQE" not in captured.out
+
+
+@pytest.mark.parametrize("optimizer, budget", [("gd", "3"), ("spsa", "1")])
+def test_vqe_budget_below_one_step_evaluates_theta0(capsys, optimizer, budget):
+    # a gradient step costs 1 + 2 * 3 evaluations here, an SPSA step 2
+    assert main(["vqe", "--fcidump", LIH_FCIDUMP, "--freeze", "1",
+                 "--optimizer", optimizer, "--budget", budget]) == 0
+    out = capsys.readouterr().out
+    assert int(value_after(out, "evaluations = ")) == 1
+    assert math.isfinite(float(value_after(out, "E_VQE = ")))
+    assert "converged = false" in out
 
 
 def test_scan_budget_below_one_writes_nothing(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import molq.vqe
+from molq.cli import main
 from molq import (
     ANNIHILATION,
     CREATION,
@@ -23,17 +24,21 @@ from molq import (
     canonicalize,
     freeze_core,
     group_measurement_basis,
+    hardware_efficient_ansatz,
     jordan_wigner,
     parse_fcidump,
     parse_pauli,
     pauli_multiply,
     qwc_group,
+    run_circuit,
+    sample_expectation,
     serialize_pauli,
     uccsd_ansatz,
 )
 from conftest import pipeline
 
 FCIDUMPS = sorted((Path(__file__).resolve().parent.parent / "data" / "fcidump").glob("*.fcidump"))
+LIH_FCIDUMP = FCIDUMPS[0].parent / "lih_d1.60.fcidump"
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -317,25 +322,105 @@ def test_conflicting_terms_split():
     x0 = PauliTerm(1.0, {0: "X"})
     groups = qwc_group(PauliSum(2, (z0, z0z1, x0)))
     assert len(groups) == 2
-    assert {t.pattern_key() for t in groups[0]} == {z0.pattern_key(), z0z1.pattern_key()}
-    assert {t.pattern_key() for t in groups[1]} == {x0.pattern_key()}
+    assert {t.pattern_key() for t in groups[0].terms} == {z0.pattern_key(), z0z1.pattern_key()}
+    assert {t.pattern_key() for t in groups[1].terms} == {x0.pattern_key()}
 
 
 def test_identical_terms_one_group():
     terms = tuple(PauliTerm(float(k + 1), {0: "Y", 2: "Y"}) for k in range(4))
     groups = qwc_group(PauliSum(3, terms))
-    assert len(groups) == 1 and len(groups[0]) == 4
+    assert len(groups) == 1 and len(groups[0].coefficients) == 4
 
 
 def test_h2_hamiltonian_group_count(h2_hamiltonian):
     groups = qwc_group(h2_hamiltonian)
     assert len(groups) <= 5
-    assert sum(len(g) for g in groups) == len(h2_hamiltonian.terms)
+    assert sum(len(g.coefficients) for g in groups) == len(h2_hamiltonian.terms)
 
 
 def test_group_measurement_basis_unions_letters():
-    g = [PauliTerm(1.0, {0: "Z"}), PauliTerm(1.0, {0: "Z", 1: "X"})]
+    g = PauliSum(2, (PauliTerm(1.0, {0: "Z"}), PauliTerm(1.0, {0: "Z", 1: "X"})))
     assert group_measurement_basis(g) == {0: "Z", 1: "X"}
+
+
+def reference_qwc_group(s):
+    """The object-based grouping: each term is tested against a PauliTerm
+    holding its group's union masks, first fit."""
+    groups, bases = [], []
+    for term in s.terms:
+        for group, basis in zip(groups, bases):
+            if ((basis.x ^ term.x) | (basis.z ^ term.z)) & (basis.x | basis.z) & (term.x | term.z) == 0:
+                group.append(term)
+                basis.x |= term.x
+                basis.z |= term.z
+                break
+        else:
+            groups.append([term])
+            bases.append(PauliTerm(1.0, x=term.x, z=term.z))
+    return groups
+
+
+def assert_same_partition(s):
+    groups = qwc_group(s)
+    assert all(g.n_qubits == s.n_qubits for g in groups)
+    assert [[(t.x, t.z, t.coefficient) for t in g.terms] for g in groups] == [
+        [(t.x, t.z, t.coefficient) for t in g] for g in reference_qwc_group(s)
+    ]
+    for g in groups:
+        letters = {}
+        for t in g.terms:
+            letters.update(t.letters)
+        assert group_measurement_basis(g) == dict(sorted(letters.items()))
+    return groups
+
+
+def test_qwc_group_matches_the_object_grouping(sto3g, h2_hamiltonian, lih_h2_hamiltonian):
+    h4 = pipeline(Geometry.from_angstrom([("H", (0, 0, 0.9 * k)) for k in range(4)]), sto3g)[2]
+    for s, n_groups in (
+        (h2_hamiltonian, 5),
+        (jordan_wigner(build_fermionic_hamiltonian(h4)), None),
+        (lih_h2_hamiltonian, 194),
+    ):
+        groups = assert_same_partition(s)
+        assert n_groups is None or len(groups) == n_groups
+
+
+def test_qwc_group_matches_the_object_grouping_on_random_sums():
+    # random masks are mostly Y-bearing; every third row comes back as a duplicate
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        masks = rng.integers(0, 2**n, size=(int(rng.integers(0, 30)), 2))
+        masks = rng.permutation(np.concatenate([masks, masks[::3]]))
+        coefficients = rng.standard_normal(len(masks))
+        if rng.random() < 0.5:
+            coefficients = coefficients + 1j * rng.standard_normal(len(masks))
+        assert_same_partition(PauliSum(n, x=masks[:, 0], z=masks[:, 1], coefficients=coefficients))
+    with pytest.raises(UsageError, match="qubit-wise commute"):
+        group_measurement_basis(PauliSum(1, x=[1, 0], z=[0, 1], coefficients=[1.0, 1.0]))
+    assert qwc_group(PauliSum(2)) == [] and group_measurement_basis(PauliSum(2)) == {}
+
+
+def test_grouping_sampling_and_parsing_build_no_pauli_terms(h2_hamiltonian, monkeypatch, capsys):
+    psi = run_circuit(hardware_efficient_ansatz(4, 1).circuit, np.linspace(0.3, 1.1, 8))
+    text = serialize_pauli(h2_hamiltonian)
+    built = []
+    init = PauliTerm.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PauliTerm, "__init__", counting)
+    for group in qwc_group(h2_hamiltonian):
+        group_measurement_basis(group)
+    sample_expectation(psi, h2_hamiltonian, shots=100, seed=0)
+    parse_pauli(text)
+    assert main(["ham", "--fcidump", str(LIH_FCIDUMP), "--pauli"]) == 0
+    assert capsys.readouterr().out
+    assert built == []
+    PauliSum(1, (PauliTerm(1.0),)).terms  # the counter does see a construction
+    assert len(built) == 2
 
 
 # --------------------------------------------------------------- text format
@@ -352,6 +437,28 @@ def test_serialize_pattern_orientation():
     s = PauliSum(3, (PauliTerm(1.0, {0: "X"}),))
     line = serialize_pauli(s).strip()
     assert line.split()[1] == "XII"
+
+
+def test_parse_serialize_byte_identical(h2_hamiltonian, lih_h2_hamiltonian):
+    lih = parse_fcidump(LIH_FCIDUMP.read_text())
+    for s in (h2_hamiltonian, jordan_wigner(build_fermionic_hamiltonian(lih)), lih_h2_hamiltonian):
+        text = serialize_pauli(s)
+        back = parse_pauli(text)
+        assert serialize_pauli(back) == text
+        assert back.n_qubits == s.n_qubits
+        assert np.array_equal(back.x, s.x) and np.array_equal(back.z, s.z)
+
+
+def test_parse_pauli_mask_edges():
+    top = parse_pauli("0.5 " + "I" * 61 + "Y\n-1.0 X" + "Z" * 61 + "\n")
+    assert top.x.tolist() == [1 << 61, 1] and top.z.tolist() == [1 << 61, 2**62 - 2]
+    assert top.coefficients.tolist() == [0.5, -1.0]
+    assert parse_pauli("").n_qubits == 0 and len(parse_pauli("\n \n").coefficients) == 0
+    with pytest.raises(ResourceError, match="63 qubits"):
+        parse_pauli("1.0 " + "X" * 63 + "\n")
+    with pytest.raises(ParseError) as err:  # a bad line still wins, as it is read first
+        parse_pauli("1.0 " + "X" * 63 + "\nbroken\n")
+    assert err.value.line == 2
 
 
 def test_parse_pauli_errors():

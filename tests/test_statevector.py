@@ -284,7 +284,7 @@ def test_sampling_within_three_sigma(h2_hamiltonian):
     from molq import qwc_group
 
     bound = sum(
-        sum(abs(t.coefficient) for t in g) ** 2 for g in qwc_group(h2_hamiltonian)
+        sum(abs(t.coefficient) for t in g.terms) ** 2 for g in qwc_group(h2_hamiltonian)
     )
     sigma = math.sqrt(bound / shots)
     errs = [
@@ -292,6 +292,27 @@ def test_sampling_within_three_sigma(h2_hamiltonian):
         for s in range(8)
     ]
     assert max(errs) <= 3.0 * sigma
+
+
+# sample_expectation(HEA depth-1 state at theta = linspace(0.3, 1.1, P), h,
+# shots=2000, seed) for seeds 0..3, as the PauliTerm grouping and a
+# basis-rotation Circuit computed them: the mask path must match bit for bit
+PINNED_SAMPLES = {
+    "H2": [-0.01378985798334317, -0.015229342169422377,
+           0.0022222814782123547, -0.003992611135844202],
+    "LiH...H2": [-2.829318403268031, -2.8652219316520435,
+                 -2.8434084064491087, -2.7864818465355734],
+}
+
+
+def test_sampling_values_are_pinned(h2_hamiltonian, lih_h2_hamiltonian):
+    from molq import hardware_efficient_ansatz
+
+    for name, h in (("H2", h2_hamiltonian), ("LiH...H2", lih_h2_hamiltonian)):
+        ansatz = hardware_efficient_ansatz(h.n_qubits, 1)
+        psi = state(ansatz.circuit, np.linspace(0.3, 1.1, ansatz.parameter_count))
+        found = [sample_expectation(psi, h, shots=2000, seed=seed) for seed in range(4)]
+        assert found == PINNED_SAMPLES[name]
 
 
 def test_sampling_error_shrinks_with_shots(h2_hamiltonian):

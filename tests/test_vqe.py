@@ -378,6 +378,21 @@ def test_budget_respected():
         assert result.evaluations == count[0]
 
 
+def test_budget_below_one_step_evaluates_theta0():
+    # SPSA needs 2 evaluations a step, gradient descent 1 + 2 * P
+    def f(t):
+        return float(np.sum((t - 1.0) ** 2))
+
+    for method, budget in (("spsa", 1), ("gradient_descent", 1), ("gradient_descent", 4)):
+        result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=budget))
+        assert (result.evaluations, result.value, result.converged) == (1, 8.0, False)
+        assert_allclose(result.parameters, [3.0, -1.0], rtol=0, atol=0)
+    # a budget that fits the first step takes it, as before
+    for method, budget in (("spsa", 2), ("gradient_descent", 5)):
+        result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=budget))
+        assert result.evaluations == budget
+
+
 @pytest.mark.parametrize("method", ["nelder_mead", "spsa", "gradient_descent"])
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_below_one_rejected(method, budget):
