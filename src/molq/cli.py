@@ -41,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _limit(text: str) -> int:
+    """argparse type of --limit: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"want an int >= 0, got {text!r}")
+    return value
+
+
 def _write_output(text: str, output: str | None):
     if output:
         Path(output).write_text(text)
@@ -285,7 +296,7 @@ def build_parser() -> _Parser:
 
     p = add("ham", cmd_ham, "print the second-quantized Hamiltonian terms")
     add_input_flags(p)
-    p.add_argument("--limit", type=int, help="print at most N terms")
+    p.add_argument("--limit", type=_limit, help="print at most N terms")
     p.add_argument("--pauli", action="store_true", help="print the Jordan-Wigner form")
     p.add_argument("--output", help="write the listing here")
 
@@ -348,7 +359,7 @@ def build_parser() -> _Parser:
     q.add_argument("--method", choices=("hf", "vqe", "exact"))
     q.add_argument("--ansatz", choices=("hea", "uccsd"),
                    help="only records of this VQE ansatz")
-    q.add_argument("--limit", type=int)
+    q.add_argument("--limit", type=_limit)
 
     q = dbsub.add_parser("audit", help="print integrity problems; exit 2 if any")
     q.add_argument("--db", required=True, help="database directory")

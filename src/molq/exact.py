@@ -266,16 +266,9 @@ def _parity_below(mask: int, orbital: int) -> int:
     return bin(mask & ((1 << orbital) - 1)).count("1") & 1
 
 
-def _single_phase(det: int, hole: int, particle: int) -> int:
-    sign = _parity_below(det, hole)
-    det ^= 1 << hole
-    sign ^= _parity_below(det, particle)
-    return -1 if sign else 1
-
-
 def _double_phase(det: int, holes, particles) -> int:
     """Phase of a+_{p1} a+_{p2} a_{h2} a_{h1} |det> with holes=(h1,h2),
-    particles=(p1,p2)."""
+    particles=(p1,p2); a single excitation passes one of each."""
     sign = 0
     m = det
     for hole in holes:
@@ -359,7 +352,7 @@ def fci_determinant_oracle(mo: MOIntegrals) -> float:
                 value = h1(particle, hole) + sum(
                     anti(particle, q, hole, q) for q in common
                 )
-                value *= _single_phase(d1, hole, particle)
+                value *= _double_phase(d1, (hole,), (particle,))
             elif n_diff == 4:
                 holes = occupied(d1 & diff)
                 particles = occupied(d2 & diff)

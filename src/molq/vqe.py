@@ -4,10 +4,12 @@ parameter-shift gradients, classical optimizers.
 Both ansatz kinds start from the Hartree-Fock reference (theta = 0 prepares
 it exactly). UCCSD is the product over slots k of exp(theta_k G_k), with
 G_k = JW(T_k - T_k^dagger) the anti-Hermitian generator of one spin-
-conserving excitation. Its circuit holds one native Pauli rotation
-exp(-i phi/2 P) per string P of each G_k (the strings of one G_k commute);
-phi enters a shared slot through the gate's scale factor, which keeps the
-parameter-shift rule exact.
+conserving excitation. Every G_k comes from one jordan_wigner call over a
+table holding each T_k and T_k^dagger as a row of factor codes. The
+circuit holds one native Pauli rotation exp(-i phi/2 P) per string P of
+each G_k (the strings of one G_k commute); phi enters a shared slot
+through the gate's scale factor, which keeps the parameter-shift rule
+exact.
 
 vqe_solve runs each kind on one path, chosen by the kind. UCCSD conserves
 N and S_z, so its state never leaves the (N/2, N/2) determinant block: H
@@ -107,69 +109,61 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int | None
     )
 
 
-def _append_excitation(circuit: Circuit, codes: tuple, n_qubits: int, slot: int) -> PauliSum:
-    """Append exp(theta_slot * (T - T^dagger)) for the ladder product T with
-    factor `codes` (see `fermion`) and return its generator, the
-    Jordan-Wigner image of T - T^dagger.
-
-    That image is a sum of mutually commuting Pauli strings with purely
-    imaginary coefficients i*k; each becomes one exponential factor with
-    phi = -2*k*theta.
-    """
-    codes = np.array(codes)
-    adjoint = codes[::-1] ^ 1  # reversed, each a+ <-> a
-    generator = FermionOperator(
-        n_qubits, coefficients=[1.0, -1.0], factors=np.stack([codes, adjoint])
-    )
-    image = jordan_wigner(generator)
-    if np.any(np.abs(image.coefficients.real) > 1e-12):
-        raise UsageError("excitation generator is not anti-Hermitian")
-    scales = (-2.0 * image.coefficients.imag).tolist()
-    for x, z, scale in zip(image.x.tolist(), image.z.tolist(), scales):
-        circuit.pauli_rot(x, z, slot=slot, scale=scale)
-    return image
-
-
 def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
     """HF prefix plus Trotterized spin-conserving singles and alpha-beta
-    doubles, one parameter per excitation."""
+    doubles, one parameter per excitation.
+
+    Rows 2k and 2k+1 of one FermionOperator hold T_k and T_k^dagger with
+    coefficients 1 and -1, and one jordan_wigner call maps them all. T_k
+    flips exactly its own modes and no two slots flip the same set, so each
+    string's x mask names its slot and its merged coefficient sums only that
+    slot's rows; a stable sort by slot keeps each slot's strings in JW
+    order. The strings of one slot commute, and each string i*k P becomes
+    one exp(-i phi/2 P) with phi = -2*k*theta.
+    """
     if n_qubits % 2 != 0:
         raise UsageError("blocked spin ordering needs an even qubit count")
     if n_electrons % 2 != 0 or n_electrons <= 0:
         raise UsageError("UCCSD needs a positive even electron count")
     n_spatial = n_qubits // 2
     n_occ = n_electrons // 2
-    n_virt = n_spatial - n_occ
-    if n_virt <= 0:
+    if n_spatial <= n_occ:
         raise UsageError("no virtual orbitals to excite into")
-
+    virtuals = range(n_occ, n_spatial)
+    singles = [  # a+_a a_i
+        (2 * (a + spin), 2 * (i + spin) + 1)
+        for spin in (0, n_spatial) for i in range(n_occ) for a in virtuals
+    ]
+    doubles = [  # a+_a a+_(b beta) a_(j beta) a_i
+        (2 * a, 2 * (b + n_spatial), 2 * (j + n_spatial) + 1, 2 * i + 1)
+        for i in range(n_occ) for j in range(n_occ) for a in virtuals for b in virtuals
+    ]
+    rows, flips = [], []
+    for codes in singles + doubles:
+        pad = (-1,) * (4 - len(codes))
+        rows += [codes + pad, tuple(code ^ 1 for code in reversed(codes)) + pad]  # T_k, T_k^dagger
+        flips.append(sum(1 << (code >> 1) for code in codes))  # its modes are distinct
+    image = jordan_wigner(FermionOperator(
+        n_qubits, coefficients=np.tile([1.0, -1.0], len(flips)), factors=rows
+    ))
+    if np.any(np.abs(image.coefficients.real) > 1e-12):
+        raise UsageError("excitation generator is not anti-Hermitian")
+    slot_of = {flip: k for k, flip in enumerate(flips)}
+    slot = np.array([slot_of[flip] for flip in image.x.tolist()])
+    order = np.argsort(slot, kind="stable")
+    slot, x, z, c = slot[order], image.x[order], image.z[order], image.coefficients[order]
     circuit = hf_reference_circuit(n_qubits, n_electrons)
-    generators = []
-    n_singles = 0
-    for spin in (0, n_spatial):
-        for i in range(n_occ):
-            for a in range(n_occ, n_spatial):
-                codes = (2 * (a + spin), 2 * (i + spin) + 1)  # a+_a a_i
-                generators.append(
-                    _append_excitation(circuit, codes, n_qubits, len(generators))
-                )
-                n_singles += 1
-    n_doubles = 0
-    for i in range(n_occ):
-        for j in range(n_occ):
-            for a in range(n_occ, n_spatial):
-                for b in range(n_occ, n_spatial):
-                    # a+_a a+_(b beta) a_(j beta) a_i
-                    codes = (2 * a, 2 * (b + n_spatial), 2 * (j + n_spatial) + 1, 2 * i + 1)
-                    generators.append(
-                        _append_excitation(circuit, codes, n_qubits, len(generators))
-                    )
-                    n_doubles += 1
+    for xi, zi, k, scale in zip(x.tolist(), z.tolist(), slot.tolist(), (-2.0 * c.imag).tolist()):
+        circuit.pauli_rot(xi, zi, slot=k, scale=scale)
+    bounds = np.searchsorted(slot, np.arange(len(flips) + 1)).tolist()
     return Ansatz(
         circuit=circuit,
-        parameter_count=len(generators),
-        descriptor=f"uccsd(singles={n_singles},doubles={n_doubles})",
-        generators=tuple(generators),
+        parameter_count=len(flips),
+        descriptor=f"uccsd(singles={len(singles)},doubles={len(doubles)})",
+        generators=tuple(
+            PauliSum(n_qubits, x=x[s:e], z=z[s:e], coefficients=c[s:e])
+            for s, e in zip(bounds, bounds[1:])
+        ),
         n_electrons=n_electrons,
     )
 
@@ -386,6 +380,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
     config = config or OptimizerConfig()
     if config.budget < 1:
         raise UsageError(f"optimizer budget must be >= 1, got {config.budget}")
+    if config.seed < 0:
+        raise UsageError(f"optimizer seed must be >= 0, got {config.seed}")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     n_params = theta0.size
 

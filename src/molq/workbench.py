@@ -1,6 +1,6 @@
 """Bond-length scan driver and curve emission.
 
-A scan places two fragments a varying distance apart along an axis (or
+A scan places two fragments a varying distance apart along z (or
 ingests pre-computed FCIDUMP files), runs the requested methods at every
 length, and persists one EnergyRecord per point. Points are independent
 jobs: a failing length is recorded with an error note and the scan moves
@@ -39,8 +39,7 @@ class ScanSpec:
     molecule: str                       # formula label, e.g. "H2"
     bond_lengths: list                  # Angstrom, strictly ascending
     fragment_a: list | None = None      # [(symbol, (dx, dy, dz) Angstrom)], placed at origin
-    fragment_b: list | None = None      # placed `length` along `axis`
-    axis: tuple = (0.0, 0.0, 1.0)
+    fragment_b: list | None = None      # placed `length` along z
     basis: str | None = None            # shipped basis name or file path
     fcidump_pattern: str | None = None  # e.g. "lih_{length:.2f}.fcidump"
     methods: tuple = ("hf", "exact")
@@ -77,6 +76,8 @@ class ScanSpec:
             raise UsageError(f"unknown optimizer {self.optimizer!r}")
         if self.budget < 1:
             raise UsageError("budget must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.n_frozen < 0:
             raise UsageError("n_frozen must be >= 0")
         if self.depth < 0:
@@ -86,14 +87,11 @@ class ScanSpec:
 
 
 def _point_geometry(spec: ScanSpec, length: float) -> list:
-    axis = np.asarray(spec.axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
     atoms = []
     for symbol, offset in spec.fragment_a:
         atoms.append([symbol, *(float(x) for x in offset)])
-    shift = length * axis
     for symbol, offset in spec.fragment_b:
-        pos = np.asarray(offset, dtype=float) + shift
+        pos = np.asarray(offset, dtype=float) + (0.0, 0.0, length)
         atoms.append([symbol, *(float(x) for x in pos)])
     return atoms
 

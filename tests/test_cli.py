@@ -135,6 +135,14 @@ def test_ham_limit(capsys, h2_fcidump):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("pauli", [[], ["--pauli"]])
+def test_ham_negative_limit_exits_1(capsys, pauli):
+    assert main(["ham", "--fcidump", LIH_FCIDUMP, "--limit", "-1", *pauli]) == 1
+    captured = capsys.readouterr()
+    assert "--limit" in captured.err
+    assert captured.out == ""
+
+
 def test_ham_pauli_round_trips(capsys, h2_fcidump):
     assert main(["ham", "--fcidump", h2_fcidump, "--pauli"]) == 0
     pauli = parse_pauli(capsys.readouterr().out)
@@ -200,6 +208,26 @@ def test_scan_budget_below_one_writes_nothing(capsys, tmp_path):
                  "--basis", "sto-3g", "--lengths", "0.7", "--methods", "hf,vqe",
                  "--budget", "0", "--db", str(db_dir)]) == 1
     assert "budget" in capsys.readouterr().err
+    assert EnergyDB(db_dir).list_ids() == []
+
+
+def test_vqe_negative_seed_exits_1(capsys):
+    assert main(["vqe", "--fcidump", LIH_FCIDUMP, "--freeze", "1",
+                 "--optimizer", "spsa", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert "E_VQE" not in captured.out
+
+
+def test_scan_negative_seed_writes_nothing(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    pattern = LIH_FCIDUMP.replace("1.60", "{length:.2f}")
+    assert main(["scan", "--molecule", "LiH", "--fcidump-pattern", pattern,
+                 "--lengths", "1.6", "--methods", "hf,vqe", "--freeze", "1",
+                 "--optimizer", "spsa", "--seed", "-1", "--db", str(db_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert captured.out == ""
     assert EnergyDB(db_dir).list_ids() == []
 
 
@@ -346,6 +374,18 @@ def test_db_put_get_query(capsys, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["molecule"] == "H2"
+
+
+def test_db_query_negative_limit_exits_1(capsys, tmp_path):
+    db_dir = str(tmp_path / "db")
+    record_file = tmp_path / "rec.json"
+    record_file.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g", "e_hf": E_HF_H2}))
+    assert main(["db", "put", "--db", db_dir, str(record_file)]) == 0
+    capsys.readouterr()
+    assert main(["db", "query", "--db", db_dir, "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "--limit" in captured.err
+    assert captured.out == ""
 
 
 def test_db_query_filters_by_ansatz(capsys, tmp_path):

@@ -15,6 +15,7 @@ from molq import (
     Ansatz,
     Circuit,
     ComputationError,
+    FermionOperator,
     Geometry,
     OptimizerConfig,
     PauliSum,
@@ -149,6 +150,53 @@ def test_uccsd_matches_expm_reference(n_qubits, n_electrons, n_rotations):
         ref = scipy.linalg.expm(-0.5j * generator) @ ref
     psi = run_circuit(ansatz.circuit, theta)
     assert_allclose(psi.amplitudes, ref, rtol=0, atol=1e-12)
+
+
+def reference_uccsd_ansatz(n_qubits, n_electrons):
+    """UCCSD built excitation by excitation: one jordan_wigner call per
+    slot on the two rows T_k and T_k^dagger."""
+    n_spatial, n_occ = n_qubits // 2, n_electrons // 2
+    circuit = hf_reference_circuit(n_qubits, n_electrons)
+    excitations = [
+        (2 * (a + spin), 2 * (i + spin) + 1)
+        for spin in (0, n_spatial) for i in range(n_occ) for a in range(n_occ, n_spatial)
+    ] + [
+        (2 * a, 2 * (b + n_spatial), 2 * (j + n_spatial) + 1, 2 * i + 1)
+        for i in range(n_occ) for j in range(n_occ)
+        for a in range(n_occ, n_spatial) for b in range(n_occ, n_spatial)
+    ]
+    generators = []
+    for slot, codes in enumerate(excitations):
+        codes = np.array(codes)
+        image = jordan_wigner(FermionOperator(
+            n_qubits, coefficients=[1.0, -1.0], factors=np.stack([codes, codes[::-1] ^ 1])
+        ))
+        assert np.all(np.abs(image.coefficients.real) <= 1e-12)
+        for x, z, c in zip(image.x.tolist(), image.z.tolist(), image.coefficients.tolist()):
+            circuit.pauli_rot(x, z, slot=slot, scale=-2.0 * c.imag)
+        generators.append(image)
+    return circuit, generators
+
+
+UCCSD_GRID = [(4, 2), (6, 2), (6, 4), (8, 2), (8, 4), (8, 6), (10, 4), (12, 6), (16, 8)]
+
+
+@pytest.mark.parametrize("n_qubits,n_electrons", UCCSD_GRID)
+def test_uccsd_matches_per_excitation_reference(n_qubits, n_electrons):
+    # one transform of the whole excitation table gives, byte for byte, the
+    # circuit and generators of one transform per excitation
+    ansatz = uccsd_ansatz(n_qubits, n_electrons)
+    circuit, generators = reference_uccsd_ansatz(n_qubits, n_electrons)
+
+    def gate_bytes(gate):
+        return (gate.kind, gate.qubits, gate.slot, gate.angle.hex(), gate.scale.hex(), gate.x, gate.z)
+
+    assert list(map(gate_bytes, ansatz.circuit.gates)) == list(map(gate_bytes, circuit.gates))
+    assert ansatz.parameter_count == len(ansatz.generators) == len(generators)
+    for got, want in zip(ansatz.generators, generators):
+        assert got.n_qubits == want.n_qubits
+        for a, b in ((got.x, want.x), (got.z, want.z), (got.coefficients, want.coefficients)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_uccsd_vqe_hits_exact_h2(h2_hamiltonian):
@@ -376,6 +424,12 @@ def test_budget_respected():
         result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=50))
         assert count[0] <= 50
         assert result.evaluations == count[0]
+
+
+def test_negative_seed_is_refused():
+    for method in ("nelder_mead", "spsa", "gradient_descent"):
+        with pytest.raises(UsageError, match="seed"):
+            minimize(lambda t: 0.0, [0.0], OptimizerConfig(method=method, seed=-1))
 
 
 def test_budget_below_one_step_evaluates_theta0():

@@ -20,7 +20,9 @@ from molq import (
 )
 from molq.db import EnergyDB, EnergyRecord
 from molq.errors import ComputationError, ScanError, UsageError
-from molq.fermion import build_fermionic_hamiltonian, freeze_core, parse_terms, serialize_terms
+from molq.fermion import (
+    FermionOperator, build_fermionic_hamiltonian, freeze_core, parse_terms, serialize_terms,
+)
 from molq.integrals_io import parse_fcidump, write_fcidump
 from molq.pauli import parse_pauli, serialize_pauli
 
@@ -69,6 +71,7 @@ def test_valid_spec_passes():
         (dict(n_frozen=-1), "n_frozen"),
         (dict(optimizer="bogus"), "unknown optimizer"),
         (dict(depth=-1), "depth"),
+        (dict(seed=-1), "seed"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
@@ -83,6 +86,7 @@ def test_spec_validation_errors(overrides, fragment):
         dict(n_frozen=-1),
         dict(optimizer="bogus"),
         dict(ansatz="hea", depth=-1),
+        dict(optimizer="spsa", seed=-1),
     ],
 )
 def test_run_scan_rejects_bad_spec_before_any_point(tmp_path, overrides):
@@ -144,11 +148,10 @@ def test_scan_point_vqe(tmp_path):
 
 
 def test_scan_point_off_axis_fragments(sto3g):
-    """Fragment offsets plus a non-unit axis still give the right distance."""
+    """Fragment offsets still give the right distance."""
     spec = h2_spec(
         fragment_a=[("H", (0.0, 1.0, 0.0))],
         fragment_b=[("H", (0.0, 1.0, 0.0))],
-        axis=(0.0, 0.0, 2.0),
     )
     record = scan_point(spec, 0.7354)
     baseline = scan_point(h2_spec(), 0.7354)
@@ -214,6 +217,12 @@ def test_hamiltonian_file_names_are_pinned(sto3g, monkeypatch):
 
     monkeypatch.setattr(molq.vqe, "jordan_wigner", recording)
     generators = uccsd_ansatz(12, 6).generators
+    (table,) = fermion_generators
+    # slot k is the row pair (2k, 2k + 1): T_k and T_k^dagger
+    fermion_generators = [
+        FermionOperator(12, coefficients=table.coefficients[k:k + 2], factors=table.factors[k:k + 2])
+        for k in range(0, len(table.coefficients), 2)
+    ]
     assert len(fermion_generators) == len(generators) == 99
     assert (
         name("".join(serialize_terms(op) for op in fermion_generators)),
@@ -358,13 +367,12 @@ def test_run_scan_validates_spec():
             charge=1,
         ),
         # Equilateral triangle of side 0.9 Angstrom: the third H sits at the
-        # triangle's height from the midpoint of the first two.
+        # triangle's height from the midpoint of the first two, along z.
         ScanSpec(
             molecule="H3+",
             bond_lengths=[0.9 * 3**0.5 / 2],
             fragment_a=[("H", (0.0, -0.45, 0.0)), ("H", (0.0, 0.45, 0.0))],
             fragment_b=[("H", (0.0, 0.0, 0.0))],
-            axis=(1.0, 0.0, 0.0),
             basis="sto-3g",
             charge=1,
         ),
