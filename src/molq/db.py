@@ -12,7 +12,8 @@ contiguous one: v1, v2, ... up to the first missing number; files past a
 gap are seen only by audit. query and latest_versions take that version for
 every id from one listing of records/ and read one file per id, with no
 per-version existence checks. put accepts a preset record_id only when it
-equals the record's content id, so one id never names two computations.
+equals the record's content id: the hash of the configuration fields of
+EnergyRecord.content_key, so two records differing in any of them get two ids.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ TMP_SUFFIX = ".tmp"
 class EnergyRecord:
     """One scan point: identity, energies, and method provenance.
 
-    record_id hashes only (molecule, geometry, bond length, basis, ansatz,
-    optimizer, seed), so re-running the same configuration yields the same
-    id and differing results stack up as versions under it.
+    record_id hashes only the configuration (molecule, geometry, bond
+    length, basis, ansatz, optimizer, seed, and charge, frozen orbitals and
+    HEA depth when set), so re-running the same configuration yields the
+    same id and differing results stack up as versions under it. Charge 0,
+    no frozen orbitals and no depth stay out of the key, so the ids of
+    neutral, unfrozen, non-HEA records do not depend on those fields.
     """
 
     molecule: str
@@ -59,13 +63,16 @@ class EnergyRecord:
     ansatz: str | None = None
     optimizer: str | None = None
     seed: int | None = None
+    charge: int = 0
+    n_frozen: int = 0              # frozen-core spatial orbitals
+    depth: int | None = None       # HEA layers; None for other ansatze
     evaluations: int | None = None
     error: str | None = None
     record_id: str = ""
     created_at: str = ""
 
     def content_key(self) -> dict:
-        return {
+        key = {
             "molecule": self.molecule,
             "geometry": self.geometry,
             "bond_length": self.bond_length,
@@ -74,6 +81,12 @@ class EnergyRecord:
             "optimizer": self.optimizer,
             "seed": self.seed,
         }
+        for name in ("charge", "n_frozen"):
+            if getattr(self, name):
+                key[name] = getattr(self, name)
+        if self.depth is not None:
+            key["depth"] = self.depth
+        return key
 
     def compute_id(self) -> str:
         canonical = json.dumps(self.content_key(), sort_keys=True, separators=(",", ":"))
@@ -88,9 +101,12 @@ class EnergyRecord:
             value = getattr(self, name)
             if value is not None and not _finite_real(value):
                 raise UsageError(f"{name} must be a finite number, got {value!r}")
-        for name in ("n_qubits", "evaluations", "seed"):
+        optional = ("n_qubits", "evaluations", "seed", "depth")
+        for name in optional + ("charge", "n_frozen"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is None and name in optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
         for lo, hi in (("e_exact", "e_hf"), ("e_exact", "e_vqe")):
             a, b = getattr(self, lo), getattr(self, hi)

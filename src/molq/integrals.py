@@ -205,7 +205,7 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     reduction over the primitive-pair arrays of `_primitive_pairs`; the
     ERIs run one bra pair against all ket pairs at or below it, so the
     temporaries stay O(n_pair K^4). Each unique value is computed once and
-    gathered through the pair-index map, so S, Hcore and the ERI tensor
+    gathered through `pair_index`, so S, Hcore and the ERI tensor
     carry their permutation symmetries exactly.
     """
     funcs = list(basis_functions)
@@ -238,37 +238,26 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     upper = np.triu_indices(n_pair, 1)
     pairs[upper] = pairs.T[upper]
 
-    # pair index of (i, j) for either order: max(i,j)(max(i,j)+1)/2 + min(i,j)
-    hi = np.maximum.outer(np.arange(n), np.arange(n))
-    lo = np.minimum.outer(np.arange(n), np.arange(n))
-    index = hi * (hi + 1) // 2 + lo
+    index = pair_index(n)
     return AOIntegrals(
         n_ao=n,
         overlap=s[index],
         core_hamiltonian=(t + v)[index],
-        eri=pairs[index[:, :, None, None], index[None, None, :, :]],
+        eri=pairs[index[:, :, None, None], index],
         e_nuclear=e_nn,
         n_electrons=geometry.n_electrons,
     )
 
 
-def _eri_quartets(n):
-    """One representative (p, q, r, s) of each 8-fold symmetry orbit over n
-    orbitals (p >= q, p >= r, s <= r, and s <= q when r == p), in the line
-    order of the FCIDUMP and AO-file writers."""
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(p + 1):
-                for s in range((r if r < p else q) + 1):
-                    yield p, q, r, s
-
-
-def _eri_orbit(p, q, r, s):
-    """The 8-fold symmetry orbit of a chemist-notation index quadruple."""
-    return {
-        (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-        (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-    }
+def pair_index(n):
+    """(n, n) array of the pair index i(i+1)/2 + j of (i, j) for either
+    order, j <= i. The pairs are numbered in row-major lower-triangle order,
+    the order of np.tril_indices(n), so a chemist-notation ERI tensor with
+    8-fold symmetry is pairs[index[:, :, None, None], index] for a symmetric
+    pair matrix `pairs`."""
+    i = np.arange(n)
+    hi, lo = np.maximum(i[:, None], i), np.minimum(i[:, None], i)
+    return hi * (hi + 1) // 2 + lo
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Read/write molecular-orbital integrals (FCIDUMP) and raw AO integrals.
 
-FCIDUMP data lines are `<value> i j k l` with 1-based indices: `i j 0 0`
-stores the one-body h_ij, `0 0 0 0` the core energy, anything else the
-chemist-notation two-body (ij|kl). Each stored value is fanned out to its
-full 8-fold symmetry orbit on read.
+Both formats store a symmetric matrix as its lower triangle, and a
+chemist-notation ERI tensor (ij|kl), which has 8-fold symmetry, as one
+symmetric matrix over orbital pairs j <= i numbered by `pair_index`: each
+line `<value> p q r s` is the pair-matrix entry of row (p, q) and column
+(r, s), 1-based. Writers emit the lower triangle in row order (q <= p,
+s <= r, (r, s) <= (p, q)); readers set an entry and its mirror, last line
+winning, and gather the tensor from the pair matrix once at the end.
+
+FCIDUMP data lines are `<value> i j k l`: `i j 0 0` is the one-body h_ij,
+`0 0 0 0` the core energy, anything else the two-body (ij|kl). The AO file
+is `NAO <n>` and then SECTION blocks of `<value> <indices...>` lines.
 """
 
 from __future__ import annotations
@@ -13,11 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParseError, UsageError
-from .integrals import AOIntegrals, _eri_orbit, _eri_quartets
+from .errors import ParseError, ResourceError, UsageError
+from .integrals import AOIntegrals, pair_index
 
 # drop integrals below this when writing; also the round-trip fidelity bound
 WRITE_THRESHOLD = 1e-14
+# the most bytes (8 n^4) of the ERI tensor a reader allocates: the tensor and
+# MOIntegrals.validate's two temporaries of its size must fit in memory.
+# 1 GiB allows n <= 107.
+ERI_BYTES_LIMIT = 2**30
 
 
 @dataclass
@@ -34,8 +45,9 @@ class MOIntegrals:
         n = self.n_orbitals
         if self.h.shape != (n, n) or self.g.shape != (n, n, n, n):
             raise UsageError("integral array shapes do not match n_orbitals")
-        if self.n_electrons > 2 * n:
-            raise UsageError("more electrons than spin orbitals")
+        if not 0 <= self.n_electrons <= 2 * n:
+            raise UsageError(f"electron count {self.n_electrons} outside 0..{2 * n}, "
+                             f"the spin orbitals of {n} orbitals")
         if np.max(np.abs(self.h - self.h.T)) > tol:
             raise UsageError("one-body integrals not symmetric")
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
@@ -45,6 +57,30 @@ class MOIntegrals:
 
     def copy(self):
         return replace(self, h=self.h.copy(), g=self.g.copy())
+
+
+def _check_eri_size(n):
+    """ResourceError before any allocation if n orbitals' ERIs pass ERI_BYTES_LIMIT."""
+    if 8 * n**4 > ERI_BYTES_LIMIT:
+        raise ResourceError(
+            f"{n} orbitals need {8 * n**4 / 2**30:.3g} GiB of two-body integrals, "
+            f"more than the {ERI_BYTES_LIMIT / 2**30:g} GiB limit"
+        )
+
+
+def _data_line(line, lineno, n, lowest):
+    """The value and int indices of a data line `<value> <index>...`, each
+    index in lowest..n."""
+    parts = line.split()
+    try:
+        value = float(parts[0])
+        idx = [int(x) for x in parts[1:]]
+    except ValueError:
+        raise ParseError(f"malformed numeric literal in {line!r}", line=lineno) from None
+    for i in idx:
+        if not lowest <= i <= n:
+            raise ParseError(f"index {i} out of range {lowest}..{n} in {line!r}", line=lineno)
+    return value, idx
 
 
 def _parse_header(lines):
@@ -63,9 +99,11 @@ def _parse_header(lines):
         raise ParseError("FCIDUMP must begin with &FCI", line=1)
 
     def field(key):
-        m = re.search(rf"{key}\s*=\s*([-+0-9]+)", blob, re.IGNORECASE)
+        m = re.search(rf"{key}\s*=\s*([^,\s&/]*)", blob, re.IGNORECASE)
         if not m:
             raise ParseError(f"FCIDUMP header missing {key}", line=1)
+        if not re.fullmatch("[-+]?[0-9]+", m.group(1)):
+            raise ParseError(f"FCIDUMP header {key}={m.group(1)!r} is not an integer", line=1)
         return int(m.group(1))
 
     return field("NORB"), field("NELEC"), consumed
@@ -77,64 +115,67 @@ def parse_fcidump(text: str) -> MOIntegrals:
     norb, nelec, consumed = _parse_header(lines)
     if norb < 1:
         raise ParseError("NORB must be >= 1", line=1)
+    _check_eri_size(norb)
 
+    index = pair_index(norb)
+    pair = index.tolist()
     h = np.zeros((norb, norb))
-    g = np.zeros((norb, norb, norb, norb))
+    pairs = np.zeros((norb * (norb + 1) // 2,) * 2)
     e_core = 0.0
 
     for lineno, raw in lines[consumed:]:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 5:
+        value, idx = _data_line(line, lineno, norb, 0)
+        if len(idx) != 4:
             raise ParseError(f"expected '<value> i j k l', got {line!r}", line=lineno)
-        try:
-            value = float(parts[0])
-            i, j, k, l = (int(x) for x in parts[1:])
-        except ValueError:
-            raise ParseError(f"malformed numeric literal in {line!r}", line=lineno) from None
-        for name, idx in zip("ijkl", (i, j, k, l)):
-            if idx < 0 or idx > norb:
-                raise ParseError(f"index {name}={idx} out of range 0..{norb}", line=lineno)
+        i, j, k, l = idx
         if i == j == k == l == 0:
             e_core = value
-        elif k == 0 and l == 0:
+        elif k == l == 0:
             if i == 0 or j == 0:
                 raise ParseError(f"one-body line with a zero index: {line!r}", line=lineno)
-            h[i - 1, j - 1] = value
-            h[j - 1, i - 1] = value
+            h[i - 1, j - 1] = h[j - 1, i - 1] = value
         else:
-            if 0 in (i, j, k, l):
+            if 0 in idx:
                 raise ParseError(f"two-body line with a zero index: {line!r}", line=lineno)
-            for idx in _eri_orbit(i - 1, j - 1, k - 1, l - 1):
-                g[idx] = value
+            x, y = pair[i - 1][j - 1], pair[k - 1][l - 1]
+            pairs[x, y] = pairs[y, x] = value
 
+    g = pairs[index[:, :, None, None], index]
     return MOIntegrals(norb, nelec, h, g, e_core).validate()
 
 
+def _lower_triangle(m, labels, suffix=""):
+    """`<value> <row label> <col label><suffix>` for each lower-triangle
+    entry of the symmetric matrix m, in row order, at or above
+    WRITE_THRESHOLD in magnitude, to 17 significant digits."""
+    return [
+        f"{value:.17g} {labels[r]} {labels[c]}{suffix}"
+        for r, row in enumerate(m.tolist())
+        for c, value in enumerate(row[: r + 1])
+        if abs(value) >= WRITE_THRESHOLD
+    ]
+
+
+def _eri_lines(g):
+    """The lower triangle of g's pair matrix, rows and columns labelled
+    `p q`; np.tril_indices lists the pairs in pair_index order."""
+    p, q = np.tril_indices(len(g))
+    labels = [f"{a} {b}" for a, b in zip((p + 1).tolist(), (q + 1).tolist())]
+    return _lower_triangle(g[p[:, None], q[:, None], p, q], labels)
+
+
 def write_fcidump(mo: MOIntegrals, ms2: int = 0) -> str:
-    """Serialize MOIntegrals as FCIDUMP text.
-
-    One line per unique symmetry-orbit representative (largest index first),
-    17 significant digits, magnitudes below 1e-14 omitted.
-    """
-    n = mo.n_orbitals
-    out = [f"&FCI NORB={n},NELEC={mo.n_electrons},MS2={ms2},", "&END"]
-
-    def fmt(value, i, j, k, l):
-        return f"{value:.17g} {i} {j} {k} {l}"
-
-    for p, q, r, s in _eri_quartets(n):
-        v = mo.g[p, q, r, s]
-        if abs(v) >= WRITE_THRESHOLD:
-            out.append(fmt(v, p + 1, q + 1, r + 1, s + 1))
-    for p in range(n):
-        for q in range(p + 1):
-            if abs(mo.h[p, q]) >= WRITE_THRESHOLD:
-                out.append(fmt(mo.h[p, q], p + 1, q + 1, 0, 0))
-    out.append(fmt(mo.e_core, 0, 0, 0, 0))
-    return "\n".join(out) + "\n"
+    """Serialize MOIntegrals as FCIDUMP text: the ERI pair matrix, then h
+    (`i j 0 0`), then the core energy (`0 0 0 0`)."""
+    return "\n".join([
+        f"&FCI NORB={mo.n_orbitals},NELEC={mo.n_electrons},MS2={ms2},", "&END",
+        *_eri_lines(mo.g),
+        *_lower_triangle(mo.h, range(1, mo.n_orbitals + 1), " 0 0"),
+        f"{mo.e_core:.17g} 0 0 0 0",
+    ]) + "\n"
 
 
 _AO_SECTIONS = ("OVERLAP", "CORE", "ERI", "ENUC", "NELEC")
@@ -157,10 +198,13 @@ def read_ao_file(text: str) -> AOIntegrals:
         raise ParseError(f"bad basis size {parts[1]!r}", line=lineno) from None
     if n < 1:
         raise ParseError("NAO must be >= 1", line=lineno)
+    _check_eri_size(n)
 
+    index = pair_index(n)
+    pair = index.tolist()
     S = np.zeros((n, n))
     H = np.zeros((n, n))
-    eri = np.zeros((n, n, n, n))
+    pairs = np.zeros((n * (n + 1) // 2,) * 2)
     e_nuc = 0.0
     nelec = 0
     section = None
@@ -174,24 +218,18 @@ def read_ao_file(text: str) -> AOIntegrals:
             continue
         if section is None:
             raise ParseError("data line before any SECTION", line=lineno)
-        try:
-            value = float(parts[0])
-            idx = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise ParseError(f"malformed numeric literal in {line!r}", line=lineno) from None
-        if any(i < 1 or i > n for i in idx):
-            raise ParseError(f"index out of range 1..{n} in {line!r}", line=lineno)
+        value, idx = _data_line(line, lineno, n, 1)
         if section in ("OVERLAP", "CORE"):
             if len(idx) != 2:
                 raise ParseError("matrix entries need 2 indices", line=lineno)
             m = S if section == "OVERLAP" else H
-            m[idx[0] - 1, idx[1] - 1] = value
-            m[idx[1] - 1, idx[0] - 1] = value
+            m[idx[0] - 1, idx[1] - 1] = m[idx[1] - 1, idx[0] - 1] = value
         elif section == "ERI":
             if len(idx) != 4:
                 raise ParseError("ERI entries need 4 indices", line=lineno)
-            for t in _eri_orbit(*(i - 1 for i in idx)):
-                eri[t] = value
+            i, j, k, l = idx
+            x, y = pair[i - 1][j - 1], pair[k - 1][l - 1]
+            pairs[x, y] = pairs[y, x] = value
         elif section == "ENUC":
             if idx:
                 raise ParseError("ENUC entry takes no indices", line=lineno)
@@ -201,29 +239,18 @@ def read_ao_file(text: str) -> AOIntegrals:
                 raise ParseError("NELEC entry takes no indices", line=lineno)
             nelec = int(value)
 
+    eri = pairs[index[:, :, None, None], index]
     return AOIntegrals(n, S, H, eri, e_nuc, nelec)
 
 
 def write_ao_file(ao: AOIntegrals) -> str:
     """Serialize AOIntegrals in the native AO format (round-trips exactly)."""
-    n = ao.n_ao
-    out = [f"NAO {n}", "SECTION OVERLAP"]
-    for p in range(n):
-        for q in range(p + 1):
-            if abs(ao.overlap[p, q]) >= WRITE_THRESHOLD:
-                out.append(f"{ao.overlap[p, q]:.17g} {p + 1} {q + 1}")
-    out.append("SECTION CORE")
-    for p in range(n):
-        for q in range(p + 1):
-            if abs(ao.core_hamiltonian[p, q]) >= WRITE_THRESHOLD:
-                out.append(f"{ao.core_hamiltonian[p, q]:.17g} {p + 1} {q + 1}")
-    out.append("SECTION ERI")
-    for p, q, r, s in _eri_quartets(n):
-        v = ao.eri[p, q, r, s]
-        if abs(v) >= WRITE_THRESHOLD:
-            out.append(f"{v:.17g} {p + 1} {q + 1} {r + 1} {s + 1}")
-    out.append("SECTION ENUC")
-    out.append(f"{ao.e_nuclear:.17g}")
-    out.append("SECTION NELEC")
-    out.append(f"{ao.n_electrons}")
-    return "\n".join(out) + "\n"
+    labels = range(1, ao.n_ao + 1)
+    return "\n".join([
+        f"NAO {ao.n_ao}",
+        "SECTION OVERLAP", *_lower_triangle(ao.overlap, labels),
+        "SECTION CORE", *_lower_triangle(ao.core_hamiltonian, labels),
+        "SECTION ERI", *_eri_lines(ao.eri),
+        "SECTION ENUC", f"{ao.e_nuclear:.17g}",
+        "SECTION NELEC", f"{ao.n_electrons}",
+    ]) + "\n"

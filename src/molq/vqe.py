@@ -382,6 +382,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
         raise UsageError(f"optimizer budget must be >= 1, got {config.budget}")
     if config.seed < 0:
         raise UsageError(f"optimizer seed must be >= 0, got {config.seed}")
+    if config.method not in OPTIMIZER_METHODS:
+        raise UsageError(f"unknown optimizer method {config.method!r}")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     n_params = theta0.size
 
@@ -434,31 +436,29 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
             k += 1
         return result(False)
 
-    if config.method == "gradient_descent":
-        if gradient is None:
-            def gradient(x):
-                g = np.zeros(n_params)
-                for i in range(n_params):
-                    xp, xm = x.copy(), x.copy()
-                    xp[i] += 0.5 * math.pi
-                    xm[i] -= 0.5 * math.pi
-                    g[i] = 0.5 * (f(xp) - f(xm))
-                return g
-            gradient_cost = 0       # already counted through f
-        else:
-            gradient_cost = 2 * n_params
-        theta = theta0.copy()
-        while True:
-            f(theta)
-            g = np.asarray(gradient(theta), dtype=float)
-            state["count"] += gradient_cost
-            if np.max(np.abs(g)) < GD_TOL:
-                return result(True)
-            if state["count"] + 1 + max(gradient_cost, 2 * n_params) > config.budget:
-                return result(False)
-            theta = theta - config.gd_step * g
-
-    raise UsageError(f"unknown optimizer method {config.method!r}")
+    # gradient_descent
+    if gradient is None:
+        def gradient(x):
+            g = np.zeros(n_params)
+            for i in range(n_params):
+                xp, xm = x.copy(), x.copy()
+                xp[i] += 0.5 * math.pi
+                xm[i] -= 0.5 * math.pi
+                g[i] = 0.5 * (f(xp) - f(xm))
+            return g
+        gradient_cost = 0       # already counted through f
+    else:
+        gradient_cost = 2 * n_params
+    theta = theta0.copy()
+    while True:
+        f(theta)
+        g = np.asarray(gradient(theta), dtype=float)
+        state["count"] += gradient_cost
+        if np.max(np.abs(g)) < GD_TOL:
+            return result(True)
+        if state["count"] + 1 + max(gradient_cost, 2 * n_params) > config.budget:
+            return result(False)
+        theta = theta - config.gd_step * g
 
 
 def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log=None) -> VQEResult:

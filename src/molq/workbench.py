@@ -102,6 +102,14 @@ def _build_ansatz(spec: ScanSpec, n_qubits: int, n_electrons: int):
     return hardware_efficient_ansatz(n_qubits, spec.depth, n_electrons)
 
 
+def _record_setup(spec: ScanSpec) -> dict:
+    """The charge, frozen orbitals and HEA depth that every record of the
+    scan carries, so each id names one computation."""
+    hea = "vqe" in spec.methods and spec.ansatz == "hea"
+    return dict(charge=spec.charge, n_frozen=spec.n_frozen,
+                depth=spec.depth if hea else None)
+
+
 def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> EnergyRecord:
     """Run one bond length end to end and return its record."""
     if spec.fcidump_pattern is not None:
@@ -140,6 +148,7 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
         ansatz=spec.ansatz if "vqe" in spec.methods else None,
         optimizer=spec.optimizer if "vqe" in spec.methods else None,
         seed=spec.seed if "vqe" in spec.methods else None,
+        **_record_setup(spec),
     )
     if "exact" in spec.methods:
         record.e_exact = dense_ground_energy(pauli, mo.n_electrons).ground_energy
@@ -175,6 +184,7 @@ def run_scan(spec: ScanSpec, db: EnergyDB | None = None) -> list:
                 basis=spec.basis or "fcidump",
                 bond_length=float(length),
                 error=f"{type(exc).__name__}: {exc}",
+                **_record_setup(spec),
             )
             record.record_id = record.compute_id()
             if db is not None:

@@ -287,9 +287,41 @@ def test_exact_freeze_core(capsys):
     assert frozen != full
 
 
+@pytest.mark.parametrize("header,code,stream", [
+    ("NORB=+,NELEC=2", 1, "error:"),                    # not an integer
+    ("NORB=2,NELEC=-2", 1, "error:"),                   # negative electron count
+    ("NORB=100000,NELEC=2", 2, "computation failed:"),  # ERIs past the byte limit
+])
+def test_exact_refuses_bad_fcidump_header(capsys, tmp_path, header, code, stream):
+    path = tmp_path / "bad.fcidump"
+    path.write_text(f"&FCI {header},MS2=0,&END\n0.5 1 1 0 0\n")
+    assert main(["exact", "--fcidump", str(path), "--method", "fci"]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(stream) and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # scan / db / curve
 # ---------------------------------------------------------------------------
+
+
+def test_scan_charge_gets_its_own_id(capsys, tmp_path):
+    db_dir = str(tmp_path / "db")
+    ids = {}
+    for charge in ("0", "2"):
+        assert main(["scan", "--molecule", "LiH", "--fragment-a", "Li", "--fragment-b", "H",
+                     "--basis", "sto-3g", "--lengths", "1.6", "--methods", "hf,exact",
+                     "--charge", charge, "--db", db_dir]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        ids[charge] = line.split("id=")[1]
+    assert ids["0"] == "e1a060af790ca3f6"     # a neutral id is what it was before charge
+    assert ids["2"] != ids["0"]
+    db = EnergyDB(db_dir)
+    by_charge = {record.charge: record for record in db.query(molecule="LiH")}
+    assert by_charge[0].e_exact == pytest.approx(-7.8434, abs=1e-4)
+    assert by_charge[2].e_exact == pytest.approx(-6.8049, abs=1e-4)
+    assert [len(db.versions(i)) for i in ids.values()] == [1, 1]
 
 
 def test_scan_db_curve_end_to_end(capsys, tmp_path):

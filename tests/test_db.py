@@ -62,10 +62,21 @@ def test_compute_id_ignores_results():
         ("seed", 8),
         ("geometry", [["H", 0.0, 0.0, 0.0], ["H", 0.0, 0.0, 0.74]]),
         ("bond_length", 0.8),
+        ("charge", 2),
+        ("n_frozen", 1),
+        ("depth", 2),
     ],
 )
 def test_compute_id_tracks_configuration(field, value):
     assert make_record(**{field: value}).compute_id() != make_record().compute_id()
+
+
+def test_unset_setup_fields_keep_the_id():
+    # charge 0, no frozen orbitals and no HEA depth hash as they did before
+    # those fields existed, so such ids stay put
+    assert make_record().compute_id() == "abe37473d7158bfa"
+    assert make_record(ansatz="hea").compute_id() == "1cc26975beff1701"
+    assert make_record(depth=1).compute_id() != make_record(depth=2).compute_id()
 
 
 def test_validate_accepts_good_record():
@@ -115,6 +126,8 @@ def test_validate_rejects_a_non_real_number(field, value):
 @pytest.mark.parametrize("field, value", [
     ("n_qubits", 4.0), ("n_qubits", True), ("evaluations", "211"),
     ("seed", 7.5), ("seed", False),
+    ("charge", 1.0), ("charge", None), ("n_frozen", "1"), ("n_frozen", None),
+    ("depth", 2.0), ("depth", True),
 ])
 def test_validate_rejects_a_non_integer_count(field, value):
     with pytest.raises(UsageError, match=f"{field} must be an integer"):

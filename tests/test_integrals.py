@@ -25,7 +25,7 @@ from molq import (
     parse_basis,
     parse_geometry,
 )
-from molq.integrals import _eri_orbit, _eri_quartets
+from molq.integrals import pair_index
 from conftest import h2_geometry_bohr, pipeline
 
 
@@ -200,6 +200,24 @@ def _contract(kernel, *funcs):
     return val
 
 
+def _eri_quartets(n):
+    """One representative (p, q, r, s) of each 8-fold symmetry orbit over n
+    orbitals (p >= q, p >= r, s <= r, and s <= q when r == p)."""
+    for p in range(n):
+        for q in range(p + 1):
+            for r in range(p + 1):
+                for s in range((r if r < p else q) + 1):
+                    yield p, q, r, s
+
+
+def _eri_orbit(p, q, r, s):
+    """The 8-fold symmetry orbit of a chemist-notation index quadruple."""
+    return {
+        (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+        (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+    }
+
+
 def reference_integrals(geometry, funcs):
     n = len(funcs)
     S, H, eri = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n, n, n))
@@ -246,6 +264,22 @@ def test_atom_without_basis_function_rejected(sto3g):
     geom = Geometry.from_angstrom([("C", (0, 0, 0))])
     with pytest.raises(UsageError):
         assign_basis(geom, sto3g)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_index_is_the_eri_symmetry(n):
+    index = pair_index(n)
+    assert np.array_equal(index, index.T)
+    rows, cols = np.tril_indices(n)
+    assert np.array_equal(index[rows, cols], np.arange(n * (n + 1) // 2))
+    # the orbit representatives, in writer order, are the pair matrix's
+    # lower triangle in row order, and every orbit member has the same pairs
+    lower = [(x, y) for x in range(len(rows)) for y in range(x + 1)]
+    quartets = list(_eri_quartets(n))
+    assert [(index[p, q], index[r, s]) for p, q, r, s in quartets] == lower
+    for quartet in quartets:
+        assert {frozenset((index[p, q], index[r, s])) for p, q, r, s in _eri_orbit(*quartet)} \
+            == {frozenset((index[quartet[:2]], index[quartet[2:]]))}
 
 
 # ----------------------------------------------------- geometry and basis

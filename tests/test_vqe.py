@@ -471,8 +471,9 @@ def test_best_seen_value_reported():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(UsageError):
-        minimize(lambda t: 0.0, [0.0], OptimizerConfig(method="bfgs"))
+    for theta0 in ([0.0], []):      # P = 1 and P = 0
+        with pytest.raises(UsageError, match="bfgs"):
+            minimize(lambda t: 0.0, theta0, OptimizerConfig(method="bfgs"))
 
 
 def test_result_unpacks_as_triple():

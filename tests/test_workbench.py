@@ -1,6 +1,7 @@
 """Bond-length scans, record persistence, and curve emission."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,30 @@ def test_scan_point_freeze_core(tmp_path, h2_equilibrium):
     record = scan_point(spec, 0.7354)
     # Freezing one of H2's two spatial orbitals leaves one: 2 spin orbitals.
     assert record.n_qubits == 2
+
+
+def test_records_name_frozen_orbitals_and_depth():
+    lih = ScanSpec(molecule="LiH", bond_lengths=[1.6], methods=("exact",),
+                   fcidump_pattern=str(FCIDUMP_DIR / "lih_d{length:.2f}.fcidump"))
+    full = scan_point(lih, 1.6)
+    frozen = scan_point(replace(lih, n_frozen=1), 1.6)
+    assert (full.n_frozen, frozen.n_frozen) == (0, 1)
+    assert full.record_id != frozen.record_id
+
+    hea = h2_spec(methods=("vqe",), ansatz="hea", budget=3)
+    depth_1 = scan_point(replace(hea, depth=1), 0.7354)
+    depth_2 = scan_point(replace(hea, depth=2), 0.7354)
+    assert (depth_1.depth, depth_2.depth) == (1, 2)
+    assert depth_1.record_id != depth_2.record_id
+    assert scan_point(h2_spec(methods=("vqe",), budget=3), 0.7354).depth is None
+
+
+def test_error_records_name_the_setup(tmp_path):
+    spec = ScanSpec(molecule="H2", bond_lengths=[0.7, 0.8], n_frozen=1, methods=("vqe",),
+                    ansatz="hea", depth=2, fcidump_pattern=str(tmp_path / "absent_{length}"))
+    with pytest.raises(ScanError):
+        run_scan(spec, db := EnergyDB(tmp_path / "db"))
+    assert {(r.n_frozen, r.depth, r.charge) for r in db.query()} == {(1, 2, 0)}
 
 
 # ---------------------------------------------------------------------------
