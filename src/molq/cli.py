@@ -12,16 +12,15 @@ import json
 import sys
 from pathlib import Path
 
-from .db import EnergyDB, EnergyRecord
+from .db import METHODS, EnergyDB, EnergyRecord
 from .errors import ComputationError, UsageError
 from .exact import dense_ground_energy, fci_determinant_oracle
 from .fermion import build_fermionic_hamiltonian, freeze_core, serialize_terms
 from .integrals import assign_basis, build_ao_integrals, load_basis, parse_geometry
-from .integrals_io import write_ao_file, write_fcidump, parse_fcidump
+from .integrals_io import write_ao_file, write_fcidump
 from .pauli import jordan_wigner, serialize_pauli
-from .scf import ao_to_mo, scf_solve
-from .vqe import OptimizerConfig, hardware_efficient_ansatz, uccsd_ansatz, vqe_solve
-from .workbench import ScanSpec, emit_curve, run_scan
+from .vqe import OptimizerConfig, vqe_solve
+from .workbench import ANSATZE, ScanSpec, build_ansatz, emit_curve, load_mo, run_scan
 
 MAX_SCAN_POINTS = 10_000  # lengths in one --lengths start:stop:step range
 
@@ -69,28 +68,20 @@ def _require(args, *names):
             raise UsageError(f"--{name.replace('_', '-')} is required here")
 
 
-def _run_scf(args):
-    geom = _load_geometry(args.geometry)
-    basis = load_basis(args.basis)
-    ao = build_ao_integrals(geom, assign_basis(geom, basis))
-    log = sys.stderr if getattr(args, "verbose", False) else None
-    result = scf_solve(ao, log=log)
-    if not result.converged:
-        raise ComputationError("SCF did not converge")
-    return ao, result
+def _log(args):
+    return sys.stderr if getattr(args, "verbose", False) else None
 
 
 def _load_mo(args):
-    """MO integrals from --fcidump, or from --geometry/--basis via SCF."""
-    if getattr(args, "fcidump", None):
-        mo = parse_fcidump(Path(args.fcidump).read_text())
+    """MO integrals from --fcidump, or from --geometry/--basis via SCF,
+    with --freeze core orbitals frozen."""
+    if args.fcidump:
+        source = args.fcidump
     else:
         _require(args, "geometry", "basis")
-        ao, scf = _run_scf(args)
-        mo = ao_to_mo(ao, scf.mo_coefficients)
-    if getattr(args, "freeze", 0):
-        mo = freeze_core(mo, args.freeze)
-    return mo
+        source = _load_geometry(args.geometry)
+    mo, _ = load_mo(source, args.basis, _log(args))
+    return freeze_core(mo, args.freeze) if args.freeze else mo
 
 
 def cmd_integrals(args):
@@ -104,14 +95,12 @@ def cmd_integrals(args):
 
 
 def cmd_scf(args):
-    _require(args, "geometry", "basis")
-    ao, result = _run_scf(args)
+    mo, result = load_mo(_load_geometry(args.geometry), args.basis, _log(args))
     print(f"E_HF = {result.e_hf!r} Hartree")
     print(f"iterations = {result.iterations}")
     energies = " ".join(format(e, ".10f") for e in result.orbital_energies)
     print(f"orbital_energies = {energies}")
     if args.output:
-        mo = ao_to_mo(ao, result.mo_coefficients)
         Path(args.output).write_text(write_fcidump(mo))
         print(f"MO integrals -> {args.output}")
 
@@ -131,15 +120,11 @@ def cmd_ham(args):
 def cmd_vqe(args):
     mo = _load_mo(args)
     pauli = jordan_wigner(build_fermionic_hamiltonian(mo))
-    if args.ansatz == "uccsd":
-        ansatz = uccsd_ansatz(pauli.n_qubits, mo.n_electrons)
-    else:
-        ansatz = hardware_efficient_ansatz(pauli.n_qubits, args.depth, mo.n_electrons)
+    ansatz = build_ansatz(args.ansatz, pauli.n_qubits, mo.n_electrons, args.depth)
     config = OptimizerConfig(
         method=OPTIMIZERS[args.optimizer], budget=args.budget, seed=args.seed
     )
-    log = sys.stderr if args.verbose else None
-    result = vqe_solve(pauli, ansatz, config, log=log)
+    result = vqe_solve(pauli, ansatz, config, log=_log(args))
     print(f"E_VQE = {result.energy!r} Hartree")
     print(f"ansatz = {ansatz.descriptor}")
     print(f"optimizer = {config.method}")
@@ -275,13 +260,11 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    def add_input_flags(p, freeze=True):
+    def add_input_flags(p):
         p.add_argument("--geometry", help="geometry file (Angstrom)")
         p.add_argument("--basis", help="basis set name or file")
         p.add_argument("--fcidump", help="FCIDUMP file with MO integrals")
-        if freeze:
-            p.add_argument("--freeze", type=int, default=0,
-                           help="frozen-core spatial orbitals")
+        p.add_argument("--freeze", type=int, default=0, help="frozen-core spatial orbitals")
 
     p = add("integrals", cmd_integrals, "compute AO integrals")
     p.add_argument("--geometry", required=True)
@@ -302,7 +285,7 @@ def build_parser() -> _Parser:
 
     p = add("vqe", cmd_vqe, "variational ground-state search")
     add_input_flags(p)
-    p.add_argument("--ansatz", choices=("hea", "uccsd"), default="uccsd")
+    p.add_argument("--ansatz", choices=ANSATZE, default="uccsd")
     p.add_argument("--depth", type=int, default=1, help="HEA layers")
     p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), default="nm")
     p.add_argument("--budget", type=int, default=2000, help="evaluation budget")
@@ -324,10 +307,10 @@ def build_parser() -> _Parser:
     p.add_argument("--basis")
     p.add_argument("--fcidump-pattern",
                    help="FCIDUMP path template with {length}, e.g. lih_{length:.2f}.fcidump")
-    p.add_argument("--methods", default="hf,exact", help="subset of hf,vqe,exact")
+    p.add_argument("--methods", default="hf,exact", help=f"subset of {','.join(METHODS)}")
     p.add_argument("--charge", type=int, default=0)
     p.add_argument("--freeze", type=int, default=0)
-    p.add_argument("--ansatz", choices=("hea", "uccsd"), default="uccsd")
+    p.add_argument("--ansatz", choices=ANSATZE, default="uccsd")
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), default="nm")
     p.add_argument("--budget", type=int, default=2000)
@@ -356,8 +339,8 @@ def build_parser() -> _Parser:
     q.add_argument("--db", required=True, help="database directory")
     q.add_argument("--molecule")
     q.add_argument("--basis")
-    q.add_argument("--method", choices=("hf", "vqe", "exact"))
-    q.add_argument("--ansatz", choices=("hea", "uccsd"),
+    q.add_argument("--method", choices=METHODS)
+    q.add_argument("--ansatz", choices=ANSATZE,
                    help="only records of this VQE ansatz")
     q.add_argument("--limit", type=_limit)
 
@@ -368,8 +351,8 @@ def build_parser() -> _Parser:
     p.add_argument("--db", required=True)
     p.add_argument("--molecule", required=True)
     p.add_argument("--basis")
-    p.add_argument("--method", choices=("hf", "vqe", "exact"))
-    p.add_argument("--ansatz", choices=("hea", "uccsd"),
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--ansatz", choices=ANSATZE,
                    help="only records of this VQE ansatz")
     p.add_argument("--output", help="write the CSV here")
 

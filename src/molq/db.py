@@ -35,6 +35,7 @@ from .errors import UsageError
 
 VARIATIONAL_SLACK = 1e-9
 RECORD_ID = "[0-9a-f]{16}"
+METHODS = ("hf", "vqe", "exact")   # the energies a record carries, as e_<method>
 RECORD_NAME = re.compile(rf"(?P<id>{RECORD_ID})\.v(?P<version>[1-9][0-9]*)\.json")
 TMP_SUFFIX = ".tmp"
 
@@ -46,8 +47,10 @@ class EnergyRecord:
     record_id hashes only the configuration (molecule, geometry, bond
     length, basis, ansatz, optimizer, seed, and charge, frozen orbitals and
     HEA depth when set), so re-running the same configuration yields the
-    same id and differing results stack up as versions under it. Charge 0,
-    no frozen orbitals and no depth stay out of the key, so the ids of
+    same id and differing results stack up as versions under it. A failed
+    point (error set, no energies) has the id of the computation that
+    failed, so its fixed re-run is the next version under that id. Charge
+    0, no frozen orbitals and no depth stay out of the key, so the ids of
     neutral, unfrozen, non-HEA records do not depend on those fields.
     """
 
@@ -93,8 +96,14 @@ class EnergyRecord:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def validate(self):
-        if not self.molecule:
-            raise UsageError("record needs a molecule label")
+        for name in ("molecule", "basis"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise UsageError(f"{name} must be a non-empty string, got {value!r}")
+        for name in ("ansatz", "optimizer", "error", "created_at"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise UsageError(f"{name} must be a string, got {value!r}")
         if self.record_id:
             check_record_id(self.record_id, UsageError)
         for name in ("bond_length", "e_hf", "e_vqe", "e_exact"):
@@ -259,7 +268,7 @@ class EnergyDB:
     def query(self, molecule=None, basis=None, method=None, ansatz=None) -> list:
         """Latest-version records matching the filters, sorted by
         (molecule, bond length, created_at). method requires e_<method>."""
-        if method is not None and method not in ("hf", "vqe", "exact"):
+        if method is not None and method not in METHODS:
             raise UsageError(f"unknown method filter {method!r}")
         matches = []
         for record_id, version in self.latest_versions().items():

@@ -237,7 +237,10 @@ def read_ao_file(text: str) -> AOIntegrals:
         else:  # NELEC
             if idx:
                 raise ParseError("NELEC entry takes no indices", line=lineno)
-            nelec = int(value)
+            if not (parts[0].isascii() and parts[0].isdigit()):
+                raise ParseError(f"NELEC must be a non-negative integer, got {parts[0]!r}",
+                                 line=lineno)
+            nelec = int(parts[0])
 
     eri = pairs[index[:, :, None, None], index]
     return AOIntegrals(n, S, H, eri, e_nuc, nelec)

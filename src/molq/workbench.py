@@ -1,21 +1,26 @@
-"""Bond-length scan driver and curve emission.
+"""The point pipeline, bond-length scans and curve emission.
 
-A scan places two fragments a varying distance apart along z (or
-ingests pre-computed FCIDUMP files), runs the requested methods at every
-length, and persists one EnergyRecord per point. Points are independent
-jobs: a failing length is recorded with an error note and the scan moves
-on.
+One bond length goes through load_mo (an FCIDUMP, or a geometry through
+a converged SCF), frozen core, the Jordan-Wigner Hamiltonian, the
+sector-exact energy, and build_ansatz plus vqe_solve. scan_point chains
+these stages, and the CLI's scf, ham, vqe and exact commands call the same
+ones. A scan places two fragments a varying distance apart along z (or
+ingests pre-computed FCIDUMP files) and persists one EnergyRecord per
+point, built by point_record. Points are independent jobs: a failing
+length is recorded with an error note under the id of the computation that
+failed, and the scan moves on.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .db import EnergyDB, EnergyRecord
+from .db import METHODS, EnergyDB, EnergyRecord
 from .errors import ComputationError, ScanError, UsageError
 from .exact import dense_ground_energy
 from .fermion import build_fermionic_hamiltonian, freeze_core, serialize_terms
@@ -31,7 +36,7 @@ from .vqe import (
     vqe_solve,
 )
 
-VALID_METHODS = ("hf", "vqe", "exact")
+ANSATZE = ("uccsd", "hea")
 
 
 @dataclass
@@ -42,10 +47,10 @@ class ScanSpec:
     fragment_b: list | None = None      # placed `length` along z
     basis: str | None = None            # shipped basis name or file path
     fcidump_pattern: str | None = None  # e.g. "lih_{length:.2f}.fcidump"
-    methods: tuple = ("hf", "exact")
+    methods: tuple = ("hf", "exact")    # subset of METHODS
     charge: int = 0
     n_frozen: int = 0                   # frozen-core spatial orbitals
-    ansatz: str = "uccsd"               # "uccsd" | "hea"
+    ansatz: str = "uccsd"               # one of ANSATZE
     depth: int = 1                      # HEA layers
     optimizer: str = "nelder_mead"
     budget: int = 2000
@@ -53,6 +58,8 @@ class ScanSpec:
     workers: int = 1
 
     def validate(self):
+        """Raise UsageError for a spec that no point could run, or whose
+        records point_record could not build."""
         if not self.bond_lengths:
             raise UsageError("bond_lengths must be non-empty")
         lengths = list(self.bond_lengths)
@@ -61,7 +68,7 @@ class ScanSpec:
         if any(not 0.0 < length <= 10.0 for length in lengths):
             raise UsageError("bond lengths must lie in (0, 10] Angstrom")
         for method in self.methods:
-            if method not in VALID_METHODS:
+            if method not in METHODS:
                 raise UsageError(f"unknown method {method!r}")
         if not self.methods:
             raise UsageError("at least one method required")
@@ -70,7 +77,18 @@ class ScanSpec:
                 raise UsageError(
                     "need fragments and a basis, or an fcidump_pattern"
                 )
-        if self.ansatz not in ("uccsd", "hea"):
+            for fragment in (self.fragment_a, self.fragment_b):
+                if not isinstance(fragment, (list, tuple)) or not all(map(_is_atom, fragment)):
+                    raise UsageError(f"fragment {fragment!r} is not a list of "
+                                     "(symbol, (dx, dy, dz)) entries")
+        else:
+            for length in lengths:
+                try:
+                    self.fcidump_pattern.format(length=length)
+                except (LookupError, AttributeError, TypeError, ValueError) as exc:
+                    raise UsageError(f"fcidump_pattern {self.fcidump_pattern!r} does not "
+                                     f"format length {length}: {exc!r}") from None
+        if self.ansatz not in ANSATZE:
             raise UsageError(f"unknown ansatz {self.ansatz!r}")
         if self.optimizer not in OPTIMIZER_METHODS:
             raise UsageError(f"unknown optimizer {self.optimizer!r}")
@@ -86,74 +104,89 @@ class ScanSpec:
             raise UsageError("workers must be >= 1")
 
 
-def _point_geometry(spec: ScanSpec, length: float) -> list:
-    atoms = []
-    for symbol, offset in spec.fragment_a:
-        atoms.append([symbol, *(float(x) for x in offset)])
-    for symbol, offset in spec.fragment_b:
-        pos = np.asarray(offset, dtype=float) + (0.0, 0.0, length)
-        atoms.append([symbol, *(float(x) for x in pos)])
-    return atoms
+def _is_atom(entry) -> bool:
+    """A fragment entry: a symbol string and three finite offsets."""
+    try:
+        symbol, offset = entry
+        return (isinstance(symbol, str) and len(offset) == 3
+                and all(math.isfinite(x) for x in offset))
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
-def _build_ansatz(spec: ScanSpec, n_qubits: int, n_electrons: int):
-    if spec.ansatz == "uccsd":
+def load_mo(source, basis: str | None = None, log=None):
+    """MO integrals and the SCF that made them (None for an FCIDUMP):
+    source is an FCIDUMP path, or a Geometry taken through a converged SCF
+    in the named basis; ComputationError if that SCF does not converge."""
+    if not isinstance(source, Geometry):
+        return parse_fcidump(Path(source).read_text()), None
+    ao = build_ao_integrals(source, assign_basis(source, load_basis(basis)))
+    scf = scf_solve(ao, log=log)
+    if not scf.converged:
+        raise ComputationError("SCF did not converge")
+    return ao_to_mo(ao, scf.mo_coefficients), scf
+
+
+def build_ansatz(kind: str, n_qubits: int, n_electrons: int, depth: int):
+    """The ansatz of one of ANSATZE; depth counts HEA layers."""
+    if kind == "uccsd":
         return uccsd_ansatz(n_qubits, n_electrons)
-    return hardware_efficient_ansatz(n_qubits, spec.depth, n_electrons)
+    if kind == "hea":
+        return hardware_efficient_ansatz(n_qubits, depth, n_electrons)
+    raise UsageError(f"unknown ansatz {kind!r}")
 
 
-def _record_setup(spec: ScanSpec) -> dict:
-    """The charge, frozen orbitals and HEA depth that every record of the
-    scan carries, so each id names one computation."""
-    hea = "vqe" in spec.methods and spec.ansatz == "hea"
-    return dict(charge=spec.charge, n_frozen=spec.n_frozen,
-                depth=spec.depth if hea else None)
+def point_record(spec: ScanSpec, length: float, error: str | None = None) -> EnergyRecord:
+    """The record of spec at one length, with its content id and no
+    results yet: every field of the id comes from the spec and the length,
+    so a failed point carries the id of the computation that failed."""
+    if spec.fcidump_pattern is not None:
+        geometry = {"fcidump": spec.fcidump_pattern.format(length=length)}
+    else:
+        geometry = [[symbol, *(float(x) for x in offset)] for symbol, offset in spec.fragment_a]
+        for symbol, offset in spec.fragment_b:
+            pos = np.asarray(offset, dtype=float) + (0.0, 0.0, length)
+            geometry.append([symbol, *(float(x) for x in pos)])
+    vqe = "vqe" in spec.methods
+    record = EnergyRecord(
+        molecule=spec.molecule,
+        basis=spec.basis or "fcidump",
+        geometry=geometry,
+        bond_length=float(length),
+        ansatz=spec.ansatz if vqe else None,
+        optimizer=spec.optimizer if vqe else None,
+        seed=spec.seed if vqe else None,
+        charge=spec.charge,
+        n_frozen=spec.n_frozen,
+        depth=spec.depth if vqe and spec.ansatz == "hea" else None,
+        error=error,
+    )
+    record.record_id = record.compute_id()
+    return record
 
 
 def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> EnergyRecord:
     """Run one bond length end to end and return its record."""
+    record = point_record(spec, length)
     if spec.fcidump_pattern is not None:
-        path = spec.fcidump_pattern.format(length=length)
-        mo = parse_fcidump(Path(path).read_text())
-        geometry = {"fcidump": path}
-        e_hf = hf_reference_energy(mo) if "hf" in spec.methods else None
-        basis_label = spec.basis or "fcidump"
+        source = record.geometry["fcidump"]
     else:
-        atoms = _point_geometry(spec, length)
-        geometry = atoms
-        geom = Geometry.from_angstrom(
-            [(sym, (x, y, z)) for sym, x, y, z in atoms], charge=spec.charge
+        source = Geometry.from_angstrom(
+            [(sym, (x, y, z)) for sym, x, y, z in record.geometry], charge=spec.charge
         )
-        basis = load_basis(spec.basis)
-        ao = build_ao_integrals(geom, assign_basis(geom, basis))
-        scf = scf_solve(ao)
-        if not scf.converged:
-            raise ComputationError(f"SCF did not converge at {length} Angstrom")
-        mo = ao_to_mo(ao, scf.mo_coefficients)
-        e_hf = scf.e_hf if "hf" in spec.methods else None
-        basis_label = spec.basis
+    mo, scf = load_mo(source, spec.basis)
+    if "hf" in spec.methods:
+        record.e_hf = scf.e_hf if scf else hf_reference_energy(mo)
     if spec.n_frozen:
         mo = freeze_core(mo, spec.n_frozen)
 
     fermion_op = build_fermionic_hamiltonian(mo)
     pauli = jordan_wigner(fermion_op)
-
-    record = EnergyRecord(
-        molecule=spec.molecule,
-        basis=basis_label,
-        geometry=geometry,
-        bond_length=float(length),
-        n_qubits=fermion_op.n_modes,
-        e_hf=e_hf,
-        ansatz=spec.ansatz if "vqe" in spec.methods else None,
-        optimizer=spec.optimizer if "vqe" in spec.methods else None,
-        seed=spec.seed if "vqe" in spec.methods else None,
-        **_record_setup(spec),
-    )
+    record.n_qubits = fermion_op.n_modes
     if "exact" in spec.methods:
         record.e_exact = dense_ground_energy(pauli, mo.n_electrons).ground_energy
     if "vqe" in spec.methods:
-        ansatz = _build_ansatz(spec, fermion_op.n_modes, mo.n_electrons)
+        ansatz = build_ansatz(spec.ansatz, fermion_op.n_modes, mo.n_electrons, spec.depth)
         config = OptimizerConfig(
             method=spec.optimizer, budget=spec.budget, seed=spec.seed
         )
@@ -161,7 +194,6 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
         record.e_vqe = result.energy
         record.evaluations = result.evaluations
 
-    record.record_id = record.compute_id()
     if db is not None:
         record.hamiltonian_ref = {
             "fermion": db.put_hamiltonian(serialize_terms(fermion_op), ".fop"),
@@ -179,14 +211,7 @@ def run_scan(spec: ScanSpec, db: EnergyDB | None = None) -> list:
         try:
             return scan_point(spec, length, db)
         except Exception as exc:  # failure isolation per point
-            record = EnergyRecord(
-                molecule=spec.molecule,
-                basis=spec.basis or "fcidump",
-                bond_length=float(length),
-                error=f"{type(exc).__name__}: {exc}",
-                **_record_setup(spec),
-            )
-            record.record_id = record.compute_id()
+            record = point_record(spec, length, error=f"{type(exc).__name__}: {exc}")
             if db is not None:
                 db.put(record)
             return record

@@ -12,6 +12,7 @@ from molq.exact import dense_ground_energy
 from molq.integrals import Geometry
 from molq.integrals_io import write_fcidump
 from molq.pauli import parse_pauli
+from molq.workbench import ScanSpec, scan_point
 
 from conftest import pipeline
 
@@ -366,6 +367,36 @@ def test_scan_comma_lengths(capsys, tmp_path):
     assert "e_exact=" not in out
 
 
+def test_scan_rejects_an_unformattable_fcidump_pattern(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    assert main(["scan", "--molecule", "LiH", "--fcidump-pattern", "x_{foo}",
+                 "--lengths", "1.6", "--db", str(db_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "fcidump_pattern" in captured.err
+    assert captured.out == ""
+    assert EnergyDB(db_dir).list_ids() == []
+
+
+def test_cli_prints_the_energies_of_the_scan_point(capsys, h2_xyz):
+    """The CLI runs the stages scan_point runs: the same energies, bit for bit."""
+    spec = ScanSpec(molecule="H2", bond_lengths=[0.7354], fragment_a=[("H", (0.0, 0.0, 0.0))],
+                    fragment_b=[("H", (0.0, 0.0, 0.0))], basis="sto-3g",
+                    methods=("hf", "vqe", "exact"), budget=50)
+    record = scan_point(spec, 0.7354)
+    geometry = ["--geometry", h2_xyz, "--basis", "sto-3g"]
+    for command, prefix, energy in ((["scf"], "E_HF = ", record.e_hf),
+                                    (["exact"], "E_exact = ", record.e_exact),
+                                    (["vqe", "--budget", "50"], "E_VQE = ", record.e_vqe)):
+        assert main(command + geometry) == 0
+        assert value_after(capsys.readouterr().out, prefix) == repr(energy)
+
+    lih = ScanSpec(molecule="LiH", bond_lengths=[1.6], methods=("exact",), n_frozen=1,
+                   fcidump_pattern=LIH_FCIDUMP.replace("1.60", "{length:.2f}"))
+    assert main(["exact", "--fcidump", LIH_FCIDUMP, "--freeze", "1"]) == 0
+    assert value_after(capsys.readouterr().out, "E_exact = ") == repr(
+        scan_point(lih, 1.6).e_exact)
+
+
 def test_scan_rejects_bad_lengths(capsys):
     # unparsable numbers, and a range refused by its point count before
     # any point is made (1e-12 steps would be 2e11 points)
@@ -477,6 +508,31 @@ def test_db_put_rejects_mistyped_fields_and_the_db_still_reads(capsys, tmp_path)
     for command in (["db", "query"], ["db", "list"], ["curve", "--molecule", "H2"]):
         assert main(command + ["--db", str(db_dir)]) == 0
         assert "0.7354" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("molecule", 5, "molecule must be a non-empty string"),
+    ("basis", ["sto-3g"], "basis must be a non-empty string"),
+    ("ansatz", 1, "ansatz must be a string"),
+    ("optimizer", ["nelder_mead"], "optimizer must be a string"),
+    ("error", {"kind": "SCF"}, "error must be a string"),
+    ("created_at", 20261019, "created_at must be a string"),
+])
+def test_db_put_rejects_mistyped_strings_and_the_db_still_reads(capsys, tmp_path, field,
+                                                                value, message):
+    db_dir = tmp_path / "db"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g", "bond_length": 0.7354}))
+    assert main(["db", "put", "--db", str(db_dir), str(good)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g", "bond_length": 0.9,
+                               field: value}))
+    assert main(["db", "put", "--db", str(db_dir), str(bad)]) == 1
+    assert message in capsys.readouterr().err
+    assert len(list((db_dir / "records").iterdir())) == 1
+    assert main(["db", "query", "--db", str(db_dir)]) == 0
+    assert "0.7354" in capsys.readouterr().out
 
 
 def test_db_list_matches_the_per_id_path(capsys, tmp_path, monkeypatch):

@@ -200,6 +200,13 @@ def test_ao_file_bytes_are_pinned(sto3g, name):
     assert np.array_equal(back.core_hamiltonian, ao.core_hamiltonian)
 
 
+@pytest.mark.parametrize("nelec", ["-2.5", "2.7", "nan"])
+def test_ao_file_electron_count_is_a_count(nelec):
+    text = f"NAO 1\nSECTION OVERLAP\n1.0 1 1\nSECTION NELEC\n{nelec}\n"
+    with pytest.raises(ParseError, match=f"line 5: NELEC must be a non-negative integer, got '{nelec}'"):
+        read_ao_file(text)
+
+
 def test_ao_file_errors():
     with pytest.raises(ParseError):
         read_ao_file("")

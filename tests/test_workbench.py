@@ -20,6 +20,7 @@ from molq import (
     uccsd_ansatz,
 )
 from molq.db import EnergyDB, EnergyRecord
+from molq.workbench import build_ansatz, point_record
 from molq.errors import ComputationError, ScanError, UsageError
 from molq.fermion import (
     FermionOperator, build_fermionic_hamiltonian, freeze_core, parse_terms, serialize_terms,
@@ -73,6 +74,16 @@ def test_valid_spec_passes():
         (dict(optimizer="bogus"), "unknown optimizer"),
         (dict(depth=-1), "depth"),
         (dict(seed=-1), "seed"),
+        # what point_record reads to build each record, failed or not
+        (dict(fragment_a=[("H", (0.0, 0.0))]), "fragment"),
+        (dict(fragment_a=[(1, (0.0, 0.0, 0.0))]), "fragment"),
+        (dict(fragment_b=[("H", (0.0, 0.0, float("nan")))]), "fragment"),
+        (dict(fragment_b=[("H", (0.0, 0.0, "x"))]), "fragment"),
+        (dict(fragment_b="H"), "fragment"),
+        (dict(fcidump_pattern="x_{foo}"), "does not format length 0.7354"),
+        (dict(fcidump_pattern="x_{length:d}"), "does not format"),
+        (dict(fcidump_pattern="x_{0}"), "does not format"),
+        (dict(fcidump_pattern="x_{length"), "does not format"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
@@ -317,6 +328,43 @@ def test_error_records_name_the_setup(tmp_path):
     with pytest.raises(ScanError):
         run_scan(spec, db := EnergyDB(tmp_path / "db"))
     assert {(r.n_frozen, r.depth, r.charge) for r in db.query()} == {(1, 2, 0)}
+
+
+def test_failed_point_keeps_its_computations_id(tmp_path):
+    # two configurations of LiH at 1.6 Angstrom whose FCIDUMP is missing
+    def lih(directory, optimizer):
+        return ScanSpec(molecule="LiH", bond_lengths=[1.6], methods=("hf", "vqe", "exact"),
+                        n_frozen=1, optimizer=optimizer, budget=20,
+                        fcidump_pattern=str(tmp_path / directory / "lih_d{length:.2f}.fcidump"))
+
+    db = EnergyDB(tmp_path / "db")
+    specs = [lih("a", "nelder_mead"), lih("b", "spsa")]
+    for spec in specs:
+        with pytest.raises(ScanError):
+            run_scan(spec, db)
+    failed = db.query(molecule="LiH")
+    assert [len(db.versions(r.record_id)) for r in failed] == [1, 1]
+    assert {r.record_id for r in failed} == {point_record(s, 1.6).record_id for s in specs}
+
+    # the fixed point is version 2 of the failed one's id, and the curve has one row
+    db = EnergyDB(tmp_path / "db2")
+    with pytest.raises(ScanError, match="every scan point failed"):
+        run_scan(specs[0], db)
+    (failure,) = db.query()
+    assert failure.error.startswith("FileNotFoundError")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "lih_d1.60.fcidump").write_text(
+        (FCIDUMP_DIR / "lih_d1.60.fcidump").read_text())
+    (fixed,) = run_scan(specs[0], db)
+    assert fixed.error is None and fixed.record_id == failure.record_id
+    assert len(db.versions(fixed.record_id)) == 2
+    assert emit_curve(db.query(molecule="LiH")).count("\n") == 2
+    assert db.audit() == []
+
+
+def test_build_ansatz_refuses_an_unknown_kind():
+    with pytest.raises(UsageError, match="unknown ansatz 'qaoa'"):
+        build_ansatz("qaoa", 4, 2, 1)
 
 
 # ---------------------------------------------------------------------------
