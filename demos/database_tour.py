@@ -2,8 +2,8 @@
 
 Runs a small scan into a throwaway database, then shows what lands on
 disk: content-addressed record ids, version stacking on re-runs, query
-filters, serialized Hamiltonian files, the integrity audit, and CSV curve
-emission. Everything lives under a temporary directory that is deleted at
+filters, the stored FCIDUMP each point re-runs from, the integrity audit,
+and CSV curve emission. Everything lives under a temporary directory that is deleted at
 the end.
 
 Run from the repository root:  python3 demos/database_tour.py
@@ -13,7 +13,17 @@ import json
 import tempfile
 from pathlib import Path
 
-from molq import EnergyDB, ScanSpec, emit_curve, parse_pauli, run_scan, scan_point
+from molq import (
+    EnergyDB,
+    ScanSpec,
+    build_fermionic_hamiltonian,
+    dense_ground_energy,
+    emit_curve,
+    jordan_wigner,
+    parse_fcidump,
+    run_scan,
+    scan_point,
+)
 
 spec = ScanSpec(
     molecule="H2",
@@ -37,8 +47,8 @@ with tempfile.TemporaryDirectory() as tmp:
     for path in sorted(db.root.rglob("*")):
         if path.is_file():
             print(f"  {path.relative_to(db.root)}")
-    print("  records/<id>.v<N>.json is version N; hamiltonians/ files are named")
-    print("  by a hash of their text, so identical operators are stored once")
+    print("  records/<id>.v<N>.json is version N; hamiltonians/ holds each point's")
+    print("  FCIDUMP, named by a hash of its text, so identical integrals are stored once")
 
     print("\n== 3. Record ids hash the configuration, not the results ==")
     again = scan_point(spec, 0.7, db)
@@ -60,11 +70,14 @@ with tempfile.TemporaryDirectory() as tmp:
         {k: v for k, v in record.to_dict().items() if v is not None},
         sort_keys=True, indent=2).replace("\n", "\n  "))
 
-    print("\n== 6. The Hamiltonian files round-trip ==")
-    pauli_file = db.root / record.hamiltonian_ref["pauli"]
-    pauli = parse_pauli(pauli_file.read_text())
-    print(f"  {pauli_file.name}: {len(pauli.coefficients)} Pauli strings on "
-          f"{pauli.n_qubits} qubits")
+    print("\n== 6. The stored FCIDUMP re-runs the exact energy ==")
+    fcidump = db.root / record.hamiltonian_ref["integrals"]
+    mo = parse_fcidump(fcidump.read_text())
+    pauli = jordan_wigner(build_fermionic_hamiltonian(mo))
+    e_exact = dense_ground_energy(pauli, mo.n_electrons).ground_energy
+    print(f"  {fcidump.name}: {mo.n_orbitals} orbitals, {mo.n_electrons} electrons, "
+          f"{len(pauli.coefficients)} Pauli strings on {pauli.n_qubits} qubits")
+    print(f"  E_exact = {e_exact:.12f}, stored {record.e_exact:.12f}")
 
     print("\n== 7. Integrity audit ==")
     problems = db.audit()

@@ -34,7 +34,6 @@ from .integrals import (
 from .integrals_io import (
     MOIntegrals,
     parse_fcidump,
-    read_ao_file,
     write_ao_file,
     write_fcidump,
 )
@@ -54,8 +53,6 @@ from .fermion import (
     FermionTerm,
     build_fermionic_hamiltonian,
     freeze_core,
-    is_hermitian,
-    parse_terms,
     serialize_terms,
 )
 from .pauli import (
@@ -64,7 +61,6 @@ from .pauli import (
     canonicalize,
     group_measurement_basis,
     jordan_wigner,
-    parse_pauli,
     pauli_multiply,
     qwc_group,
     serialize_pauli,

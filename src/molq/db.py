@@ -1,8 +1,9 @@
 """File-backed energy/Hamiltonian database.
 
 records/<record_id>.v<N>.json is version N of a record and the directory
-listing is the whole index; hamiltonians/<sha256 of text>.fop|.pauli hold
-serialized operators. Each file is fsynced under a temporary name, then
+listing is the whole index; hamiltonians/<sha256 of text>.fcidump holds the
+FCIDUMP of the integrals a scan point used, named by a record's
+hamiltonian_ref. Each file is fsynced under a temporary name, then
 os.link-ed to its final name, which fails if that name exists: concurrent
 writers (threads or processes) claim distinct versions without a lock, and
 a crash leaves at most a temporary file, which audit reports.
@@ -62,7 +63,7 @@ class EnergyRecord:
     e_hf: float | None = None
     e_vqe: float | None = None
     e_exact: float | None = None
-    hamiltonian_ref: dict | None = None   # {"fermion": path, "pauli": path}
+    hamiltonian_ref: dict | None = None   # {"integrals": path of its FCIDUMP under the db root}
     ansatz: str | None = None
     optimizer: str | None = None
     seed: int | None = None
@@ -209,9 +210,9 @@ class EnergyDB:
         )
         return record.record_id
 
-    def put_hamiltonian(self, text: str, suffix: str) -> str:
-        """Store text as hamiltonians/<hash of text><suffix>; return that name."""
-        file = f"hamiltonians/{hashlib.sha256(text.encode()).hexdigest()[:16]}{suffix}"
+    def put_hamiltonian(self, text: str) -> str:
+        """Store FCIDUMP text as hamiltonians/<hash of text>.fcidump; return that name."""
+        file = f"hamiltonians/{hashlib.sha256(text.encode()).hexdigest()[:16]}.fcidump"
         _write_new(self.hamiltonians_dir, text, [f"{self._root}/{file}"])
         return file
 
@@ -290,7 +291,8 @@ class EnergyDB:
         return matches
 
     def audit(self) -> list:
-        """Integrity problems found on disk; empty means healthy."""
+        """Integrity problems found on disk, a hamiltonian_ref naming a
+        missing file among them; empty means healthy."""
         problems = [
             f"leftover temporary file {directory.name}/{name}"
             for directory in (self.records_dir, self.hamiltonians_dir)
@@ -313,4 +315,8 @@ class EnergyDB:
                     problems.append(f"{record_id}: file {file} claims id {record.record_id}")
                 if (content_id := record.compute_id()) != record_id:
                     problems.append(f"{record_id}: file {file} holds content id {content_id}")
+                ref = record.hamiltonian_ref or {}
+                for name in ref.values() if isinstance(ref, dict) else [ref]:
+                    if not os.path.isfile(f"{self._root}/{name}"):
+                        problems.append(f"{record_id}: file {file} refers to missing {name}")
         return problems

@@ -26,12 +26,11 @@ in C order: already the serialized order.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UsageError
+from .errors import UsageError
 from .integrals_io import MOIntegrals
 
 CREATION = "+"
@@ -50,13 +49,6 @@ class FermionTerm:
 
     coefficient: complex
     factors: tuple
-
-    def adjoint(self) -> "FermionTerm":
-        flipped = tuple(
-            (mode, ANNIHILATION if kind == CREATION else CREATION)
-            for mode, kind in reversed(self.factors)
-        )
-        return FermionTerm(np.conjugate(self.coefficient), flipped)
 
 
 _KINDS = (CREATION, ANNIHILATION)  # indexed by code & 1
@@ -110,18 +102,6 @@ class FermionOperator:
             FermionTerm(c, tuple((code >> 1, _KINDS[code & 1]) for code in row if code >= 0))
             for c, row in zip(self.coefficients.tolist(), self.factors.tolist())
         ]
-
-
-def is_hermitian(op: FermionOperator, tol: float = 1e-12) -> bool:
-    """True when every term's adjoint appears with the conjugate coefficient."""
-    table = {}
-    for term in op.terms:
-        table[term.factors] = table.get(term.factors, 0.0) + term.coefficient
-    for factors, coeff in table.items():
-        adj = FermionTerm(coeff, factors).adjoint()
-        if abs(table.get(adj.factors, 0.0) - adj.coefficient) > tol:
-            return False
-    return True
 
 
 def build_fermionic_hamiltonian(mo: MOIntegrals) -> FermionOperator:
@@ -219,42 +199,3 @@ def serialize_terms(op: FermionOperator, limit: int | None = None) -> str:
         factors += map(" ".join, tokens[rows[counts == count, :count]].tolist())
     coefficients = _format_coefficients(op.coefficients[order])
     return "".join(map("{} * ( {} )\n".format, coefficients, factors))
-
-
-_TERM_LINE = re.compile(r"^\s*(?P<coeff>\S+)\s*\*\s*\(\s*(?P<factors>[^()]*?)\s*\)\s*$")
-_FACTOR = re.compile(r"^([+-])_(\d+)$")
-
-
-def parse_terms(text: str, n_modes: int | None = None, constant: float = 0.0) -> FermionOperator:
-    """Inverse of serialize_terms. Infers n_modes from the largest index
-    seen when not given explicitly."""
-    terms = []
-    max_mode = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _TERM_LINE.match(line)
-        if m is None:
-            raise ParseError(f"malformed term: {line!r}", line=lineno)
-        try:
-            coeff = complex(m.group("coeff"))
-        except ValueError:
-            raise ParseError(f"bad coefficient {m.group('coeff')!r}", line=lineno)
-        if abs(coeff.imag) <= 1e-12:
-            coeff = coeff.real
-        factors = []
-        for token in m.group("factors").split():
-            fm = _FACTOR.match(token)
-            if fm is None:
-                raise ParseError(f"bad ladder factor {token!r}", line=lineno)
-            mode = int(fm.group(2))
-            kind = CREATION if fm.group(1) == "+" else ANNIHILATION
-            factors.append((mode, kind))
-            max_mode = max(max_mode, mode)
-        if not factors:
-            raise ParseError("term without ladder factors", line=lineno)
-        terms.append(FermionTerm(coeff, tuple(factors)))
-    if n_modes is None:
-        n_modes = max_mode + 1 if max_mode >= 0 else 0
-    return FermionOperator(n_modes=n_modes, terms=terms, constant=constant)

@@ -1,12 +1,13 @@
-"""Read/write molecular-orbital integrals (FCIDUMP) and raw AO integrals.
+"""Read and write molecular-orbital integrals (FCIDUMP); write raw AO integrals.
 
 Both formats store a symmetric matrix as its lower triangle, and a
 chemist-notation ERI tensor (ij|kl), which has 8-fold symmetry, as one
 symmetric matrix over orbital pairs j <= i numbered by `pair_index`: each
 line `<value> p q r s` is the pair-matrix entry of row (p, q) and column
 (r, s), 1-based. Writers emit the lower triangle in row order (q <= p,
-s <= r, (r, s) <= (p, q)); readers set an entry and its mirror, last line
-winning, and gather the tensor from the pair matrix once at the end.
+s <= r, (r, s) <= (p, q)); the FCIDUMP reader sets an entry and its
+mirror, last line winning, and gathers the tensor from the pair matrix once
+at the end.
 
 FCIDUMP data lines are `<value> i j k l`: `i j 0 0` is the one-body h_ij,
 `0 0 0 0` the core energy, anything else the two-body (ij|kl). The AO file
@@ -25,9 +26,9 @@ from .integrals import AOIntegrals, pair_index
 
 # drop integrals below this when writing; also the round-trip fidelity bound
 WRITE_THRESHOLD = 1e-14
-# the most bytes (8 n^4) of the ERI tensor a reader allocates: the tensor and
-# MOIntegrals.validate's two temporaries of its size must fit in memory.
-# 1 GiB allows n <= 107.
+# the most bytes (8 n^4) of the ERI tensor parse_fcidump allocates: the
+# tensor and MOIntegrals.validate's two temporaries of its size must fit in
+# memory. 1 GiB allows n <= 107.
 ERI_BYTES_LIMIT = 2**30
 
 
@@ -68,18 +69,20 @@ def _check_eri_size(n):
         )
 
 
-def _data_line(line, lineno, n, lowest):
-    """The value and int indices of a data line `<value> <index>...`, each
-    index in lowest..n."""
+def _data_line(line, lineno, n):
+    """The value and the four int indices, each in 0..n, of a data line
+    `<value> i j k l`."""
     parts = line.split()
+    if len(parts) != 5:
+        raise ParseError(f"expected '<value> i j k l', got {line!r}", line=lineno)
     try:
         value = float(parts[0])
         idx = [int(x) for x in parts[1:]]
     except ValueError:
         raise ParseError(f"malformed numeric literal in {line!r}", line=lineno) from None
     for i in idx:
-        if not lowest <= i <= n:
-            raise ParseError(f"index {i} out of range {lowest}..{n} in {line!r}", line=lineno)
+        if not 0 <= i <= n:
+            raise ParseError(f"index {i} out of range 0..{n} in {line!r}", line=lineno)
     return value, idx
 
 
@@ -127,9 +130,7 @@ def parse_fcidump(text: str) -> MOIntegrals:
         line = raw.strip()
         if not line:
             continue
-        value, idx = _data_line(line, lineno, norb, 0)
-        if len(idx) != 4:
-            raise ParseError(f"expected '<value> i j k l', got {line!r}", line=lineno)
+        value, idx = _data_line(line, lineno, norb)
         i, j, k, l = idx
         if i == j == k == l == 0:
             e_core = value
@@ -178,76 +179,9 @@ def write_fcidump(mo: MOIntegrals, ms2: int = 0) -> str:
     ]) + "\n"
 
 
-_AO_SECTIONS = ("OVERLAP", "CORE", "ERI", "ENUC", "NELEC")
-
-
-def read_ao_file(text: str) -> AOIntegrals:
-    """Parse the native AO format: `NAO <n>` then SECTION blocks with
-    1-based `<value> <indices...>` entries; symmetry completed like FCIDUMP."""
-    lines = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(text.splitlines(), 1)]
-    lines = [(i, ln) for i, ln in lines if ln]
-    if not lines:
-        raise ParseError("empty AO file", line=1)
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2 or parts[0].upper() != "NAO":
-        raise ParseError(f"expected 'NAO <n>', got {head!r}", line=lineno)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad basis size {parts[1]!r}", line=lineno) from None
-    if n < 1:
-        raise ParseError("NAO must be >= 1", line=lineno)
-    _check_eri_size(n)
-
-    index = pair_index(n)
-    pair = index.tolist()
-    S = np.zeros((n, n))
-    H = np.zeros((n, n))
-    pairs = np.zeros((n * (n + 1) // 2,) * 2)
-    e_nuc = 0.0
-    nelec = 0
-    section = None
-
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if parts[0].upper() == "SECTION":
-            if len(parts) != 2 or parts[1].upper() not in _AO_SECTIONS:
-                raise ParseError(f"unknown section in {line!r}", line=lineno)
-            section = parts[1].upper()
-            continue
-        if section is None:
-            raise ParseError("data line before any SECTION", line=lineno)
-        value, idx = _data_line(line, lineno, n, 1)
-        if section in ("OVERLAP", "CORE"):
-            if len(idx) != 2:
-                raise ParseError("matrix entries need 2 indices", line=lineno)
-            m = S if section == "OVERLAP" else H
-            m[idx[0] - 1, idx[1] - 1] = m[idx[1] - 1, idx[0] - 1] = value
-        elif section == "ERI":
-            if len(idx) != 4:
-                raise ParseError("ERI entries need 4 indices", line=lineno)
-            i, j, k, l = idx
-            x, y = pair[i - 1][j - 1], pair[k - 1][l - 1]
-            pairs[x, y] = pairs[y, x] = value
-        elif section == "ENUC":
-            if idx:
-                raise ParseError("ENUC entry takes no indices", line=lineno)
-            e_nuc = value
-        else:  # NELEC
-            if idx:
-                raise ParseError("NELEC entry takes no indices", line=lineno)
-            if not (parts[0].isascii() and parts[0].isdigit()):
-                raise ParseError(f"NELEC must be a non-negative integer, got {parts[0]!r}",
-                                 line=lineno)
-            nelec = int(parts[0])
-
-    eri = pairs[index[:, :, None, None], index]
-    return AOIntegrals(n, S, H, eri, e_nuc, nelec)
-
-
 def write_ao_file(ao: AOIntegrals) -> str:
-    """Serialize AOIntegrals in the native AO format (round-trips exactly)."""
+    """Serialize AOIntegrals in the native AO format, each value to 17
+    significant digits, so the text holds every value exactly."""
     labels = range(1, ao.n_ao + 1)
     return "\n".join([
         f"NAO {ao.n_ao}",

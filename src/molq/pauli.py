@@ -11,7 +11,7 @@ operators to strings with Z parity chains:
 
 A PauliSum is stored as three columns: int64 masks `x` and `z` and its
 `coefficients`, the one form JW, the simulator, the exact path, QWC
-grouping (one PauliSum per group), sampling and the text format all read;
+grouping (one PauliSum per group), sampling and the serializer all read;
 PauliTerms are only built when `terms` is read. A string acts as
 P|b> = pauli_phase(b) |b ^ x>, whose (-1)^|b&z| part is `pauli_signs`.
 `pauli_multiply` is the product rule on one pair of terms. The transform
@@ -26,12 +26,11 @@ PauliSum to MASK_QUBITS.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ResourceError, UsageError
+from .errors import ResourceError, UsageError
 from .fermion import FermionOperator, _coefficient_column, _format_coefficients
 
 COEFF_DROP = 1e-12
@@ -288,42 +287,3 @@ def serialize_pauli(s: PauliSum) -> str:
     letters = _LETTER_BYTES[(s.x[:, None] >> qubits & 1) + 2 * (s.z[:, None] >> qubits & 1)]
     patterns = letters.view(f"S{len(qubits)}").ravel().astype(str).tolist()
     return "".join(map("{} {}\n".format, _format_coefficients(s.coefficients), patterns))
-
-
-_PAULI_LINE = re.compile(r"^\s*(?P<coeff>\S+)\s+(?P<pattern>[IXYZ]+)\s*$")
-
-
-def parse_pauli(text: str) -> PauliSum:
-    """Inverse of serialize_pauli; n_qubits is the pattern length, which
-    every line must share."""
-    coefficients, patterns = [], []
-    n_qubits = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _PAULI_LINE.match(line)
-        if m is None:
-            raise ParseError(f"malformed Pauli line: {line!r}", line=lineno)
-        try:
-            coeff = complex(m.group("coeff"))
-        except ValueError:
-            raise ParseError(f"bad coefficient {m.group('coeff')!r}", line=lineno)
-        if abs(coeff.imag) <= 1e-12:
-            coeff = coeff.real
-        pattern = m.group("pattern")
-        n_qubits = n_qubits or len(pattern)
-        if len(pattern) != n_qubits:
-            raise ParseError(
-                f"{len(pattern)}-qubit pattern after {n_qubits}-qubit ones", line=lineno
-            )
-        coefficients.append(coeff)
-        patterns.append(pattern)
-    if n_qubits > MASK_QUBITS:  # before the weights 1 << q overflow int64
-        raise ResourceError(f"{n_qubits} qubits exceed the {MASK_QUBITS}-qubit int64 masks")
-    # each letter's code x_bit + 2 * z_bit: its index in serialize_pauli's table
-    letters = np.frombuffer("".join(patterns).encode(), dtype="S1").reshape(-1, 1)
-    codes = np.argmax(letters == _LETTER_BYTES, axis=1).reshape(len(patterns), n_qubits)
-    weights = 1 << np.arange(n_qubits, dtype=np.int64)
-    return PauliSum(n_qubits, x=(codes & 1) @ weights, z=(codes >> 1) @ weights,
-                    coefficients=coefficients)

@@ -6,9 +6,10 @@ sector-exact energy, and build_ansatz plus vqe_solve. scan_point chains
 these stages, and the CLI's scf, ham, vqe and exact commands call the same
 ones. A scan places two fragments a varying distance apart along z (or
 ingests pre-computed FCIDUMP files) and persists one EnergyRecord per
-point, built by point_record. Points are independent jobs: a failing
-length is recorded with an error note under the id of the computation that
-failed, and the scan moves on.
+point, built by point_record, with the FCIDUMP of the integrals the point
+used (after frozen core) as its Hamiltonian. Points are independent jobs:
+a failing length is recorded with an error note under the id of the
+computation that failed, and the scan moves on.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 from .db import METHODS, EnergyDB, EnergyRecord
 from .errors import ComputationError, ScanError, UsageError
 from .exact import dense_ground_energy
-from .fermion import build_fermionic_hamiltonian, freeze_core, serialize_terms
+from .fermion import build_fermionic_hamiltonian, freeze_core
 from .integrals import Geometry, assign_basis, build_ao_integrals, load_basis
-from .integrals_io import parse_fcidump
-from .pauli import jordan_wigner, serialize_pauli
+from .integrals_io import parse_fcidump, write_fcidump
+from .pauli import jordan_wigner
 from .scf import ao_to_mo, hf_reference_energy, scf_solve
 from .vqe import (
     OPTIMIZER_METHODS,
@@ -59,7 +60,7 @@ class ScanSpec:
 
     def validate(self):
         """Raise UsageError for a spec that no point could run, or whose
-        records point_record could not build."""
+        records point_record could not build or EnergyDB.put would refuse."""
         if not self.bond_lengths:
             raise UsageError("bond_lengths must be non-empty")
         lengths = list(self.bond_lengths)
@@ -92,16 +93,13 @@ class ScanSpec:
             raise UsageError(f"unknown ansatz {self.ansatz!r}")
         if self.optimizer not in OPTIMIZER_METHODS:
             raise UsageError(f"unknown optimizer {self.optimizer!r}")
-        if self.budget < 1:
-            raise UsageError("budget must be >= 1")
-        if self.seed < 0:
-            raise UsageError("seed must be >= 0")
-        if self.n_frozen < 0:
-            raise UsageError("n_frozen must be >= 0")
-        if self.depth < 0:
-            raise UsageError("depth must be >= 0")
+        for name, lowest in (("budget", 1), ("seed", 0), ("n_frozen", 0), ("depth", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
+                raise UsageError(f"{name} must be an integer >= {lowest}, got {value!r}")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
+        point_record(self, lengths[0]).validate()
 
 
 def _is_atom(entry) -> bool:
@@ -180,13 +178,13 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
     if spec.n_frozen:
         mo = freeze_core(mo, spec.n_frozen)
 
-    fermion_op = build_fermionic_hamiltonian(mo)
-    pauli = jordan_wigner(fermion_op)
-    record.n_qubits = fermion_op.n_modes
+    record.n_qubits = 2 * mo.n_orbitals
+    if "exact" in spec.methods or "vqe" in spec.methods:
+        pauli = jordan_wigner(build_fermionic_hamiltonian(mo))
     if "exact" in spec.methods:
         record.e_exact = dense_ground_energy(pauli, mo.n_electrons).ground_energy
     if "vqe" in spec.methods:
-        ansatz = build_ansatz(spec.ansatz, fermion_op.n_modes, mo.n_electrons, spec.depth)
+        ansatz = build_ansatz(spec.ansatz, record.n_qubits, mo.n_electrons, spec.depth)
         config = OptimizerConfig(
             method=spec.optimizer, budget=spec.budget, seed=spec.seed
         )
@@ -195,10 +193,7 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
         record.evaluations = result.evaluations
 
     if db is not None:
-        record.hamiltonian_ref = {
-            "fermion": db.put_hamiltonian(serialize_terms(fermion_op), ".fop"),
-            "pauli": db.put_hamiltonian(serialize_pauli(pauli), ".pauli"),
-        }
+        record.hamiltonian_ref = {"integrals": db.put_hamiltonian(write_fcidump(mo))}
         db.put(record)
     return record
 

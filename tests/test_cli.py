@@ -9,9 +9,10 @@ import pytest
 from molq.cli import main
 from molq.db import EnergyDB, EnergyRecord
 from molq.exact import dense_ground_energy
+from molq.fermion import build_fermionic_hamiltonian, freeze_core
 from molq.integrals import Geometry
-from molq.integrals_io import write_fcidump
-from molq.pauli import parse_pauli
+from molq.integrals_io import parse_fcidump, write_fcidump
+from molq.pauli import jordan_wigner, serialize_pauli
 from molq.workbench import ScanSpec, scan_point
 
 from conftest import pipeline
@@ -144,22 +145,28 @@ def test_ham_negative_limit_exits_1(capsys, pauli):
     assert captured.out == ""
 
 
+def pauli_of(mo):
+    return jordan_wigner(build_fermionic_hamiltonian(mo))
+
+
 def test_ham_pauli_round_trips(capsys, h2_fcidump):
     assert main(["ham", "--fcidump", h2_fcidump, "--pauli"]) == 0
-    pauli = parse_pauli(capsys.readouterr().out)
+    pauli = pauli_of(parse_fcidump(Path(h2_fcidump).read_text()))
+    assert capsys.readouterr().out == serialize_pauli(pauli)
     assert pauli.n_qubits == 4
     assert dense_ground_energy(pauli).ground_energy == pytest.approx(
         E_EXACT_H2, abs=1e-9
     )
 
 
-def test_ham_geometry_route_matches_fcidump(capsys, h2_xyz, h2_fcidump):
+def test_ham_geometry_route_matches_fcidump(capsys, h2_xyz, h2_fcidump, h2_equilibrium):
     assert main(["ham", "--geometry", h2_xyz, "--basis", "sto-3g",
                  "--pauli"]) == 0
     from_geometry = capsys.readouterr().out
     assert main(["ham", "--fcidump", h2_fcidump, "--pauli"]) == 0
     from_dump = capsys.readouterr().out
-    a, b = parse_pauli(from_geometry), parse_pauli(from_dump)
+    a, b = pauli_of(h2_equilibrium[2]), pauli_of(parse_fcidump(Path(h2_fcidump).read_text()))
+    assert (from_geometry, from_dump) == (serialize_pauli(a), serialize_pauli(b))
     assert len(a.terms) == len(b.terms)
     for ta, tb in zip(a.terms, b.terms):
         assert ta.letters == tb.letters
@@ -397,6 +404,26 @@ def test_cli_prints_the_energies_of_the_scan_point(capsys, h2_xyz):
         scan_point(lih, 1.6).e_exact)
 
 
+@pytest.mark.parametrize("scan", [
+    ["--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H", "--basis", "sto-3g",
+     "--lengths", "0.7354"],
+    ["--molecule", "LiH", "--fcidump-pattern", LIH_FCIDUMP.replace("1.60", "{length:.2f}"),
+     "--lengths", "1.6", "--freeze", "1"],
+], ids=["H2", "LiH frozen core"])
+def test_scan_hamiltonian_reruns_through_molq_exact(capsys, tmp_path, scan):
+    db_dir = tmp_path / "db"
+    assert main(["scan", *scan, "--methods", "hf,exact", "--db", str(db_dir)]) == 0
+    (record,) = EnergyDB(db_dir).query()
+    stored = db_dir / record.hamiltonian_ref["integrals"]
+    if "--freeze" in scan:
+        shipped = parse_fcidump(Path(LIH_FCIDUMP).read_text())
+        assert stored.read_text() == write_fcidump(freeze_core(shipped, 1))
+    capsys.readouterr()
+    assert main(["exact", "--fcidump", str(stored)]) == 0
+    energy = float(value_after(capsys.readouterr().out, "E_exact = "))
+    assert abs(energy - record.e_exact) <= 1e-12
+
+
 def test_scan_rejects_bad_lengths(capsys):
     # unparsable numbers, and a range refused by its point count before
     # any point is made (1e-12 steps would be 2e11 points)
@@ -609,6 +636,21 @@ def test_db_audit_problems_exit_2(capsys, tmp_path):
     assert lines[0] == "leftover temporary file records/tmpx1.tmp"
     assert lines[1].startswith(f"{record_id}: unreadable records/{record_id}.v1.json")
     assert len(lines) == 2
+
+
+def test_db_audit_missing_hamiltonian_exits_2(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    assert main(["scan", "--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H",
+                 "--basis", "sto-3g", "--lengths", "0.7354", "--methods", "hf",
+                 "--db", str(db_dir)]) == 0
+    assert main(["db", "audit", "--db", str(db_dir)]) == 0
+    capsys.readouterr()
+    (stored,) = (db_dir / "hamiltonians").iterdir()
+    stored.unlink()
+    assert main(["db", "audit", "--db", str(db_dir)]) == 2
+    (record_id,) = EnergyDB(db_dir).list_ids()
+    assert capsys.readouterr().out == (f"{record_id}: file records/{record_id}.v1.json refers "
+                                       f"to missing hamiltonians/{stored.name}\n")
 
 
 def test_curve_without_matches(capsys, tmp_path):

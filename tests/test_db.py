@@ -507,6 +507,40 @@ def test_audit_detects_content_of_another_id(tmp_path):
                           f"content id {other.compute_id()}"]
 
 
+def test_audit_detects_a_missing_hamiltonian(tmp_path):
+    # the {"integrals"} ref scan points write, the {"fermion", "pauli"} ref
+    # of records written before the FCIDUMP was stored, and a bare path
+    # from a hand-written record
+    db = EnergyDB(tmp_path / "db")
+    integrals = db.put_hamiltonian("&FCI NORB=1,NELEC=0,MS2=0,\n&END\n1.5 0 0 0 0\n")
+    older = {"fermion": "hamiltonians/0123456789abcdef.fop",
+             "pauli": "hamiltonians/fedcba9876543210.pauli"}
+    for name in older.values():
+        (db.root / name).write_text("")
+    refs = [{"integrals": integrals}, older, None, "hamiltonians/absent.fcidump"]
+    ids = [db.put(make_record(seed=seed, hamiltonian_ref=ref)) for seed, ref in enumerate(refs)]
+
+    def problems(missing):
+        return [f"{record_id}: file records/{record_id}.v1.json refers to missing {name}"
+                for record_id, name in sorted(missing.items())]
+
+    assert db.audit() == problems({ids[3]: refs[3]})
+    (db.root / integrals).unlink()
+    (db.root / older["pauli"]).unlink()
+    assert db.audit() == problems({ids[0]: integrals, ids[1]: older["pauli"], ids[3]: refs[3]})
+
+
+def test_audit_of_records_without_a_hamiltonian_checks_no_file(tmp_path, monkeypatch):
+    db = EnergyDB(tmp_path / "db")
+    fill_query_db(db)
+
+    def refuse(path):
+        raise AssertionError(f"audit looked for {path}")
+
+    monkeypatch.setattr(os.path, "isfile", refuse)
+    assert db.audit() == []
+
+
 def test_audit_detects_version_gap(tmp_path):
     db = EnergyDB(tmp_path / "db")
     record_id = db.put(make_record())

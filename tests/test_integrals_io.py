@@ -1,4 +1,5 @@
-"""FCIDUMP and native AO file round-trips and parser error handling."""
+"""FCIDUMP round-trips and parser error handling, and the native AO file
+against its round-trip oracle."""
 
 import hashlib
 from pathlib import Path
@@ -17,11 +18,11 @@ from molq import (
     build_ao_integrals,
     fci_determinant_oracle,
     parse_fcidump,
-    read_ao_file,
     scf_solve,
     write_ao_file,
     write_fcidump,
 )
+from molq.integrals import AOIntegrals, pair_index
 from molq.integrals_io import ERI_BYTES_LIMIT, MOIntegrals
 from conftest import random_mo_integrals
 
@@ -100,8 +101,6 @@ def test_size_guard_before_allocation():
     # 8 * 100000^4 bytes would be 745 PiB: refused from the header alone
     with pytest.raises(ResourceError, match="100000 orbitals"):
         parse_fcidump("&FCI NORB=100000,NELEC=2,MS2=0,&END\n")
-    with pytest.raises(ResourceError, match="100000 orbitals"):
-        read_ao_file("NAO 100000\n")
 
 
 def test_size_guard_limit_is_107_orbitals():
@@ -147,14 +146,39 @@ def test_h2_fcidump_roundtrip_preserves_fci_energy(h2_equilibrium):
 
 
 # ---------------------------------------------------------------- AO files
+def read_ao_file(text: str) -> AOIntegrals:
+    """The AOIntegrals in write_ao_file's text, each lower-triangle entry
+    set with its mirror: the writer's round-trip oracle."""
+    head, *sections = text.split("SECTION ")
+    n = int(head.split()[1])
+    data = {name: [line.split() for line in lines]
+            for name, *lines in map(str.splitlines, sections)}
+    index = pair_index(n)
+
+    def symmetric(name, size=n, position=lambda i, j: (i, j)):
+        m = np.zeros((size, size))
+        for value, *labels in data[name]:
+            r, c = position(*(int(label) - 1 for label in labels))
+            m[r, c] = m[c, r] = float(value)
+        return m
+
+    pairs = symmetric("ERI", n * (n + 1) // 2,
+                      lambda i, j, k, l: (index[i, j], index[k, l]))
+    return AOIntegrals(n, symmetric("OVERLAP"), symmetric("CORE"),
+                       pairs[index[:, :, None, None], index],
+                       float(data["ENUC"][0][0]), int(data["NELEC"][0][0]))
+
+
 def test_read_minimal_ao_file():
-    ao = read_ao_file(
-        "NAO 1\nSECTION OVERLAP\n1.0 1 1\nSECTION CORE\n-0.5 1 1\n"
-        "SECTION ENUC\n0.0\nSECTION NELEC\n1\n"
-    )
-    assert ao.n_ao == 1
-    assert ao.overlap[0, 0] == 1.0
-    assert ao.core_hamiltonian[0, 0] == -0.5
+    ao = AOIntegrals(1, np.ones((1, 1)), np.full((1, 1), -0.5), np.zeros((1, 1, 1, 1)), 0.0, 1)
+    text = write_ao_file(ao)
+    assert text == ("NAO 1\nSECTION OVERLAP\n1 1 1\nSECTION CORE\n-0.5 1 1\nSECTION ERI\n"
+                    "SECTION ENUC\n0\nSECTION NELEC\n1\n")
+    back = read_ao_file(text)
+    assert back.n_ao == 1
+    assert back.overlap[0, 0] == 1.0
+    assert back.core_hamiltonian[0, 0] == -0.5
+    assert back.eri[0, 0, 0, 0] == 0.0 and back.n_electrons == 1
 
 
 def test_ao_file_roundtrip(h2_equilibrium):
@@ -198,23 +222,3 @@ def test_ao_file_bytes_are_pinned(sto3g, name):
     assert np.array_equal(back.eri, ao.eri)
     assert np.array_equal(back.overlap, ao.overlap)
     assert np.array_equal(back.core_hamiltonian, ao.core_hamiltonian)
-
-
-@pytest.mark.parametrize("nelec", ["-2.5", "2.7", "nan"])
-def test_ao_file_electron_count_is_a_count(nelec):
-    text = f"NAO 1\nSECTION OVERLAP\n1.0 1 1\nSECTION NELEC\n{nelec}\n"
-    with pytest.raises(ParseError, match=f"line 5: NELEC must be a non-negative integer, got '{nelec}'"):
-        read_ao_file(text)
-
-
-def test_ao_file_errors():
-    with pytest.raises(ParseError):
-        read_ao_file("")
-    with pytest.raises(ParseError):
-        read_ao_file("NAO x\n")
-    with pytest.raises(ParseError):
-        read_ao_file("NAO 1\n1.0 1 1\n")  # data before SECTION
-    with pytest.raises(ParseError):
-        read_ao_file("NAO 1\nSECTION NOPE\n")
-    with pytest.raises(ParseError):
-        read_ao_file("NAO 1\nSECTION OVERLAP\n1.0 2 2\n")  # out of range

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import molq.vqe
+import molq.workbench
 from molq import (
     Geometry,
     ScanSpec,
@@ -23,10 +24,10 @@ from molq.db import EnergyDB, EnergyRecord
 from molq.workbench import build_ansatz, point_record
 from molq.errors import ComputationError, ScanError, UsageError
 from molq.fermion import (
-    FermionOperator, build_fermionic_hamiltonian, freeze_core, parse_terms, serialize_terms,
+    FermionOperator, build_fermionic_hamiltonian, freeze_core, serialize_terms,
 )
 from molq.integrals_io import parse_fcidump, write_fcidump
-from molq.pauli import parse_pauli, serialize_pauli
+from molq.pauli import serialize_pauli
 
 from conftest import pipeline
 
@@ -109,6 +110,24 @@ def test_run_scan_rejects_bad_spec_before_any_point(tmp_path, overrides):
     assert db.list_ids() == []
 
 
+@pytest.mark.parametrize("overrides,fragment", [
+    (dict(methods=("hf", "vqe"), seed=1.5), "seed must be an integer"),
+    (dict(seed="x"), "seed must be an integer"),
+    (dict(charge="1"), "charge must be an integer"),
+    (dict(molecule=""), "molecule must be a non-empty string"),
+])
+def test_run_scan_refuses_records_put_would_refuse(tmp_path, monkeypatch, overrides, fragment):
+    # Checked before any point runs: otherwise the point's put fails, and
+    # so does its error record's, out of run_scan's failure branch.
+    calls = []
+    monkeypatch.setattr(molq.workbench, "scan_point", lambda *args: calls.append(args))
+    db = EnergyDB(tmp_path / "db")
+    with pytest.raises(UsageError, match=fragment):
+        run_scan(h2_spec(**overrides), db)
+    assert calls == []
+    assert [path for path in db.root.rglob("*") if path.is_file()] == []
+
+
 def test_fcidump_pattern_needs_no_fragments():
     ScanSpec(
         molecule="H2",
@@ -171,23 +190,81 @@ def test_scan_point_off_axis_fragments(sto3g):
     assert record.geometry[1] == ["H", 0.0, 1.0, 0.7354]
 
 
-def test_scan_point_writes_hamiltonians(tmp_path, h2_hamiltonian):
+def test_scan_point_writes_hamiltonians(tmp_path, h2_equilibrium):
     db = EnergyDB(tmp_path / "db")
     record = scan_point(h2_spec(), 0.7354, db)
-    assert set(record.hamiltonian_ref) == {"fermion", "pauli"}
-    fop_path = db.root / record.hamiltonian_ref["fermion"]
-    pauli_path = db.root / record.hamiltonian_ref["pauli"]
-    assert fop_path.exists() and pauli_path.exists()
-    pauli = parse_pauli(pauli_path.read_text())
-    assert dense_ground_energy(pauli).ground_energy == pytest.approx(
-        record.e_exact, abs=1e-9
-    )
-    op = parse_terms(fop_path.read_text(), n_modes=4)
-    assert len(op.terms) > 0
+    _, _, mo = h2_equilibrium
+    text = write_fcidump(mo)
+    name = f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.fcidump"
+    assert record.hamiltonian_ref == {"integrals": f"hamiltonians/{name}"}
+    assert [path.name for path in db.hamiltonians_dir.iterdir()] == [name]
+    assert (db.hamiltonians_dir / name).read_text() == text
+    assert db.audit() == []
 
 
-# sha256(text)[:16], the name put_hamiltonian files each text under:
-# (fermion .fop, pauli .pauli)
+def rerun(record, db):
+    """The record's point re-run from its stored FCIDUMP, into db."""
+    path = db.root / record.hamiltonian_ref["integrals"]
+    spec = ScanSpec(molecule=record.molecule, bond_lengths=[record.bond_length],
+                    fcidump_pattern=str(path))
+    return scan_point(spec, record.bond_length, db)
+
+
+@pytest.mark.parametrize("molecule,fragment_a,fragment_b,length,charge", [
+    ("H2", [("H", (0, 0, 0))], [("H", (0, 0, 0))], 0.7354, 0),
+    ("H2", [("H", (0, 0, 0))], [("H", (0, 0, 0))], 3.0, 0),
+    ("HeH+", [("He", (0, 0, 0))], [("H", (0, 0, 0))], 0.9, 1),
+    ("LiH...H2", [("Li", (0, 0, 0))], [("H", (0, 0, 0)), ("H", (0, 0, 1.0)), ("H", (0, 0, 1.74))],
+     1.6, 0),
+], ids=["H2 0.7354", "H2 3.0", "HeH+ 0.9", "LiH...H2"])
+def test_geometry_point_reruns_from_its_stored_fcidump(
+        tmp_path, molecule, fragment_a, fragment_b, length, charge):
+    # The FCIDUMP keeps one member of each 8-fold ERI orbit, and ao_to_mo's
+    # g is symmetric only to rounding, so the re-run agrees to rounding.
+    db = EnergyDB(tmp_path / "db")
+    spec = ScanSpec(molecule=molecule, bond_lengths=[length], fragment_a=fragment_a,
+                    fragment_b=fragment_b, basis="sto-3g", charge=charge)
+    record = scan_point(spec, length, db)
+    again = rerun(record, db)
+    assert abs(again.e_hf - record.e_hf) <= 1e-12
+    assert abs(again.e_exact - record.e_exact) <= 1e-12
+    assert again.n_qubits == record.n_qubits
+
+
+def lih_spec():
+    """The shipped LiH FCIDUMP at 1.6 Angstrom with one frozen core orbital."""
+    return ScanSpec(molecule="LiH", bond_lengths=[1.6], n_frozen=1,
+                    fcidump_pattern=str(FCIDUMP_DIR / "lih_d{length:.2f}.fcidump"))
+
+
+def test_frozen_core_fcidump_point_stores_the_integrals_it_ran(tmp_path):
+    db = EnergyDB(tmp_path / "db")
+    record = scan_point(lih_spec(), 1.6, db)
+    shipped = parse_fcidump((FCIDUMP_DIR / "lih_d1.60.fcidump").read_text())
+    text = write_fcidump(freeze_core(shipped, 1))
+    assert (db.root / record.hamiltonian_ref["integrals"]).read_text() == text
+    again = rerun(record, db)
+    assert again.hamiltonian_ref == record.hamiltonian_ref
+    assert abs(again.e_hf - record.e_hf) <= 1e-12
+    assert abs(again.e_exact - record.e_exact) <= 1e-12
+    assert again.n_qubits == record.n_qubits == 4
+
+
+def test_hf_only_point_builds_no_hamiltonian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an hf-only point built a Hamiltonian")
+
+    points = [(h2_spec(), 0.7354), (lih_spec(), 1.6)]
+    full = [scan_point(spec, length) for spec, length in points]
+    monkeypatch.setattr(molq.workbench, "build_fermionic_hamiltonian", refuse)
+    monkeypatch.setattr(molq.workbench, "jordan_wigner", refuse)
+    for (spec, length), expected in zip(points, full):
+        record = scan_point(replace(spec, methods=("hf",)), length)
+        assert (record.n_qubits, record.e_hf) == (expected.n_qubits, expected.e_hf)
+    assert [record.n_qubits for record in full] == [4, 4]
+
+
+# sha256(text)[:16] of each `molq ham` listing: (fermion terms, --pauli)
 PINNED_NAMES = {
     "H2 0.7354": ("e274ac4b19171854", "f822f7abbffd803a"),
     "LiH...H2": ("5e348552457236bb", "23454df632b946b5"),
@@ -242,9 +319,10 @@ def test_hamiltonian_file_names_are_pinned(sto3g, monkeypatch):
     ) == PINNED_UCCSD_12_6
 
 
-def test_rerun_keeps_each_versions_hamiltonian(tmp_path, h2_fcidump_pattern, h2_stretched):
+def test_rerun_keeps_each_versions_hamiltonian(tmp_path, h2_fcidump_pattern, h2_equilibrium,
+                                               h2_stretched):
     # Same FCIDUMP path, new contents: the re-run is version 2 of the same
-    # id, and version 1 must still point at the operator it was run with.
+    # id, and version 1 must still point at the integrals it was run with.
     db = EnergyDB(tmp_path / "db")
     spec = ScanSpec(molecule="H2", bond_lengths=[0.7354],
                     fcidump_pattern=h2_fcidump_pattern, methods=("exact",))
@@ -254,11 +332,13 @@ def test_rerun_keeps_each_versions_hamiltonian(tmp_path, h2_fcidump_pattern, h2_
     second = scan_point(spec, 0.7354, db)
     assert second.record_id == first.record_id
     assert second.e_exact != pytest.approx(first.e_exact, abs=1e-6)
-    for version, record in ((1, first), (2, second)):
+    for version, record, (_, _, mo) in ((1, first, h2_equilibrium), (2, second, h2_stretched)):
         stored = db.get(first.record_id, version=version)
-        pauli = parse_pauli((db.root / stored.hamiltonian_ref["pauli"]).read_text())
+        text = (db.root / stored.hamiltonian_ref["integrals"]).read_text()
+        assert text == write_fcidump(mo)
+        pauli = jordan_wigner(build_fermionic_hamiltonian(parse_fcidump(text)))
         assert dense_ground_energy(pauli, 2).ground_energy == pytest.approx(
-            record.e_exact, abs=1e-9
+            record.e_exact, abs=1e-12
         )
 
 
