@@ -38,8 +38,6 @@ from .integrals_io import (
     write_fcidump,
 )
 from .scf import (
-    DIISHistory,
-    SCFOptions,
     SCFResult,
     ao_to_mo,
     diis_extrapolate,

@@ -15,6 +15,8 @@ every id from one listing of records/ and read one file per id, with no
 per-version existence checks. put accepts a preset record_id only when it
 equals the record's content id: the hash of the configuration fields of
 EnergyRecord.content_key, so two records differing in any of them get two ids.
+It accepts a hamiltonian_ref only as paths of files directly under
+hamiltonians/, and audit reports any other ref it reads.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ VARIATIONAL_SLACK = 1e-9
 RECORD_ID = "[0-9a-f]{16}"
 METHODS = ("hf", "vqe", "exact")   # the energies a record carries, as e_<method>
 RECORD_NAME = re.compile(rf"(?P<id>{RECORD_ID})\.v(?P<version>[1-9][0-9]*)\.json")
+HAMILTONIAN_PATH = re.compile(r"hamiltonians/(?!\.\.?\Z)[^/]+")
 TMP_SUFFIX = ".tmp"
 
 
@@ -107,6 +110,9 @@ class EnergyRecord:
                 raise UsageError(f"{name} must be a string, got {value!r}")
         if self.record_id:
             check_record_id(self.record_id, UsageError)
+        if not _is_hamiltonian_ref(self.hamiltonian_ref):
+            raise UsageError("hamiltonian_ref must be None or a dict of "
+                             f"hamiltonians/<name> paths, got {self.hamiltonian_ref!r}")
         for name in ("bond_length", "e_hf", "e_vqe", "e_exact"):
             value = getattr(self, name)
             if value is not None and not _finite_real(value):
@@ -141,6 +147,15 @@ def _finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:       # an int past the float range
         return False
+
+
+def _is_hamiltonian_ref(ref) -> bool:
+    """None, or a dict whose every value is `hamiltonians/<name>` with
+    <name> one path component other than `.` and `..`: a ref never names a
+    path outside hamiltonians/."""
+    return ref is None or (isinstance(ref, dict) and all(
+        isinstance(path, str) and HAMILTONIAN_PATH.fullmatch(path) for path in ref.values()
+    ))
 
 
 _CONTAINERS = (list, tuple, dict)
@@ -315,8 +330,12 @@ class EnergyDB:
                     problems.append(f"{record_id}: file {file} claims id {record.record_id}")
                 if (content_id := record.compute_id()) != record_id:
                     problems.append(f"{record_id}: file {file} holds content id {content_id}")
-                ref = record.hamiltonian_ref or {}
-                for name in ref.values() if isinstance(ref, dict) else [ref]:
+                ref = record.hamiltonian_ref
+                if not _is_hamiltonian_ref(ref):
+                    problems.append(f"{record_id}: file {file} has a malformed "
+                                    f"hamiltonian_ref {ref!r}")
+                    continue
+                for name in (ref or {}).values():
                     if not os.path.isfile(f"{self._root}/{name}"):
                         problems.append(f"{record_id}: file {file} refers to missing {name}")
         return problems

@@ -26,12 +26,13 @@ in C order: already the serialized order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import UsageError
 from .integrals_io import MOIntegrals
+from .scf import hf_reference_energy
 
 CREATION = "+"
 ANNIHILATION = "-"
@@ -145,7 +146,8 @@ def freeze_core(mo: MOIntegrals, n_frozen: int) -> MOIntegrals:
         e_core += sum_i [2 h_ii + sum_j (2 (ii|jj) - (ij|ji))]
         h'_pq   = h_pq + sum_i [2 (pq|ii) - (pi|iq)]
 
-    with i, j running over frozen orbitals and p, q over active ones.
+    with i, j running over frozen orbitals and p, q over active ones. The
+    new e_core is the reference energy of the frozen orbitals alone.
     """
     if mo.n_electrons % 2 != 0:
         raise UsageError("freeze_core requires a closed-shell electron count")
@@ -157,11 +159,6 @@ def freeze_core(mo: MOIntegrals, n_frozen: int) -> MOIntegrals:
         raise UsageError("more frozen orbitals than orbitals")
     f = n_frozen
     h, g = mo.h, mo.g
-    e_core = mo.e_core
-    for i in range(f):
-        e_core += 2.0 * h[i, i]
-        for j in range(f):
-            e_core += 2.0 * g[i, i, j, j] - g[i, j, j, i]
     h_active = h[f:, f:].copy()
     for i in range(f):
         h_active += 2.0 * g[f:, f:, i, i] - g[f:, i, i, f:]
@@ -170,7 +167,7 @@ def freeze_core(mo: MOIntegrals, n_frozen: int) -> MOIntegrals:
         n_electrons=mo.n_electrons - 2 * f,
         h=h_active,
         g=g[f:, f:, f:, f:].copy(),
-        e_core=float(e_core),
+        e_core=hf_reference_energy(replace(mo, n_electrons=2 * f)),
     )
 
 

@@ -26,9 +26,9 @@ from .integrals import AOIntegrals, pair_index
 
 # drop integrals below this when writing; also the round-trip fidelity bound
 WRITE_THRESHOLD = 1e-14
-# the most bytes (8 n^4) of the ERI tensor parse_fcidump allocates: the
-# tensor and MOIntegrals.validate's two temporaries of its size must fit in
-# memory. 1 GiB allows n <= 107.
+# the most bytes (8 n^4) of the ERI tensor parse_fcidump allocates, checked
+# before it allocates that tensor and the pair matrix it is gathered from (a
+# quarter of its size). 1 GiB allows n <= 107.
 ERI_BYTES_LIMIT = 2**30
 
 
@@ -42,18 +42,16 @@ class MOIntegrals:
     g: np.ndarray
     e_core: float = 0.0
 
-    def validate(self, tol=1e-12):
+    def validate(self):
+        """Shapes and electron count. parse_fcidump makes h and g symmetric
+        by construction: it sets an entry and its mirror in h and in the ERI
+        pair matrix, and gathers g from that matrix."""
         n = self.n_orbitals
         if self.h.shape != (n, n) or self.g.shape != (n, n, n, n):
             raise UsageError("integral array shapes do not match n_orbitals")
         if not 0 <= self.n_electrons <= 2 * n:
             raise UsageError(f"electron count {self.n_electrons} outside 0..{2 * n}, "
                              f"the spin orbitals of {n} orbitals")
-        if np.max(np.abs(self.h - self.h.T)) > tol:
-            raise UsageError("one-body integrals not symmetric")
-        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            if np.max(np.abs(self.g - self.g.transpose(perm))) > tol:
-                raise UsageError("two-body integrals break 8-fold symmetry")
         return self
 
     def copy(self):
@@ -168,11 +166,12 @@ def _eri_lines(g):
     return _lower_triangle(g[p[:, None], q[:, None], p, q], labels)
 
 
-def write_fcidump(mo: MOIntegrals, ms2: int = 0) -> str:
-    """Serialize MOIntegrals as FCIDUMP text: the ERI pair matrix, then h
-    (`i j 0 0`), then the core energy (`0 0 0 0`)."""
+def write_fcidump(mo: MOIntegrals) -> str:
+    """Serialize MOIntegrals as FCIDUMP text: a closed-shell header
+    (MS2=0), the ERI pair matrix, then h (`i j 0 0`), then the core energy
+    (`0 0 0 0`)."""
     return "\n".join([
-        f"&FCI NORB={mo.n_orbitals},NELEC={mo.n_electrons},MS2={ms2},", "&END",
+        f"&FCI NORB={mo.n_orbitals},NELEC={mo.n_electrons},MS2=0,", "&END",
         *_eri_lines(mo.g),
         *_lower_triangle(mo.h, range(1, mo.n_orbitals + 1), " 0 0"),
         f"{mo.e_core:.17g} 0 0 0 0",

@@ -2,13 +2,15 @@
 
 Closed-shell only. The Fock matrix is F = Hcore + J - K/2 with
 J_pq = sum_rs D_rs (pq|rs), K_pq = sum_rs D_rs (pr|qs), and the total energy
-is E = 1/2 Tr[D (Hcore + F)] + E_nn.
+is E = 1/2 Tr[D (Hcore + F)] + E_nn. Each iteration diagonalizes Pulay's
+DIIS extrapolation over the last DIIS_CAPACITY (Fock, error) pairs, for at
+most MAX_ITERATIONS iterations.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,50 +22,28 @@ S_EIGENVALUE_FLOOR = 1e-10
 ENERGY_TOL = 1e-10      # |dE| threshold, Hartree
 ERROR_TOL = 1e-8        # max |FDS - SDF| in the orthonormal basis
 DIIS_CAPACITY = 8       # (Fock, error) pairs kept for extrapolation
-
-
-@dataclass
-class SCFOptions:
-    max_iterations: int = 200
+MAX_ITERATIONS = 200
 
 
 @dataclass
 class SCFResult:
     mo_coefficients: np.ndarray   # columns are MOs, C^T S C = I
     orbital_energies: np.ndarray  # ascending, Hartree
-    density: np.ndarray           # D = 2 C_occ C_occ^T
     e_hf: float
     iterations: int
     converged: bool
 
 
-@dataclass
-class DIISHistory:
-    """Bounded queue of (Fock, error) pairs for Pulay extrapolation."""
-
-    capacity: int = DIIS_CAPACITY
-    entries: deque = field(default_factory=deque)
-
-    def push(self, fock, error):
-        if self.entries and error.shape != self.entries[0][1].shape:
-            raise UsageError("error matrix shape changed mid-history")
-        self.entries.append((fock.copy(), error.copy()))
-        while len(self.entries) > self.capacity:
-            self.entries.popleft()
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def diis_extrapolate(history: DIISHistory) -> np.ndarray:
-    """Pulay-extrapolated Fock matrix sum_i c_i F_i with sum c_i = 1.
+def diis_extrapolate(history) -> np.ndarray:
+    """Pulay-extrapolated Fock matrix sum_i c_i F_i with sum c_i = 1, from a
+    sequence of (Fock, error) pairs, oldest first.
 
     Solves the least-squares system with the Lagrange normalization row;
     a singular system drops the oldest entry and retries.
     """
     if len(history) == 0:
         raise UsageError("DIIS extrapolation needs at least one Fock matrix")
-    entries = list(history.entries)
+    entries = list(history)
     while True:
         m = len(entries)
         if m == 1:
@@ -97,14 +77,13 @@ def _orthogonalizer(S):
     return U @ np.diag(w**-0.5) @ U.T
 
 
-def scf_solve(ao: AOIntegrals, options: SCFOptions | None = None, log=None) -> SCFResult:
+def scf_solve(ao: AOIntegrals, log=None) -> SCFResult:
     """Iterate the closed-shell SCF to self-consistency.
 
     Starts from the core-Hamiltonian guess. Convergence requires both
-    |dE| <= ENERGY_TOL and max|error| <= ERROR_TOL; hitting the iteration
-    cap returns converged=False with the last iterate retained.
+    |dE| <= ENERGY_TOL and max|error| <= ERROR_TOL; MAX_ITERATIONS without
+    both returns converged=False with the last iterate retained.
     """
-    opts = options or SCFOptions()
     n = ao.n_ao
     if ao.n_electrons % 2 != 0:
         raise UsageError("restricted HF needs an even electron count")
@@ -124,13 +103,13 @@ def scf_solve(ao: AOIntegrals, options: SCFOptions | None = None, log=None) -> S
     C, eps = diagonalize(H)
     D = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
 
-    history = DIISHistory()
+    history = deque(maxlen=DIIS_CAPACITY)   # F and error are new arrays each iteration
     e_old = 0.0
     e_hf = 0.0
     converged = False
     iterations = 0
 
-    for k in range(1, opts.max_iterations + 1):
+    for k in range(1, MAX_ITERATIONS + 1):
         iterations = k
         J = np.einsum("pqrs,rs->pq", g, D)
         K = np.einsum("prqs,rs->pq", g, D)
@@ -147,14 +126,13 @@ def scf_solve(ao: AOIntegrals, options: SCFOptions | None = None, log=None) -> S
             break
         e_old = e_hf
 
-        history.push(F, error)
+        history.append((F, error))
         C, eps = diagonalize(diis_extrapolate(history))
         D = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
 
     return SCFResult(
         mo_coefficients=C,
         orbital_energies=eps,
-        density=D,
         e_hf=float(e_hf),
         iterations=iterations,
         converged=converged,

@@ -24,10 +24,13 @@ of <N> on its final state. The circuit, `expectation` and
 `parameter_shift_gradient` stay the oracles of the block path.
 
 `minimize` holds the three optimizers, all under one evaluation budget and
-all failing on a non-finite objective value. Nelder-Mead is molq's own
-loop on Python floats; it evaluates the same points as scipy.optimize's
-Nelder-Mead with the same simplex, tolerances and budget, which stays its
-oracle in the tests, so no VQE path imports scipy.
+all failing on a non-finite objective value. Gradient descent takes fixed
+GD_STEP steps along the caller's gradient (vqe_solve passes the adjoint or
+the parameter-shift one), each call charged as 2*P evaluations.
+Nelder-Mead is molq's own loop on Python floats; it evaluates the same
+points as scipy.optimize's Nelder-Mead with the same simplex, tolerances
+and budget, which stays its oracle in the tests, so no VQE path imports
+scipy.
 """
 
 from __future__ import annotations
@@ -267,6 +270,7 @@ def parameter_shift_gradient(a: Ansatz, h: PauliSum, theta) -> np.ndarray:
 OPTIMIZER_METHODS = ("nelder_mead", "spsa", "gradient_descent")
 SPSA_A = 0.1          # step-size gain a in a_k = a / (k + 1 + A)^0.602
 SPSA_C = 0.1          # perturbation gain c in c_k = c / (k + 1)^0.101
+GD_STEP = 0.1         # gradient descent moves theta by -GD_STEP * g
 GD_TOL = 1e-6         # gradient descent stops once max |g_i| < GD_TOL
 NM_FATOL = 1e-9       # Nelder-Mead absolute tolerance on the value
 NM_XATOL = 1e-8       # Nelder-Mead absolute tolerance on the parameters
@@ -277,7 +281,6 @@ class OptimizerConfig:
     method: str = "nelder_mead"   # one of OPTIMIZER_METHODS
     budget: int = 2000            # objective-evaluation budget
     seed: int = 0
-    gd_step: float = 0.1
 
 
 @dataclass
@@ -286,10 +289,6 @@ class MinimizeResult:
     value: float
     evaluations: int
     converged: bool
-
-    def __iter__(self):
-        # allows `theta, value, evaluations = minimize(...)`
-        yield from (self.parameters, self.value, self.evaluations)
 
 
 class _BudgetSpent(Exception):
@@ -373,9 +372,9 @@ def _nelder_mead(f, theta0: list, budget: int) -> bool:
 def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=None) -> MinimizeResult:
     """Derivative-free / gradient minimization, deterministic given the seed.
 
-    gradient_descent uses the supplied gradient callable when given (each
-    call charged as 2*P evaluations against the budget), otherwise +-pi/2
-    parameter shifts of the objective itself.
+    gradient_descent needs the caller's gradient callable and charges each
+    call as 2*P evaluations against the budget, the cost of P parameter-
+    shift pairs; it raises UsageError without one, before any evaluation.
     """
     config = config or OptimizerConfig()
     if config.budget < 1:
@@ -384,6 +383,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
         raise UsageError(f"optimizer seed must be >= 0, got {config.seed}")
     if config.method not in OPTIMIZER_METHODS:
         raise UsageError(f"unknown optimizer method {config.method!r}")
+    if config.method == "gradient_descent" and gradient is None:
+        raise UsageError("gradient_descent needs a gradient callable")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     n_params = theta0.size
 
@@ -437,28 +438,16 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
         return result(False)
 
     # gradient_descent
-    if gradient is None:
-        def gradient(x):
-            g = np.zeros(n_params)
-            for i in range(n_params):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += 0.5 * math.pi
-                xm[i] -= 0.5 * math.pi
-                g[i] = 0.5 * (f(xp) - f(xm))
-            return g
-        gradient_cost = 0       # already counted through f
-    else:
-        gradient_cost = 2 * n_params
     theta = theta0.copy()
     while True:
         f(theta)
         g = np.asarray(gradient(theta), dtype=float)
-        state["count"] += gradient_cost
+        state["count"] += 2 * n_params
         if np.max(np.abs(g)) < GD_TOL:
             return result(True)
-        if state["count"] + 1 + max(gradient_cost, 2 * n_params) > config.budget:
+        if state["count"] + 1 + 2 * n_params > config.budget:
             return result(False)
-        theta = theta - config.gd_step * g
+        theta = theta - GD_STEP * g
 
 
 def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log=None) -> VQEResult:

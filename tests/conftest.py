@@ -91,7 +91,16 @@ def random_mo_integrals(rng, n, n_e, scale=1.0):
     ):
         g = g + g.transpose(perm)
     g /= 8.0
-    return MOIntegrals(n, n_e, h, g, e_core=float(rng.standard_normal())).validate()
+    return symmetric(MOIntegrals(n, n_e, h, g, e_core=float(rng.standard_normal())))
+
+
+def symmetric(mo, tol=1e-12):
+    """mo.validate(), after asserting h is symmetric and g 8-fold symmetric
+    to tol: three generating permutations."""
+    assert np.max(np.abs(mo.h - mo.h.T)) <= tol
+    for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        assert np.max(np.abs(mo.g - mo.g.transpose(perm))) <= tol
+    return mo.validate()
 
 
 def with_number_penalty(mo, lam):
@@ -109,7 +118,7 @@ def with_number_penalty(mo, lam):
             out.g[p, p, q, q] += 2.0 * lam
         out.h[p, p] += lam * (1.0 - 2.0 * ne)
     out.e_core += lam * ne * ne
-    return out.validate()
+    return symmetric(out)
 
 
 def penalty_strength(mo):

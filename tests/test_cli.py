@@ -537,6 +537,19 @@ def test_db_put_rejects_mistyped_fields_and_the_db_still_reads(capsys, tmp_path)
         assert "0.7354" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ref", ["hamiltonians/0123456789abcdef.fcidump",
+                                 {"integrals": "../x"}, {"integrals": "/etc/passwd"}],
+                         ids=["bare-string", "parent", "absolute"])
+def test_db_put_rejects_a_hamiltonian_ref_outside_hamiltonians(capsys, tmp_path, ref):
+    db_dir = tmp_path / "db"
+    record_file = tmp_path / "rec.json"
+    record_file.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g",
+                                       "hamiltonian_ref": ref}))
+    assert main(["db", "put", "--db", str(db_dir), str(record_file)]) == 1
+    assert "hamiltonian_ref must be" in capsys.readouterr().err
+    assert EnergyDB(db_dir).list_ids() == []
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("molecule", 5, "molecule must be a non-empty string"),
     ("basis", ["sto-3g"], "basis must be a non-empty string"),

@@ -138,6 +138,28 @@ def test_validate_accepts_integer_lengths_and_missing_counts():
     make_record(bond_length=1, n_qubits=None, evaluations=None, seed=None).validate()
 
 
+# hamiltonian_ref values that name no file under hamiltonians/
+MALFORMED_REFS = [
+    pytest.param("hamiltonians/0123456789abcdef.fcidump", id="bare-string"),
+    pytest.param({"integrals": "../x"}, id="parent"),
+    pytest.param({"integrals": "/etc/passwd"}, id="absolute"),
+    pytest.param({"integrals": "hamiltonians/../x"}, id="escapes-through-hamiltonians"),
+    pytest.param({"integrals": "hamiltonians/"}, id="empty-name"),
+    pytest.param({"integrals": "hamiltonians/.."}, id="dotdot-name"),
+    pytest.param({"integrals": "hamiltonians/a/b"}, id="two-components"),
+    pytest.param({"integrals": 5}, id="non-string-path"),
+    pytest.param(["hamiltonians/a.fcidump"], id="list"),
+]
+
+
+@pytest.mark.parametrize("ref", MALFORMED_REFS)
+def test_put_refuses_a_malformed_hamiltonian_ref(tmp_path, ref):
+    db = EnergyDB(tmp_path / "db")
+    with pytest.raises(UsageError, match="hamiltonian_ref must be"):
+        db.put(make_record(hamiltonian_ref=ref))
+    assert db.list_ids() == []
+
+
 def test_validate_skips_missing_energies():
     make_record(e_exact=None).validate()
     make_record(e_vqe=None, e_hf=None).validate()
@@ -507,27 +529,53 @@ def test_audit_detects_content_of_another_id(tmp_path):
                           f"content id {other.compute_id()}"]
 
 
+def write_unchecked(db, record):
+    """Write record as version 1 of its content id, past put's validation,
+    as a hand-edited file would be; return the id."""
+    record.record_id = record.compute_id()
+    (db.records_dir / f"{record.record_id}.v1.json").write_text(json.dumps(record.to_dict()))
+    return record.record_id
+
+
 def test_audit_detects_a_missing_hamiltonian(tmp_path):
     # the {"integrals"} ref scan points write, the {"fermion", "pauli"} ref
     # of records written before the FCIDUMP was stored, and a bare path
-    # from a hand-written record
+    # from a hand-written record, which put refuses: audit reports it as
+    # malformed without looking for a file
     db = EnergyDB(tmp_path / "db")
     integrals = db.put_hamiltonian("&FCI NORB=1,NELEC=0,MS2=0,\n&END\n1.5 0 0 0 0\n")
     older = {"fermion": "hamiltonians/0123456789abcdef.fop",
              "pauli": "hamiltonians/fedcba9876543210.pauli"}
     for name in older.values():
         (db.root / name).write_text("")
-    refs = [{"integrals": integrals}, older, None, "hamiltonians/absent.fcidump"]
+    refs = [{"integrals": integrals}, older, None]
     ids = [db.put(make_record(seed=seed, hamiltonian_ref=ref)) for seed, ref in enumerate(refs)]
+    bare = write_unchecked(db, make_record(seed=3, hamiltonian_ref="hamiltonians/absent.fcidump"))
+    malformed = (f"{bare}: file records/{bare}.v1.json has a malformed "
+                 "hamiltonian_ref 'hamiltonians/absent.fcidump'")
 
     def problems(missing):
-        return [f"{record_id}: file records/{record_id}.v1.json refers to missing {name}"
-                for record_id, name in sorted(missing.items())]
+        return sorted([f"{record_id}: file records/{record_id}.v1.json refers to missing {name}"
+                       for record_id, name in missing.items()] + [malformed])
 
-    assert db.audit() == problems({ids[3]: refs[3]})
+    assert db.audit() == problems({})
     (db.root / integrals).unlink()
     (db.root / older["pauli"]).unlink()
-    assert db.audit() == problems({ids[0]: integrals, ids[1]: older["pauli"], ids[3]: refs[3]})
+    assert db.audit() == problems({ids[0]: integrals, ids[1]: older["pauli"]})
+
+
+@pytest.mark.parametrize("ref", MALFORMED_REFS)
+def test_audit_reports_a_malformed_hamiltonian_ref_and_resolves_no_path(tmp_path, monkeypatch,
+                                                                        ref):
+    db = EnergyDB(tmp_path / "db")
+    record_id = write_unchecked(db, make_record(hamiltonian_ref=ref))
+
+    def refuse(path):
+        raise AssertionError(f"audit looked for {path}")
+
+    monkeypatch.setattr(os.path, "isfile", refuse)
+    assert db.audit() == [f"{record_id}: file records/{record_id}.v1.json has a malformed "
+                          f"hamiltonian_ref {ref!r}"]
 
 
 def test_audit_of_records_without_a_hamiltonian_checks_no_file(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """`import molq`, the database commands, an FCIDUMP-to-UCCSD gradient-
 descent point, a `molq vqe` run with the default Nelder-Mead and a
 Lanczos-sized exact energy load numpy, not scipy; the names the benchmark
-tracer wraps still exist.
+tracer wraps and its workloads import still exist.
 
 scipy is imported only inside boys_f0 (erf), the one function that calls
 it. The checks run in a fresh interpreter because the test process has
@@ -10,6 +10,7 @@ scipy loaded already.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -105,18 +106,33 @@ def test_lanczos_exact_energy_loads_no_scipy():
     assert scipy_modules_loaded(LANCZOS_CHILD, 3) == "[]"
 
 
+def load_perfbench_module(monkeypatch, name):
+    """perfbench/<name>.py, executed as the module perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_bindings_resolve(monkeypatch):
     """perfbench/run.py --trace 1 wraps each (module, attribute) of
     perfbench/tracer.py's BINDINGS; a rename in molq would break it."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
-    )
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclass
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench_module(monkeypatch, "tracer")
     assert tracer.BINDINGS
     for module_name, attribute, _ in tracer.BINDINGS:
         owner = importlib.import_module(module_name)
         for part in attribute.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attribute}"
+
+
+def test_benchmark_workloads_import(monkeypatch):
+    """perfbench/workloads.py imports molq's public names and builds every
+    workload's ScanSpec when loaded; removing a name or a ScanSpec field it
+    uses would break the benchmark. Its workloads are BENCHMARK.json's."""
+    workloads = load_perfbench_module(monkeypatch, "workloads")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert sorted(workloads.WORKLOADS) == sorted(w["name"] for w in declared)

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import molq.scf
 from molq import (
-    DIISHistory,
     Geometry,
     LinearDependenceError,
-    SCFOptions,
     UsageError,
     ao_to_mo,
     assign_basis,
@@ -106,10 +105,11 @@ def test_energy_monotone_after_diis_settles(h2_stretched):
     assert scf.converged
 
 
-def test_max_iterations_respected(sto3g):
+def test_max_iterations_respected(sto3g, monkeypatch):
     geom = Geometry.from_angstrom([("H", (0, 0, 0)), ("H", (0, 0, 0.9))])
     ao = build_ao_integrals(geom, assign_basis(geom, sto3g))
-    scf = scf_solve(ao, SCFOptions(max_iterations=1))
+    monkeypatch.setattr(molq.scf, "MAX_ITERATIONS", 1)
+    scf = scf_solve(ao)
     assert not scf.converged and scf.iterations == 1
 
 
@@ -117,8 +117,7 @@ def test_max_iterations_respected(sto3g):
 def test_diis_single_entry_identity():
     rng = np.random.default_rng(0)
     f = rng.standard_normal((3, 3))
-    hist = DIISHistory()
-    hist.push(f, rng.standard_normal((3, 3)))
+    hist = [(f, rng.standard_normal((3, 3)))]
     assert_allclose(diis_extrapolate(hist), f, rtol=0, atol=0)
 
 
@@ -126,9 +125,7 @@ def test_diis_identical_entries_identity():
     rng = np.random.default_rng(1)
     f = rng.standard_normal((3, 3))
     e = rng.standard_normal((3, 3))
-    hist = DIISHistory()
-    hist.push(f, e)
-    hist.push(f, e)
+    hist = [(f, e), (f, e)]
     assert_allclose(diis_extrapolate(hist), f, rtol=0, atol=1e-10)
 
 
@@ -136,29 +133,11 @@ def test_diis_coefficients_sum_to_one():
     rng = np.random.default_rng(2)
     f1, f2 = rng.standard_normal((2, 3, 3))
     e1, e2 = rng.standard_normal((2, 3, 3))
-    hist = DIISHistory()
-    hist.push(f1, e1)
-    hist.push(f2, e2)
-    out = diis_extrapolate(hist)
+    out = diis_extrapolate([(f1, e1), (f2, e2)])
     # out = c1 f1 + c2 f2 with c1 + c2 = 1 means out - f2 is parallel to f1 - f2
     d = (f1 - f2).ravel()
     c1 = float((out - f2).ravel() @ d) / float(d @ d)
     assert_allclose(out, c1 * f1 + (1 - c1) * f2, rtol=0, atol=1e-10)
-
-
-def test_diis_capacity_bound():
-    rng = np.random.default_rng(3)
-    hist = DIISHistory(capacity=3)
-    for _ in range(6):
-        hist.push(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
-    assert len(hist) == 3
-
-
-def test_diis_shape_change_rejected():
-    hist = DIISHistory()
-    hist.push(np.eye(2), np.zeros((2, 2)))
-    with pytest.raises(UsageError):
-        hist.push(np.eye(3), np.zeros((3, 3)))
 
 
 # ----------------------------------------------------------------- ao_to_mo

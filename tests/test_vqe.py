@@ -352,7 +352,7 @@ def test_block_above_the_dense_guard_is_refused_first():
 
 def test_gradient_descent_charges_adjoint_gradients(h2_hamiltonian):
     # each supplied gradient costs 2 * P evaluations against the budget
-    config = OptimizerConfig(method="gradient_descent", budget=1000, gd_step=0.5)
+    config = OptimizerConfig(method="gradient_descent", budget=1000)
     result = vqe_solve(h2_hamiltonian, uccsd_ansatz(4, 2), config)
     assert result.converged
     assert result.evaluations == len(result.history) * (1 + 2 * 3)
@@ -408,6 +408,7 @@ def test_gradient_descent_quadratic():
         lambda t: float(np.sum((t - 2.0) ** 2)),
         [0.0, 0.0],
         OptimizerConfig(method="gradient_descent", budget=4000),
+        gradient=lambda t: 2.0 * (t - 2.0),
     )
     assert result.converged
     assert_allclose(result.parameters, 2.0, rtol=0, atol=1e-4)
@@ -421,7 +422,12 @@ def test_budget_respected():
             count[0] += 1
             return float(np.sum(t**2))
 
-        result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=50))
+        def gradient(t):            # charged as 2 * P evaluations
+            count[0] += 2 * t.size
+            return 2.0 * t
+
+        result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=50),
+                          gradient=gradient)
         assert count[0] <= 50
         assert result.evaluations == count[0]
 
@@ -437,14 +443,31 @@ def test_budget_below_one_step_evaluates_theta0():
     def f(t):
         return float(np.sum((t - 1.0) ** 2))
 
+    def gradient(t):
+        return 2.0 * (t - 1.0)
+
     for method, budget in (("spsa", 1), ("gradient_descent", 1), ("gradient_descent", 4)):
-        result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=budget))
+        result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=budget),
+                          gradient=gradient)
         assert (result.evaluations, result.value, result.converged) == (1, 8.0, False)
         assert_allclose(result.parameters, [3.0, -1.0], rtol=0, atol=0)
     # a budget that fits the first step takes it, as before
     for method, budget in (("spsa", 2), ("gradient_descent", 5)):
-        result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=budget))
+        result = minimize(f, [3.0, -1.0], OptimizerConfig(method=method, budget=budget),
+                          gradient=gradient)
         assert result.evaluations == budget
+
+
+def test_gradient_descent_without_a_gradient_is_refused():
+    count = [0]
+
+    def f(t):
+        count[0] += 1
+        return float(np.sum(t**2))
+
+    with pytest.raises(UsageError, match="gradient"):
+        minimize(f, [3.0, -1.0], OptimizerConfig(method="gradient_descent"))
+    assert count[0] == 0
 
 
 @pytest.mark.parametrize("method", ["nelder_mead", "spsa", "gradient_descent"])
@@ -474,11 +497,6 @@ def test_unknown_method_rejected():
     for theta0 in ([0.0], []):      # P = 1 and P = 0
         with pytest.raises(UsageError, match="bfgs"):
             minimize(lambda t: 0.0, theta0, OptimizerConfig(method="bfgs"))
-
-
-def test_result_unpacks_as_triple():
-    theta, value, evals = minimize(lambda t: (t[0] - 1) ** 2, [0.0])
-    assert abs(theta[0] - 1.0) <= 1e-6 and value <= 1e-10 and evals > 0
 
 
 def recorded(objective):
@@ -539,8 +557,12 @@ def test_nelder_mead_iterates_match_scipy(h2_hamiltonian, case, budget):
 @pytest.mark.parametrize("method", ["nelder_mead", "spsa", "gradient_descent"])
 def test_non_finite_objective_fails_by_evaluation(method):
     config = OptimizerConfig(method=method, budget=200, seed=3)
+    gradient, fifth_call = None, 5
+    if method == "gradient_descent":
+        # the four gradients before the fifth call are each charged 2 * P = 4
+        gradient, fifth_call = (lambda t: 2.0 * t), 5 + 4 * 4
     with pytest.raises(ComputationError, match=r"objective evaluation 1 returned nan"):
-        minimize(lambda t: math.nan, [0.5, -0.3], config)
+        minimize(lambda t: math.nan, [0.5, -0.3], config, gradient=gradient)
     # a value past the first few is never taken as the best either
     count = [0]
 
@@ -548,8 +570,8 @@ def test_non_finite_objective_fails_by_evaluation(method):
         count[0] += 1
         return -math.inf if count[0] == 5 else float(np.sum(t**2))
 
-    with pytest.raises(ComputationError, match=r"objective evaluation 5 returned -inf"):
-        minimize(f, [0.5, -0.3], config)
+    with pytest.raises(ComputationError, match=rf"objective evaluation {fifth_call} returned -inf"):
+        minimize(f, [0.5, -0.3], config, gradient=gradient)
     assert count[0] == 5
 
 
