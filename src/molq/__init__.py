@@ -66,7 +66,6 @@ from .pauli import (
 from .statevector import (
     Circuit,
     Gate,
-    Statevector,
     expectation,
     run_circuit,
     sample_expectation,

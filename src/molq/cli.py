@@ -19,18 +19,10 @@ from .fermion import build_fermionic_hamiltonian, freeze_core, serialize_terms
 from .integrals import assign_basis, build_ao_integrals, load_basis, parse_geometry
 from .integrals_io import write_ao_file, write_fcidump
 from .pauli import jordan_wigner, serialize_pauli
-from .vqe import OptimizerConfig, vqe_solve
+from .vqe import OPTIMIZER_METHODS, OptimizerConfig, vqe_solve
 from .workbench import ANSATZE, ScanSpec, build_ansatz, emit_curve, load_mo, run_scan
 
 MAX_SCAN_POINTS = 10_000  # lengths in one --lengths start:stop:step range
-
-OPTIMIZERS = {
-    "nm": "nelder_mead",
-    "nelder_mead": "nelder_mead",
-    "spsa": "spsa",
-    "gd": "gradient_descent",
-    "gradient_descent": "gradient_descent",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,9 +113,7 @@ def cmd_vqe(args):
     mo = _load_mo(args)
     pauli = jordan_wigner(build_fermionic_hamiltonian(mo))
     ansatz = build_ansatz(args.ansatz, pauli.n_qubits, mo.n_electrons, args.depth)
-    config = OptimizerConfig(
-        method=OPTIMIZERS[args.optimizer], budget=args.budget, seed=args.seed
-    )
+    config = OptimizerConfig(method=args.optimizer, budget=args.budget, seed=args.seed)
     result = vqe_solve(pauli, ansatz, config, log=_log(args))
     print(f"E_VQE = {result.energy!r} Hartree")
     print(f"ansatz = {ansatz.descriptor}")
@@ -178,7 +168,7 @@ def cmd_scan(args):
         n_frozen=args.freeze,
         ansatz=args.ansatz,
         depth=args.depth,
-        optimizer=OPTIMIZERS[args.optimizer],
+        optimizer=args.optimizer,
         budget=args.budget,
         seed=args.seed,
         workers=args.workers,
@@ -199,6 +189,11 @@ def cmd_scan(args):
     if args.output:
         Path(args.output).write_text(emit_curve(records))
         print(f"curve -> {args.output}")
+
+
+def _query(db, args):
+    return db.query(molecule=args.molecule, basis=args.basis, method=args.method,
+                    ansatz=args.ansatz)
 
 
 def cmd_db(args):
@@ -228,8 +223,7 @@ def cmd_db(args):
                 line += f" length={record.bond_length:g}"
             print(line)
     elif args.action == "query":
-        records = db.query(molecule=args.molecule, basis=args.basis,
-                           method=args.method, ansatz=args.ansatz)
+        records = _query(db, args)
         if args.limit is not None:
             records = records[: args.limit]
         for record in records:
@@ -243,9 +237,7 @@ def cmd_db(args):
 
 
 def cmd_curve(args):
-    db = EnergyDB(args.db)
-    records = db.query(molecule=args.molecule, basis=args.basis, method=args.method,
-                       ansatz=args.ansatz)
+    records = _query(EnergyDB(args.db), args)
     if not records:
         raise UsageError("no matching records")
     _write_output(emit_curve(records), args.output)
@@ -266,6 +258,23 @@ def build_parser() -> _Parser:
         p.add_argument("--fcidump", help="FCIDUMP file with MO integrals")
         p.add_argument("--freeze", type=int, default=0, help="frozen-core spatial orbitals")
 
+    def add_vqe_flags(p):
+        p.add_argument("--ansatz", choices=ANSATZE, default=ScanSpec.ansatz)
+        p.add_argument("--depth", type=int, default=ScanSpec.depth, help="HEA layers")
+        p.add_argument("--optimizer", choices=OPTIMIZER_METHODS, default=OptimizerConfig.method)
+        p.add_argument("--budget", type=int, default=OptimizerConfig.budget,
+                       help="evaluation budget")
+        p.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+
+    def add_db_flag(p):
+        p.add_argument("--db", required=True, help="database directory")
+        return p
+
+    def add_filter_flags(p):
+        p.add_argument("--basis")
+        p.add_argument("--method", choices=METHODS)
+        p.add_argument("--ansatz", choices=ANSATZE, help="only records of this VQE ansatz")
+
     p = add("integrals", cmd_integrals, "compute AO integrals")
     p.add_argument("--geometry", required=True)
     p.add_argument("--basis", required=True)
@@ -285,11 +294,7 @@ def build_parser() -> _Parser:
 
     p = add("vqe", cmd_vqe, "variational ground-state search")
     add_input_flags(p)
-    p.add_argument("--ansatz", choices=ANSATZE, default="uccsd")
-    p.add_argument("--depth", type=int, default=1, help="HEA layers")
-    p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), default="nm")
-    p.add_argument("--budget", type=int, default=2000, help="evaluation budget")
-    p.add_argument("--seed", type=int, default=0)
+    add_vqe_flags(p)
     p.add_argument("--verbose", action="store_true", help="stream eval lines")
 
     p = add("exact", cmd_exact, "exact ground-state energy")
@@ -310,11 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="hf,exact", help=f"subset of {','.join(METHODS)}")
     p.add_argument("--charge", type=int, default=0)
     p.add_argument("--freeze", type=int, default=0)
-    p.add_argument("--ansatz", choices=ANSATZE, default="uccsd")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), default="nm")
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    add_vqe_flags(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--db", help="database directory")
     p.add_argument("--output", help="write the curve CSV here")
@@ -323,37 +324,25 @@ def build_parser() -> _Parser:
     dbsub = p.add_subparsers(dest="action", required=True,
                              metavar="{put,get,list,query,audit}")
 
-    q = dbsub.add_parser("put", help="insert a record from a JSON file")
+    q = add_db_flag(dbsub.add_parser("put", help="insert a record from a JSON file"))
     q.add_argument("target", metavar="record.json", help="record JSON file")
-    q.add_argument("--db", required=True, help="database directory")
 
-    q = dbsub.add_parser("get", help="print one record version as JSON")
+    q = add_db_flag(dbsub.add_parser("get", help="print one record version as JSON"))
     q.add_argument("target", metavar="record-id")
-    q.add_argument("--db", required=True, help="database directory")
     q.add_argument("--version", type=int, help="default: latest")
 
-    q = dbsub.add_parser("list", help="list record ids with version counts")
-    q.add_argument("--db", required=True, help="database directory")
+    add_db_flag(dbsub.add_parser("list", help="list record ids with version counts"))
 
-    q = dbsub.add_parser("query", help="filter records, one JSON per line")
-    q.add_argument("--db", required=True, help="database directory")
+    q = add_db_flag(dbsub.add_parser("query", help="filter records, one JSON per line"))
     q.add_argument("--molecule")
-    q.add_argument("--basis")
-    q.add_argument("--method", choices=METHODS)
-    q.add_argument("--ansatz", choices=ANSATZE,
-                   help="only records of this VQE ansatz")
+    add_filter_flags(q)
     q.add_argument("--limit", type=_limit)
 
-    q = dbsub.add_parser("audit", help="print integrity problems; exit 2 if any")
-    q.add_argument("--db", required=True, help="database directory")
+    add_db_flag(dbsub.add_parser("audit", help="print integrity problems; exit 2 if any"))
 
-    p = add("curve", cmd_curve, "emit a CSV dissociation curve from the database")
-    p.add_argument("--db", required=True)
+    p = add_db_flag(add("curve", cmd_curve, "emit a CSV dissociation curve from the database"))
     p.add_argument("--molecule", required=True)
-    p.add_argument("--basis")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--ansatz", choices=ANSATZE,
-                   help="only records of this VQE ansatz")
+    add_filter_flags(p)
     p.add_argument("--output", help="write the CSV here")
 
     return parser

@@ -208,7 +208,8 @@ class EnergyDB:
         self.hamiltonians_dir.mkdir(exist_ok=True)
 
     def put(self, record: EnergyRecord) -> str:
-        """Append the record as a new version under its content id."""
+        """Append the record under its content id as the first free version
+        v1, v2, ..."""
         record.validate()
         content_id = record.compute_id()
         if record.record_id and record.record_id != content_id:
@@ -217,11 +218,10 @@ class EnergyDB:
         record.record_id = content_id
         if not record.created_at:
             record.created_at = datetime.now(timezone.utc).isoformat()
-        start = len(self.versions(record.record_id)) + 1
         _write_new(
             self.records_dir,
             json.dumps(vars(record), indent=1, sort_keys=True),
-            (f"{self._root}/{_file(record.record_id, v)}" for v in itertools.count(start)),
+            (f"{self._root}/{_file(record.record_id, v)}" for v in itertools.count(1)),
         )
         return record.record_id
 

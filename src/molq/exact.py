@@ -21,7 +21,8 @@ OPERATOR_MAX_BYTES is refused before it is built.
 pauli_matrix refuses a basis of more than 2**DENSE_MAX_QUBITS states.
 dense_ground_energy runs eigh on every block within that guard and
 Lanczos on BlockOperator.apply only on a block past it; the whole Fock
-space (no electron count) is always dense, within the guard.
+space (no electron count) is always dense, within the guard. Its ground
+state is a complex array of 2^n amplitudes, the form run_circuit returns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from .errors import ComputationError, ResourceError, UsageError
 from .integrals_io import MOIntegrals
 from .pauli import _PHASE_VALUES, MAX_QUBITS, PauliSum, pauli_signs
-from .statevector import Statevector
 
 # A 2**12 complex matrix is 268 MB, its eigenvectors as much again
 DENSE_MAX_QUBITS = 12
@@ -52,8 +52,7 @@ OPERATOR_MAX_BYTES = 2 * 2**30
 @dataclass
 class SpectrumResult:
     ground_energy: float
-    ground_vector: Statevector | None
-    n_qubits: int
+    ground_vector: np.ndarray   # amplitudes on the full 2^n basis
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,8 @@ def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> Spectrum
     n_electrons, the whole Fock space is diagonalized densely (within
     DENSE_MAX_QUBITS) and the lowest state of any electron count is
     returned. Either way the operator's dtype is kept (real for a real
-    operator) and the ground vector is returned on the full 2^n basis.
+    operator) and the ground vector is returned as complex amplitudes on the
+    full 2^n basis.
     """
     if h.n_qubits > MAX_QUBITS:
         raise ResourceError(
@@ -255,11 +255,7 @@ def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> Spectrum
         energy, vector = float(eigenvalues[0]), eigenvectors[:, 0]
     amplitudes = np.zeros(2**h.n_qubits, dtype=complex)
     amplitudes[basis] = vector
-    return SpectrumResult(
-        ground_energy=energy,
-        ground_vector=Statevector(h.n_qubits, amplitudes),
-        n_qubits=h.n_qubits,
-    )
+    return SpectrumResult(energy, amplitudes)
 
 
 def _parity_below(mask: int, orbital: int) -> int:

@@ -1,7 +1,9 @@
 """Dense statevector simulator with little-endian qubit indexing.
 
-State index bit k is qubit k (qubit 0 least significant). Gates update the
-amplitude array in place; no gate matrix is ever materialized. Gate set:
+A state is its numpy array of 2**n amplitudes: run_circuit returns one,
+and expectation and sample_expectation read one. State index bit k is
+qubit k (qubit 0 least significant). Gates update the amplitude array in
+place; no gate matrix is ever materialized. Gate set:
 X, RY, RZ (on axis 1 of the view amps.reshape(-1, 2, 2**q)), CNOT and CZ
 (on axes 1 and 3 of amps.reshape(-1, 2, 2**(hi-lo-1), 2, 2**lo)) and the
 Pauli rotation (kind "pauli_rot", gathered through the flat basis index
@@ -108,20 +110,6 @@ class Circuit:
         )
 
 
-@dataclass
-class Statevector:
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
 def _apply_gate(amps: np.ndarray, idx: np.ndarray, gate: Gate, theta):
     """Apply one validated gate to amps in place; idx is arange(amps.size)."""
     t = gate.effective_angle(theta)
@@ -155,8 +143,8 @@ def _apply_gate(amps: np.ndarray, idx: np.ndarray, gate: Gate, theta):
             view[:, 1] *= np.exp(0.5j * t)
 
 
-def run_circuit(c: Circuit, theta=None) -> Statevector:
-    """Apply the circuit to |0...0> and return the final state."""
+def run_circuit(c: Circuit, theta=None) -> np.ndarray:
+    """Apply the circuit to |0...0> and return its 2**n complex amplitudes."""
     if c.n_qubits > MAX_QUBITS:
         raise ResourceError(f"{c.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
     c.validate()
@@ -170,20 +158,20 @@ def run_circuit(c: Circuit, theta=None) -> Statevector:
     idx = np.arange(amps.size, dtype=np.int64)
     for gate in c.gates:
         _apply_gate(amps, idx, gate, theta)
-    return Statevector(n_qubits=c.n_qubits, amplitudes=amps)
+    return amps
 
 
-def expectation(psi: Statevector, h: PauliSum) -> float:
-    """Exact <psi|H|psi>, accumulated term by term in the given term order."""
-    if psi.n_qubits != h.n_qubits:
+def expectation(psi: np.ndarray, h: PauliSum) -> float:
+    """Exact <psi|H|psi> of the amplitudes psi, accumulated term by term in
+    the given term order."""
+    if psi.shape != (2**h.n_qubits,):
         raise UsageError("statevector and Hamiltonian qubit counts differ")
-    amps = psi.amplitudes
-    idx = np.arange(amps.size, dtype=np.int64)
+    idx = np.arange(psi.size, dtype=np.int64)
     total = 0.0 + 0.0j
     hermitian = not np.any(np.abs(h.coefficients.imag) > 1e-12)
     for x, z, coeff in zip(h.x.tolist(), h.z.tolist(), h.coefficients.tolist()):
         phases = pauli_phase(idx, x, z)
-        total += complex(coeff) * np.sum(np.conj(amps[idx ^ x]) * phases * amps)
+        total += complex(coeff) * np.sum(np.conj(psi[idx ^ x]) * phases * psi)
     if hermitian and abs(total.imag) > 1e-10:
         raise ComputationError(
             f"imaginary residual {total.imag:.3e} for a Hermitian operator"
@@ -191,16 +179,16 @@ def expectation(psi: Statevector, h: PauliSum) -> float:
     return float(total.real)
 
 
-def sample_expectation(psi: Statevector, h: PauliSum, shots: int, seed: int) -> float:
+def sample_expectation(psi: np.ndarray, h: PauliSum, shots: int, seed: int) -> float:
     """Shot-sampled <psi|H|psi> sharing samples across each QWC group.
 
     Each group's terms are estimated from the same `shots` bitstrings drawn
-    after rotating a copy of psi into the group's shared basis: on each
-    qubit of its union masks (x, z), an X bit takes RY(-pi/2) and a Y bit
-    (x & z) RZ(-pi/2) then RY(-pi/2). Identical (psi, h, shots, seed)
+    after rotating a complex copy of psi into the group's shared basis: on
+    each qubit of its union masks (x, z), an X bit takes RY(-pi/2) and a Y
+    bit (x & z) RZ(-pi/2) then RY(-pi/2). Identical (psi, h, shots, seed)
     reproduce the result bit for bit.
     """
-    if psi.n_qubits != h.n_qubits:
+    if psi.shape != (2**h.n_qubits,):
         raise UsageError("statevector and Hamiltonian qubit counts differ")
     if not isinstance(shots, (int, np.integer)) or shots < 1:
         raise UsageError(f"shots must be an integer >= 1, got {shots!r}")
@@ -208,7 +196,7 @@ def sample_expectation(psi: Statevector, h: PauliSum, shots: int, seed: int) -> 
     total = 0.0
     for group in qwc_group(h):
         x, z = int(np.bitwise_or.reduce(group.x)), int(np.bitwise_or.reduce(group.z))
-        rotated = psi.amplitudes.copy()
+        rotated = psi.astype(complex)
         for q in range(x.bit_length()):
             if x >> q & 1:
                 if z >> q & 1:

@@ -18,15 +18,17 @@ once per solve from their compiled operators on that block (UCCSDBlock,
 in real arithmetic when both are real). Each factor is applied exactly as
 exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2, which holds because
 G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA leaves
-the block and runs its circuit on the full-space simulator, with
-parameter-shift gradients and, when it declares its electron count, a check
-of <N> on its final state. The circuit, `expectation` and
-`parameter_shift_gradient` stay the oracles of the block path.
+the block and runs its circuit on the full-space simulator, whose states
+are amplitude arrays, with parameter-shift gradients and, when it declares
+its electron count, a check of <N> on its final state. The circuit,
+`expectation` and `parameter_shift_gradient` stay the oracles of the block
+path.
 
 `minimize` holds the three optimizers, all under one evaluation budget and
-all failing on a non-finite objective value. Gradient descent takes fixed
-GD_STEP steps along the caller's gradient (vqe_solve passes the adjoint or
-the parameter-shift one), each call charged as 2*P evaluations.
+all failing on a non-finite objective value, which they number by the
+objective call that returned it. Gradient descent takes fixed GD_STEP
+steps along the caller's gradient (vqe_solve passes the adjoint or the
+parameter-shift one), each call charged as 2*P evaluations.
 Nelder-Mead is molq's own loop on Python floats; it evaluates the same
 points as scipy.optimize's Nelder-Mead with the same simplex, tolerances
 and budget, which stays its oracle in the tests, so no VQE path imports
@@ -388,14 +390,16 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     n_params = theta0.size
 
-    state = {"count": 0, "best_value": math.inf, "best_theta": theta0.copy()}
+    # count: evaluations charged to the budget; calls: objective calls made
+    state = {"count": 0, "calls": 0, "best_value": math.inf, "best_theta": theta0.copy()}
 
     def f(x):
         x = np.asarray(x, dtype=float)
         state["count"] += 1
+        state["calls"] += 1
         value = float(objective(x))
         if not math.isfinite(value):
-            raise ComputationError(f"objective evaluation {state['count']} returned {value}")
+            raise ComputationError(f"objective evaluation {state['calls']} returned {value}")
         if value < state["best_value"]:
             state["best_value"] = value
             state["best_theta"] = x.copy()
@@ -481,7 +485,7 @@ def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log
     grad = gradient if config.method == "gradient_descent" else None
     res = minimize(objective, np.zeros(a.parameter_count), config, gradient=grad)
     if not a.generators and a.n_electrons is not None:
-        probabilities = run_circuit(a.circuit, res.parameters).probabilities
+        probabilities = np.abs(run_circuit(a.circuit, res.parameters)) ** 2
         found = float(np.bitwise_count(np.arange(probabilities.size)) @ probabilities)
         if abs(found - a.n_electrons) > 1e-6:
             raise ComputationError(

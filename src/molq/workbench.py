@@ -53,9 +53,9 @@ class ScanSpec:
     n_frozen: int = 0                   # frozen-core spatial orbitals
     ansatz: str = "uccsd"               # one of ANSATZE
     depth: int = 1                      # HEA layers
-    optimizer: str = "nelder_mead"
-    budget: int = 2000
-    seed: int = 0
+    optimizer: str = OptimizerConfig.method   # one of OPTIMIZER_METHODS
+    budget: int = OptimizerConfig.budget
+    seed: int = OptimizerConfig.seed
     workers: int = 1
 
     def validate(self):

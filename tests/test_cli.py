@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from molq.cli import main
+from molq.cli import build_parser, main
 from molq.db import EnergyDB, EnergyRecord
 from molq.exact import dense_ground_energy
 from molq.fermion import build_fermionic_hamiltonian, freeze_core
 from molq.integrals import Geometry
 from molq.integrals_io import parse_fcidump, write_fcidump
 from molq.pauli import jordan_wigner, serialize_pauli
+from molq.vqe import OptimizerConfig
 from molq.workbench import ScanSpec, scan_point
 
 from conftest import pipeline
@@ -76,7 +77,10 @@ def test_missing_required_flag(capsys):
 
 
 def test_bad_optimizer_choice(capsys, h2_fcidump):
-    assert main(["vqe", "--fcidump", h2_fcidump, "--optimizer", "bogus"]) == 1
+    # the short names nm and gd are gone: --optimizer takes OPTIMIZER_METHODS
+    for name in ("bogus", "nm", "gd"):
+        assert main(["vqe", "--fcidump", h2_fcidump, "--optimizer", name]) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +203,16 @@ def test_vqe_budget_below_one_exits_1(capsys, h2_fcidump):
     assert "E_VQE" not in captured.out
 
 
-@pytest.mark.parametrize("optimizer, budget", [("gd", "3"), ("spsa", "1")])
+def test_vqe_and_scan_take_their_defaults_from_the_library():
+    parser = build_parser()
+    for argv in (["vqe"], ["scan", "--molecule", "H2", "--lengths", "0.7"]):
+        args = parser.parse_args(argv)
+        assert (args.ansatz, args.depth) == (ScanSpec.ansatz, ScanSpec.depth)
+        assert (args.optimizer, args.budget, args.seed) == (
+            OptimizerConfig.method, OptimizerConfig.budget, OptimizerConfig.seed)
+
+
+@pytest.mark.parametrize("optimizer, budget", [("gradient_descent", "3"), ("spsa", "1")])
 def test_vqe_budget_below_one_step_evaluates_theta0(capsys, optimizer, budget):
     # a gradient step costs 1 + 2 * 3 evaluations here, an SPSA step 2
     assert main(["vqe", "--fcidump", LIH_FCIDUMP, "--freeze", "1",

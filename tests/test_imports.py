@@ -8,6 +8,7 @@ it. The checks run in a fresh interpreter because the test process has
 scipy loaded already.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -104,6 +105,19 @@ def test_cli_vqe_nelder_mead_loads_no_scipy():
 
 def test_lanczos_exact_energy_loads_no_scipy():
     assert scipy_modules_loaded(LANCZOS_CHILD, 3) == "[]"
+
+
+def molq_imports(path):
+    """The molq modules a source file imports, by their relative names."""
+    tree = ast.parse(path.read_text())
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_exact_imports_no_simulator():
+    """The exact path reads integrals and Pauli sums and returns plain
+    amplitude arrays; it needs nothing from the statevector simulator."""
+    assert molq_imports(SRC / "molq" / "exact.py") == {"errors", "integrals_io", "pauli"}
 
 
 def load_perfbench_module(monkeypatch, name):

@@ -18,7 +18,7 @@ from molq import (
     run_circuit,
     sample_expectation,
 )
-from molq.statevector import MAX_QUBITS, Gate, Statevector
+from molq.statevector import MAX_QUBITS, Gate
 from test_pauli import I2, X, term_matrix
 
 
@@ -29,50 +29,50 @@ def state(circ, theta=None):
 # ------------------------------------------------------------------ gates
 def test_initial_state_is_all_zeros():
     psi = state(Circuit(2))
-    assert_allclose(psi.amplitudes, [1, 0, 0, 0], rtol=0, atol=0)
+    assert_allclose(psi, [1, 0, 0, 0], rtol=0, atol=0)
 
 
 def test_x_on_qubit0_of_two():
     psi = state(Circuit(2).x(0))
-    assert psi.amplitudes[1] == 1.0  # |01> with qubit 0 set
+    assert psi[1] == 1.0  # |01> with qubit 0 set
 
 
 def test_x_on_qubit1_of_two():
     psi = state(Circuit(2).x(1))
-    assert psi.amplitudes[2] == 1.0
+    assert psi[2] == 1.0
 
 
 def test_ry_pi_flips():
     psi = state(Circuit(1).ry(0, angle=math.pi))
-    assert abs(psi.amplitudes[1] - 1.0) < 1e-12
-    assert abs(psi.amplitudes[0]) < 1e-12
+    assert abs(psi[1] - 1.0) < 1e-12
+    assert abs(psi[0]) < 1e-12
 
 
 def test_cnot_after_x():
     psi = state(Circuit(2).x(0).cnot(0, 1))
-    assert psi.amplitudes[3] == 1.0  # |11>
+    assert psi[3] == 1.0  # |11>
 
 
 def test_cnot_control_zero_is_identity():
     psi = state(Circuit(2).cnot(0, 1))
-    assert psi.amplitudes[0] == 1.0
+    assert psi[0] == 1.0
 
 
 def test_cz_phase_only_on_11():
     psi = state(Circuit(2).x(0).x(1).cz(0, 1))
-    assert psi.amplitudes[3] == -1.0
+    assert psi[3] == -1.0
 
 
 def test_rz_is_diagonal_phase():
     psi = state(Circuit(1).x(0).rz(0, angle=math.pi / 2))
-    assert_allclose(psi.amplitudes[1], np.exp(0.25j * math.pi), rtol=0, atol=1e-12)
+    assert_allclose(psi[1], np.exp(0.25j * math.pi), rtol=0, atol=1e-12)
 
 
 def test_parameterized_slot_and_scale():
     # effective angle = angle + scale * theta[slot]
     psi_direct = state(Circuit(1).ry(0, angle=1.2))
     psi_slot = state(Circuit(1).ry(0, slot=0, angle=0.2, scale=2.0), [0.5])
-    assert_allclose(psi_slot.amplitudes, psi_direct.amplitudes, rtol=0, atol=1e-12)
+    assert_allclose(psi_slot, psi_direct, rtol=0, atol=1e-12)
 
 
 def test_norm_preserved_by_random_circuits():
@@ -93,7 +93,7 @@ def test_norm_preserved_by_random_circuits():
                 r = int(rng.integers(0, n - 1))
                 c.cnot(r, r + 1)
         psi = state(c)
-        assert abs(psi.norm - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
 
 
 def test_qubit_guard():
@@ -200,9 +200,16 @@ def test_gates_match_kron_reference():
         want[0] = 1.0
         for gate in c.gates:
             want = gate_matrix(gate, n, theta) @ want
-        assert_allclose(run_circuit(c, theta).amplitudes, want, rtol=0, atol=1e-12)
+        assert_allclose(run_circuit(c, theta), want, rtol=0, atol=1e-12)
     assert {("cnot", True), ("cnot", False), ("cz", True), ("cz", False),
             ("pauli_rot", "multi-qubit with Y")} <= seen
+
+
+def test_run_circuit_returns_the_amplitude_array():
+    for n in (1, 3):
+        psi = run_circuit(Circuit(n).x(0))
+        assert isinstance(psi, np.ndarray)
+        assert psi.shape == (2**n,) and psi.dtype == complex
 
 
 # ------------------------------------------------------------- expectation
@@ -228,7 +235,7 @@ def test_expectation_matches_dense_matrix(h2_hamiltonian):
     rng = np.random.default_rng(2)
     amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     amps /= np.linalg.norm(amps)
-    psi = Statevector(4, amps)
+    psi = amps
     from molq import pauli_matrix
 
     dense = pauli_matrix(h2_hamiltonian)
@@ -243,17 +250,35 @@ def test_expectation_matches_dense_matrix(h2_hamiltonian):
                     {0: "Y", 1: "Z", 2: "X", 3: "Y", 4: "Y"}):
         term = PauliTerm(0.7, letters)
         want = (amps.conj() @ term_matrix(term, 5) @ amps).real
-        assert abs(expectation(Statevector(5, amps), PauliSum(5, (term,))) - want) < 1e-12
+        assert abs(expectation(amps, PauliSum(5, (term,))) - want) < 1e-12
 
 
 def test_qubit_count_mismatch_rejected():
     psi = state(Circuit(2))
     with pytest.raises(UsageError):
         expectation(psi, PauliSum(3, (PauliTerm(1.0, {0: "Z"}),)))
+    # an array is a 2-qubit state only if its shape is (4,)
+    h = PauliSum(2, (PauliTerm(1.0, {0: "Z"}),))
+    for shape in ((2,), (8,), (4, 1), (1, 4)):
+        psi = np.zeros(shape, dtype=complex)
+        psi.flat[0] = 1.0
+        with pytest.raises(UsageError, match="qubit counts differ"):
+            expectation(psi, h)
+        with pytest.raises(UsageError, match="qubit counts differ"):
+            sample_expectation(psi, h, shots=10, seed=0)
+
+
+def test_sampling_a_real_array_rotates_a_complex_copy():
+    # a Y term takes RZ(-pi/2), which a real array could not hold
+    psi = np.array([0.6, 0.0, 0.0, 0.8])
+    h = PauliSum(2, (PauliTerm(1.0, {0: "Y", 1: "Y"}), PauliTerm(0.5, {0: "Z"})))
+    want = sample_expectation(psi.astype(complex), h, shots=500, seed=4)
+    assert sample_expectation(psi, h, shots=500, seed=4) == want
+    assert psi.tolist() == [0.6, 0.0, 0.0, 0.8]
 
 
 def test_y_expectation_on_complex_state():
-    psi = Statevector(1, np.array([1.0, 1.0j]) / math.sqrt(2))
+    psi = np.array([1.0, 1.0j]) / math.sqrt(2)
     h = PauliSum(1, (PauliTerm(1.0, {0: "Y"}),))
     assert abs(expectation(psi, h) - 1.0) < 1e-12
 
