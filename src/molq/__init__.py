@@ -21,7 +21,6 @@ from .integrals import (
     Atom,
     AOIntegrals,
     BasisSet,
-    ContractedGaussian,
     Geometry,
     assign_basis,
     boys_f0,

@@ -77,7 +77,6 @@ def _load_mo(args):
 
 
 def cmd_integrals(args):
-    _require(args, "geometry", "basis")
     geom = _load_geometry(args.geometry)
     basis = load_basis(args.basis)
     ao = build_ao_integrals(geom, assign_basis(geom, basis))
@@ -151,16 +150,22 @@ def _parse_lengths(text: str) -> list:
     return [round(value, 10) for value in values if value <= stop + 1e-9]
 
 
-def _parse_fragment(text: str) -> list:
-    return [(symbol, (0.0, 0.0, 0.0)) for symbol in text.split(",") if symbol]
+def _parse_fragment(text: str | None, flag: str) -> list | None:
+    """A --fragment-a/-b value: one atom, at the fragment's origin."""
+    if text is None:
+        return None
+    if not text or "," in text:
+        raise UsageError(f"{flag} takes one element symbol, got {text!r}; build a multi-atom "
+                         "fragment as a ScanSpec fragment of (symbol, (dx, dy, dz)) entries")
+    return [(text, (0.0, 0.0, 0.0))]
 
 
 def cmd_scan(args):
     spec = ScanSpec(
         molecule=args.molecule,
         bond_lengths=_parse_lengths(args.lengths),
-        fragment_a=_parse_fragment(args.fragment_a) if args.fragment_a else None,
-        fragment_b=_parse_fragment(args.fragment_b) if args.fragment_b else None,
+        fragment_a=_parse_fragment(args.fragment_a, "--fragment-a"),
+        fragment_b=_parse_fragment(args.fragment_b, "--fragment-b"),
         basis=args.basis,
         fcidump_pattern=args.fcidump_pattern,
         methods=tuple(m for m in args.methods.split(",") if m),
@@ -307,16 +312,19 @@ def build_parser() -> _Parser:
     p.add_argument("--molecule", required=True, help="formula label, e.g. H2")
     p.add_argument("--lengths", required=True,
                    help="start:stop:step or comma list, in Angstrom")
-    p.add_argument("--fragment-a", help="comma-separated element symbols")
-    p.add_argument("--fragment-b", help="comma-separated element symbols")
+    p.add_argument("--fragment-a", help="one element symbol, placed at the origin")
+    p.add_argument("--fragment-b", help="one element symbol, placed the length along z")
     p.add_argument("--basis")
     p.add_argument("--fcidump-pattern",
-                   help="FCIDUMP path template with {length}, e.g. lih_{length:.2f}.fcidump")
-    p.add_argument("--methods", default="hf,exact", help=f"subset of {','.join(METHODS)}")
-    p.add_argument("--charge", type=int, default=0)
-    p.add_argument("--freeze", type=int, default=0)
+                   help="FCIDUMP path template with {length}, e.g. lih_{length:.2f}.fcidump; "
+                        "takes no --basis or fragments")
+    p.add_argument("--methods", default=",".join(ScanSpec.methods),
+                   help=f"subset of {','.join(METHODS)}")
+    p.add_argument("--charge", type=int, default=ScanSpec.charge)
+    p.add_argument("--freeze", type=int, default=ScanSpec.n_frozen,
+                   help="frozen-core spatial orbitals")
     add_vqe_flags(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=ScanSpec.workers)
     p.add_argument("--db", help="database directory")
     p.add_argument("--output", help="write the curve CSV here")
 

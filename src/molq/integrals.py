@@ -9,13 +9,14 @@ exp(-a|r-A|^2), with p = a + b, mu = a*b/p, P = (a*A + b*B)/p:
     (ab|cd)    2 pi^(5/2) / (pq sqrt(p+q)) exp(-mu_ab|A-B|^2)
                exp(-mu_cd|C-D|^2) F0(pq/(p+q) |P-Q|^2)
 
-None of these is evaluated one primitive at a time. The contracted
-functions are packed into padded (n_ao, K) arrays, the Gaussian-product
-quantities (p, mu, P, exp(-mu|A-B|^2) c_a c_b) are built once for every
-function pair i >= j, and each integral class is a numpy reduction over
-those primitive-pair arrays; the ERIs loop over bra pairs only. This pair
-layout is what a McMurchie-Davidson engine for higher angular momentum
-would extend with Hermite expansion coefficients.
+None of these is evaluated one primitive at a time. `assign_basis` places
+a molecule's contracted functions as padded (n_ao, K) exponent and
+normalized coefficient arrays, the Gaussian-product quantities (p, mu, P,
+exp(-mu|A-B|^2) c_a c_b) are built once for every function pair i >= j,
+and each integral class is a numpy reduction over those primitive-pair
+arrays; the ERIs loop over bra pairs only. This pair layout is what a
+McMurchie-Davidson engine for higher angular momentum would extend with
+Hermite expansion coefficients.
 
 Everything internal is in atomic units (Bohr, Hartree); user-facing
 geometry input is Angstrom.
@@ -88,38 +89,6 @@ class Geometry:
         return cls(tuple(built), charge)
 
 
-@dataclass(frozen=True)
-class ContractedGaussian:
-    """s-type contraction sum_k c_k N(a_k) exp(-a_k |r-center|^2).
-
-    Coefficients are stored for unit-normalized primitives and rescaled on
-    construction so the contracted self-overlap is exactly 1.
-    """
-
-    center: tuple[float, float, float]
-    exponents: tuple[float, ...]
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) == 0:
-            raise UsageError("contracted Gaussian needs at least one primitive")
-        if len(self.exponents) != len(self.coefficients):
-            raise UsageError("exponent/coefficient length mismatch")
-        if any(a <= 0 for a in self.exponents):
-            raise UsageError("primitive exponents must be positive")
-        a = np.asarray(self.exponents)
-        # fold primitive norms into the contraction, then normalize the whole
-        c = np.asarray(self.coefficients) * (2.0 * a / np.pi) ** 0.75
-        p = a[:, None] + a[None, :]
-        self_overlap = np.sum(np.outer(c, c) * (np.pi / p) ** 1.5)
-        object.__setattr__(self, "_prims", c / np.sqrt(self_overlap))
-
-    @property
-    def primitive_coefficients(self) -> np.ndarray:
-        """Normalization-folded primitive coefficients."""
-        return self._prims
-
-
 @dataclass
 class AOIntegrals:
     """AO-basis integral set: S, Hcore, (pq|rs) in chemist notation, E_nn."""
@@ -168,24 +137,15 @@ def nuclear_repulsion(geometry: Geometry) -> float:
     return e
 
 
-def _primitive_pairs(funcs):
+def _primitive_pairs(centers, exps, coefs):
     """Gaussian-product quantities of every primitive pair of every function
     pair i >= j, in pair order (0,0), (1,0), (1,1), (2,0), ...
 
-    Functions are packed into padded (n_ao, K) exponent and coefficient
-    arrays; a padded slot has exponent 1.0 and weight 0, so it contributes
-    nothing. Returned per-pair arrays have shape (n_pair, K, K): p, mu,
-    ab2 = |A-B|^2 (broadcast), the centre P (with a trailing axis of 3), and
-    weight = c_a c_b exp(-mu |A-B|^2).
+    Takes the padded arrays of `assign_basis`. Returned per-pair arrays have
+    shape (n_pair, K, K): p, mu, ab2 = |A-B|^2 (broadcast), the centre P
+    (with a trailing axis of 3), and weight = c_a c_b exp(-mu |A-B|^2).
     """
-    k = max(len(f.exponents) for f in funcs)
-    exps = np.ones((len(funcs), k))
-    coefs = np.zeros((len(funcs), k))
-    for row, f in enumerate(funcs):
-        exps[row, : len(f.exponents)] = f.exponents
-        coefs[row, : len(f.exponents)] = f.primitive_coefficients
-    centers = np.array([f.center for f in funcs], dtype=float)
-    i, j = np.tril_indices(len(funcs))
+    i, j = np.tril_indices(len(centers))
     a = exps[i][:, :, None]
     b = exps[j][:, None, :]
     p = a + b
@@ -200,21 +160,18 @@ def _primitive_pairs(funcs):
 def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     """Evaluate S, Hcore and the ERI tensor over contracted s functions.
 
-    `basis_functions` is a flat ordered list of ContractedGaussian already
-    placed on their centers (see `assign_basis`). Every integral is a
+    `basis_functions` is the (centers, exponents, coefficients) tuple of
+    `assign_basis`: the functions placed on their atoms. Every integral is a
     reduction over the primitive-pair arrays of `_primitive_pairs`; the
     ERIs run one bra pair against all ket pairs at or below it, so the
     temporaries stay O(n_pair K^4). Each unique value is computed once and
     gathered through `pair_index`, so S, Hcore and the ERI tensor
     carry their permutation symmetries exactly.
     """
-    funcs = list(basis_functions)
-    if not funcs:
-        raise UsageError("empty basis")
-    n = len(funcs)
+    n = len(basis_functions[0])
     e_nn = nuclear_repulsion(geometry)
 
-    p, mu, ab2, P, weight = _primitive_pairs(funcs)
+    p, mu, ab2, P, weight = _primitive_pairs(*basis_functions)
     overlap = weight * (np.pi / p) ** 1.5
     s = overlap.sum(axis=(1, 2))
     t = (mu * (3.0 - 2.0 * mu * ab2) * overlap).sum(axis=(1, 2))
@@ -271,18 +228,6 @@ class BasisSet:
         self.name = name
         self.shells = shells  # symbol -> [(exponents, coefficients), ...]
 
-    def functions_for(self, atom: Atom):
-        try:
-            shells = self.shells[atom.symbol]
-        except KeyError:
-            raise UsageError(
-                f"basis {self.name!r} has no functions for element {atom.symbol}"
-            ) from None
-        return [
-            ContractedGaussian(atom.position, tuple(exps), tuple(coefs))
-            for exps, coefs in shells
-        ]
-
 
 def parse_basis(text, name="user"):
     """Parse the plain-text basis format.
@@ -324,10 +269,15 @@ def parse_basis(text, name="user"):
             if len(fields) != 2:
                 raise ParseError(f"expected '<exponent> <coefficient>', got {row!r}", line=i)
             try:
-                exps.append(float(fields[0]))
-                coefs.append(float(fields[1]))
+                exponent, coefficient = float(fields[0]), float(fields[1])
             except ValueError:
                 raise ParseError(f"bad numeric literal in {row!r}", line=i) from None
+            if not (math.isfinite(exponent) and exponent > 0.0):
+                raise ParseError(f"exponent must be finite and > 0, got {row!r}", line=i)
+            if not math.isfinite(coefficient):
+                raise ParseError(f"coefficient must be finite, got {row!r}", line=i)
+            exps.append(exponent)
+            coefs.append(coefficient)
         if len(exps) < n_prim:
             raise ParseError(f"block for {symbol} ends before {n_prim} primitives", line=i)
         shells.setdefault(symbol, []).append((exps, coefs))
@@ -349,11 +299,32 @@ def load_basis(name_or_path) -> BasisSet:
 
 
 def assign_basis(geometry: Geometry, basis: BasisSet):
-    """Flat ordered list of basis functions placed on each atom in turn."""
-    funcs = []
+    """The basis functions of each atom in turn, as padded arrays: centers
+    (n, 3) in Bohr, exponents (n, K) and coefficients (n, K), K the longest
+    contraction. Each function's primitive norms are folded into its
+    coefficients, which are then scaled to unit self-overlap. A padded slot
+    has exponent 1.0 and coefficient 0, so it contributes nothing."""
+    placed = []
     for atom in geometry.atoms:
-        funcs.extend(basis.functions_for(atom))
-    return funcs
+        try:
+            shells = basis.shells[atom.symbol]
+        except KeyError:
+            raise UsageError(
+                f"basis {basis.name!r} has no functions for element {atom.symbol}"
+            ) from None
+        placed += [(atom.position, exps, coefs) for exps, coefs in shells]
+    if not placed:
+        raise UsageError("empty basis")
+    k = max(len(exps) for _, exps, _ in placed)
+    exponents, coefficients = np.ones((len(placed), k)), np.zeros((len(placed), k))
+    for row, (_, exps, coefs) in enumerate(placed):
+        a = np.asarray(exps)
+        c = np.asarray(coefs) * (2.0 * a / np.pi) ** 0.75
+        self_overlap = np.sum(np.outer(c, c) * (np.pi / (a[:, None] + a[None, :])) ** 1.5)
+        exponents[row, : len(a)] = a
+        coefficients[row, : len(a)] = c / np.sqrt(self_overlap)
+    centers = np.array([center for center, _, _ in placed], dtype=float)
+    return centers, exponents, coefficients
 
 
 def parse_geometry(text) -> Geometry:

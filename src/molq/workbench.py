@@ -89,6 +89,9 @@ class ScanSpec:
                 except (LookupError, AttributeError, TypeError, ValueError) as exc:
                     raise UsageError(f"fcidump_pattern {self.fcidump_pattern!r} does not "
                                      f"format length {length}: {exc!r}") from None
+            if (self.basis, self.fragment_a, self.fragment_b) != (None, None, None):
+                raise UsageError("an fcidump_pattern's files hold the integrals: "
+                                 "give no basis or fragments with it")
         if self.ansatz not in ANSATZE:
             raise UsageError(f"unknown ansatz {self.ansatz!r}")
         if self.optimizer not in OPTIMIZER_METHODS:
@@ -199,7 +202,8 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
 
 
 def run_scan(spec: ScanSpec, db: EnergyDB | None = None) -> list:
-    """All scan points, sorted by bond length; failures become error records."""
+    """All scan points, in bond-length order; failures become error records.
+    ScanError, naming the first failure, if every point fails."""
     spec.validate()
 
     def one(length):
@@ -217,8 +221,10 @@ def run_scan(spec: ScanSpec, db: EnergyDB | None = None) -> list:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
             records = list(pool.map(one, spec.bond_lengths))
     if all(record.error is not None for record in records):
-        raise ScanError("every scan point failed")
-    return sorted(records, key=lambda r: r.bond_length)
+        first = records[0]
+        raise ScanError(f"every scan point failed; the first, at {first.bond_length:g} "
+                        f"Angstrom, with {first.error}")
+    return records
 
 
 CURVE_HEADER = "bond_length_angstrom,e_hf,e_vqe,e_exact"

@@ -210,6 +210,10 @@ def test_vqe_and_scan_take_their_defaults_from_the_library():
         assert (args.ansatz, args.depth) == (ScanSpec.ansatz, ScanSpec.depth)
         assert (args.optimizer, args.budget, args.seed) == (
             OptimizerConfig.method, OptimizerConfig.budget, OptimizerConfig.seed)
+    args = parser.parse_args(["scan", "--molecule", "H2", "--lengths", "0.7"])
+    assert (args.charge, args.freeze, args.workers) == (
+        ScanSpec.charge, ScanSpec.n_frozen, ScanSpec.workers)
+    assert tuple(args.methods.split(",")) == ScanSpec.methods
 
 
 @pytest.mark.parametrize("optimizer, budget", [("gradient_descent", "3"), ("spsa", "1")])
@@ -395,6 +399,53 @@ def test_scan_rejects_an_unformattable_fcidump_pattern(capsys, tmp_path):
     assert captured.err.startswith("error:") and "fcidump_pattern" in captured.err
     assert captured.out == ""
     assert EnergyDB(db_dir).list_ids() == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--fragment-a", "H,H"), ("--fragment-b", "Li,H"), ("--fragment-a", "H,"),
+    ("--fragment-b", ""),
+])
+def test_scan_refuses_a_fragment_flag_of_other_than_one_symbol(capsys, tmp_path, flag, value):
+    fragments = {"--fragment-a": "H", "--fragment-b": "H", flag: value}
+    db_dir = tmp_path / "db"
+    assert main(["scan", "--molecule", "H3", *(x for item in fragments.items() for x in item),
+                 "--basis", "sto-3g", "--lengths", "0.7", "--db", str(db_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} takes one element symbol")
+    assert "ScanSpec" in captured.err and captured.out == ""
+    assert not db_dir.exists() or EnergyDB(db_dir).list_ids() == []
+
+
+def test_scan_names_the_cause_when_every_point_fails(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    pattern = str(tmp_path / "absent_{length:.2f}.fcidump")
+    assert main(["scan", "--molecule", "LiH", "--fcidump-pattern", pattern,
+                 "--lengths", "1.6,1.7", "--db", str(db_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed: every scan point failed")
+    assert "1.6 Angstrom" in err and "FileNotFoundError" in err and "absent_1.60" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--basis", "sto-3g"], ["--fragment-a", "Li"], ["--fragment-b", "H"],
+])
+def test_scan_refuses_a_basis_or_fragments_beside_an_fcidump_pattern(capsys, tmp_path, extra):
+    db_dir = tmp_path / "db"
+    pattern = LIH_FCIDUMP.replace("1.60", "{length:.2f}")
+    assert main(["scan", "--molecule", "LiH", "--fcidump-pattern", pattern, *extra,
+                 "--lengths", "1.6", "--db", str(db_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "give no basis or fragments" in captured.err
+    assert captured.out == "" and EnergyDB(db_dir).list_ids() == []
+
+
+@pytest.mark.parametrize("row", ["1.0 inf", "nan 0.5"])
+def test_scf_refuses_a_basis_file_with_a_bad_primitive(capsys, tmp_path, h2_xyz, row):
+    basis = tmp_path / "bad.basis"
+    basis.write_text(f"ELEMENT H 1\n{row}\n")
+    assert main(["scf", "--geometry", h2_xyz, "--basis", str(basis)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 2:") and captured.out == ""
 
 
 def test_cli_prints_the_energies_of_the_scan_point(capsys, h2_xyz):

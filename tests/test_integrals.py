@@ -12,7 +12,6 @@ from scipy import special
 from molq import (
     BOHR_PER_ANGSTROM,
     Atom,
-    ContractedGaussian,
     Geometry,
     GeometryError,
     ParseError,
@@ -189,13 +188,14 @@ def _eri_prim(a, A, b, B, c, C, d, D):
 
 
 def _contract(kernel, *funcs):
-    """sum over primitive tuples of the coefficient product times kernel."""
-    centers = [np.asarray(f.center) for f in funcs]
+    """sum over primitive tuples of the coefficient product times kernel;
+    each function is its (center, exponents, coefficients) row of
+    assign_basis, and its padded slots (coefficient 0) are skipped."""
     val = 0.0
     for prims in itertools.product(
-        *(zip(f.exponents, f.primitive_coefficients) for f in funcs)
+        *([(e, c) for e, c in zip(exps, coefs) if c != 0.0] for _, exps, coefs in funcs)
     ):
-        args = [x for (e, _), A in zip(prims, centers) for x in (e, A)]
+        args = [x for (e, _), (A, _, _) in zip(prims, funcs) for x in (e, A)]
         val += math.prod(c for _, c in prims) * kernel(*args)
     return val
 
@@ -218,7 +218,8 @@ def _eri_orbit(p, q, r, s):
     }
 
 
-def reference_integrals(geometry, funcs):
+def reference_integrals(geometry, basis):
+    funcs = list(zip(*basis))
     n = len(funcs)
     S, H, eri = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n, n, n))
     for i, j in itertools.product(range(n), repeat=2):
@@ -250,9 +251,9 @@ ORACLE_GEOMETRIES = {
 @pytest.mark.parametrize("name", ORACLE_GEOMETRIES)
 def test_array_integrals_match_scalar_reference(sto3g, name):
     geom = ORACLE_GEOMETRIES[name]
-    funcs = assign_basis(geom, sto3g)
-    ao = build_ao_integrals(geom, funcs)
-    S, H, eri = reference_integrals(geom, funcs)
+    basis = assign_basis(geom, sto3g)
+    ao = build_ao_integrals(geom, basis)
+    S, H, eri = reference_integrals(geom, basis)
     assert_allclose(ao.overlap, S, rtol=0, atol=1e-12)
     assert_allclose(ao.core_hamiltonian, H, rtol=0, atol=1e-12)
     assert_allclose(ao.eri, eri, rtol=0, atol=1e-12)
@@ -324,18 +325,39 @@ def test_parse_basis_errors():
         load_basis("no-such-basis")
 
 
-def test_contracted_gaussian_validation():
-    with pytest.raises(UsageError):
-        ContractedGaussian((0, 0, 0), (), ())
-    with pytest.raises(UsageError):
-        ContractedGaussian((0, 0, 0), (1.0, -0.5), (0.4, 0.6))
-    with pytest.raises(UsageError):
-        ContractedGaussian((0, 0, 0), (1.0,), (0.4, 0.6))
+@pytest.mark.parametrize("row, name", [
+    ("0.0 0.5", "exponent"), ("-0.5 0.5", "exponent"), ("inf 0.5", "exponent"),
+    ("nan 0.5", "exponent"), ("1.0 inf", "coefficient"), ("1.0 -inf", "coefficient"),
+    ("1.0 nan", "coefficient"),
+])
+def test_parse_basis_refuses_bad_primitives(row, name):
+    with pytest.raises(ParseError, match=f"{name} must be finite") as err:
+        parse_basis(f"# comment\nELEMENT H 2\n2.0 0.5\n{row}\n")
+    assert err.value.line == 4
 
 
 def test_contraction_self_overlap_normalized(sto3g):
     geom = Geometry.from_angstrom([("Li", (0, 0, 0))])
-    funcs = assign_basis(geom, sto3g)
-    assert len(funcs) == 2  # Li 1s and 2s
-    ao = build_ao_integrals(geom, funcs)
+    basis = assign_basis(geom, sto3g)
+    assert [a.shape for a in basis] == [(2, 3), (2, 3), (2, 3)]  # Li 1s and 2s
+    ao = build_ao_integrals(geom, basis)
     assert_allclose(np.diag(ao.overlap), 1.0, rtol=0, atol=1e-10)
+
+
+def test_short_contractions_are_padded():
+    # H with one primitive beside He with three: H's row gets two padded
+    # slots, exponent 1 and coefficient 0, and changes no integral
+    basis = parse_basis("ELEMENT H 1\n0.5 1.0\n"
+                        "ELEMENT He 3\n6.36 0.154\n1.16 0.535\n0.314 0.445\n")
+    geom = Geometry.from_angstrom([("H", (0, 0, 0)), ("He", (0.2, 0, 0.9))])
+    centers, exps, coefs = assign_basis(geom, basis)
+    assert_allclose(centers, [atom.position for atom in geom.atoms], rtol=0, atol=0)
+    assert list(exps[0]) == [0.5, 1.0, 1.0]
+    assert coefs[0, 0] > 0.0 and list(coefs[0, 1:]) == [0.0, 0.0]
+    assert list(exps[1]) == [6.36, 1.16, 0.314]
+    ao = build_ao_integrals(geom, (centers, exps, coefs))
+    S, H, eri = reference_integrals(geom, (centers, exps, coefs))
+    assert_allclose(np.diag(ao.overlap), 1.0, rtol=0, atol=1e-12)
+    assert_allclose(ao.overlap, S, rtol=0, atol=1e-12)
+    assert_allclose(ao.core_hamiltonian, H, rtol=0, atol=1e-12)
+    assert_allclose(ao.eri, eri, rtol=0, atol=1e-12)

@@ -85,6 +85,14 @@ def test_valid_spec_passes():
         (dict(fcidump_pattern="x_{length:d}"), "does not format"),
         (dict(fcidump_pattern="x_{0}"), "does not format"),
         (dict(fcidump_pattern="x_{length"), "does not format"),
+        # the integrals of an fcidump_pattern come from its files
+        (dict(fcidump_pattern="x_{length}"), "give no basis or fragments"),
+        (dict(fcidump_pattern="x_{length}", fragment_a=None, fragment_b=None),
+         "give no basis or fragments"),
+        (dict(fcidump_pattern="x_{length}", basis=None, fragment_b=None),
+         "give no basis or fragments"),
+        (dict(fcidump_pattern="x_{length}", basis=None, fragment_a=None),
+         "give no basis or fragments"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
@@ -487,6 +495,16 @@ def test_run_scan_raises_when_every_point_fails(tmp_path):
     )
     with pytest.raises(ScanError):
         run_scan(spec)
+
+
+def test_scan_error_names_the_first_failure(tmp_path):
+    spec = ScanSpec(molecule="H2", bond_lengths=[0.7, 0.8], methods=("exact",),
+                    fcidump_pattern=str(tmp_path / "absent_{length}.fcidump"))
+    with pytest.raises(ScanError, match="every scan point failed") as err:
+        run_scan(spec)
+    message = str(err.value)
+    assert "at 0.7 Angstrom, with FileNotFoundError" in message
+    assert "absent_0.7.fcidump" in message and "absent_0.8" not in message
 
 
 def test_failed_points_get_distinct_ids(tmp_path):
