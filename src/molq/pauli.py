@@ -22,10 +22,26 @@ coefficients in the order the scalar fold would produce them, and sorted
 by (weight, pattern); `canonicalize` is that same merge. The int64 key
 bounds the transform and the merge to MAX_QUBITS; the int64 masks bound a
 PauliSum to MASK_QUBITS.
+
+For a fixed factor table the image is a linear map of the coefficient
+column, and a scan transforms the same table at every point. So the
+expansion runs once per table, on unit coefficients, and `_jw_map` keeps
+what it yields: each string's exact scale, its owning row, its index
+among the distinct strings, and their (weight, pattern) order. A call
+only multiplies its column into the scales and folds them. The maps live
+in a thread-safe least-recently-used cache of _JW_MAP_CAPACITY (4)
+tables, keyed by (modes, table shape, table bytes, constant row or not);
+their arrays are read-only and no returned PauliSum shares them. A map
+holds 24 bytes per expanded string (a row of k factors expands to 2^k),
+16 per distinct string and 8 per row, and its key the table's bytes:
+0.9 MB for the 10-qubit LiH...H2 Hamiltonian (2 100 rows, 33 001
+strings), at most 52 MB for a 24-mode molecular Hamiltonian (76 608
+rows), so at most about 210 MB for a full cache of those.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +62,9 @@ _SORT_CODE = np.array([0, 1, 3, 2])  # x_bit + 2 * z_bit -> rank of I, X, Z, Y i
 MAX_QUBITS = 24
 # Largest register a PauliSum holds: its masks are int64
 MASK_QUBITS = 62
+# Jordan-Wigner maps kept, least recently used evicted first: a scan
+# transforms two factor tables, its Hamiltonian's and its UCCSD excitations'
+_JW_MAP_CAPACITY = 4
 
 
 def _letters(x: int, z: int) -> dict:
@@ -163,32 +182,39 @@ def pauli_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
     return (1j) ** (x & z).bit_count() * pauli_signs(idx, z)
 
 
-def _merge_sorted(n_qubits: int, x, z, coeffs) -> tuple:
-    """Merge equal strings, drop |c| < 1e-12, sort by (weight, pattern).
-
-    x, z are int64 mask arrays and coeffs their coefficients, in the order
-    the terms were produced. np.add.at sums each string's coefficients in
-    that order, starting from 0, so a merged coefficient is the same
-    floating-point sum as a left-to-right fold. Returns the sorted arrays.
-    """
+def _merge_plan(n_qubits: int, x, z) -> tuple:
+    """The distinct strings of the int64 mask arrays x, z, sorted by
+    (weight, pattern), and the index of each input string among them."""
     keys, inverse = np.unique(x << 32 | z, return_inverse=True)
-    merged = np.zeros(len(keys), dtype=coeffs.dtype)
-    np.add.at(merged, inverse, coeffs)
-    keep = np.abs(merged) >= COEFF_DROP
-    keys, merged = keys[keep], merged[keep]
     x, z = keys >> 32, keys & 0xFFFFFFFF
     # the pattern string compares qubit 0 first, letter by letter, I < X < Y < Z
     qubits = np.arange(n_qubits)
     codes = _SORT_CODE[(x[:, None] >> qubits & 1) + 2 * (z[:, None] >> qubits & 1)]
     order = np.lexsort((*codes.T[::-1], np.bitwise_count(x | z)))
-    return x[order], z[order], merged[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return x[order], z[order], rank[inverse]
+
+
+def _fold(x, z, inverse, coeffs) -> tuple:
+    """Sum coeffs into the strings (x, z) that inverse names, drop
+    |c| < 1e-12, and return fresh (x, z, coefficients) arrays.
+
+    np.add.at sums each string's coefficients in input order, starting
+    from +0.0, so with coeffs in the order the terms were produced a merged
+    coefficient is the same floating-point sum as a left-to-right fold.
+    """
+    merged = np.zeros(len(x), dtype=coeffs.dtype)
+    np.add.at(merged, inverse, coeffs)
+    keep = np.abs(merged) >= COEFF_DROP
+    return x[keep], z[keep], merged[keep]
 
 
 def canonicalize(s: PauliSum) -> PauliSum:
     """Merge equal patterns, drop |c| < 1e-12, sort by (weight, pattern)."""
     if s.n_qubits > MAX_QUBITS:
         raise ResourceError(f"{s.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
-    x, z, c = _merge_sorted(s.n_qubits, s.x, s.z, s.coefficients)
+    x, z, c = _fold(*_merge_plan(s.n_qubits, s.x, s.z), s.coefficients)
     return PauliSum(s.n_qubits, x=x, z=z, coefficients=c)
 
 
@@ -224,31 +250,63 @@ def _expand(codes, coefficients) -> tuple:
     return x.T.ravel(), z.T.ravel(), c.T.ravel()
 
 
+@functools.lru_cache(maxsize=_JW_MAP_CAPACITY)
+def _jw_map(n_modes: int, shape: tuple, table: bytes, constant_row: bool) -> tuple:
+    """The JW image of a factor table as a linear map of its coefficient
+    column: read-only (repeats, scales, inverse, x, z).
+
+    table is the bytes of the int64 factor codes, shape their shape, and
+    constant_row puts a 0-factor row first. Every row is expanded on a unit
+    coefficient, so each string carries its exact scale (+-1 or +-i times
+    2^-k) and the strings come out grouped by row, each row's in production
+    order: row r owns repeats[r] = 2^k consecutive strings. inverse is each
+    string's index in the distinct strings x, z, sorted by (weight, pattern).
+    """
+    factors = np.frombuffer(table, dtype=np.int64).reshape(shape)
+    if constant_row:  # the identity string comes first
+        factors = np.vstack([np.full((1, shape[1]), -1), factors])
+    counts = (factors >= 0).sum(axis=1)
+    parts = []  # (producing row per string, x, z, scales)
+    for count in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == count)
+        strings = _expand(factors[rows, :count], np.ones(len(rows)))
+        parts.append((np.repeat(rows, 2**count), *strings))
+    owner, x, z, scales = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    x, z, inverse = _merge_plan(n_modes, x[order], z[order])
+    columns = (2**counts, scales[order], inverse, x, z)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 def jordan_wigner(op: FermionOperator) -> PauliSum:
     """Map a FermionOperator to a canonicalized PauliSum.
 
     The constant offset becomes the identity-term coefficient. When the
     image is real up to 1e-12 (always the case for Hermitian input) the
-    imaginary parts are truncated. Rows are expanded in one array pass
-    per factor count, then put back in input order for the merge.
+    imaginary parts are truncated. The image is a fixed linear function of
+    the coefficient column for each factor table, so the table's map
+    (`_jw_map`, built once per table and cached) is applied: each string's
+    coefficient is its row's times the string's scale, a product that is
+    exact in the normal range, and `_fold` merges them in production
+    order, so the result is byte for byte the term-by-term product fold's.
+    A non-finite coefficient or constant raises UsageError.
     """
     if op.n_modes > MAX_QUBITS:
         raise ResourceError(f"{op.n_modes} modes exceed the {MAX_QUBITS}-qubit guard")
     factors, coefficients = op.factors, op.coefficients
-    if op.constant != 0.0:  # a leading 0-factor row: the identity string comes first
-        factors = np.vstack([np.full((1, factors.shape[1]), -1), factors])
+    constant_row = bool(op.constant != 0.0)
+    if constant_row:
         coefficients = np.concatenate([[op.constant], coefficients])
-    counts = (factors >= 0).sum(axis=1)
-    if not len(counts):
+    if not np.all(np.isfinite(coefficients)):
+        raise UsageError("a non-finite coefficient or constant has no Pauli image")
+    if not len(coefficients):
         return PauliSum(op.n_modes)
-    parts = []  # (producing row per string, x, z, coefficients)
-    for count in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == count)
-        strings = _expand(factors[rows, :count], coefficients[rows])
-        parts.append((np.repeat(rows, 2**count), *strings))
-    owner, x, z, c = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(owner, kind="stable")
-    x, z, c = _merge_sorted(op.n_modes, x[order], z[order], c[order])
+    repeats, scales, inverse, x, z = _jw_map(
+        op.n_modes, factors.shape, factors.tobytes(), constant_row
+    )
+    x, z, c = _fold(x, z, inverse, np.repeat(coefficients, repeats) * scales)
     if np.all(np.abs(c.imag) <= 1e-12):
         c = c.real
     return PauliSum(op.n_modes, x=x, z=z, coefficients=c)

@@ -25,7 +25,7 @@ from .db import METHODS, EnergyDB, EnergyRecord
 from .errors import ComputationError, ScanError, UsageError
 from .exact import dense_ground_energy
 from .fermion import build_fermionic_hamiltonian, freeze_core
-from .integrals import Geometry, assign_basis, build_ao_integrals, load_basis
+from .integrals import ELEMENTS, Geometry, assign_basis, build_ao_integrals, load_basis
 from .integrals_io import parse_fcidump, write_fcidump
 from .pauli import jordan_wigner
 from .scf import ao_to_mo, hf_reference_energy, scf_solve
@@ -82,6 +82,12 @@ class ScanSpec:
                 if not isinstance(fragment, (list, tuple)) or not all(map(_is_atom, fragment)):
                     raise UsageError(f"fragment {fragment!r} is not a list of "
                                      "(symbol, (dx, dy, dz)) entries")
+            shells = load_basis(self.basis).shells
+            for symbol, _ in (*self.fragment_a, *self.fragment_b):
+                if symbol not in ELEMENTS:
+                    raise UsageError(f"unknown element symbol {symbol!r} in a fragment")
+                if symbol not in shells:
+                    raise UsageError(f"basis {self.basis!r} has no functions for element {symbol}")
         else:
             for length in lengths:
                 try:

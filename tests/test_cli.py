@@ -326,6 +326,17 @@ def test_exact_refuses_bad_fcidump_header(capsys, tmp_path, header, code, stream
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_exact_refuses_a_non_finite_integral(capsys, tmp_path, value):
+    path = tmp_path / "bad.fcidump"
+    path.write_text(f"&FCI NORB=2,NELEC=2,MS2=0,&END\n{value} 1 1 2 2\n0.6 1 1 1 1\n"
+                    "0.6 2 2 2 2\n-1.2 1 1 0 0\n-0.5 2 2 0 0\n0.0 0 0 0 0\n")
+    assert main(["exact", "--fcidump", str(path), "--method", "dense"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "non-finite" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # scan / db / curve
 # ---------------------------------------------------------------------------
@@ -414,6 +425,20 @@ def test_scan_refuses_a_fragment_flag_of_other_than_one_symbol(capsys, tmp_path,
     assert captured.err.startswith(f"error: {flag} takes one element symbol")
     assert "ScanSpec" in captured.err and captured.out == ""
     assert not db_dir.exists() or EnergyDB(db_dir).list_ids() == []
+
+
+@pytest.mark.parametrize("symbol, message", [
+    ("Xx", "unknown element symbol 'Xx'"),
+    ("C", "basis 'sto-3g' has no functions for element C"),
+], ids=["unknown", "no-functions"])
+def test_scan_refuses_a_fragment_symbol_no_point_could_run(capsys, tmp_path, symbol, message):
+    db_dir = tmp_path / "db"
+    assert main(["scan", "--molecule", "HX", "--fragment-a", symbol, "--fragment-b", "H",
+                 "--basis", "sto-3g", "--lengths", "0.7,0.8", "--db", str(db_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+    assert not (db_dir / "records").exists() or not any((db_dir / "records").iterdir())
 
 
 def test_scan_names_the_cause_when_every_point_fails(capsys, tmp_path):

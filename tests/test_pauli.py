@@ -1,12 +1,15 @@
 """Pauli algebra, the Jordan-Wigner transform, canonicalization,
 qubit-wise-commuting grouping, and the text format."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import molq.pauli
 import molq.vqe
 from molq.cli import main
 from molq import (
@@ -224,19 +227,40 @@ def reference_jordan_wigner(op):
     return PauliSum(op.n_modes, kept)
 
 
-def assert_jw_byte_identical(op):
-    assert serialize_pauli(jordan_wigner(op)) == serialize_pauli(reference_jordan_wigner(op))
+def assert_jw_byte_identical(op, warm_with=None):
+    """jordan_wigner(op) is the scalar fold's byte for byte: cold, from an
+    empty map cache, and, given warm_with (another coefficient column on
+    op's factor table), again through the map that warm_with's call built."""
+    expected = serialize_pauli(reference_jordan_wigner(op))
+    molq.pauli._jw_map.cache_clear()
+    assert serialize_pauli(jordan_wigner(op)) == expected
+    if warm_with is not None:
+        molq.pauli._jw_map.cache_clear()
+        warm = serialize_pauli(reference_jordan_wigner(warm_with))
+        assert serialize_pauli(jordan_wigner(warm_with)) == warm
+        assert serialize_pauli(jordan_wigner(op)) == expected
+        hits, misses, _, _ = molq.pauli._jw_map.cache_info()
+        assert hits == misses <= 1  # op's call built no map of its own
 
 
 def test_jw_byte_identical_on_molecules(sto3g, h2_equilibrium):
-    assert_jw_byte_identical(build_fermionic_hamiltonian(h2_equilibrium[2]))
-    for atoms, charge in (
-        ([("H", (0, 0, 0.9 * k)) for k in range(4)], 0),
-        ([("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)), ("H", (0, 0, 3.34))], 0),
-        ([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], 1),
-    ):
+    # each molecule cold, then warm after the same molecule at another
+    # bond length, whose operator has the same factor table
+    def hamiltonian(atoms, charge=0):
         _, _, mo = pipeline(Geometry.from_angstrom(atoms, charge=charge), sto3g)
-        assert_jw_byte_identical(build_fermionic_hamiltonian(mo))
+        return build_fermionic_hamiltonian(mo)
+
+    assert_jw_byte_identical(build_fermionic_hamiltonian(h2_equilibrium[2]),
+                             warm_with=hamiltonian([("H", (0, 0, 0)), ("H", (0, 0, 1.4))]))
+    for atoms, charge, stretched in (
+        ([("H", (0, 0, 0.9 * k)) for k in range(4)], 0,
+         [("H", (0, 0, 1.2 * k)) for k in range(4)]),
+        ([("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)), ("H", (0, 0, 3.34))], 0,
+         [("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 4.6)), ("H", (0, 0, 5.34))]),
+        ([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], 1, [("He", (0, 0, 0)), ("H", (0, 0, 1.5))]),
+    ):
+        assert_jw_byte_identical(hamiltonian(atoms, charge),
+                                 warm_with=hamiltonian(stretched, charge))
 
 
 @pytest.mark.parametrize("path", FCIDUMPS, ids=lambda p: p.stem)
@@ -254,15 +278,23 @@ def test_jw_byte_identical_on_uccsd_generators(monkeypatch):
         return jordan_wigner(op)
 
     monkeypatch.setattr(molq.vqe, "jordan_wigner", recording)
-    uccsd_ansatz(8, 4)
-    assert len(seen) == 1  # every slot's T_k and T_k^dagger rows in one operator
-    assert_jw_byte_identical(seen[0])
+    columns = np.random.default_rng(5)
+    for qubits, electrons in ((8, 4), (12, 6)):
+        seen.clear()
+        uccsd_ansatz(qubits, electrons)
+        assert len(seen) == 1  # every slot's T_k and T_k^dagger rows in one operator
+        op = seen[0]
+        other = columns.standard_normal(len(op.coefficients))
+        assert_jw_byte_identical(
+            op, warm_with=FermionOperator(qubits, factors=op.factors, coefficients=other)
+        )
 
 
 def test_jw_byte_identical_on_random_operators():
     # mixed factor counts, out-of-order and repeated modes, complex
-    # non-Hermitian coefficients whose imaginary parts survive
-    rng = np.random.default_rng(7)
+    # non-Hermitian coefficients whose imaginary parts survive; each table
+    # also warm, through a second coefficient column drawn from `columns`
+    rng, columns = np.random.default_rng(7), np.random.default_rng(8)
     kept_complex = 0
     for _ in range(40):
         n = int(rng.integers(1, 7))
@@ -277,9 +309,88 @@ def test_jw_byte_identical_on_random_operators():
             for _ in range(rng.integers(0, 12))
         )
         op = FermionOperator(n, terms, constant=float(rng.standard_normal()) * (rng.random() < 0.5))
-        assert_jw_byte_identical(op)
+        other = columns.standard_normal((len(terms), 2)) @ [1, 1j]
+        assert_jw_byte_identical(op, warm_with=FermionOperator(
+            n, factors=op.factors, coefficients=other, constant=2 * op.constant
+        ))
         kept_complex += any(isinstance(t.coefficient, complex) for t in jordan_wigner(op).terms)
     assert kept_complex > 0
+
+    # real or complex columns with zero entries, with and without a constant
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        n, rows, width = (int(k) for k in rng.integers(1, (7, 16, 6)))
+        factors = np.full((rows, width), -1)
+        for row, count in enumerate(rng.integers(0, width + 1, rows)):
+            factors[row, :count] = rng.integers(0, 2 * n, count)
+        is_complex = rng.random() < 0.5
+        constant = float(rng.standard_normal()) * (rng.random() < 0.5)
+
+        def column():
+            c = rng.standard_normal(rows) + 1j * rng.standard_normal(rows) * is_complex
+            c[rng.random(rows) < 0.3] = 0.0
+            return c if is_complex else c.real
+
+        op = FermionOperator(n, factors=factors, coefficients=column(), constant=constant)
+        assert_jw_byte_identical(op, warm_with=FermionOperator(
+            n, factors=factors, coefficients=column(), constant=3 * constant
+        ))
+
+
+def test_jw_refuses_non_finite_coefficients():
+    for coefficient, constant in (
+        (np.inf, 0.0), (-np.inf, 0.5), (np.nan, 0.0), (complex(1.0, np.inf), 0.0),
+        (1.0, np.inf), (1.0, np.nan),
+    ):
+        op = FermionOperator(2, factors=[[0, 3]], coefficients=[coefficient], constant=constant)
+        with pytest.raises(UsageError, match="non-finite"):
+            jordan_wigner(op)
+
+
+def test_jw_results_do_not_share_the_cached_map():
+    op = build_fermionic_hamiltonian(freeze_core(parse_fcidump(LIH_FCIDUMP.read_text()), 1))
+    first = jordan_wigner(op)
+    text = serialize_pauli(first)
+    first.x[:] = 0
+    first.z[:] = 1
+    first.coefficients[:] = 7.0
+    assert serialize_pauli(jordan_wigner(op)) == text
+    table = (op.n_modes, op.factors.shape, op.factors.tobytes(), True)
+    assert not any(column.flags.writeable for column in molq.pauli._jw_map(*table))
+
+
+def test_jw_map_cache_holds_at_most_its_capacity():
+    capacity = molq.pauli._JW_MAP_CAPACITY
+    molq.pauli._jw_map.cache_clear()
+    for n in range(1, 2 * capacity + 2):
+        jordan_wigner(FermionOperator(n, factors=[[2 * n - 2, 2 * n - 1]], coefficients=[1.0]))
+        assert molq.pauli._jw_map.cache_info().currsize == min(n, capacity)
+
+
+def test_jw_map_cache_under_concurrent_callers():
+    # more tables than the cache holds, so maps are evicted and rebuilt
+    # while other threads apply them
+    rng = np.random.default_rng(4)
+    ops = []
+    for _ in range(2 * molq.pauli._JW_MAP_CAPACITY + 1):
+        factors = rng.integers(0, 12, (30, 4))
+        ops.append(FermionOperator(6, factors=factors, coefficients=rng.standard_normal(30)))
+    expected = [serialize_pauli(reference_jordan_wigner(op)) for op in ops]
+
+    def caller(k):
+        for i in range(40):
+            j = (k + 3 * i) % len(ops)
+            assert serialize_pauli(jordan_wigner(ops[j])) == expected[j]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(caller, k) for k in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert molq.pauli._jw_map.cache_info().currsize <= molq.pauli._JW_MAP_CAPACITY
 
 
 # ------------------------------------------------------------- canonicalize
