@@ -16,7 +16,29 @@ generators in this basis) and complex128 otherwise, and each consumer
 keeps that dtype. compile_operator groups the strings by flip mask x and
 builds whole groups a chunk at a time, so no temporary holds more than
 OPERATOR_CHUNK_ENTRIES values; an operator of more than
-OPERATOR_MAX_BYTES is refused before it is built.
+OPERATOR_MAX_BYTES is refused, at every call, before any value is formed.
+
+Only the values depend on the coefficients, and a scan compiles the same
+strings on the same basis at every point. So everything else, the
+operator's plan, is built once and kept in two thread-safe
+least-recently-used caches of _PLAN_CAPACITY (8) entries: _layout, keyed
+by the bytes of x and z, holds the terms' order, phases and flip-mask
+groups; _plan, keyed also by the bytes of the basis and by
+OPERATOR_CHUNK_ENTRIES, holds per chunk the entries' rows, cols and
+transposed entry and each (entry, term) product's term and sign. A call
+forms the values from them with one gather, one product and one
+np.add.reduceat. The cached arrays are read-only and no BlockOperator
+shares them. A VQE point compiles its Hamiltonian and each UCCSD
+generator, so its compiles hit the caches only where the ansatz has at
+most 7 generators; past that, the cycle evicts each plan before its next
+use and every compile builds its plan. A layout holds about 48 bytes per
+string and its key 16; a plan holds 16 bytes per product and 32 per
+entry, and its key 16 per string and 8 per state: 0.9 MB for the
+10-qubit LiH...H2 Hamiltonian on its 100-state block (45 200 products,
+5 500 entries). Where strings times states passes _PLAN_MAX_PRODUCTS
+(2**19) no chunks are kept and they are built afresh at every call, so
+the full caches hold at most about 200 MB plus 80 bytes per string and 8
+per state of their operators.
 
 pauli_matrix refuses a basis of more than 2**DENSE_MAX_QUBITS states.
 dense_ground_energy runs eigh on every block within that guard and
@@ -27,6 +49,7 @@ state is a complex array of 2^n amplitudes, the form run_circuit returns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -47,6 +70,13 @@ OPERATOR_CHUNK_ENTRIES = 2**18   # largest temporary of compile_operator, in val
 # Largest operator compile_operator builds: with the Lanczos vectors and
 # the ground vector beside it, it fits a host of 7 GB
 OPERATOR_MAX_BYTES = 2 * 2**30
+# Operator layouts and plans kept, least recently used evicted first: a
+# VQE point compiles its Hamiltonian and each UCCSD generator, so an
+# ansatz of up to 7 generators reuses every plan
+_PLAN_CAPACITY = 8
+# Most strings x states of an operator whose plan keeps its chunks: the
+# most (entry, term) products they hold, at 48 bytes or fewer each
+_PLAN_MAX_PRODUCTS = 2**19
 
 
 @dataclass
@@ -96,6 +126,69 @@ def _chunks(bounds: np.ndarray, width: int):
         g0 = g1
 
 
+def _targets(basis, flips):
+    """For each flip mask and column b: where b ^ flip sits in the sorted
+    basis (clipped), and whether it is there."""
+    flipped = basis ^ flips[:, None]
+    found = np.minimum(np.searchsorted(basis, flipped), len(basis) - 1)
+    return found, basis[found] == flipped
+
+
+def _frozen(arrays) -> tuple:
+    """arrays as a tuple, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(arrays)
+
+
+@functools.lru_cache(maxsize=_PLAN_CAPACITY)
+def _layout(x: bytes, z: bytes) -> tuple:
+    """The terms of the int64 masks x, z, as read-only arrays: their stable
+    order by flip mask, their i^|x&z| phases in that order, the group
+    bounds (where each run of one flip mask starts, then the term count),
+    each group's flip mask, and the z masks in that order."""
+    x, z = np.frombuffer(x, dtype=np.int64), np.frombuffer(z, dtype=np.int64)
+    order = np.argsort(x, kind="stable")
+    x, z = x[order], z[order]
+    # x[:1] >= 0 is [True] unless there are no terms
+    bounds = np.flatnonzero(np.concatenate((x[:1] >= 0, x[1:] != x[:-1], [True])))
+    return _frozen([order, _PHASE_VALUES[np.bitwise_count(x & z) & 3], bounds, x[bounds[:-1]], z])
+
+
+def _pieces(basis, bounds, flips, z):
+    """Per chunk of whole groups, everything of its entries that does not
+    depend on the coefficients: (rows, cols, term, signs, starts,
+    transposed). Entry e sums signs[k] * coefficient[term[k]] over k in
+    starts[e] up to the next start, and transposed[e] is the chunk's entry
+    at (cols[e], rows[e])."""
+    for g0, g1 in _chunks(bounds, len(basis)):
+        found, hit = _targets(basis, flips[g0:g1])
+        group, col = np.nonzero(hit)   # entries by group, columns ascending
+        row = found[group, col]
+        # each entry's products with its group's terms, in term order
+        n_terms = (bounds[g0 + 1 : g1 + 1] - bounds[g0:g1])[group]
+        first = np.cumsum(n_terms) - n_terms
+        term = np.arange(n_terms.sum()) + np.repeat(bounds[g0:g1][group] - first, n_terms)
+        signs = pauli_signs(np.repeat(basis[col], n_terms), z[term])
+        # the transposed entry (col, row) is the same group's entry in column row
+        key = group * len(basis)
+        yield row, col, term, signs, first, np.searchsorted(key + col, key + row)
+
+
+@functools.lru_cache(maxsize=_PLAN_CAPACITY)
+def _plan(x: bytes, z: bytes, basis: bytes, chunk_entries: int):
+    """The chunks of `_pieces` of the int64 masks x, z over the int64
+    basis, each a tuple of read-only arrays, or None where strings times
+    states, the most (entry, term) products they could hold, passes
+    _PLAN_MAX_PRODUCTS. chunk_entries is the OPERATOR_CHUNK_ENTRIES the
+    chunks are cut by."""
+    basis = np.frombuffer(basis, dtype=np.int64)
+    _, _, bounds, flips, z = _layout(x, z)
+    if bounds[-1] * len(basis) > _PLAN_MAX_PRODUCTS:
+        return None
+    return tuple(_frozen(piece) for piece in _pieces(basis, bounds, flips, z))
+
+
 def compile_operator(s: PauliSum, basis: np.ndarray) -> BlockOperator:
     """The BlockOperator of s over `basis`, a sorted int64 array of states.
 
@@ -107,53 +200,49 @@ def compile_operator(s: PauliSum, basis: np.ndarray) -> BlockOperator:
     on its group's hit columns only, times its coefficient and i^|x&z|
     phase, and each entry sums its group's products (np.add.reduceat, in
     term order). The values are float64 when every phased coefficient is
-    real, complex128 otherwise. Where every flip mask hitting every column
-    could pass OPERATOR_MAX_BYTES, the hits are counted before any entry is
-    built.
+    real, complex128 otherwise.
+
+    All of that but the coefficients is the operator's plan: the term
+    layout, which the `_layout` cache keeps per strings, and the chunks,
+    which the `_plan` cache keeps per (strings, basis). A call with the
+    strings and basis of an earlier one only forms the values. Where
+    strings times states passes _PLAN_MAX_PRODUCTS no chunks are kept,
+    and they are built afresh at every call, each chunk's values formed
+    before the next chunk is built. At every call, between the layout and
+    the chunks, where every flip mask hitting every column could pass
+    OPERATOR_MAX_BYTES in this call's dtype, the entries are counted, and
+    the operator refused, before any chunk or value is formed.
     """
-    order = np.argsort(s.x, kind="stable")
-    x, z = s.x[order], s.z[order]
-    coefficients = s.coefficients[order] * _PHASE_VALUES[np.bitwise_count(x & z) & 3]
+    basis = np.asarray(basis, dtype=np.int64)
+    masks = s.x.tobytes(), s.z.tobytes()
+    order, phases, bounds, flips, z = _layout(*masks)
+    coefficients = s.coefficients[order] * phases
     if not np.any(coefficients.imag):
         coefficients = coefficients.real
-    # bounds: where each run of one flip mask starts, then len(x) (x[:1] >= 0
-    # is [True] unless there are no terms)
-    bounds = np.flatnonzero(np.concatenate((x[:1] >= 0, x[1:] != x[:-1], [True])))
-    flips = x[bounds[:-1]]
-    chunks = list(_chunks(bounds, len(basis)))
-
-    def targets(g0, g1):
-        flipped = basis ^ flips[g0:g1, None]
-        found = np.minimum(np.searchsorted(basis, flipped), len(basis) - 1)
-        return found, basis[found] == flipped
 
     entry_bytes = 16 + coefficients.itemsize   # int64 row and col
     if len(flips) * len(basis) * entry_bytes > OPERATOR_MAX_BYTES:
-        n_entries = sum(np.count_nonzero(targets(g0, g1)[1]) for g0, g1 in chunks)
+        n_entries = sum(
+            np.count_nonzero(_targets(basis, flips[g0:g1])[1])
+            for g0, g1 in _chunks(bounds, len(basis))
+        )
         if n_entries * entry_bytes > OPERATOR_MAX_BYTES:
             raise ResourceError(
                 f"{n_entries} operator entries exceed the {OPERATOR_MAX_BYTES >> 20} MB operator guard"
             )
+    pieces = _plan(*masks, basis.tobytes(), OPERATOR_CHUNK_ENTRIES)
+    if pieces is None:
+        pieces = _pieces(basis, bounds, flips, z)
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     values = [np.zeros(0, dtype=coefficients.dtype)]
     hermitian = True
-    for g0, g1 in chunks:
-        found, hit = targets(g0, g1)
-        group, col = np.nonzero(hit)   # entries by group, columns ascending
-        row = found[group, col]
-        # each entry's products with its group's terms, in term order
-        n_terms = (bounds[g0 + 1 : g1 + 1] - bounds[g0:g1])[group]
-        first = np.cumsum(n_terms) - n_terms
-        term = np.arange(n_terms.sum()) + np.repeat(bounds[g0:g1][group] - first, n_terms)
-        products = pauli_signs(np.repeat(basis[col], n_terms), z[term]) * coefficients[term]
-        value = np.add.reduceat(products, first)
+    for row, col, term, signs, first, transposed in pieces:
+        value = np.add.reduceat(signs * coefficients[term], first)
         rows.append(row)
         cols.append(col)
         values.append(value)
-        # the transposed entry (col, row) is the same group's entry in column row
-        key = group * len(basis)
-        transposed = np.searchsorted(key + col, key + row)
         hermitian &= bool(np.all(np.abs(value - value[transposed].conj()) <= 1e-10))
+    # concatenate copies, so no result shares a cached plan's arrays
     return BlockOperator(
         len(basis), np.concatenate(rows), np.concatenate(cols), np.concatenate(values), hermitian
     )

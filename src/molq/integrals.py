@@ -14,9 +14,16 @@ a molecule's contracted functions as padded (n_ao, K) exponent and
 normalized coefficient arrays, the Gaussian-product quantities (p, mu, P,
 exp(-mu|A-B|^2) c_a c_b) are built once for every function pair i >= j,
 and each integral class is a numpy reduction over those primitive-pair
-arrays; the ERIs loop over bra pairs only. This pair layout is what a
-McMurchie-Davidson engine for higher angular momentum would extend with
-Hermite expansion coefficients.
+arrays. The ERIs form the kernel and F0 of every (bra, ket <= bra) pair
+of function pairs at once, packed in row-major lower-triangle order, in
+runs of whole bra rows, then contract each bra row's run with its
+weights. A run's largest temporaries, the P - Q separations, hold 3
+values per (bra, ket, primitive quartet), and a run holds at most
+_ERI_CHUNK_VALUES (2**16, 512 KB of float64) of them: in STO-3G, K = 3,
+one run, so one boys_f0 call, covers up to 6 functions, and a larger
+molecule takes several runs of that size. This
+pair layout is what a McMurchie-Davidson engine for higher angular
+momentum would extend with Hermite expansion coefficients.
 
 Everything internal is in atomic units (Bohr, Hartree); user-facing
 geometry input is Angstrom.
@@ -24,9 +31,13 @@ geometry input is Angstrom.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,6 +56,10 @@ ELEMENTS = {
 
 # series/closed-form switch for the Boys function
 _BOYS_SERIES_CUTOFF = 1e-6
+# Most values one ERI temporary holds
+_ERI_CHUNK_VALUES = 2**16
+# Shipped basis parses kept by load_basis, least recently used evicted first
+_BASIS_CAPACITY = 4
 
 
 @dataclass(frozen=True)
@@ -163,10 +178,12 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     `basis_functions` is the (centers, exponents, coefficients) tuple of
     `assign_basis`: the functions placed on their atoms. Every integral is a
     reduction over the primitive-pair arrays of `_primitive_pairs`; the
-    ERIs run one bra pair against all ket pairs at or below it, so the
-    temporaries stay O(n_pair K^4). Each unique value is computed once and
-    gathered through `pair_index`, so S, Hcore and the ERI tensor
-    carry their permutation symmetries exactly.
+    ERIs run every bra pair against all ket pairs at or below it, a chunk
+    of bra rows at a time (`_bra_chunks`), so no temporary passes
+    _ERI_CHUNK_VALUES values, a few of them at once, unless one bra row,
+    3 n_pair K^4 values, is longer than that. Each unique value is
+    computed once and gathered through `pair_index`, so S, Hcore and the
+    ERI tensor carry their permutation symmetries exactly.
     """
     n = len(basis_functions[0])
     e_nn = nuclear_repulsion(geometry)
@@ -182,16 +199,24 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
         "xab,xabc,c->x", weight / p, boys_f0(p[..., None] * pc2), charges
     )
 
-    # (ab|cd) of bra pair x against ket pairs 0..x, over axes (ket, a, b, c, d)
+    # (ab|cd) of every bra pair x against ket pairs 0..x, packed in
+    # row-major lower-triangle order, so bra x's kets are one run; over axes
+    # (bra-ket pair, a, b, c, d); P - Q adds an axis of 3
     n_pair = len(s)
     pairs = np.zeros((n_pair, n_pair))
-    q, Q = p[:, None, None], P[:, None, None]
-    for x in range(n_pair):
-        pb, qk = p[x][:, :, None, None], q[: x + 1]
-        pq2 = np.sum((P[x][:, :, None, None] - Q[: x + 1]) ** 2, axis=-1)
+    for x0, x1 in _bra_chunks(n_pair, 3 * p[0].size ** 2):
+        bra = np.repeat(np.arange(x0, x1), np.arange(x0 + 1, x1 + 1))
+        ket = np.concatenate([np.arange(x + 1) for x in range(x0, x1)])
+        pb, qk = p[bra][:, :, :, None, None], p[ket][:, None, None]
+        pq2 = np.sum((P[bra][:, :, :, None, None] - P[ket][:, None, None]) ** 2, axis=-1)
         kernel = 2.0 * np.pi**2.5 / (pb * qk * np.sqrt(pb + qk))
         kernel *= boys_f0(pb * qk / (pb + qk) * pq2)
-        pairs[x, : x + 1] = np.einsum("ab,kcd,kabcd->k", weight[x], weight[: x + 1], kernel)
+        start = 0
+        for x in range(x0, x1):
+            pairs[x, : x + 1] = np.einsum(
+                "ab,kcd,kabcd->k", weight[x], weight[: x + 1], kernel[start : start + x + 1]
+            )
+            start += x + 1
     upper = np.triu_indices(n_pair, 1)
     pairs[upper] = pairs.T[upper]
 
@@ -204,6 +229,19 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
         e_nuclear=e_nn,
         n_electrons=geometry.n_electrons,
     )
+
+
+def _bra_chunks(n_pair, per_pair):
+    """Runs [x0, x1) of bra pairs whose (bra, ket <= bra) pairs, at
+    `per_pair` values each, hold at most _ERI_CHUNK_VALUES values; a
+    longer bra row is a run by itself."""
+    per_chunk = _ERI_CHUNK_VALUES // per_pair
+    ends = np.arange(1, n_pair + 1) * np.arange(2, n_pair + 2) // 2   # pairs through bra x
+    x0 = 0
+    while x0 < n_pair:
+        x1 = max(x0 + 1, int(np.searchsorted(ends, x0 * (x0 + 1) // 2 + per_chunk, side="right")))
+        yield x0, x1
+        x0 = x1
 
 
 def pair_index(n):
@@ -221,12 +259,13 @@ def pair_index(n):
 # basis handling
 
 
+@dataclass(frozen=True)
 class BasisSet:
-    """Per-element lists of (exponents, coefficients) shell parameters."""
+    """Per-element (exponents, coefficients) shell parameters, read-only:
+    load_basis hands one parse to every caller."""
 
-    def __init__(self, name, shells):
-        self.name = name
-        self.shells = shells  # symbol -> [(exponents, coefficients), ...]
+    name: str
+    shells: Mapping   # symbol -> ((exponents, coefficients), ...), all tuples
 
 
 def parse_basis(text, name="user"):
@@ -280,18 +319,28 @@ def parse_basis(text, name="user"):
             coefs.append(coefficient)
         if len(exps) < n_prim:
             raise ParseError(f"block for {symbol} ends before {n_prim} primitives", line=i)
-        shells.setdefault(symbol, []).append((exps, coefs))
-    return BasisSet(name, shells)
+        shells.setdefault(symbol, []).append((tuple(exps), tuple(coefs)))
+    return BasisSet(name, MappingProxyType({s: tuple(v) for s, v in shells.items()}))
+
+
+def _shipped(key):
+    return resources.files(__package__) / "data" / f"{key}.basis"
+
+
+@functools.lru_cache(maxsize=_BASIS_CAPACITY)
+def _read_basis(key: str) -> BasisSet:
+    """The parse of the shipped basis key, package data that never changes."""
+    return parse_basis(_shipped(key).read_text(), name=key)
 
 
 def load_basis(name_or_path) -> BasisSet:
-    """Load a basis by shipped name (e.g. 'sto-3g') or from a file path."""
-    from pathlib import Path
+    """Load a basis by shipped name (e.g. 'sto-3g') or from a file path.
 
+    A scan asks for its basis at every point, so a shipped basis is parsed
+    once and its parse kept; a file is read at every call."""
     key = str(name_or_path).lower()
-    resource = resources.files(__package__) / "data" / f"{key}.basis"
-    if resource.is_file():
-        return parse_basis(resource.read_text(), name=key)
+    if _shipped(key).is_file():
+        return _read_basis(key)
     path = Path(name_or_path)
     if path.is_file():
         return parse_basis(path.read_text(), name=path.stem)

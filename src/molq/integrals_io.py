@@ -16,6 +16,7 @@ is `NAO <n>` and then SECTION blocks of `<value> <indices...>` lines.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -68,8 +69,8 @@ def _check_eri_size(n):
 
 
 def _data_line(line, lineno, n):
-    """The value and the four int indices, each in 0..n, of a data line
-    `<value> i j k l`."""
+    """The finite value and the four int indices, each in 0..n, of a data
+    line `<value> i j k l`."""
     parts = line.split()
     if len(parts) != 5:
         raise ParseError(f"expected '<value> i j k l', got {line!r}", line=lineno)
@@ -78,6 +79,8 @@ def _data_line(line, lineno, n):
         idx = [int(x) for x in parts[1:]]
     except ValueError:
         raise ParseError(f"malformed numeric literal in {line!r}", line=lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite integral in {line!r}", line=lineno)
     for i in idx:
         if not 0 <= i <= n:
             raise ParseError(f"index {i} out of range 0..{n} in {line!r}", line=lineno)

@@ -4,7 +4,11 @@ Closed-shell only. The Fock matrix is F = Hcore + J - K/2 with
 J_pq = sum_rs D_rs (pq|rs), K_pq = sum_rs D_rs (pr|qs), and the total energy
 is E = 1/2 Tr[D (Hcore + F)] + E_nn. Each iteration diagonalizes Pulay's
 DIIS extrapolation over the last DIIS_CAPACITY (Fock, error) pairs, for at
-most MAX_ITERATIONS iterations.
+most MAX_ITERATIONS iterations. scf_solve keeps the Gram matrix of their
+errors, sum(e_i * e_j), across iterations: each new error adds one row,
+as many entries as the history holds, and when the oldest pair leaves,
+its row and column leave with it. A singular DIIS system retries on the
+trailing block of that matrix.
 """
 
 from __future__ import annotations
@@ -34,38 +38,40 @@ class SCFResult:
     converged: bool
 
 
-def diis_extrapolate(history) -> np.ndarray:
+def diis_extrapolate(history, gram) -> np.ndarray:
     """Pulay-extrapolated Fock matrix sum_i c_i F_i with sum c_i = 1, from a
-    sequence of (Fock, error) pairs, oldest first.
+    sequence of (Fock, error) pairs, oldest first, and the Gram matrix of
+    their errors, gram[i, j] = sum(e_i * e_j).
 
     Solves the least-squares system with the Lagrange normalization row;
-    a singular system drops the oldest entry and retries.
+    a singular system drops the oldest entry, whose Gram matrix is the
+    trailing block of this one, and retries.
     """
     if len(history) == 0:
         raise UsageError("DIIS extrapolation needs at least one Fock matrix")
-    entries = list(history)
-    while True:
-        m = len(entries)
-        if m == 1:
-            return entries[0][0].copy()
-        B = np.empty((m + 1, m + 1))
-        B[-1, :] = -1.0
-        B[:, -1] = -1.0
-        B[-1, -1] = 0.0
-        for i in range(m):
-            for j in range(i, m):
-                B[i, j] = B[j, i] = np.sum(entries[i][1] * entries[j][1])
-        rhs = np.zeros(m + 1)
-        rhs[-1] = -1.0
+    focks = [f for f, _ in history]
+    m = len(focks)
+    B = np.empty((m + 1, m + 1))
+    B[:m, :m] = gram
+    B[-1, :] = -1.0
+    B[:, -1] = -1.0
+    B[-1, -1] = 0.0
+    rhs = np.zeros(m + 1)
+    rhs[-1] = -1.0
+    # the system of the entries from start on is the trailing block of B
+    for start in range(m - 1):
         try:
-            coeffs = np.linalg.solve(B, rhs)[:m]
+            coeffs = np.linalg.solve(B[start:, start:], rhs[start:])[:-1]
         except np.linalg.LinAlgError:
-            entries = entries[1:]
             continue
-        if not np.all(np.isfinite(coeffs)):
-            entries = entries[1:]
-            continue
-        return sum(c * f for c, (f, _) in zip(coeffs, entries))
+        if np.all(np.isfinite(coeffs)):
+            return sum(c * f for c, f in zip(coeffs, focks[start:]))
+    return focks[-1].copy()
+
+
+def _gram_row(history, error) -> np.ndarray:
+    """sum(e_i * error) for the error e_i of each (Fock, error) pair."""
+    return np.array([np.sum(e * error) for _, e in history])
 
 
 def _orthogonalizer(S):
@@ -104,6 +110,7 @@ def scf_solve(ao: AOIntegrals, log=None) -> SCFResult:
     D = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
 
     history = deque(maxlen=DIIS_CAPACITY)   # F and error are new arrays each iteration
+    gram = np.empty((DIIS_CAPACITY, DIIS_CAPACITY))   # of the errors in history
     e_old = 0.0
     e_hf = 0.0
     converged = False
@@ -126,8 +133,12 @@ def scf_solve(ao: AOIntegrals, log=None) -> SCFResult:
             break
         e_old = e_hf
 
+        if len(history) == DIIS_CAPACITY:   # the oldest pair leaves
+            gram[:-1, :-1] = gram[1:, 1:]
         history.append((F, error))
-        C, eps = diagonalize(diis_extrapolate(history))
+        m = len(history)
+        gram[m - 1, :m] = gram[:m, m - 1] = _gram_row(history, error)
+        C, eps = diagonalize(diis_extrapolate(history, gram[:m, :m]))
         D = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
 
     return SCFResult(

@@ -337,6 +337,18 @@ def test_exact_refuses_a_non_finite_integral(capsys, tmp_path, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_exact_fci_refuses_a_non_finite_integral(capsys, tmp_path, value):
+    # the FCI path never builds a Pauli image: parse_fcidump refuses the line
+    path = tmp_path / "bad.fcidump"
+    path.write_text(f"&FCI NORB=2,NELEC=2,MS2=0,&END\n0.6 1 1 1 1\n{value} 1 1 2 2\n"
+                    "0.6 2 2 2 2\n-1.2 1 1 0 0\n-0.5 2 2 0 0\n0.0 0 0 0 0\n")
+    assert main(["exact", "--fcidump", str(path), "--method", "fci"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 3:") and "non-finite" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # scan / db / curve
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """The compiled block operator, dense and Lanczos diagonalization, and
 the determinant-basis FCI oracle."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import molq.exact
 from molq import (
@@ -16,6 +20,7 @@ from molq import (
     jordan_wigner,
     pauli_matrix,
     scf_solve,
+    uccsd_ansatz,
 )
 from molq.errors import ComputationError, ResourceError, UsageError
 from molq.exact import (
@@ -206,6 +211,145 @@ def test_operator_guard_refuses_before_building(molecules, monkeypatch):
         compile_operator(h, basis)
     with pytest.raises(ResourceError, match="operator guard"):
         dense_ground_energy(h, n_electrons)
+
+
+# ---------------------------------------------------------------------------
+# the plan cache of compile_operator
+# ---------------------------------------------------------------------------
+
+
+def clear_plans():
+    molq.exact._layout.cache_clear()
+    molq.exact._plan.cache_clear()
+
+
+def test_operator_guard_refuses_a_cold_plan_before_building(molecules, monkeypatch):
+    h, n_electrons, _ = molecules["H4"]
+    basis = sector_basis(h.n_qubits, n_electrons)
+    entries = len(compile_operator(h, basis).rows)
+    clear_plans()
+
+    def no_build(*args):
+        raise AssertionError("an entry was built before the guard")
+
+    monkeypatch.setattr(molq.exact, "pauli_signs", no_build)
+    monkeypatch.setattr(molq.exact, "OPERATOR_MAX_BYTES", 24 * entries - 1)
+    with pytest.raises(ResourceError, match=f"{entries} operator entries"):
+        compile_operator(h, basis)
+    assert molq.exact._plan.cache_info().currsize == 0
+
+
+def assert_same_operator(got, want):
+    assert got.dim == want.dim and got.hermitian == want.hermitian
+    for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)):
+        assert a.dtype == b.dtype
+        assert_array_equal(a, b)
+
+
+def operators_of(h, n_electrons):
+    """(PauliSum, basis) of h on its sector and the whole space, and of
+    each UCCSD generator on the sector."""
+    sector = sector_basis(h.n_qubits, n_electrons)
+    yield h, sector
+    yield h, np.arange(2**h.n_qubits, dtype=np.int64)
+    for generator in uccsd_ansatz(h.n_qubits, n_electrons).generators:
+        yield generator, sector
+
+
+@pytest.mark.parametrize("name", ["H2", "H4", "LiH-H2", "HeH+"])
+def test_warm_operator_is_the_cold_one_byte_for_byte(molecules, name):
+    h, n_electrons, _ = molecules[name]
+    rng = np.random.default_rng(8)
+    for s, basis in operators_of(h, n_electrons):
+        clear_plans()
+        cold = compile_operator(s, basis)
+        assert_same_operator(compile_operator(s, basis), cold)
+        # the same strings with other coefficients (another bond length)
+        # through the plan the first call built
+        other = PauliSum(s.n_qubits, x=s.x, z=s.z,
+                         coefficients=s.coefficients * rng.uniform(0.5, 1.5, len(s.x)))
+        warm = compile_operator(other, basis)
+        assert molq.exact._plan.cache_info()[:2] == (2, 1)   # (hits, misses)
+        assert molq.exact._layout.cache_info().misses == 1
+        clear_plans()
+        assert_same_operator(warm, compile_operator(other, basis))
+
+
+def test_operator_results_do_not_share_the_cached_plan(molecules):
+    h, n_electrons, _ = molecules["H4"]
+    basis = sector_basis(h.n_qubits, n_electrons)
+    first = compile_operator(h, basis)
+    layout = molq.exact._layout(h.x.tobytes(), h.z.tobytes())
+    pieces = molq.exact._plan(
+        h.x.tobytes(), h.z.tobytes(), basis.tobytes(), molq.exact.OPERATOR_CHUNK_ENTRIES
+    )
+    cached = [*layout, *(a for piece in pieces for a in piece)]
+    assert not any(array.flags.writeable for array in cached)
+    for column in (first.rows, first.cols, first.values):
+        assert not any(np.shares_memory(column, array) for array in cached)
+    want = compile_operator(h, basis)
+    first.rows[:] = 0
+    first.cols[:] = 0
+    first.values[:] = 7.0
+    assert_same_operator(compile_operator(h, basis), want)
+
+
+def test_a_plan_past_the_product_cap_keeps_no_chunks(molecules, monkeypatch):
+    h, n_electrons, _ = molecules["H4"]
+    basis = sector_basis(h.n_qubits, n_electrons)
+    want = compile_operator(h, basis)
+    monkeypatch.setattr(molq.exact, "_PLAN_MAX_PRODUCTS", 100)
+    clear_plans()
+    assert_same_operator(compile_operator(h, basis), want)
+    pieces = molq.exact._plan(
+        h.x.tobytes(), h.z.tobytes(), basis.tobytes(), molq.exact.OPERATOR_CHUNK_ENTRIES
+    )
+    assert pieces is None
+
+
+def test_plan_cache_holds_at_most_its_capacity():
+    capacity = molq.exact._PLAN_CAPACITY
+    clear_plans()
+    basis = np.arange(2**6, dtype=np.int64)
+    for n in range(1, 2 * capacity + 2):
+        compile_operator(PauliSum(6, x=[n], z=[0], coefficients=[1.0]), basis)
+        assert molq.exact._layout.cache_info().currsize == min(n, capacity)
+        assert molq.exact._plan.cache_info().currsize == min(n, capacity)
+
+
+def test_plan_cache_under_concurrent_callers():
+    # more operators than the cache holds, so plans are evicted and rebuilt
+    # while other threads apply them
+    rng = np.random.default_rng(6)
+    basis = np.sort(rng.choice(2**8, 120, replace=False)).astype(np.int64)
+    sums = []
+    for _ in range(2 * molq.exact._PLAN_CAPACITY + 1):
+        masks = rng.integers(0, 2**8, size=(40, 2))
+        sums.append(PauliSum(8, x=masks[:, 0], z=masks[:, 1],
+                             coefficients=rng.standard_normal(40)))
+    expected = [flip_mask_entries(s, basis) for s in sums]
+
+    def caller(k):
+        for i in range(40):
+            j = (k + 3 * i) % len(sums)
+            op = compile_operator(sums[j], basis)
+            rows, cols, values = expected[j]
+            order = np.argsort(op.rows * len(basis) + op.cols)
+            want = np.argsort(rows * len(basis) + cols)
+            assert np.array_equal(op.rows[order], rows[want])
+            assert np.array_equal(op.cols[order], cols[want])
+            assert np.max(np.abs(op.values[order] - values[want]), initial=0.0) <= 1e-12
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(caller, k) for k in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert molq.exact._layout.cache_info().currsize <= molq.exact._PLAN_CAPACITY
+    assert molq.exact._plan.cache_info().currsize <= molq.exact._PLAN_CAPACITY
 
 
 # ---------------------------------------------------------------------------

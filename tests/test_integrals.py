@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
 from molq import (
@@ -24,7 +24,8 @@ from molq import (
     parse_basis,
     parse_geometry,
 )
-from molq.integrals import pair_index
+import molq.integrals
+from molq.integrals import _primitive_pairs, pair_index
 from conftest import h2_geometry_bohr, pipeline
 
 
@@ -259,6 +260,50 @@ def test_array_integrals_match_scalar_reference(sto3g, name):
     assert_allclose(ao.eri, eri, rtol=0, atol=1e-12)
     assert np.array_equal(ao.overlap, ao.overlap.T)
     assert np.array_equal(ao.core_hamiltonian, ao.core_hamiltonian.T)
+
+
+def per_bra_eri(basis_functions):
+    """The ERI tensor as build_ao_integrals formed it one bra pair at a
+    time: bra pair x against ket pairs 0..x, one boys_f0 call per bra."""
+    p, _, _, P, weight = _primitive_pairs(*basis_functions)
+    n_pair = len(p)
+    pairs = np.zeros((n_pair, n_pair))
+    q, Q = p[:, None, None], P[:, None, None]
+    for x in range(n_pair):
+        pb, qk = p[x][:, :, None, None], q[: x + 1]
+        pq2 = np.sum((P[x][:, :, None, None] - Q[: x + 1]) ** 2, axis=-1)
+        kernel = 2.0 * np.pi**2.5 / (pb * qk * np.sqrt(pb + qk))
+        kernel *= boys_f0(pb * qk / (pb + qk) * pq2)
+        pairs[x, : x + 1] = np.einsum("ab,kcd,kabcd->k", weight[x], weight[: x + 1], kernel)
+    upper = np.triu_indices(n_pair, 1)
+    pairs[upper] = pairs.T[upper]
+    index = pair_index(len(basis_functions[0]))
+    return pairs[index[:, :, None, None], index]
+
+
+ERI_GEOMETRIES = {
+    "H2": Geometry.from_angstrom([("H", (0, 0, 0)), ("H", (0, 0, 0.7354))]),
+    "LiH-H2": ORACLE_GEOMETRIES["LiH-H2"],
+    "HeH+": ORACLE_GEOMETRIES["HeH+"],
+}
+
+
+@pytest.mark.parametrize("name", ERI_GEOMETRIES)
+def test_eri_is_the_per_bra_loop_bit_for_bit(sto3g, name):
+    geom = ERI_GEOMETRIES[name]
+    basis = assign_basis(geom, sto3g)
+    assert_array_equal(build_ao_integrals(geom, basis).eri, per_bra_eri(basis))
+
+
+def test_eri_is_the_per_bra_loop_across_chunk_boundaries(sto3g, monkeypatch):
+    # 15 bra pairs, 81 primitive quartets per (bra, ket) pair, 3 values per
+    # quartet in P - Q; chunks of at most 20 (bra, ket) pairs cut the packed
+    # triangle after bras 4, 6, 8, 9, ...
+    geom = ERI_GEOMETRIES["LiH-H2"]
+    basis = assign_basis(geom, sto3g)
+    monkeypatch.setattr(molq.integrals, "_ERI_CHUNK_VALUES", 20 * 3 * 81)
+    assert list(molq.integrals._bra_chunks(15, 3 * 81))[:3] == [(0, 5), (5, 7), (7, 9)]
+    assert_array_equal(build_ao_integrals(geom, basis).eri, per_bra_eri(basis))
 
 
 def test_atom_without_basis_function_rejected(sto3g):

@@ -76,6 +76,14 @@ def test_parse_errors():
         parse_fcidump("&FCI NORB=2,NELEC=2,MS2=0,&END\nx 1 1 0 0\n")
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("indices", ["0 0 0 0", "2 1 0 0", "2 1 2 2"])
+def test_parse_refuses_non_finite_values(value, indices):
+    with pytest.raises(ParseError, match="non-finite") as err:
+        parse_fcidump(f"&FCI NORB=2,NELEC=2,MS2=0,&END\n0.5 1 1 0 0\n{value} {indices}\n")
+    assert err.value.line == 3
+
+
 def test_parse_last_line_of_an_orbit_wins():
     mo = parse_fcidump("&FCI NORB=3,NELEC=2,MS2=0,&END\n"
                        "0.5 2 1 3 1\n0.7 1 2 1 3\n0.9 3 1 1 2\n0.2 2 1 0 0\n0.3 1 2 0 0\n")

@@ -114,11 +114,22 @@ def test_max_iterations_respected(sto3g, monkeypatch):
 
 
 # ------------------------------------------------------------ diis_extrapolate
+def fresh_gram(history):
+    """The errors' Gram matrix formed whole, entry by entry, as DIIS did
+    before scf_solve kept it: sum(e_i * e_j) for i <= j, mirrored."""
+    m = len(history)
+    gram = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            gram[i, j] = gram[j, i] = np.sum(history[i][1] * history[j][1])
+    return gram
+
+
 def test_diis_single_entry_identity():
     rng = np.random.default_rng(0)
     f = rng.standard_normal((3, 3))
     hist = [(f, rng.standard_normal((3, 3)))]
-    assert_allclose(diis_extrapolate(hist), f, rtol=0, atol=0)
+    assert_allclose(diis_extrapolate(hist, fresh_gram(hist)), f, rtol=0, atol=0)
 
 
 def test_diis_identical_entries_identity():
@@ -126,18 +137,78 @@ def test_diis_identical_entries_identity():
     f = rng.standard_normal((3, 3))
     e = rng.standard_normal((3, 3))
     hist = [(f, e), (f, e)]
-    assert_allclose(diis_extrapolate(hist), f, rtol=0, atol=1e-10)
+    assert_allclose(diis_extrapolate(hist, fresh_gram(hist)), f, rtol=0, atol=1e-10)
 
 
 def test_diis_coefficients_sum_to_one():
     rng = np.random.default_rng(2)
     f1, f2 = rng.standard_normal((2, 3, 3))
     e1, e2 = rng.standard_normal((2, 3, 3))
-    out = diis_extrapolate([(f1, e1), (f2, e2)])
+    hist = [(f1, e1), (f2, e2)]
+    out = diis_extrapolate(hist, fresh_gram(hist))
     # out = c1 f1 + c2 f2 with c1 + c2 = 1 means out - f2 is parallel to f1 - f2
     d = (f1 - f2).ravel()
     c1 = float((out - f2).ravel() @ d) / float(d @ d)
     assert_allclose(out, c1 * f1 + (1 - c1) * f2, rtol=0, atol=1e-10)
+
+
+def record_diis(monkeypatch):
+    """Check, at every extrapolation of the scf_solve calls that follow,
+    that the kept Gram matrix is the fresh one bit for bit, and that every
+    system solved (the retries after a singular one too) borders the fresh
+    Gram matrix of the trailing entries. Returns the history lengths and
+    the count of singular systems."""
+    seen = {"lengths": [], "singular": 0, "history": None}
+    extrapolate, solve = molq.scf.diis_extrapolate, np.linalg.solve
+
+    def checked_extrapolate(history, gram):
+        seen["lengths"].append(len(history))
+        seen["history"] = list(history)
+        np.testing.assert_array_equal(gram, fresh_gram(seen["history"]))
+        return extrapolate(history, gram)
+
+    def checked_solve(b, rhs):
+        m = len(b) - 1
+        np.testing.assert_array_equal(b[:m, :m], fresh_gram(seen["history"][-m:]))
+        try:
+            return solve(b, rhs)
+        except np.linalg.LinAlgError:
+            seen["singular"] += 1
+            raise
+
+    monkeypatch.setattr(molq.scf, "diis_extrapolate", checked_extrapolate)
+    monkeypatch.setattr(np.linalg, "solve", checked_solve)
+    return seen
+
+
+def test_kept_gram_is_the_fresh_one_as_the_history_wraps(sto3g, monkeypatch):
+    geom = Geometry.from_angstrom([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], charge=1)
+    ao = build_ao_integrals(geom, assign_basis(geom, sto3g))
+    seen = record_diis(monkeypatch)
+    scf = scf_solve(ao)
+    assert scf.converged and scf.iterations == 12
+    capacity = molq.scf.DIIS_CAPACITY
+    assert seen["lengths"] == [min(k, capacity) for k in range(1, 12)]   # wraps 3 times
+
+
+def test_kept_gram_is_the_fresh_one_across_a_singular_drop(sto3g, monkeypatch):
+    # HeH+ at 1.2 Angstrom meets one singular DIIS system on its way
+    geom = Geometry.from_angstrom([("He", (0, 0, 0)), ("H", (0, 0, 1.2))], charge=1)
+    ao = build_ao_integrals(geom, assign_basis(geom, sto3g))
+    seen = record_diis(monkeypatch)
+    assert scf_solve(ao).converged
+    assert seen["singular"] == 1
+
+
+def test_diis_retry_drops_the_oldest_entry():
+    rng = np.random.default_rng(3)
+    f0, f1, f2 = rng.standard_normal((3, 3, 3))
+    e, e2 = rng.standard_normal((2, 3, 3))
+    hist = [(f0, e), (f1, e), (f2, e2)]   # two equal errors: a singular system
+    trailing = hist[1:]
+    np.testing.assert_array_equal(
+        diis_extrapolate(hist, fresh_gram(hist)), diis_extrapolate(trailing, fresh_gram(trailing))
+    )
 
 
 # ----------------------------------------------------------------- ao_to_mo

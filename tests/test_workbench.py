@@ -7,6 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import molq.exact
+import molq.integrals
+import molq.scf
 import molq.vqe
 import molq.workbench
 from molq import (
@@ -21,6 +24,7 @@ from molq import (
     uccsd_ansatz,
 )
 from molq.db import EnergyDB, EnergyRecord
+from molq.integrals import load_basis
 from molq.workbench import build_ansatz, point_record
 from molq.errors import ComputationError, ScanError, UsageError
 from molq.fermion import (
@@ -458,6 +462,69 @@ def test_build_ansatz_refuses_an_unknown_kind():
 # ---------------------------------------------------------------------------
 # run_scan
 # ---------------------------------------------------------------------------
+
+
+def lih_h2_spec(lengths):
+    """The LiH...H2 scan of the exact-scan benchmark workload: 10 qubits."""
+    return ScanSpec(
+        molecule="LiH-H2",
+        bond_lengths=lengths,
+        fragment_a=[("Li", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 1.6))],
+        fragment_b=[("H", (0.0, 0.0, 1.6)), ("H", (0.0, 0.0, 2.34))],
+        basis="sto-3g",
+        methods=("hf", "exact"),
+    )
+
+
+def counting(monkeypatch, module, name, count):
+    """Wrap module.name so each call adds count(result) to the returned list."""
+    seen, inner = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        seen.append(count(result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_scan_work_counts(monkeypatch):
+    """The work of a 3-point LiH...H2 scan, counted: each distinct operator
+    is planned once, each ERI build makes two boys_f0 calls (one for the
+    nuclear attraction, one for every bra-ket pair at once), and each SCF
+    iteration forms one Gram row, as many entries as the DIIS history holds."""
+    builds = counting(monkeypatch, molq.workbench, "build_ao_integrals", lambda _: 1)
+    boys = counting(monkeypatch, molq.integrals, "boys_f0", lambda _: 1)
+    gram_rows = counting(monkeypatch, molq.scf, "_gram_row", len)
+    iterations = counting(monkeypatch, molq.workbench, "scf_solve", lambda r: r.iterations)
+    molq.exact._plan.cache_clear()
+    records = run_scan(lih_h2_spec([1.0, 2.0, 3.0]))
+    assert all(record.error is None for record in records)
+    assert molq.exact._plan.cache_info()[:2] == (2, 1)   # (hits, misses)
+    assert len(builds) == 3 and len(boys) == 2 * len(builds)
+    capacity = molq.scf.DIIS_CAPACITY
+    # the converging iteration extrapolates nothing
+    assert gram_rows == [min(k, capacity) for n in iterations for k in range(1, n)]
+
+
+def test_a_scan_reads_its_basis_once(monkeypatch):
+    parses = counting(monkeypatch, molq.integrals, "parse_basis", lambda _: 1)
+    molq.integrals._read_basis.cache_clear()
+    run_scan(lih_h2_spec([1.0, 2.0, 3.0]))
+    assert len(parses) == 1
+
+
+def test_load_basis_keeps_shipped_parses_and_reads_files_again(tmp_path):
+    shipped = load_basis("sto-3g")
+    assert load_basis("STO-3G") is shipped
+    with pytest.raises(TypeError):
+        shipped.shells["He"] = ()   # one parse is shared, so it is read-only
+    path = tmp_path / "mine.basis"
+    path.write_text("ELEMENT H 1\n0.5 1.0\n")
+    load_basis(path)
+    path.write_text("ELEMENT H 1\n0.7 1.0\n")   # same size
+    assert load_basis(path).shells["H"] == (((0.7,), (1.0,)),)
 
 
 def test_run_scan_returns_sorted_records(tmp_path):
