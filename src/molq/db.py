@@ -226,9 +226,12 @@ class EnergyDB:
         return record.record_id
 
     def put_hamiltonian(self, text: str) -> str:
-        """Store FCIDUMP text as hamiltonians/<hash of text>.fcidump; return that name."""
+        """Store FCIDUMP text as hamiltonians/<hash of text>.fcidump; return
+        that name. The name only appears by linking a written, fsynced file,
+        so when it exists it holds this text and nothing is staged."""
         file = f"hamiltonians/{hashlib.sha256(text.encode()).hexdigest()[:16]}.fcidump"
-        _write_new(self.hamiltonians_dir, text, [f"{self._root}/{file}"])
+        if not os.path.exists(f"{self._root}/{file}"):
+            _write_new(self.hamiltonians_dir, text, [f"{self._root}/{file}"])
         return file
 
     def versions(self, record_id: str) -> list:

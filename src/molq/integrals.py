@@ -25,6 +25,14 @@ molecule takes several runs of that size. This
 pair layout is what a McMurchie-Davidson engine for higher angular
 momentum would extend with Hermite expansion coefficients.
 
+F0 needs erf, which numpy lacks. `_erf` evaluates Cephes' rational
+approximations (S. L. Moshier, Methods and Programs for Mathematical
+Functions, 1989, ndtr.c, after W. J. Cody, Math. Comp. 23, 631 (1969)),
+the coefficients and Horner order scipy.special.erf uses, so the module
+needs numpy only. It equals scipy's erf bit for bit for arguments <= 1
+and >= 6; between them it goes through np.exp, whose vectorized rounding
+can differ from libm's exp, and may differ from scipy by 1 ulp.
+
 Everything internal is in atomic units (Bohr, Hartree); user-facing
 geometry input is Angstrom.
 """
@@ -56,6 +64,26 @@ ELEMENTS = {
 
 # series/closed-form switch for the Boys function
 _BOYS_SERIES_CUTOFF = 1e-6
+# Cephes ndtr.c: erf(s) = s T(s^2)/U(s^2) for s <= 1, and above it
+# erfc(s) = exp(-s^2) P(s)/Q(s); U and Q have an implicit leading 1
+_ERF_T = (
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4,
+)
+_ERF_U = (
+    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4,
+)
+_ERFC_P = (
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2,
+)
+_ERFC_Q = (
+    1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2,
+)
 # Most values one ERI temporary holds
 _ERI_CHUNK_VALUES = 2**16
 # Shipped basis parses kept by load_basis, least recently used evicted first
@@ -116,12 +144,51 @@ class AOIntegrals:
     n_electrons: int
 
 
+def _polevl(x, coefficients):
+    """c0 x^n + c1 x^(n-1) + ... + cn by Horner, as Cephes' polevl."""
+    a = np.full_like(x, coefficients[0])
+    for c in coefficients[1:]:
+        a *= x
+        a += c
+    return a
+
+
+def _p1evl(x, coefficients):
+    """x^n + c0 x^(n-1) + ... + c(n-1) by Horner, as Cephes' p1evl: the
+    leading coefficient 1 is implicit."""
+    a = x + coefficients[0]
+    for c in coefficients[1:]:
+        a *= x
+        a += c
+    return a
+
+
+def _erf(s):
+    """erf of an array of s >= 0 by Cephes' ndtr.c (see the module
+    docstring): s T(s^2)/U(s^2) for s <= 1, 1 - exp(-s^2) P(s)/Q(s) for
+    1 < s < 6, and 1.0 from 6 on, where erfc(6) ~ 2.2e-17 is below half an
+    ulp of 1."""
+    out = np.ones_like(s)
+    low = np.flatnonzero(s <= 1.0)
+    sl = s[low]
+    z = sl * sl
+    out[low] = sl * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    mid = np.flatnonzero((s > 1.0) & (s < 6.0))
+    sm = s[mid]
+    out[mid] = 1.0 - np.exp(-sm * sm) * _polevl(sm, _ERFC_P) / _p1evl(sm, _ERFC_Q)
+    return out
+
+
 def boys_f0(x):
     """Boys function F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)), elementwise.
 
     Takes a float or an array and returns the same shape (a float for a
     scalar). At and below the cutoff the Taylor series
     1 - x/3 + x^2/10 - x^3/42 avoids the 0/0 cancellation at the origin.
+    Above it, erf is `_erf`, Cephes' rational approximations in numpy: it
+    matches scipy.special.erf bit for bit for sqrt(x) <= 1 and >= 6, and
+    within 1 ulp between them, where np.exp may round differently from
+    libm's exp.
     """
     x = np.asarray(x, dtype=float)
     valid = np.isfinite(x) & (x >= 0.0)
@@ -131,9 +198,7 @@ def boys_f0(x):
     series = x <= _BOYS_SERIES_CUTOFF
     xs, xc = x[series], x[~series]
     out[series] = 1.0 - xs / 3.0 + xs * xs / 10.0 - xs * xs * xs / 42.0
-    from scipy.special import erf   # here, so `import molq` loads no scipy
-
-    out[~series] = 0.5 * np.sqrt(np.pi / xc) * erf(np.sqrt(xc))
+    out[~series] = 0.5 * np.sqrt(np.pi / xc) * _erf(np.sqrt(xc))
     return float(out) if out.ndim == 0 else out
 
 

@@ -537,6 +537,23 @@ def write_unchecked(db, record):
     return record.record_id
 
 
+def test_a_repeat_put_hamiltonian_stages_nothing(tmp_path, monkeypatch):
+    # a rescan into the same db puts every point's FCIDUMP again: the
+    # content-addressed name is there already, so no file is created,
+    # written or fsynced
+    db = EnergyDB(tmp_path / "db")
+    text = "&FCI NORB=1,NELEC=0,MS2=0,\n&END\n1.5 0 0 0 0\n"
+    name = db.put_hamiltonian(text)
+    calls = []
+    monkeypatch.setattr(molq.db.tempfile, "mkstemp", lambda *a, **k: calls.append("mkstemp"))
+    monkeypatch.setattr(molq.db.os, "fsync", lambda fd: calls.append("fsync"))
+    assert db.put_hamiltonian(text) == name
+    assert calls == []
+    assert (db.root / name).read_text() == text
+    assert os.listdir(db.hamiltonians_dir) == [Path(name).name]
+    assert db.audit() == []
+
+
 def test_audit_detects_a_missing_hamiltonian(tmp_path):
     # the {"integrals"} ref scan points write, the {"fermion", "pauli"} ref
     # of records written before the FCIDUMP was stored, and a bare path

@@ -1,11 +1,12 @@
 """`import molq`, the database commands, an FCIDUMP-to-UCCSD gradient-
-descent point, a `molq vqe` run with the default Nelder-Mead and a
-Lanczos-sized exact energy load numpy, not scipy; the names the benchmark
-tracer wraps and its workloads import still exist.
+descent point, a `molq vqe` run with the default Nelder-Mead, a
+Lanczos-sized exact energy, and geometry scans through the AO integrals,
+from the API and from `molq scan`, load numpy, not scipy; the names the
+benchmark tracer wraps and its workloads import still exist.
 
-scipy is imported only inside boys_f0 (erf), the one function that calls
-it. The checks run in a fresh interpreter because the test process has
-scipy loaded already.
+No module of molq imports scipy: boys_f0's erf is a numpy port of
+Cephes. scipy is an oracle of the tests only. The load checks run in a
+fresh interpreter because the test process has scipy loaded already.
 """
 
 import ast
@@ -80,6 +81,33 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
+# A geometry scan: AO integrals (boys_f0), HF, exact and UCCSD VQE at two
+# lengths of H2/STO-3G, into a database.
+GEOMETRY_SCAN_CHILD = """\
+import sys
+import molq
+spec = molq.ScanSpec(molecule="H2", bond_lengths=[0.7, 0.9], basis="sto-3g",
+                     fragment_a=[("H", (0.0, 0.0, 0.0))], fragment_b=[("H", (0.0, 0.0, 0.0))],
+                     methods=("hf", "exact", "vqe"))
+records = molq.run_scan(spec, molq.EnergyDB(sys.argv[1]))
+assert [r.error for r in records] == [None, None]
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+# `molq scan` from a geometry, with its default methods.
+CLI_SCAN_CHILD = """\
+import contextlib
+import io
+import sys
+import molq.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = molq.cli.main(["scan", "--molecule", "H2", "--fragment-a", "H",
+                          "--fragment-b", "H", "--basis", "sto-3g",
+                          "--lengths", "0.7,0.9", "--db", sys.argv[1]])
+assert code == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
 def scipy_modules_loaded(child, argument):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -106,6 +134,25 @@ def test_cli_vqe_nelder_mead_loads_no_scipy():
 def test_lanczos_exact_energy_loads_no_scipy():
     assert scipy_modules_loaded(LANCZOS_CHILD, 3) == "[]"
 
+
+def test_geometry_scan_loads_no_scipy(tmp_path):
+    assert scipy_modules_loaded(GEOMETRY_SCAN_CHILD, tmp_path / "db") == "[]"
+
+
+def test_cli_geometry_scan_loads_no_scipy(tmp_path):
+    assert scipy_modules_loaded(CLI_SCAN_CHILD, tmp_path / "db") == "[]"
+
+
+def test_no_molq_module_imports_scipy():
+    """scipy is a test dependency only: no import of it, at module level or
+    inside a function, anywhere in src/molq."""
+    for path in sorted((SRC / "molq").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0]
+        assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
 
 def molq_imports(path):
     """The molq modules a source file imports, by their relative names."""

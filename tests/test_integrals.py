@@ -57,12 +57,38 @@ def test_boys_array_matches_scalar_calls():
             return 1.0 - x / 3.0 + x * x / 10.0 - x * x * x / 42.0
         return 0.5 * math.sqrt(math.pi / x) * float(special.erf(math.sqrt(x)))
 
-    xs = np.array([0.0, 1e-8, 1e-7, 1e-6, 1.0000001e-6, 1e-5, 1e-4, 0.5, 40.0])
+    xs = np.array([0.0, 1e-8, 1e-7, np.nextafter(1e-6, 0.0), 1e-6, np.nextafter(1e-6, 1.0),
+                   1.0000001e-6, 1e-5, 1e-4, 0.5, 36.0, 40.0])
     out = boys_f0(xs)
     assert out.shape == xs.shape
     assert [float(v) for v in out] == [boys_f0(float(x)) for x in xs]
     assert [float(v) for v in out] == [scalar(float(x)) for x in xs]
-    assert boys_f0(xs.reshape(3, 3)).shape == (3, 3)
+    assert boys_f0(xs.reshape(3, 4)).shape == (3, 4)
+
+
+def test_erf_matches_scipy_erf():
+    # the numpy port of Cephes' erf against scipy's build of the same code:
+    # equal bit for bit where no exp is taken (s <= 1, and s >= 6, which is
+    # 1.0), within 1 ulp in between, where np.exp may round differently
+    # from libm's exp. A dense grid, the branch edges 1 and 6 with their
+    # float neighbours, s around the series cutoff of boys_f0, and s far
+    # past 6, where the erfc quotient would overflow.
+    cutoff = molq.integrals._BOYS_SERIES_CUTOFF
+    edges = [np.nextafter(e, e + d) for e in (1.0, 6.0) for d in (-1.0, 0.0, 1.0)]
+    near_cutoff = np.sqrt([np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, 1.0)])
+    far = [10.0, 27.0, 1e3, 1e150, np.finfo(float).max]
+    s = np.concatenate([np.linspace(0.0, 8.0, 400_001), edges, near_cutoff, far])
+    got, want = molq.integrals._erf(s), special.erf(s)
+    exact = (s <= 1.0) | (s >= 6.0)
+    differ = got != want
+    assert not differ[exact].any(), (
+        f"{np.count_nonzero(differ[exact])} of {np.count_nonzero(exact)} values "
+        "with s <= 1 or s >= 6 differ from scipy")
+    ulps = np.abs(got - want)[~exact] / np.spacing(want[~exact])
+    assert (ulps <= 1.0).all(), (
+        f"{np.count_nonzero(ulps > 1.0)} of {ulps.size} values with 1 < s < 6 differ "
+        f"from scipy by more than 1 ulp (up to {ulps.max():.0f}); "
+        f"{np.count_nonzero(differ[~exact])} differ at all")
 
 
 @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
