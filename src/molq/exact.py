@@ -5,7 +5,8 @@ sector. Two independent paths compute it: diagonalization of a qubit
 PauliSum restricted to the (ceil(N/2), floor(N/2)) determinant block, and
 a determinant-basis FCI oracle built directly from the MO integrals via
 Slater-Condon rules (never touching the fermion/qubit pipeline). Their
-agreement is the main correctness check of the whole package.
+agreement is the main correctness check of the whole package. Only the
+block takes odd N, as an FCIDUMP may; the oracle's is `closed_shell_pairs`.
 
 A PauliSum on a sorted basis is compiled once into a BlockOperator, its
 nonzero entries (rows, cols, values), which every block consumer reads:
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
-from .integrals_io import MOIntegrals
+from .integrals_io import MOIntegrals, closed_shell_pairs
 from .pauli import _PHASE_VALUES, MAX_QUBITS, PauliSum, pauli_signs
 
 # A 2**12 complex matrix is 268 MB, its eigenvectors as much again
@@ -377,11 +378,7 @@ def fci_determinant_oracle(mo: MOIntegrals) -> float:
         raise ResourceError(
             f"{n} orbitals exceeds the {FCI_MAX_ORBITALS}-orbital FCI guard"
         )
-    if mo.n_electrons % 2 != 0:
-        raise UsageError("FCI oracle covers closed-shell electron counts only")
-    n_pair = mo.n_electrons // 2
-    if n_pair > n:
-        raise UsageError("more electron pairs than orbitals")
+    n_pair = closed_shell_pairs(mo.n_electrons, n)
 
     h, g = mo.h, mo.g
 

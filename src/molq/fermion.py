@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .integrals_io import MOIntegrals
+from .integrals_io import MOIntegrals, closed_shell_pairs
 from .scf import hf_reference_energy
 
 CREATION = "+"
@@ -149,14 +149,10 @@ def freeze_core(mo: MOIntegrals, n_frozen: int) -> MOIntegrals:
     with i, j running over frozen orbitals and p, q over active ones. The
     new e_core is the reference energy of the frozen orbitals alone.
     """
-    if mo.n_electrons % 2 != 0:
-        raise UsageError("freeze_core requires a closed-shell electron count")
-    if not 0 <= n_frozen <= mo.n_electrons // 2:
+    if not 0 <= n_frozen <= closed_shell_pairs(mo.n_electrons, mo.n_orbitals):
         raise UsageError(
             f"cannot freeze {n_frozen} orbitals with {mo.n_electrons} electrons"
         )
-    if n_frozen > mo.n_orbitals:
-        raise UsageError("more frozen orbitals than orbitals")
     f = n_frozen
     h, g = mo.h, mo.g
     h_active = h[f:, f:].copy()

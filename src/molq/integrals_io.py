@@ -59,6 +59,15 @@ class MOIntegrals:
         return replace(self, h=self.h.copy(), g=self.g.copy())
 
 
+def closed_shell_pairs(n_electrons: int, n_orbitals: int) -> int:
+    """N/2, the doubly occupied orbitals of every closed-shell method's
+    determinant; UsageError unless N is even and 0 <= N <= 2n."""
+    if n_electrons % 2 or not 0 <= n_electrons <= 2 * n_orbitals:
+        raise UsageError(f"closed-shell methods need an even electron count in "
+                         f"0..{2 * n_orbitals} for {n_orbitals} orbitals, got {n_electrons}")
+    return n_electrons // 2
+
+
 def _check_eri_size(n):
     """ResourceError before any allocation if n orbitals' ERIs pass ERI_BYTES_LIMIT."""
     if 8 * n**4 > ERI_BYTES_LIMIT:
@@ -88,7 +97,7 @@ def _data_line(line, lineno, n):
 
 
 def _parse_header(lines):
-    """Extract NORB/NELEC from the &FCI ... &END (or /) namelist header."""
+    """NORB and NELEC, with MS2 checked, from the &FCI ... &END (or /) header."""
     header_text = []
     consumed = 0
     for lineno, line in lines:
@@ -102,15 +111,21 @@ def _parse_header(lines):
     if not blob.lstrip().upper().startswith("&FCI"):
         raise ParseError("FCIDUMP must begin with &FCI", line=1)
 
-    def field(key):
+    def field(key, default=None):
         m = re.search(rf"{key}\s*=\s*([^,\s&/]*)", blob, re.IGNORECASE)
+        if not m and default is not None:
+            return default
         if not m:
             raise ParseError(f"FCIDUMP header missing {key}", line=1)
         if not re.fullmatch("[-+]?[0-9]+", m.group(1)):
             raise ParseError(f"FCIDUMP header {key}={m.group(1)!r} is not an integer", line=1)
         return int(m.group(1))
 
-    return field("NORB"), field("NELEC"), consumed
+    norb, nelec, ms2 = field("NORB"), field("NELEC"), field("MS2", default=0)
+    if ms2 not in (0, nelec % 2):
+        raise ParseError(f"FCIDUMP header MS2={ms2} with NELEC={nelec}: molq computes "
+                         "only the lowest-spin block (MS2 0, or 1 for odd NELEC)", line=1)
+    return norb, nelec, consumed
 
 
 def parse_fcidump(text: str) -> MOIntegrals:

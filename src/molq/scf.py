@@ -1,8 +1,9 @@
 """Restricted Hartree-Fock: Roothaan-Hall iterations with DIIS acceleration.
 
-Closed-shell only. The Fock matrix is F = Hcore + J - K/2 with
-J_pq = sum_rs D_rs (pq|rs), K_pq = sum_rs D_rs (pr|qs), and the total energy
-is E = 1/2 Tr[D (Hcore + F)] + E_nn. Each iteration diagonalizes Pulay's
+Closed-shell only: `closed_shell_pairs` gives the N/2 occupied orbitals
+and refuses any other electron count. The Fock matrix is
+F = Hcore + J - K/2 with J_pq = sum_rs D_rs (pq|rs),
+K_pq = sum_rs D_rs (pr|qs), and the total energy is E = 1/2 Tr[D (Hcore + F)] + E_nn. Each iteration diagonalizes Pulay's
 DIIS extrapolation over the last DIIS_CAPACITY (Fock, error) pairs, for at
 most MAX_ITERATIONS iterations. scf_solve keeps the Gram matrix of their
 errors, sum(e_i * e_j), across iterations: each new error adds one row,
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import LinearDependenceError, UsageError
 from .integrals import AOIntegrals
-from .integrals_io import MOIntegrals
+from .integrals_io import MOIntegrals, closed_shell_pairs
 
 S_EIGENVALUE_FLOOR = 1e-10
 ENERGY_TOL = 1e-10      # |dE| threshold, Hartree
@@ -90,13 +91,7 @@ def scf_solve(ao: AOIntegrals, log=None) -> SCFResult:
     |dE| <= ENERGY_TOL and max|error| <= ERROR_TOL; MAX_ITERATIONS without
     both returns converged=False with the last iterate retained.
     """
-    n = ao.n_ao
-    if ao.n_electrons % 2 != 0:
-        raise UsageError("restricted HF needs an even electron count")
-    if ao.n_electrons > 2 * n:
-        raise UsageError("more electrons than the basis can hold")
-    n_occ = ao.n_electrons // 2
-
+    n_occ = closed_shell_pairs(ao.n_electrons, ao.n_ao)
     X = _orthogonalizer(ao.overlap)
     H = ao.core_hamiltonian
     S = ao.overlap
@@ -174,9 +169,7 @@ def ao_to_mo(ao: AOIntegrals, c: np.ndarray) -> MOIntegrals:
 def hf_reference_energy(mo: MOIntegrals) -> float:
     """Energy of the closed-shell reference determinant in the MO basis:
     e_core + sum_i 2 h_ii + sum_ij [2 (ii|jj) - (ij|ji)] over occupied i, j."""
-    if mo.n_electrons % 2 != 0:
-        raise UsageError("reference determinant requires an even electron count")
-    occ = range(mo.n_electrons // 2)
+    occ = range(closed_shell_pairs(mo.n_electrons, mo.n_orbitals))
     e = mo.e_core
     for i in occ:
         e += 2.0 * mo.h[i, i]

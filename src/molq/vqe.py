@@ -2,7 +2,8 @@
 parameter-shift gradients, classical optimizers.
 
 Both ansatz kinds start from the Hartree-Fock reference (theta = 0 prepares
-it exactly). UCCSD is the product over slots k of exp(theta_k G_k), with
+it exactly), the lowest `closed_shell_pairs` orbitals of each spin filled.
+UCCSD is the product over slots k of exp(theta_k G_k), with
 G_k = JW(T_k - T_k^dagger) the anti-Hermitian generator of one spin-
 conserving excitation. Every G_k comes from one jordan_wigner call over a
 table holding each T_k and T_k^dagger as a row of factor codes. The
@@ -12,7 +13,7 @@ through the gate's scale factor, which keeps the parameter-shift rule
 exact.
 
 vqe_solve runs each kind on one path, chosen by the kind. UCCSD conserves
-N and S_z, so its state never leaves the (N/2, N/2) determinant block: H
+N and S_z, so its state never leaves its reference's (N/2, N/2) block: H
 (a dense matrix) and every G_k (gather arrays, one entry per row) are read
 once per solve from their compiled operators on that block (UCCSDBlock,
 in real arithmetic when both are real). Each factor is applied exactly as
@@ -45,6 +46,7 @@ import numpy as np
 from .errors import ComputationError, ResourceError, UsageError
 from .exact import compile_operator, pauli_matrix, sector_basis
 from .fermion import FermionOperator
+from .integrals_io import closed_shell_pairs
 from .pauli import PauliSum, jordan_wigner
 from .statevector import MAX_QUBITS, Circuit, run_circuit, expectation
 
@@ -67,25 +69,22 @@ class VQEResult:
     converged: bool
 
 
-def _hf_occupied(n_qubits: int, n_electrons: int) -> list:
-    """Qubits of the occupied alpha and beta blocks (blocked ordering)."""
-    if n_electrons % 2 != 0:
-        raise UsageError("HF reference needs an even electron count")
-    if n_electrons == 0:
-        return []
-    if n_qubits % 2 != 0:
+def _hf_determinant(n_qubits: int, n_electrons: int) -> int:
+    """The HF determinant as a basis index: N/2 alpha and N/2 beta orbitals filled."""
+    n_spatial = n_qubits // 2
+    k = closed_shell_pairs(n_electrons, n_spatial)
+    if k and n_qubits % 2:
         raise UsageError("blocked spin ordering needs an even qubit count")
-    n_occ = n_electrons // 2
-    if n_occ > n_qubits // 2:
-        raise UsageError("more electron pairs than spatial orbitals")
-    return list(range(n_occ)) + list(range(n_qubits // 2, n_qubits // 2 + n_occ))
+    return ((1 << k) - 1) * (1 + (1 << n_spatial))
 
 
 def hf_reference_circuit(n_qubits: int, n_electrons: int) -> Circuit:
-    """X gates filling the occupied alpha and beta blocks (blocked ordering)."""
+    """X gates on the occupied qubits of the HF determinant, ascending."""
     circuit = Circuit(n_qubits)
-    for q in _hf_occupied(n_qubits, n_electrons):
-        circuit.x(q)
+    occupied = _hf_determinant(n_qubits, n_electrons)
+    for q in range(n_qubits):
+        if occupied >> q & 1:
+            circuit.x(q)
     return circuit
 
 
@@ -126,14 +125,11 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
     order. The strings of one slot commute, and each string i*k P becomes
     one exp(-i phi/2 P) with phi = -2*k*theta.
     """
-    if n_qubits % 2 != 0:
-        raise UsageError("blocked spin ordering needs an even qubit count")
-    if n_electrons % 2 != 0 or n_electrons <= 0:
-        raise UsageError("UCCSD needs a positive even electron count")
     n_spatial = n_qubits // 2
-    n_occ = n_electrons // 2
-    if n_spatial <= n_occ:
-        raise UsageError("no virtual orbitals to excite into")
+    n_occ = closed_shell_pairs(n_electrons, n_spatial)
+    if not 0 < n_occ < n_spatial:
+        raise UsageError("UCCSD needs an occupied and a virtual orbital")
+    circuit = hf_reference_circuit(n_qubits, n_electrons)
     virtuals = range(n_occ, n_spatial)
     singles = [  # a+_a a_i
         (2 * (a + spin), 2 * (i + spin) + 1)
@@ -157,7 +153,6 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
     slot = np.array([slot_of[flip] for flip in image.x.tolist()])
     order = np.argsort(slot, kind="stable")
     slot, x, z, c = slot[order], image.x[order], image.z[order], image.coefficients[order]
-    circuit = hf_reference_circuit(n_qubits, n_electrons)
     for xi, zi, k, scale in zip(x.tolist(), z.tolist(), slot.tolist(), (-2.0 * c.imag).tolist()):
         circuit.pauli_rot(xi, zi, slot=k, scale=scale)
     bounds = np.searchsorted(slot, np.arange(len(flips) + 1)).tolist()
@@ -209,8 +204,7 @@ class UCCSDBlock:
             src[op.rows], val[op.rows] = op.cols, op.values
             self.generators.append((src, val, val * val[src]))
         self.reference = np.zeros(len(basis), dtype=dtype)
-        occupied = sum(1 << q for q in _hf_occupied(h.n_qubits, a.n_electrons))
-        self.reference[np.searchsorted(basis, occupied)] = 1.0
+        self.reference[np.searchsorted(basis, _hf_determinant(h.n_qubits, a.n_electrons))] = 1.0
         self.hermitian = bool(np.all(np.abs(h.coefficients.imag) <= 1e-12))
 
     def state(self, theta) -> np.ndarray:

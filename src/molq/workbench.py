@@ -25,8 +25,8 @@ from .db import METHODS, EnergyDB, EnergyRecord
 from .errors import ComputationError, ScanError, UsageError
 from .exact import dense_ground_energy
 from .fermion import build_fermionic_hamiltonian, freeze_core
-from .integrals import ELEMENTS, Geometry, assign_basis, build_ao_integrals, load_basis
-from .integrals_io import parse_fcidump, write_fcidump
+from .integrals import Geometry, assign_basis, build_ao_integrals, load_basis
+from .integrals_io import closed_shell_pairs, parse_fcidump, write_fcidump
 from .pauli import jordan_wigner
 from .scf import ao_to_mo, hf_reference_energy, scf_solve
 from .vqe import (
@@ -82,12 +82,6 @@ class ScanSpec:
                 if not isinstance(fragment, (list, tuple)) or not all(map(_is_atom, fragment)):
                     raise UsageError(f"fragment {fragment!r} is not a list of "
                                      "(symbol, (dx, dy, dz)) entries")
-            shells = load_basis(self.basis).shells
-            for symbol, _ in (*self.fragment_a, *self.fragment_b):
-                if symbol not in ELEMENTS:
-                    raise UsageError(f"unknown element symbol {symbol!r} in a fragment")
-                if symbol not in shells:
-                    raise UsageError(f"basis {self.basis!r} has no functions for element {symbol}")
         else:
             for length in lengths:
                 try:
@@ -108,7 +102,19 @@ class ScanSpec:
                 raise UsageError(f"{name} must be an integer >= {lowest}, got {value!r}")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
-        point_record(self, lengths[0]).validate()
+        record = point_record(self, lengths[0])
+        record.validate()
+        if self.fcidump_pattern is None:   # electrons and functions are the same at every length
+            geometry = _geometry(self, record)
+            closed_shell_pairs(geometry.n_electrons,
+                               len(assign_basis(geometry, load_basis(self.basis))[0]))
+
+
+def _geometry(spec: ScanSpec, record: EnergyRecord) -> Geometry:
+    """The Geometry of a fragment spec's point record."""
+    return Geometry.from_angstrom(
+        [(sym, (x, y, z)) for sym, x, y, z in record.geometry], charge=spec.charge
+    )
 
 
 def _is_atom(entry) -> bool:
@@ -178,9 +184,7 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
     if spec.fcidump_pattern is not None:
         source = record.geometry["fcidump"]
     else:
-        source = Geometry.from_angstrom(
-            [(sym, (x, y, z)) for sym, x, y, z in record.geometry], charge=spec.charge
-        )
+        source = _geometry(spec, record)
     mo, scf = load_mo(source, spec.basis)
     if "hf" in spec.methods:
         record.e_hf = scf.e_hf if scf else hf_reference_energy(mo)

@@ -453,6 +453,18 @@ def test_scan_refuses_a_fragment_symbol_no_point_could_run(capsys, tmp_path, sym
     assert not (db_dir / "records").exists() or not any((db_dir / "records").iterdir())
 
 
+def test_scan_refuses_a_geometry_no_closed_shell_point_could_run(capsys, tmp_path):
+    # neutral He...H: 3 electrons, so every point's SCF would refuse
+    db_dir = tmp_path / "db"
+    assert main(["scan", "--molecule", "HeH", "--fragment-a", "He", "--fragment-b", "H",
+                 "--basis", "sto-3g", "--lengths", "0.8,1.0", "--db", str(db_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: closed-shell methods need an even electron count "
+                            "in 0..4 for 2 orbitals, got 3\n")
+    assert captured.out == ""
+    assert not (db_dir / "records").exists() or not any((db_dir / "records").iterdir())
+
+
 def test_scan_names_the_cause_when_every_point_fails(capsys, tmp_path):
     db_dir = tmp_path / "db"
     pattern = str(tmp_path / "absent_{length:.2f}.fcidump")

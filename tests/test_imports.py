@@ -154,6 +154,23 @@ def test_no_molq_module_imports_scipy():
                   if isinstance(node, ast.ImportFrom) and node.level == 0]
         assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
 
+def test_only_the_closed_shell_rule_takes_the_electron_parity():
+    """`n_electrons % 2` is the closed-shell test, and
+    integrals_io.closed_shell_pairs is its one home: a module that takes the
+    parity itself forks the rule."""
+    def is_n_electrons(node):
+        return (isinstance(node, ast.Name) and node.id == "n_electrons"
+                or isinstance(node, ast.Attribute) and node.attr == "n_electrons")
+
+    for path in sorted((SRC / "molq").glob("*.py")):
+        if path.name == "integrals_io.py":
+            continue
+        found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                 and is_n_electrons(node.left)]
+        assert not found, f"{path.name} lines {found}"
+
+
 def molq_imports(path):
     """The molq modules a source file imports, by their relative names."""
     tree = ast.parse(path.read_text())

@@ -17,16 +17,21 @@ from molq import (
     assign_basis,
     build_ao_integrals,
     fci_determinant_oracle,
+    freeze_core,
+    hf_reference_circuit,
+    hf_reference_energy,
     parse_fcidump,
     scf_solve,
+    uccsd_ansatz,
     write_ao_file,
     write_fcidump,
 )
 from molq.integrals import AOIntegrals, pair_index
-from molq.integrals_io import ERI_BYTES_LIMIT, MOIntegrals
+from molq.integrals_io import ERI_BYTES_LIMIT, MOIntegrals, closed_shell_pairs
 from conftest import random_mo_integrals
 
-FCIDUMPS = sorted((Path(__file__).resolve().parent.parent / "data" / "fcidump").glob("*.fcidump"))
+FCIDUMP_DIR = Path(__file__).resolve().parent.parent / "data" / "fcidump"
+FCIDUMPS = sorted(FCIDUMP_DIR.glob("*.fcidump"))
 
 
 # ------------------------------------------------------------ parse_fcidump
@@ -103,6 +108,61 @@ def test_parse_header_value_not_an_integer(value):
 def test_parse_electron_count_outside_spin_orbitals(nelec):
     with pytest.raises(UsageError, match=f"electron count {nelec}"):
         parse_fcidump(f"&FCI NORB=2,NELEC={nelec},MS2=0,&END\n0.5 1 1 0 0\n")
+
+
+def test_parse_refuses_a_high_spin_ms2():
+    # a triplet header on the shipped LiH point: its closed-shell e_hf and
+    # (2, 2)-block e_exact would be reported as if it were a singlet
+    text = (FCIDUMP_DIR / "lih_d1.60.fcidump").read_text()
+    with pytest.raises(ParseError, match="MS2=2 with NELEC=4") as err:
+        parse_fcidump(text.replace("MS2=0", "MS2=2", 1))
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("nelec, ms2, accepted", [
+    (2, "MS2=0,", True), (2, "", True), (2, "MS2=1,", False), (2, "MS2=-2,", False),
+    (3, "MS2=0,", True), (3, "MS2=1,", True), (3, "", True), (3, "MS2=-1,", False),
+    (3, "MS2=3,", False),
+])
+def test_parse_accepts_ms2_zero_or_the_parity_of_nelec(nelec, ms2, accepted):
+    text = f"&FCI NORB=2,NELEC={nelec},{ms2}&END\n0.5 1 1 0 0\n"
+    if accepted:
+        assert parse_fcidump(text).n_electrons == nelec
+    else:
+        with pytest.raises(ParseError, match=f"{ms2[:-1]} with NELEC={nelec}"):
+            parse_fcidump(text)
+
+
+# --------------------------------------------------------- the closed-shell rule
+@pytest.mark.parametrize("n_electrons, n_orbitals, pairs", [(0, 0, 0), (0, 3, 0), (4, 3, 2), (6, 3, 3)])
+def test_closed_shell_pairs(n_electrons, n_orbitals, pairs):
+    assert closed_shell_pairs(n_electrons, n_orbitals) == pairs
+
+
+@pytest.mark.parametrize("n_electrons, n_orbitals", [(1, 3), (3, 3), (8, 3), (-2, 3), (2, 0)])
+def test_closed_shell_pairs_refuses(n_electrons, n_orbitals):
+    with pytest.raises(UsageError, match=f"in 0..{2 * n_orbitals} for {n_orbitals} orbitals, "
+                                         f"got {n_electrons}"):
+        closed_shell_pairs(n_electrons, n_orbitals)
+
+
+ODD_MO = MOIntegrals(2, 3, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scf_solve(AOIntegrals(2, np.eye(2), np.zeros((2, 2)), np.zeros((2, 2, 2, 2)), 0.0, 3)),
+    lambda: hf_reference_energy(ODD_MO),
+    lambda: freeze_core(ODD_MO, 0),
+    lambda: fci_determinant_oracle(ODD_MO),
+    lambda: hf_reference_circuit(4, 3),
+    lambda: uccsd_ansatz(4, 3),
+], ids=["scf_solve", "hf_reference_energy", "freeze_core", "fci_determinant_oracle",
+        "hf_reference_circuit", "uccsd_ansatz"])
+def test_every_closed_shell_method_refuses_odd_n_with_one_message(call):
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == ("closed-shell methods need an even electron count "
+                              "in 0..4 for 2 orbitals, got 3")
 
 
 def test_size_guard_before_allocation():

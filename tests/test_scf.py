@@ -20,6 +20,7 @@ from molq import (
     scf_solve,
 )
 from molq.integrals import AOIntegrals
+from molq.integrals_io import MOIntegrals
 from conftest import h2_geometry_bohr
 
 
@@ -257,3 +258,10 @@ def test_reference_energy_matches_scf(h2_equilibrium):
 def test_reference_energy_matches_scf_stretched(h2_stretched):
     _, scf, mo = h2_stretched
     assert abs(hf_reference_energy(mo) - scf.e_hf) < 1e-10
+
+
+def test_reference_energy_refuses_more_electrons_than_spin_orbitals():
+    # 6 electrons in 2 orbitals once read past the end of h
+    mo = MOIntegrals(2, 6, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
+    with pytest.raises(UsageError, match="in 0..4 for 2 orbitals, got 6"):
+        hf_reference_energy(mo)

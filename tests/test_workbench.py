@@ -97,6 +97,10 @@ def test_valid_spec_passes():
          "give no basis or fragments"),
         (dict(fcidump_pattern="x_{length}", basis=None, fragment_a=None),
          "give no basis or fragments"),
+        # the closed-shell rule on the first length's geometry and basis
+        (dict(fragment_a=[("He", (0.0, 0.0, 0.0))]), "even electron count in 0..4 .* got 3"),
+        (dict(charge=1), "even electron count in 0..4 .* got 1"),
+        (dict(charge=3), "negative electron count"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
