@@ -29,23 +29,22 @@ OPERATOR_CHUNK_ENTRIES, holds per chunk the entries' rows, cols and
 transposed entry and each (entry, term) product's term and sign. A call
 forms the values from them with one gather, one product and one
 np.add.reduceat. The cached arrays are read-only and no BlockOperator
-shares them. A VQE point compiles its Hamiltonian and each UCCSD
-generator, so its compiles hit the caches only where the ansatz has at
-most 7 generators; past that, the cycle evicts each plan before its next
-use and every compile builds its plan. A layout holds about 48 bytes per
-string and its key 16; a plan holds 16 bytes per product and 32 per
-entry, and its key 16 per string and 8 per state: 0.9 MB for the
-10-qubit LiH...H2 Hamiltonian on its 100-state block (45 200 products,
-5 500 entries). Where strings times states passes _PLAN_MAX_PRODUCTS
-(2**19) no chunks are kept and they are built afresh at every call, so
-the full caches hold at most about 200 MB plus 80 bytes per string and 8
-per state of their operators.
+shares them. A UCCSD point compiles two operators, its Hamiltonian and
+the sum of its generators, so a scan's later points find both plans
+cached. A layout holds about 48 bytes per string and its key 16; a plan
+holds 16 bytes per product and 32 per entry, and its key 16 per string
+and 8 per state: 0.9 MB for the 10-qubit LiH...H2 Hamiltonian on its
+100-state block (45 200 products, 5 500 entries). Where strings times
+states passes _PLAN_MAX_PRODUCTS (2**19) no chunks are kept and they are
+built afresh at every call, so the full caches hold at most about 200 MB
+plus 80 bytes per string and 8 per state of their operators.
 
 pauli_matrix refuses a basis of more than 2**DENSE_MAX_QUBITS states.
 dense_ground_energy runs eigh on every block within that guard and
 Lanczos on BlockOperator.apply only on a block past it; the whole Fock
 space (no electron count) is always dense, within the guard. Its ground
-state is a complex array of 2^n amplitudes, the form run_circuit returns.
+state is the amplitudes on the basis it solved on, in the operator's
+dtype, returned with that basis.
 """
 
 from __future__ import annotations
@@ -72,8 +71,7 @@ OPERATOR_CHUNK_ENTRIES = 2**18   # largest temporary of compile_operator, in val
 # the ground vector beside it, it fits a host of 7 GB
 OPERATOR_MAX_BYTES = 2 * 2**30
 # Operator layouts and plans kept, least recently used evicted first: a
-# VQE point compiles its Hamiltonian and each UCCSD generator, so an
-# ansatz of up to 7 generators reuses every plan
+# UCCSD point compiles two, its Hamiltonian and its generator sum
 _PLAN_CAPACITY = 8
 # Most strings x states of an operator whose plan keeps its chunks: the
 # most (entry, term) products they hold, at 48 bytes or fewer each
@@ -83,7 +81,8 @@ _PLAN_MAX_PRODUCTS = 2**19
 @dataclass
 class SpectrumResult:
     ground_energy: float
-    ground_vector: np.ndarray   # amplitudes on the full 2^n basis
+    ground_vector: np.ndarray   # amplitudes on `basis`, in the operator's dtype
+    basis: np.ndarray           # the sorted int64 states solved on
 
 
 @dataclass(frozen=True)
@@ -322,9 +321,9 @@ def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> Spectrum
     and solved by eigh, a larger one by Lanczos on its BlockOperator. Without
     n_electrons, the whole Fock space is diagonalized densely (within
     DENSE_MAX_QUBITS) and the lowest state of any electron count is
-    returned. Either way the operator's dtype is kept (real for a real
-    operator) and the ground vector is returned as complex amplitudes on the
-    full 2^n basis.
+    returned. Either way the ground vector is returned as amplitudes on
+    the basis solved on, with that basis, in the operator's dtype (real for
+    a real operator).
     """
     if h.n_qubits > MAX_QUBITS:
         raise ResourceError(
@@ -343,9 +342,7 @@ def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> Spectrum
     else:
         eigenvalues, eigenvectors = np.linalg.eigh(op.dense())
         energy, vector = float(eigenvalues[0]), eigenvectors[:, 0]
-    amplitudes = np.zeros(2**h.n_qubits, dtype=complex)
-    amplitudes[basis] = vector
-    return SpectrumResult(energy, amplitudes)
+    return SpectrumResult(energy, vector, basis)
 
 
 def _parity_below(mask: int, orbital: int) -> int:

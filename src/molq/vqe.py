@@ -5,21 +5,21 @@ Both ansatz kinds start from the Hartree-Fock reference (theta = 0 prepares
 it exactly), the lowest `closed_shell_pairs` orbitals of each spin filled.
 UCCSD is the product over slots k of exp(theta_k G_k), with
 G_k = JW(T_k - T_k^dagger) the anti-Hermitian generator of one spin-
-conserving excitation. Every G_k comes from one jordan_wigner call over a
-table holding each T_k and T_k^dagger as a row of factor codes. The
-circuit holds one native Pauli rotation exp(-i phi/2 P) per string P of
-each G_k (the strings of one G_k commute); phi enters a shared slot
-through the gate's scale factor, which keeps the parameter-shift rule
-exact.
+conserving excitation. One jordan_wigner call over a table holding each
+T_k and T_k^dagger as a row of factor codes gives `generators`, one
+PauliSum whose k-th run of strings sharing a flip mask is G_k. The
+circuit holds one native Pauli rotation exp(-i phi/2 P) per string P (the
+strings of one G_k commute); phi enters a shared slot through the gate's
+scale factor, which keeps the parameter-shift rule exact.
 
-vqe_solve runs each kind on one path, chosen by the kind. UCCSD conserves
-N and S_z, so its state never leaves its reference's (N/2, N/2) block: H
-(a dense matrix) and every G_k (gather arrays, one entry per row) are read
-once per solve from their compiled operators on that block (UCCSDBlock,
-in real arithmetic when both are real). Each factor is applied exactly as
+vqe_solve runs an ansatz with generators on its block. UCCSD conserves N
+and S_z, so its state never leaves its reference's (N/2, N/2) block: H (a
+dense matrix) and every G_k (gather arrays, one entry per row) are read
+once per solve from two compiled operators on that block, H and the
+generator sum (UCCSDBlock, real when both are). Each factor is applied as
 exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2, which holds because
-G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA leaves
-the block and runs its circuit on the full-space simulator, whose states
+G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA has no
+generators: it runs its circuit on the full-space simulator, whose states
 are amplitude arrays, with parameter-shift gradients and, when it declares
 its electron count, a check of <N> on its final state. The circuit,
 `expectation` and `parameter_shift_gradient` stay the oracles of the block
@@ -56,7 +56,7 @@ class Ansatz:
     circuit: Circuit          # includes the HF preparation prefix
     parameter_count: int
     descriptor: str
-    generators: tuple = ()    # UCCSD: G_k = JW(T_k - T_k^dagger) per slot k
+    generators: PauliSum | None = None   # UCCSD: every G_k = JW(T_k - T_k^dagger), slot by slot
     n_electrons: int | None = None   # electrons of the HF reference, if declared
 
 
@@ -155,15 +155,11 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
     slot, x, z, c = slot[order], image.x[order], image.z[order], image.coefficients[order]
     for xi, zi, k, scale in zip(x.tolist(), z.tolist(), slot.tolist(), (-2.0 * c.imag).tolist()):
         circuit.pauli_rot(xi, zi, slot=k, scale=scale)
-    bounds = np.searchsorted(slot, np.arange(len(flips) + 1)).tolist()
     return Ansatz(
         circuit=circuit,
         parameter_count=len(flips),
         descriptor=f"uccsd(singles={len(singles)},doubles={len(doubles)})",
-        generators=tuple(
-            PauliSum(n_qubits, x=x[s:e], z=z[s:e], coefficients=c[s:e])
-            for s, e in zip(bounds, bounds[1:])
-        ),
+        generators=PauliSum(n_qubits, x=x, z=z, coefficients=c),
         n_electrons=n_electrons,
     )
 
@@ -173,15 +169,15 @@ class UCCSDBlock:
     determinant block.
 
     The state has no amplitude outside the block, so psi^dagger H_B psi
-    equals <psi|H|psi> for any H, number-conserving or not. H_B and every
-    G_k come from their BlockOperators (see `exact`): H_B densified
-    (pauli_matrix, whose guard bounds the block, checked before any
-    generator is compiled), each G_k as gather arrays. The strings of one
-    G_k share one flip mask, so G_k psi = val * psi[src] (val = 0 on rows
-    G_k does not reach) and G_k^2 is diagonal, val * val[src]. The block
-    keeps one dtype: float64 for the reference, the state and lambda when
-    H_B and every G_k are real, as molecular Hamiltonians and UCCSD
-    generators are in this basis; complex128 otherwise.
+    equals <psi|H|psi> for any H, number-conserving or not. H_B is
+    densified (pauli_matrix, whose guard bounds the block, checked before
+    the generators are compiled) and the generator sum compiled once (see
+    `exact`). G_k's strings, the k-th run of one flip mask, fill the
+    entries (row, col) whose basis[row] ^ basis[col] is that mask, at most
+    one per row: G_k psi = val_k * psi[src_k] (val_k = 0 on rows G_k does
+    not reach) and G_k^2 is diagonal, val_k * val_k[src_k]. The block keeps
+    one dtype: float64 for the reference, the state and lambda when H_B and
+    the generators are real, as they are for molecules; complex128 otherwise.
     """
 
     def __init__(self, h: PauliSum, a: Ansatz):
@@ -189,20 +185,23 @@ class UCCSDBlock:
             raise UsageError("ansatz and Hamiltonian qubit counts differ")
         if h.n_qubits > MAX_QUBITS:
             raise ResourceError(f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
+        if a.n_electrons is None:
+            raise UsageError("the UCCSD block needs the ansatz's electron count")
         basis = sector_basis(h.n_qubits, a.n_electrons)
         self.h = pauli_matrix(h, basis)
-        ops = []
-        for generator in a.generators:
-            if np.unique(generator.x).size > 1:
-                raise UsageError("an excitation generator must have one flip mask")
-            ops.append(compile_operator(generator, basis))
-        dtype = np.result_type(self.h, *{op.values.dtype for op in ops})
+        x = a.generators.x   # each run of one flip mask is a slot's strings
+        flips = x[np.diff(x, prepend=-1) != 0]
+        if not np.unique(flips).size == flips.size == a.parameter_count:
+            raise UsageError(f"{a.parameter_count} slots need as many runs of one flip mask each; "
+                             f"the generators hold {flips.size} runs of {np.unique(flips).size} masks")
+        op = compile_operator(a.generators, basis)
+        dtype = np.result_type(self.h, op.values)
         self.h = self.h.astype(dtype, copy=False)
-        self.generators = []
-        for op in ops:
-            src, val = np.arange(len(basis)), np.zeros(len(basis), dtype=dtype)
-            src[op.rows], val[op.rows] = op.cols, op.values
-            self.generators.append((src, val, val * val[src]))
+        slot = np.argsort(flips)[np.searchsorted(np.sort(flips), basis[op.rows] ^ basis[op.cols])]
+        src = np.tile(np.arange(len(basis)), (flips.size, 1))
+        val = np.zeros(src.shape, dtype=dtype)
+        src[slot, op.rows], val[slot, op.rows] = op.cols, op.values
+        self.generators = list(zip(src, val, val * np.take_along_axis(val, src, axis=1)))
         self.reference = np.zeros(len(basis), dtype=dtype)
         self.reference[np.searchsorted(basis, _hf_determinant(h.n_qubits, a.n_electrons))] = 1.0
         self.hermitian = bool(np.all(np.abs(h.coefficients.imag) <= 1e-12))
@@ -449,16 +448,16 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
 
 
 def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log=None) -> VQEResult:
-    """Minimize theta -> <psi(theta)|H|psi(theta)> from theta = 0: UCCSD on
-    its electron-number block with adjoint gradients, any other ansatz on
-    the full-space circuit with parameter-shift gradients. Such an ansatz
-    need not conserve N: one that declares n_electrons raises
-    ComputationError unless <N> = sum_b popcount(b) |psi_b|^2 of its final
-    state is that count."""
+    """Minimize theta -> <psi(theta)|H|psi(theta)> from theta = 0: an ansatz
+    with generators (UCCSD) on its electron-number block with adjoint
+    gradients, any other on the full-space circuit with parameter-shift
+    gradients. Such an ansatz need not conserve N: one that declares
+    n_electrons raises ComputationError unless
+    <N> = sum_b popcount(b) |psi_b|^2 of its final state is that count."""
     config = config or OptimizerConfig()
     if a.circuit.n_qubits != h.n_qubits:
         raise UsageError("ansatz and Hamiltonian qubit counts differ")
-    if a.generators:
+    if a.generators is not None:
         block = UCCSDBlock(h, a)
         energy, gradient = block.energy, block.gradient
     else:
@@ -478,7 +477,7 @@ def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log
 
     grad = gradient if config.method == "gradient_descent" else None
     res = minimize(objective, np.zeros(a.parameter_count), config, gradient=grad)
-    if not a.generators and a.n_electrons is not None:
+    if a.generators is None and a.n_electrons is not None:
         probabilities = np.abs(run_circuit(a.circuit, res.parameters)) ** 2
         found = float(np.bitwise_count(np.arange(probabilities.size)) @ probabilities)
         if abs(found - a.n_electrons) > 1e-6:

@@ -106,8 +106,11 @@ class ScanSpec:
         record.validate()
         if self.fcidump_pattern is None:   # electrons and functions are the same at every length
             geometry = _geometry(self, record)
-            closed_shell_pairs(geometry.n_electrons,
-                               len(assign_basis(geometry, load_basis(self.basis))[0]))
+            pairs = closed_shell_pairs(geometry.n_electrons,
+                                       len(assign_basis(geometry, load_basis(self.basis))[0]))
+            if self.n_frozen > pairs:
+                raise UsageError(f"cannot freeze {self.n_frozen} orbitals "
+                                 f"with {geometry.n_electrons} electrons")
 
 
 def _geometry(spec: ScanSpec, record: EnergyRecord) -> Geometry:

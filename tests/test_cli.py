@@ -465,6 +465,18 @@ def test_scan_refuses_a_geometry_no_closed_shell_point_could_run(capsys, tmp_pat
     assert not (db_dir / "records").exists() or not any((db_dir / "records").iterdir())
 
 
+def test_scan_refuses_to_freeze_more_orbitals_than_its_pairs(capsys, tmp_path):
+    # H2 has one electron pair, so every point's freeze_core would refuse
+    db_dir = tmp_path / "db"
+    assert main(["scan", "--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H",
+                 "--basis", "sto-3g", "--lengths", "0.7,0.9", "--freeze", "2",
+                 "--db", str(db_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot freeze 2 orbitals with 2 electrons\n"
+    assert captured.out == ""
+    assert not (db_dir / "records").exists() or not any((db_dir / "records").iterdir())
+
+
 def test_scan_names_the_cause_when_every_point_fails(capsys, tmp_path):
     db_dir = tmp_path / "db"
     pattern = str(tmp_path / "absent_{length:.2f}.fcidump")

@@ -248,12 +248,11 @@ def assert_same_operator(got, want):
 
 def operators_of(h, n_electrons):
     """(PauliSum, basis) of h on its sector and the whole space, and of
-    each UCCSD generator on the sector."""
+    the UCCSD generator sum on the sector."""
     sector = sector_basis(h.n_qubits, n_electrons)
     yield h, sector
     yield h, np.arange(2**h.n_qubits, dtype=np.int64)
-    for generator in uccsd_ansatz(h.n_qubits, n_electrons).generators:
-        yield generator, sector
+    yield uccsd_ansatz(h.n_qubits, n_electrons).generators, sector
 
 
 @pytest.mark.parametrize("name", ["H2", "H4", "LiH-H2", "HeH+"])
@@ -387,7 +386,10 @@ def test_h8_block_is_solved_by_lanczos(sto3g):
     basis = sector_basis(16, 8)
     assert len(basis) == 4900 > 2**DENSE_MAX_QUBITS
     result = dense_ground_energy(h, 8)
-    amplitudes = result.ground_vector
+    assert_array_equal(result.basis, basis)
+    assert result.ground_vector.shape == basis.shape   # on the block, and real
+    assert result.ground_vector.dtype == np.float64
+    amplitudes = full_space(result, 16)
     v = amplitudes[basis]
     assert np.all(amplitudes[np.setdiff1d(np.arange(2**16), basis)] == 0)
     rows, cols, values = flip_mask_entries(h, basis)
@@ -417,6 +419,14 @@ def test_stretched_h8_block_matches_eigvalsh(sto3g):
 # ---------------------------------------------------------------------------
 # dense_ground_energy
 # ---------------------------------------------------------------------------
+
+
+def full_space(result, n_qubits):
+    """A SpectrumResult's ground vector scattered into complex amplitudes
+    on all 2^n states, the form run_circuit returns."""
+    amplitudes = np.zeros(2**n_qubits, dtype=complex)
+    amplitudes[result.basis] = result.ground_vector
+    return amplitudes
 
 
 def test_dense_ground_energy_single_z():
@@ -464,9 +474,9 @@ def test_dense_guard_bounds_the_sector_dimension():
         dense_ground_energy(s)
     result = dense_ground_energy(s, n_electrons=2)
     assert result.ground_energy == pytest.approx(88.0, abs=1e-12)
-    ground = np.flatnonzero(np.abs(result.ground_vector) > 1e-12)
+    ground = np.flatnonzero(np.abs(full_space(result, n)) > 1e-12)
     assert ground.tolist() == [(1 << 7) | (1 << 15)]
-    # The block is small, but the ground vector is embedded in 2^n states.
+    # The block is small, but the register is past the statevector guard.
     with pytest.raises(ResourceError):
         dense_ground_energy(single(26, {0: "Z"}), n_electrons=2)
 
@@ -498,10 +508,10 @@ def test_dense_sector_matches_fci_without_penalty(n, n_e):
         assert result.ground_energy == pytest.approx(
             fci_determinant_oracle(mo), abs=1e-9
         )
-        amplitudes = result.ground_vector
+        amplitudes = full_space(result, 2 * n)
         assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert np.all(amplitudes[~_in_sector(2 * n, n_e)] == 0)
-        assert expectation(result.ground_vector, h) == pytest.approx(
+        assert expectation(amplitudes, h) == pytest.approx(
             result.ground_energy, abs=1e-10
         )
 
@@ -519,8 +529,9 @@ def test_dense_sector_odd_electrons_matches_penalized_full_space():
         ).ground_energy
         result = dense_ground_energy(h, 3)
         assert result.ground_energy == pytest.approx(reference, abs=1e-9)
-        assert np.all(result.ground_vector[~_in_sector(6, 3)] == 0)
-        assert expectation(result.ground_vector, h) == pytest.approx(
+        amplitudes = full_space(result, 6)
+        assert np.all(amplitudes[~_in_sector(6, 3)] == 0)
+        assert expectation(amplitudes, h) == pytest.approx(
             result.ground_energy, abs=1e-10
         )
 

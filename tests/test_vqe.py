@@ -3,14 +3,16 @@ and the assembled VQE loop."""
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+import molq.vqe
 from molq import (
     Ansatz,
     Circuit,
@@ -35,6 +37,7 @@ from molq import (
     uccsd_ansatz,
     vqe_solve,
 )
+from molq.exact import compile_operator, sector_basis
 
 from conftest import pipeline
 from test_pauli import term_matrix
@@ -199,7 +202,8 @@ UCCSD_GRID = [(4, 2), (6, 2), (6, 4), (8, 2), (8, 4), (8, 6), (10, 4), (12, 6), 
 @pytest.mark.parametrize("n_qubits,n_electrons", UCCSD_GRID)
 def test_uccsd_matches_per_excitation_reference(n_qubits, n_electrons):
     # one transform of the whole excitation table gives, byte for byte, the
-    # circuit and generators of one transform per excitation
+    # circuit of one transform per excitation, and generators that are
+    # those transforms' images one after another
     ansatz = uccsd_ansatz(n_qubits, n_electrons)
     circuit, generators = reference_uccsd_ansatz(n_qubits, n_electrons)
 
@@ -207,11 +211,13 @@ def test_uccsd_matches_per_excitation_reference(n_qubits, n_electrons):
         return (gate.kind, gate.qubits, gate.slot, gate.angle.hex(), gate.scale.hex(), gate.x, gate.z)
 
     assert list(map(gate_bytes, ansatz.circuit.gates)) == list(map(gate_bytes, circuit.gates))
-    assert ansatz.parameter_count == len(ansatz.generators) == len(generators)
-    for got, want in zip(ansatz.generators, generators):
-        assert got.n_qubits == want.n_qubits
-        for a, b in ((got.x, want.x), (got.z, want.z), (got.coefficients, want.coefficients)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert ansatz.parameter_count == len(generators)
+    got = ansatz.generators
+    assert got.n_qubits == n_qubits
+    for column in ("x", "z", "coefficients"):
+        a = getattr(got, column)
+        b = np.concatenate([getattr(g, column) for g in generators])
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_uccsd_vqe_hits_exact_h2(h2_hamiltonian):
@@ -275,6 +281,32 @@ def h4_hamiltonian(sto3g):
     return jordan_wigner(build_fermionic_hamiltonian(mo))
 
 
+@pytest.fixture(scope="module")
+def h6_hamiltonian(sto3g):
+    """Linear H6 / STO-3G at 0.9 Angstrom spacing: 12 qubits, 6 electrons."""
+    geom = Geometry.from_angstrom([("H", (0.0, 0.0, 0.9 * k)) for k in range(6)])
+    _, _, mo = pipeline(geom, sto3g)
+    return jordan_wigner(build_fermionic_hamiltonian(mo))
+
+
+def per_slot_block(h, ansatz):
+    """A UCCSDBlock whose gather arrays come from one compile per slot: the
+    runs of one flip mask cut from the generator sum, each compiled on its
+    own and scattered into its own (src, val, val * val[src])."""
+    block = UCCSDBlock(h, ansatz)
+    basis = sector_basis(h.n_qubits, ansatz.n_electrons)
+    g = ansatz.generators
+    bounds = np.flatnonzero(np.concatenate(([True], g.x[1:] != g.x[:-1], [True])))
+    block.generators = []
+    for s, e in zip(bounds, bounds[1:]):
+        op = compile_operator(PauliSum(g.n_qubits, x=g.x[s:e], z=g.z[s:e],
+                                       coefficients=g.coefficients[s:e]), basis)
+        src, val = np.arange(len(basis)), np.zeros(len(basis), dtype=block.h.dtype)
+        src[op.rows], val[op.rows] = op.cols, op.values
+        block.generators.append((src, val, val * val[src]))
+    return block
+
+
 def random_hermitian_sum(n_qubits, n_terms, rng):
     """Real-coefficient strings with random (x, z) masks: Hermitian, and
     its X/Y letters move electrons between sectors."""
@@ -318,6 +350,27 @@ def test_block_keeps_one_dtype(h2_hamiltonian, h4_hamiltonian):
         assert block.gradient(theta).dtype == np.float64
 
 
+@pytest.mark.parametrize("system", ["H2", "H4", "H6"])
+def test_block_is_the_per_slot_compiles_bit_for_bit(system, h2_hamiltonian, h4_hamiltonian,
+                                                     h6_hamiltonian):
+    # one compile of the generator sum, split by flip mask, gives the
+    # tables, energies and gradients of one compile per slot, bit for bit
+    h, n_electrons = {"H2": (h2_hamiltonian, 2), "H4": (h4_hamiltonian, 4),
+                      "H6": (h6_hamiltonian, 6)}[system]
+    ansatz = uccsd_ansatz(h.n_qubits, n_electrons)
+    block, reference = UCCSDBlock(h, ansatz), per_slot_block(h, ansatz)
+    assert len(block.generators) == len(reference.generators) == ansatz.parameter_count
+    for got, want in zip(block.generators, reference.generators):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert_array_equal(a, b)
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
+        assert block.energy(theta) == reference.energy(theta)
+        assert_array_equal(block.gradient(theta), reference.gradient(theta))
+
+
 @pytest.mark.parametrize("system", ["H2", "H4"])
 def test_adjoint_gradient_matches_parameter_shift(system, h2_hamiltonian, h4_hamiltonian):
     h, n_electrons = {"H2": (h2_hamiltonian, 2), "H4": (h4_hamiltonian, 4)}[system]
@@ -337,7 +390,7 @@ def test_block_keeps_the_circuit_checks(h2_hamiltonian):
         UCCSDBlock(PauliSum(6, ()), ansatz)
     with pytest.raises(ResourceError, match="26 modes"):
         uccsd_ansatz(26, 2)  # its generators' JW images are refused first
-    big = Ansatz(Circuit(26), 1, "uccsd", generators=(PauliSum(26, ()),), n_electrons=2)
+    big = Ansatz(Circuit(26), 1, "uccsd", generators=PauliSum(26, ()), n_electrons=2)
     with pytest.raises(ResourceError):
         vqe_solve(PauliSum(26, (PauliTerm(1.0, {0: "Z"}),)), big)
     # a Hermitian H must give a real energy
@@ -349,16 +402,41 @@ def test_block_keeps_the_circuit_checks(h2_hamiltonian):
 def test_block_rejects_a_generator_with_two_flip_masks(h2_hamiltonian):
     # the gather form keeps one entry per row, so one flip mask per generator
     generator = PauliSum(4, (PauliTerm(1j, {0: "X"}), PauliTerm(1j, {1: "X"})))
-    ansatz = Ansatz(hf_reference_circuit(4, 2), 1, "uccsd", generators=(generator,), n_electrons=2)
+    ansatz = Ansatz(hf_reference_circuit(4, 2), 1, "uccsd", generators=generator, n_electrons=2)
     with pytest.raises(UsageError, match="flip mask"):
         UCCSDBlock(h2_hamiltonian, ansatz)
+
+
+@pytest.mark.parametrize("masks", [
+    (3, 12, 3),   # three runs, but the first and third slots share a flip mask
+    (3, 3, 12),   # two runs for three slots
+], ids=["shared-mask", "fewer-runs"])
+def test_block_needs_one_run_of_its_own_flip_mask_per_slot(h2_hamiltonian, masks):
+    # more runs than slots: test_block_rejects_a_generator_with_two_flip_masks
+    generators = PauliSum(4, x=masks, z=[0] * 3, coefficients=[1j] * 3)
+    ansatz = Ansatz(hf_reference_circuit(4, 2), 3, "uccsd", generators=generators, n_electrons=2)
+    with pytest.raises(UsageError, match="flip mask"):
+        UCCSDBlock(h2_hamiltonian, ansatz)
+
+
+def test_block_refuses_an_ansatz_without_an_electron_count(h2_hamiltonian, monkeypatch):
+    # refused before anything is compiled, not as a TypeError from the sector
+    def no_compile(*args):
+        raise AssertionError("compiled before the electron count was checked")
+
+    monkeypatch.setattr(molq.vqe, "pauli_matrix", no_compile)
+    monkeypatch.setattr(molq.vqe, "compile_operator", no_compile)
+    ansatz = replace(uccsd_ansatz(4, 2), n_electrons=None)
+    for build in (UCCSDBlock, vqe_solve):
+        with pytest.raises(UsageError, match="electron count"):
+            build(h2_hamiltonian, ansatz)
 
 
 def test_block_above_the_dense_guard_is_refused_first():
     # 20 qubits with 10 electrons: a (5, 5) block of 252**2 = 63 504 states.
     # The generator would be refused if it were gathered before the guard.
     generator = PauliSum(20, (PauliTerm(1j, {0: "X"}), PauliTerm(1j, {1: "X"})))
-    big = Ansatz(Circuit(20), 1, "uccsd", generators=(generator,), n_electrons=10)
+    big = Ansatz(Circuit(20), 1, "uccsd", generators=generator, n_electrons=10)
     h = PauliSum(20, (PauliTerm(1.0, {0: "Z"}),))
     for build in (UCCSDBlock, vqe_solve):
         with pytest.raises(ResourceError, match="63504 exceeds"):

@@ -101,6 +101,8 @@ def test_valid_spec_passes():
         (dict(fragment_a=[("He", (0.0, 0.0, 0.0))]), "even electron count in 0..4 .* got 3"),
         (dict(charge=1), "even electron count in 0..4 .* got 1"),
         (dict(charge=3), "negative electron count"),
+        # freeze_core's refusal, which every point would meet
+        (dict(n_frozen=2), "cannot freeze 2 orbitals with 2 electrons"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
@@ -321,17 +323,17 @@ def test_hamiltonian_file_names_are_pinned(sto3g, monkeypatch):
         return jordan_wigner(op)
 
     monkeypatch.setattr(molq.vqe, "jordan_wigner", recording)
-    generators = uccsd_ansatz(12, 6).generators
+    ansatz = uccsd_ansatz(12, 6)
     (table,) = fermion_generators
     # slot k is the row pair (2k, 2k + 1): T_k and T_k^dagger
     fermion_generators = [
         FermionOperator(12, coefficients=table.coefficients[k:k + 2], factors=table.factors[k:k + 2])
         for k in range(0, len(table.coefficients), 2)
     ]
-    assert len(fermion_generators) == len(generators) == 99
+    assert len(fermion_generators) == ansatz.parameter_count == 99
     assert (
         name("".join(serialize_terms(op) for op in fermion_generators)),
-        name("".join(serialize_pauli(g) for g in generators)),
+        name(serialize_pauli(ansatz.generators)),
     ) == PINNED_UCCSD_12_6
 
 
@@ -510,6 +512,20 @@ def test_scan_work_counts(monkeypatch):
     capacity = molq.scf.DIIS_CAPACITY
     # the converging iteration extrapolates nothing
     assert gram_rows == [min(k, capacity) for n in iterations for k in range(1, n)]
+
+
+def test_a_uccsd_scan_plans_its_operators_at_its_first_point_only():
+    """A 2-point H4 UCCSD scan (8 qubits, 24 slots) compiles H twice and
+    the generator sum once per point, so only its first point builds
+    plans: one for H and one for the generators."""
+    pair = [("H", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 0.9))]
+    spec = ScanSpec(molecule="H4", bond_lengths=[0.8, 0.9], fragment_a=pair,
+                    fragment_b=[("H", (0.0, 0.0, 0.9)), ("H", (0.0, 0.0, 1.8))],
+                    basis="sto-3g", methods=("hf", "exact", "vqe"), budget=50)
+    molq.exact._plan.cache_clear()
+    records = run_scan(spec)
+    assert all(record.error is None for record in records)
+    assert molq.exact._plan.cache_info()[:2] == (4, 2)   # (hits, misses)
 
 
 def test_a_scan_reads_its_basis_once(monkeypatch):
