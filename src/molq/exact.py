@@ -26,13 +26,13 @@ least-recently-used caches of _PLAN_CAPACITY (8) entries: _layout, keyed
 by the bytes of x and z, holds the terms' order, phases and flip-mask
 groups; _plan, keyed also by the bytes of the basis and by
 OPERATOR_CHUNK_ENTRIES, holds per chunk the entries' rows, cols and
-transposed entry and each (entry, term) product's term and sign. A call
+first products and each (entry, term) product's term and sign. A call
 forms the values from them with one gather, one product and one
 np.add.reduceat. The cached arrays are read-only and no BlockOperator
 shares them. A UCCSD point compiles two operators, its Hamiltonian and
 the sum of its generators, so a scan's later points find both plans
 cached. A layout holds about 48 bytes per string and its key 16; a plan
-holds 16 bytes per product and 32 per entry, and its key 16 per string
+holds 16 bytes per product and 24 per entry, and its key 16 per string
 and 8 per state: 0.9 MB for the 10-qubit LiH...H2 Hamiltonian on its
 100-state block (45 200 products, 5 500 entries). Where strings times
 states passes _PLAN_MAX_PRODUCTS (2**19) no chunks are kept and they are
@@ -40,24 +40,25 @@ built afresh at every call, so the full caches hold at most about 200 MB
 plus 80 bytes per string and 8 per state of their operators.
 
 pauli_matrix refuses a basis of more than 2**DENSE_MAX_QUBITS states.
-dense_ground_energy runs eigh on every block within that guard and
-Lanczos on BlockOperator.apply only on a block past it; the whole Fock
-space (no electron count) is always dense, within the guard. Its ground
-state is the amplitudes on the basis it solved on, in the operator's
-dtype, returned with that basis.
+dense_ground_energy refuses a non-Hermitian PauliSum before it builds
+anything, runs eigh on every block within that guard and Lanczos on
+BlockOperator.apply only on a block past it; the whole Fock space (no
+electron count) is always dense, within the guard. sector_basis bounds a
+block by its Lanczos vectors, not its register.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
 from .integrals_io import MOIntegrals, closed_shell_pairs
-from .pauli import _PHASE_VALUES, MAX_QUBITS, PauliSum, pauli_signs
+from .pauli import _PHASE_VALUES, PauliSum, is_hermitian, pauli_signs
 
 # A 2**12 complex matrix is 268 MB, its eigenvectors as much again
 DENSE_MAX_QUBITS = 12
@@ -67,8 +68,8 @@ FCI_MAX_ORBITALS = 6
 LANCZOS_TOL = 1e-12
 LANCZOS_MAX_STEPS = 300
 OPERATOR_CHUNK_ENTRIES = 2**18   # largest temporary of compile_operator, in values
-# Largest operator compile_operator builds: with the Lanczos vectors and
-# the ground vector beside it, it fits a host of 7 GB
+# Largest operator compile_operator builds, and most bytes of a block's
+# float64 Lanczos vectors: with the ground vector, both fit a host of 7 GB
 OPERATOR_MAX_BYTES = 2 * 2**30
 # Operator layouts and plans kept, least recently used evicted first: a
 # UCCSD point compiles two, its Hamiltonian and its generator sum
@@ -88,14 +89,12 @@ class SpectrumResult:
 @dataclass(frozen=True)
 class BlockOperator:
     """A PauliSum on a sorted basis as its nonzero entries:
-    <basis[rows[e]]|s|basis[cols[e]]> = values[e], on dim states.
-    hermitian: every entry is within 1e-10 of its transpose's conjugate."""
+    <basis[rows[e]]|s|basis[cols[e]]> = values[e], on dim states."""
 
     dim: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    hermitian: bool
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """The operator times psi (of the operator's dtype): one gather and
@@ -157,10 +156,9 @@ def _layout(x: bytes, z: bytes) -> tuple:
 
 def _pieces(basis, bounds, flips, z):
     """Per chunk of whole groups, everything of its entries that does not
-    depend on the coefficients: (rows, cols, term, signs, starts,
-    transposed). Entry e sums signs[k] * coefficient[term[k]] over k in
-    starts[e] up to the next start, and transposed[e] is the chunk's entry
-    at (cols[e], rows[e])."""
+    depend on the coefficients: (rows, cols, term, signs, starts). Entry e
+    sums signs[k] * coefficient[term[k]] over k in starts[e] up to the
+    next start."""
     for g0, g1 in _chunks(bounds, len(basis)):
         found, hit = _targets(basis, flips[g0:g1])
         group, col = np.nonzero(hit)   # entries by group, columns ascending
@@ -170,9 +168,7 @@ def _pieces(basis, bounds, flips, z):
         first = np.cumsum(n_terms) - n_terms
         term = np.arange(n_terms.sum()) + np.repeat(bounds[g0:g1][group] - first, n_terms)
         signs = pauli_signs(np.repeat(basis[col], n_terms), z[term])
-        # the transposed entry (col, row) is the same group's entry in column row
-        key = group * len(basis)
-        yield row, col, term, signs, first, np.searchsorted(key + col, key + row)
+        yield row, col, term, signs, first
 
 
 @functools.lru_cache(maxsize=_PLAN_CAPACITY)
@@ -235,22 +231,22 @@ def compile_operator(s: PauliSum, basis: np.ndarray) -> BlockOperator:
         pieces = _pieces(basis, bounds, flips, z)
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     values = [np.zeros(0, dtype=coefficients.dtype)]
-    hermitian = True
-    for row, col, term, signs, first, transposed in pieces:
-        value = np.add.reduceat(signs * coefficients[term], first)
+    for row, col, term, signs, first in pieces:
         rows.append(row)
         cols.append(col)
-        values.append(value)
-        hermitian &= bool(np.all(np.abs(value - value[transposed].conj()) <= 1e-10))
+        values.append(np.add.reduceat(signs * coefficients[term], first))
     # concatenate copies, so no result shares a cached plan's arrays
     return BlockOperator(
-        len(basis), np.concatenate(rows), np.concatenate(cols), np.concatenate(values), hermitian
+        len(basis), np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
     )
 
 
-def _check_dense(dim: int):
+def _dense_basis(n_qubits: int, basis=None) -> np.ndarray:
+    """basis, by default the whole 2^n space, refused past 2**DENSE_MAX_QUBITS states."""
+    dim = 2**n_qubits if basis is None else len(basis)
     if dim > 2**DENSE_MAX_QUBITS:
         raise ResourceError(f"dimension {dim} exceeds the {DENSE_MAX_QUBITS}-qubit dense guard")
+    return np.arange(dim, dtype=np.int64) if basis is None else basis
 
 
 def pauli_matrix(s: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
@@ -258,23 +254,23 @@ def pauli_matrix(s: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
     (default: the whole 2^n space in little-endian order), in the dtype of
     its BlockOperator. A basis above 2**DENSE_MAX_QUBITS states is refused
     before anything is allocated."""
-    dim = 2**s.n_qubits if basis is None else len(basis)
-    _check_dense(dim)
-    if basis is None:
-        basis = np.arange(dim, dtype=np.int64)
-    return compile_operator(s, basis).dense()
+    return compile_operator(s, _dense_basis(s.n_qubits, basis)).dense()
 
 
 def sector_basis(n_qubits: int, n_electrons: int) -> np.ndarray:
     """Sorted basis states of the N-electron determinant block: ceil(N/2)
     electrons on the alpha qubits 0..n-1 and floor(N/2) on the beta qubits
-    n..2n-1 (blocked spin ordering, n = n_qubits / 2)."""
+    n..2n-1 (blocked spin ordering, n = n_qubits / 2). Refused, before any
+    is enumerated, where its Lanczos vectors could pass OPERATOR_MAX_BYTES."""
     if n_qubits % 2 or not 0 <= n_electrons <= n_qubits:
         raise UsageError(
             f"no {n_electrons}-electron sector on {n_qubits} spin orbitals"
         )
     n_orbitals = n_qubits // 2
     n_beta = n_electrons // 2
+    dim = math.comb(n_orbitals, n_electrons - n_beta) * math.comb(n_orbitals, n_beta)
+    if min(dim, LANCZOS_MAX_STEPS) * dim * 8 > OPERATOR_MAX_BYTES:  # float64 vectors
+        raise ResourceError(f"a {dim}-state block's Lanczos vectors exceed the operator guard")
 
     def masks(k):
         combos = itertools.combinations(range(n_orbitals), k)
@@ -312,31 +308,24 @@ def _lanczos(apply, dim: int, dtype) -> tuple:
 
 
 def dense_ground_energy(h: PauliSum, n_electrons: int | None = None) -> SpectrumResult:
-    """Minimal eigenvalue of the Hermitian PauliSum h, and its vector.
+    """Minimal eigenvalue of the Hermitian PauliSum h, and its vector; h is
+    refused unless `is_hermitian`, before any basis state or entry is built.
 
     With n_electrons, only the (ceil(N/2), floor(N/2)) determinant block
     is diagonalized: for a spin-free, number-conserving Hamiltonian that
     block holds the N-electron ground state, whatever the parity of N. A
     block within the dense guard (2**DENSE_MAX_QUBITS states) is densified
-    and solved by eigh, a larger one by Lanczos on its BlockOperator. Without
+    and solved by eigh, a larger one by Lanczos on its BlockOperator; the
+    block, not the register, is bounded (see sector_basis). Without
     n_electrons, the whole Fock space is diagonalized densely (within
     DENSE_MAX_QUBITS) and the lowest state of any electron count is
-    returned. Either way the ground vector is returned as amplitudes on
-    the basis solved on, with that basis, in the operator's dtype (real for
-    a real operator).
+    returned. Either way the ground vector is the amplitudes on the basis
+    solved on, returned with it, in the operator's dtype.
     """
-    if h.n_qubits > MAX_QUBITS:
-        raise ResourceError(
-            f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit statevector guard"
-        )
-    if n_electrons is None:
-        _check_dense(2**h.n_qubits)
-        basis = np.arange(2**h.n_qubits, dtype=np.int64)
-    else:
-        basis = sector_basis(h.n_qubits, n_electrons)
-    op = compile_operator(h, basis)
-    if not op.hermitian:
+    if not is_hermitian(h):
         raise UsageError("PauliSum is not Hermitian")
+    basis = _dense_basis(h.n_qubits) if n_electrons is None else sector_basis(h.n_qubits, n_electrons)
+    op = compile_operator(h, basis)
     if op.dim > 2**DENSE_MAX_QUBITS:
         energy, vector = _lanczos(op.apply, op.dim, op.values.dtype)
     else:

@@ -21,7 +21,9 @@ factor. Equal strings are then merged on the key x << 32 | z, summing
 coefficients in the order the scalar fold would produce them, and sorted
 by (weight, pattern); `canonicalize` is that same merge. The int64 key
 bounds the transform and the merge to MAX_QUBITS; the int64 masks bound a
-PauliSum to MASK_QUBITS.
+PauliSum to MASK_QUBITS. Every string is Hermitian, so a sum is Hermitian
+exactly when each distinct string's summed coefficient is real: that is
+`is_hermitian`, molq's one test of it, which merges on (x, z) at any width.
 
 For a fixed factor table the image is a linear map of the coefficient
 column, and a scan transforms the same table at every point. So the
@@ -216,6 +218,15 @@ def canonicalize(s: PauliSum) -> PauliSum:
         raise ResourceError(f"{s.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
     x, z, c = _fold(*_merge_plan(s.n_qubits, s.x, s.z), s.coefficients)
     return PauliSum(s.n_qubits, x=x, z=z, coefficients=c)
+
+
+def is_hermitian(s: PauliSum) -> bool:
+    """Whether every distinct string's summed coefficient is real, to 1e-12."""
+    if not np.iscomplexobj(s.coefficients):
+        return True
+    strings, inverse = np.unique(np.stack((s.x, s.z)), axis=1, return_inverse=True)
+    merged = np.bincount(inverse.ravel(), s.coefficients.imag, strings.shape[1])
+    return bool(np.all(np.abs(merged) <= 1e-12))
 
 
 def _expand(codes, coefficients) -> tuple:

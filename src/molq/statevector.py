@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
-from .pauli import MAX_QUBITS, PauliSum, pauli_phase, pauli_signs, qwc_group
+from .pauli import MAX_QUBITS, PauliSum, is_hermitian, pauli_phase, pauli_signs, qwc_group
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,14 @@ def run_circuit(c: Circuit, theta=None) -> np.ndarray:
     return amps
 
 
+def _real_energy(value: complex, hermitian: bool) -> float:
+    """value.real, refused where the operator is Hermitian but value is not
+    real to 1e-10."""
+    if hermitian and abs(value.imag) > 1e-10:
+        raise ComputationError(f"imaginary residual {value.imag:.3e} for a Hermitian operator")
+    return float(value.real)
+
+
 def expectation(psi: np.ndarray, h: PauliSum) -> float:
     """Exact <psi|H|psi> of the amplitudes psi, accumulated term by term in
     the given term order."""
@@ -168,15 +176,10 @@ def expectation(psi: np.ndarray, h: PauliSum) -> float:
         raise UsageError("statevector and Hamiltonian qubit counts differ")
     idx = np.arange(psi.size, dtype=np.int64)
     total = 0.0 + 0.0j
-    hermitian = not np.any(np.abs(h.coefficients.imag) > 1e-12)
     for x, z, coeff in zip(h.x.tolist(), h.z.tolist(), h.coefficients.tolist()):
         phases = pauli_phase(idx, x, z)
         total += complex(coeff) * np.sum(np.conj(psi[idx ^ x]) * phases * psi)
-    if hermitian and abs(total.imag) > 1e-10:
-        raise ComputationError(
-            f"imaginary residual {total.imag:.3e} for a Hermitian operator"
-        )
-    return float(total.real)
+    return _real_energy(total, is_hermitian(h))
 
 
 def sample_expectation(psi: np.ndarray, h: PauliSum, shots: int, seed: int) -> float:

@@ -47,8 +47,8 @@ from .errors import ComputationError, ResourceError, UsageError
 from .exact import compile_operator, pauli_matrix, sector_basis
 from .fermion import FermionOperator
 from .integrals_io import closed_shell_pairs
-from .pauli import PauliSum, jordan_wigner
-from .statevector import MAX_QUBITS, Circuit, run_circuit, expectation
+from .pauli import PauliSum, is_hermitian, jordan_wigner
+from .statevector import MAX_QUBITS, Circuit, _real_energy, run_circuit, expectation
 
 
 @dataclass
@@ -204,7 +204,7 @@ class UCCSDBlock:
         self.generators = list(zip(src, val, val * np.take_along_axis(val, src, axis=1)))
         self.reference = np.zeros(len(basis), dtype=dtype)
         self.reference[np.searchsorted(basis, _hf_determinant(h.n_qubits, a.n_electrons))] = 1.0
-        self.hermitian = bool(np.all(np.abs(h.coefficients.imag) <= 1e-12))
+        self.hermitian = is_hermitian(h)
 
     def state(self, theta) -> np.ndarray:
         """psi(theta) as amplitudes over the block."""
@@ -218,12 +218,7 @@ class UCCSDBlock:
 
     def energy(self, theta) -> float:
         psi = self.state(theta)
-        value = np.vdot(psi, self.h @ psi)
-        if self.hermitian and abs(value.imag) > 1e-10:
-            raise ComputationError(
-                f"imaginary residual {value.imag:.3e} for a Hermitian operator"
-            )
-        return float(value.real)
+        return _real_energy(np.vdot(psi, self.h @ psi), self.hermitian)
 
     def gradient(self, theta) -> np.ndarray:
         """dE/dtheta_k = 2 Re <lambda_k|G_k|psi_k>, with psi_k the state after

@@ -30,7 +30,7 @@ from molq.exact import (
     sector_basis,
 )
 from molq.integrals_io import MOIntegrals
-from molq.pauli import _PHASE_VALUES, PauliSum, PauliTerm
+from molq.pauli import _PHASE_VALUES, PauliSum, PauliTerm, is_hermitian
 from molq.statevector import expectation, pauli_signs
 
 from conftest import penalty_strength, pipeline, random_mo_integrals, with_number_penalty
@@ -183,8 +183,8 @@ def test_operator_matches_the_flip_mask_loop_on_complex_sums():
                 op = assert_matches_flip_mask_loop(s, basis)
                 assert op.values.dtype == np.complex128
                 mat = op.dense()
-                assert op.hermitian == (c is not coefficients)
-                assert op.hermitian == (np.max(np.abs(mat - mat.conj().T)) <= 1e-10)
+                assert is_hermitian(s) == (c is not coefficients)
+                assert is_hermitian(s) == (np.max(np.abs(mat - mat.conj().T)) <= 1e-10)
                 psi = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
                 assert np.allclose(op.apply(psi), mat @ psi, rtol=0, atol=1e-12)
 
@@ -240,7 +240,7 @@ def test_operator_guard_refuses_a_cold_plan_before_building(molecules, monkeypat
 
 
 def assert_same_operator(got, want):
-    assert got.dim == want.dim and got.hermitian == want.hermitian
+    assert got.dim == want.dim
     for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)):
         assert a.dtype == b.dtype
         assert_array_equal(a, b)
@@ -458,6 +458,35 @@ def test_dense_rejects_non_hermitian():
         dense_ground_energy(s)
 
 
+def test_dense_solves_a_sum_whose_merged_coefficients_are_real():
+    s = PauliSum(1, (PauliTerm(1 + 1j, {0: "Z"}), PauliTerm(1 - 1j, {0: "Z"})))
+    assert dense_ground_energy(s).ground_energy == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_dense_refuses_a_non_hermitian_sum_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a basis state or entry was built before the check")
+
+    monkeypatch.setattr(molq.exact, "pauli_signs", no_build)
+    monkeypatch.setattr(molq.exact, "sector_basis", no_build)
+    monkeypatch.setattr(molq.exact, "_dense_basis", no_build)
+    s = PauliSum(4, (PauliTerm(1.0, {0: "Z"}), PauliTerm(0.5j, {1: "Y", 2: "Z"})))
+    for n_electrons in (None, 2):
+        with pytest.raises(UsageError, match="not Hermitian"):
+            dense_ground_energy(s, n_electrons)
+
+
+def test_dense_refuses_a_non_hermitian_sum_whose_block_is_hermitian():
+    """X_0 moves an alpha electron out of the (1, 1) block, so the block of
+    1j X_0 + Z_0 is Z_0's alone (lowest -1.0); the sum is still refused."""
+    s = PauliSum(4, (PauliTerm(1j, {0: "X"}), PauliTerm(1.0, {0: "Z"})))
+    basis = sector_basis(4, 2)
+    block = pauli_matrix(s, basis)
+    assert np.allclose(block, block.conj().T)
+    with pytest.raises(UsageError, match="not Hermitian"):
+        dense_ground_energy(s, 2)
+
+
 def test_dense_qubit_guard():
     s = single(DENSE_MAX_QUBITS + 1, {0: "Z"})
     with pytest.raises(ResourceError):
@@ -476,9 +505,26 @@ def test_dense_guard_bounds_the_sector_dimension():
     assert result.ground_energy == pytest.approx(88.0, abs=1e-12)
     ground = np.flatnonzero(np.abs(full_space(result, n)) > 1e-12)
     assert ground.tolist() == [(1 << 7) | (1 << 15)]
-    # The block is small, but the register is past the statevector guard.
-    with pytest.raises(ResourceError):
-        dense_ground_energy(single(26, {0: "Z"}), n_electrons=2)
+    # A register past the statevector guard is solved on its 13 * 13 block.
+    result = dense_ground_energy(single(26, {0: "Z"}), n_electrons=2)
+    assert len(result.basis) == 169
+    assert result.ground_energy == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_sector_basis_bounds_the_lanczos_vectors(monkeypatch):
+    """A block is refused where min(dim, LANCZOS_MAX_STEPS) float64 Lanczos
+    vectors of its dim states pass OPERATOR_MAX_BYTES: 24 qubits with 12
+    electrons (853 776 states, 1.91 GiB) is built, 26 qubits with 13
+    (2 944 656 states, 6.6 GiB) is refused before a state is enumerated."""
+    assert len(sector_basis(24, 12)) == 853_776
+
+    def no_enumeration(*args):
+        raise AssertionError("a state was enumerated before the guard")
+
+    monkeypatch.setattr(molq.exact.itertools, "combinations", no_enumeration)
+    for call in (sector_basis, lambda n, n_e: dense_ground_energy(single(n, {0: "Z"}), n_e)):
+        with pytest.raises(ResourceError, match="2944656-state block's Lanczos vectors"):
+            call(26, 13)
 
 
 @pytest.mark.parametrize("n_qubits,n_electrons", [(3, 1), (4, 5), (4, -1)])

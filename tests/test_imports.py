@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import molq
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -205,6 +207,29 @@ def test_benchmark_trace_bindings_resolve(monkeypatch):
         for part in attribute.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attribute}"
+
+
+def test_benchmark_tracer_runs_a_scan(monkeypatch, tmp_path):
+    """perfbench/tracer.py's Tracer around a 2-point H2 hf+exact+vqe
+    geometry scan and one frozen-core LiH FCIDUMP gradient-descent point:
+    the traced run completes and counts what it ran."""
+    tracer_module = load_perfbench_module(monkeypatch, "tracer")
+    h2 = molq.ScanSpec(molecule="H2", bond_lengths=[0.7, 0.9], basis="sto-3g",
+                       fragment_a=[("H", (0.0, 0.0, 0.0))], fragment_b=[("H", (0.0, 0.0, 0.0))],
+                       methods=("hf", "exact", "vqe"))
+    lih = molq.ScanSpec(molecule="LiH", bond_lengths=[1.6], methods=("hf", "vqe", "exact"),
+                        fcidump_pattern=str(ROOT / "data" / "fcidump" / "lih_d{length:.2f}.fcidump"),
+                        n_frozen=1, ansatz="uccsd", optimizer="gradient_descent", budget=120)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        records = [r for spec in (h2, lih) for r in molq.run_scan(spec, molq.EnergyDB(tmp_path / "db"))]
+    finally:
+        tracer.uninstall()
+    assert [r.error for r in records] == [None, None, None]
+    metrics = tracer.layer_metrics()
+    for name in ("exact.dense_dim", "vqe.n_gates", "vqe.evals", "scf.iterations"):
+        assert metrics[name] > 0, name
 
 
 def test_benchmark_workloads_import(monkeypatch):

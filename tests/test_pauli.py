@@ -29,6 +29,7 @@ from molq import (
     hardware_efficient_ansatz,
     jordan_wigner,
     parse_fcidump,
+    pauli_matrix,
     pauli_multiply,
     qwc_group,
     run_circuit,
@@ -421,6 +422,37 @@ def test_idempotent_on_random_sums():
         assert [(t.pattern_key(), t.coefficient) for t in once.terms] == [
             (t.pattern_key(), t.coefficient) for t in twice.terms
         ]
+
+
+# ------------------------------------------------------------- is_hermitian
+@pytest.mark.parametrize("kind", ["real", "complex", "merged-real"])
+def test_is_hermitian_is_the_dense_matrix_rule(kind):
+    """On the full space, a sum passes exactly when its matrix equals its
+    conjugate transpose: real columns, complex ones, and complex ones whose
+    repeated strings sum to real coefficients."""
+    rng = np.random.default_rng(12)
+    for n_qubits in (1, 2, 4):
+        for _ in range(10):
+            masks = rng.integers(0, 2**n_qubits, size=(int(rng.integers(1, 12)), 2))
+            c = rng.standard_normal(len(masks))
+            if kind != "real":
+                c = c + 1j * rng.standard_normal(len(masks))
+            if kind == "merged-real":   # each string again, its imaginary part cancelled
+                masks = np.concatenate([masks, masks])
+                c = np.concatenate([c, rng.standard_normal(len(c)) - 1j * c.imag])
+                order = rng.permutation(len(c))
+                masks, c = masks[order], c[order]
+            s = PauliSum(n_qubits, x=masks[:, 0], z=masks[:, 1], coefficients=c)
+            mat = pauli_matrix(s)
+            assert molq.pauli.is_hermitian(s) == np.allclose(mat, mat.conj().T, rtol=0, atol=1e-10)
+            assert molq.pauli.is_hermitian(s) == (kind != "complex")
+
+
+def test_is_hermitian_merges_past_the_canonical_register():
+    s = PauliSum(40, (PauliTerm(1 + 1j, {39: "Z"}), PauliTerm(1 - 1j, {39: "Z"})))
+    assert molq.pauli.is_hermitian(s)
+    s = PauliSum(40, s.terms + [PauliTerm(1j, {39: "X"})])
+    assert not molq.pauli.is_hermitian(s)
 
 
 # ---------------------------------------------------------------- qwc_group
