@@ -61,6 +61,7 @@ from .pauli import (
     pauli_multiply,
     qwc_group,
     serialize_pauli,
+    z2_symmetries,
 )
 from .statevector import (
     Circuit,
@@ -70,6 +71,7 @@ from .statevector import (
     sample_expectation,
 )
 from .vqe import (
+    ANSATZ_VERSIONS,
     Ansatz,
     MinimizeResult,
     OptimizerConfig,

@@ -111,7 +111,7 @@ def cmd_ham(args):
 def cmd_vqe(args):
     mo = _load_mo(args)
     pauli = jordan_wigner(build_fermionic_hamiltonian(mo))
-    ansatz = build_ansatz(args.ansatz, pauli.n_qubits, mo.n_electrons, args.depth)
+    ansatz = build_ansatz(args.ansatz, pauli, mo.n_electrons, args.depth)
     config = OptimizerConfig(method=args.optimizer, budget=args.budget, seed=args.seed)
     result = vqe_solve(pauli, ansatz, config, log=_log(args))
     print(f"E_VQE = {result.energy!r} Hartree")

@@ -49,13 +49,16 @@ class EnergyRecord:
     """One scan point: identity, energies, and method provenance.
 
     record_id hashes only the configuration (molecule, geometry, bond
-    length, basis, ansatz, optimizer, seed, and charge, frozen orbitals and
-    HEA depth when set), so re-running the same configuration yields the
-    same id and differing results stack up as versions under it. A failed
-    point (error set, no energies) has the id of the computation that
-    failed, so its fixed re-run is the next version under that id. Charge
-    0, no frozen orbitals and no depth stay out of the key, so the ids of
-    neutral, unfrozen, non-HEA records do not depend on those fields.
+    length, basis, ansatz, optimizer, seed, and charge, frozen orbitals,
+    HEA depth and optimizer budget when set, and the ansatz version when
+    other than 1), so re-running the same configuration yields the same id and
+    differing results stack up as versions under it. A failed point (error
+    set, no energies) has the id of the computation that failed, so its
+    fixed re-run is the next version under that id. Charge 0, no frozen
+    orbitals, no depth, no budget and ansatz versions 1 and None stay out
+    of the key, so the ids of records without those fields keep the hash
+    they had before the fields existed. The version rule is keyed to 1,
+    not to a current default, so no id changes meaning if the default does.
     """
 
     molecule: str
@@ -73,6 +76,8 @@ class EnergyRecord:
     charge: int = 0
     n_frozen: int = 0              # frozen-core spatial orbitals
     depth: int | None = None       # HEA layers; None for other ansatze
+    ansatz_version: int | None = None   # vqe.ANSATZ_VERSIONS of the ansatz
+    budget: int | None = None      # optimizer evaluation budget
     evaluations: int | None = None
     error: str | None = None
     record_id: str = ""
@@ -91,8 +96,12 @@ class EnergyRecord:
         for name in ("charge", "n_frozen"):
             if getattr(self, name):
                 key[name] = getattr(self, name)
-        if self.depth is not None:
-            key["depth"] = self.depth
+        for name in ("depth", "budget"):
+            if getattr(self, name) is not None:
+                key[name] = getattr(self, name)
+        # a version 1 hashes as no version, so ids from before versions keep
+        if self.ansatz_version not in (None, 1):
+            key["ansatz_version"] = self.ansatz_version
         return key
 
     def compute_id(self) -> str:
@@ -117,7 +126,7 @@ class EnergyRecord:
             value = getattr(self, name)
             if value is not None and not _finite_real(value):
                 raise UsageError(f"{name} must be a finite number, got {value!r}")
-        optional = ("n_qubits", "evaluations", "seed", "depth")
+        optional = ("n_qubits", "evaluations", "seed", "depth", "ansatz_version", "budget")
         for name in optional + ("charge", "n_frozen"):
             value = getattr(self, name)
             if value is None and name in optional:

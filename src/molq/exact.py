@@ -44,7 +44,8 @@ dense_ground_energy refuses a non-Hermitian PauliSum before it builds
 anything, runs eigh on every block within that guard and Lanczos on
 BlockOperator.apply only on a block past it; the whole Fock space (no
 electron count) is always dense, within the guard. sector_basis bounds a
-block by its Lanczos vectors, not its register.
+block by its float64 Lanczos vectors, not its register, and _lanczos
+bounds them again in the operator's dtype before it allocates one.
 """
 
 from __future__ import annotations
@@ -261,7 +262,8 @@ def sector_basis(n_qubits: int, n_electrons: int) -> np.ndarray:
     """Sorted basis states of the N-electron determinant block: ceil(N/2)
     electrons on the alpha qubits 0..n-1 and floor(N/2) on the beta qubits
     n..2n-1 (blocked spin ordering, n = n_qubits / 2). Refused, before any
-    is enumerated, where its Lanczos vectors could pass OPERATOR_MAX_BYTES."""
+    is enumerated, where its Lanczos vectors could pass OPERATOR_MAX_BYTES
+    in float64, the smallest dtype they take (`_lanczos` checks its own)."""
     if n_qubits % 2 or not 0 <= n_electrons <= n_qubits:
         raise UsageError(
             f"no {n_electrons}-electron sector on {n_qubits} spin orbitals"
@@ -285,8 +287,12 @@ def _lanczos(apply, dim: int, dtype) -> tuple:
     `apply` on dim states of dtype: Lanczos with full reorthogonalization
     from a fixed pseudo-random start, stopped once the lowest Ritz pair's
     residual |beta_m s_m| is at most LANCZOS_TOL times the largest |Ritz
-    value| (or the Krylov space is the whole space)."""
+    value| (or the Krylov space is the whole space). Refused, before any
+    vector is allocated, where its vectors of dtype pass OPERATOR_MAX_BYTES."""
     steps = min(dim, LANCZOS_MAX_STEPS)
+    if steps * dim * np.dtype(dtype).itemsize > OPERATOR_MAX_BYTES:
+        raise ResourceError(f"a {dim}-state block's {np.dtype(dtype)} Lanczos vectors "
+                            "exceed the operator guard")
     q = np.zeros((steps, dim), dtype=dtype)
     q[0] = np.random.default_rng(0).standard_normal(dim)
     q[0] /= np.linalg.norm(q[0])

@@ -24,6 +24,11 @@ bounds the transform and the merge to MAX_QUBITS; the int64 masks bound a
 PauliSum to MASK_QUBITS. Every string is Hermitian, so a sum is Hermitian
 exactly when each distinct string's summed coefficient is real: that is
 `is_hermitian`, molq's one test of it, which merges on (x, z) at any width.
+A Z string m commutes with a string of flip mask x exactly when |m & x|
+is even, so the Z2 symmetries of a sum, the parities it conserves, are
+read from its flip masks alone: `z2_symmetries` returns a basis of them.
+It sees only the strings the sum holds, so a symmetry-breaking term that
+the merge dropped below COEFF_DROP (1e-12) leaves its symmetry standing.
 
 For a fixed factor table the image is a linear map of the coefficient
 column, and a scan transforms the same table at every point. So the
@@ -227,6 +232,28 @@ def is_hermitian(s: PauliSum) -> bool:
     strings, inverse = np.unique(np.stack((s.x, s.z)), axis=1, return_inverse=True)
     merged = np.bincount(inverse.ravel(), s.coefficients.imag, strings.shape[1])
     return bool(np.all(np.abs(merged) <= 1e-12))
+
+
+def z2_symmetries(s: PauliSum) -> list:
+    """Independent Z masks m with |m & x| even for every string's flip
+    mask x: Z^m commutes with every term, a conserved parity. They are the
+    GF(2) null space of the distinct flip masks, one per qubit that is no
+    pivot of their reduced row echelon form, ascending by that qubit."""
+    pivots = {}   # pivot qubit -> reduced row holding it, no other row does
+    for row in np.unique(s.x).tolist():
+        for qubit, reduced in pivots.items():
+            if row >> qubit & 1:
+                row ^= reduced
+        if row:
+            qubit = row.bit_length() - 1
+            for other, reduced in pivots.items():
+                if reduced >> qubit & 1:
+                    pivots[other] = reduced ^ row
+            pivots[qubit] = row
+    return [
+        1 << free | sum(1 << qubit for qubit, row in pivots.items() if row >> free & 1)
+        for free in range(s.n_qubits) if free not in pivots
+    ]
 
 
 def _expand(codes, coefficients) -> tuple:

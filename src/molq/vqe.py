@@ -10,7 +10,14 @@ T_k and T_k^dagger as a row of factor codes gives `generators`, one
 PauliSum whose k-th run of strings sharing a flip mask is G_k. The
 circuit holds one native Pauli rotation exp(-i phi/2 P) per string P (the
 strings of one G_k commute); phi enters a shared slot through the gate's
-scale factor, which keeps the parameter-shift rule exact.
+scale factor, which keeps the parameter-shift rule exact. Given the
+Hamiltonian's Z2 symmetries (pauli.z2_symmetries), uccsd_ansatz drops
+every excitation whose flip mask breaks one: its G_k anticommutes with
+that parity and moves the state out of the HF determinant's sector, and
+its energy gradient is 0 while every such slot is at 0. H2's two singles
+go, leaving its one double; H4 keeps 12 of 24 slots, H6 49 of 99. The
+electron-number parities prune nothing: every excitation flips an even
+number of modes of each spin.
 
 vqe_solve runs an ansatz with generators on its block. UCCSD conserves N
 and S_z, so its state never leaves its reference's (N/2, N/2) block: H (a
@@ -49,6 +56,10 @@ from .fermion import FermionOperator
 from .integrals_io import closed_shell_pairs
 from .pauli import PauliSum, is_hermitian, jordan_wigner
 from .statevector import MAX_QUBITS, Circuit, _real_energy, run_circuit, expectation
+
+# Each ansatz kind's version, which its records carry: uccsd 2 keeps only
+# the slots that conserve the Hamiltonian's Z2 symmetries, uccsd 1 kept all
+ANSATZ_VERSIONS = {"uccsd": 2, "hea": 1}
 
 
 @dataclass
@@ -113,9 +124,12 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int | None
     )
 
 
-def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
+def uccsd_ansatz(n_qubits: int, n_electrons: int, symmetries=()) -> Ansatz:
     """HF prefix plus Trotterized spin-conserving singles and alpha-beta
-    doubles, one parameter per excitation.
+    doubles, one parameter per excitation, less every excitation whose
+    flip mask has odd overlap with one of the Z masks in `symmetries`
+    (see pauli.z2_symmetries): its generator anticommutes with that
+    parity, so it leads out of the HF determinant's sector.
 
     Rows 2k and 2k+1 of one FermionOperator hold T_k and T_k^dagger with
     coefficients 1 and -1, and one jordan_wigner call maps them all. T_k
@@ -139,18 +153,26 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int) -> Ansatz:
         (2 * a, 2 * (b + n_spatial), 2 * (j + n_spatial) + 1, 2 * i + 1)
         for i in range(n_occ) for j in range(n_occ) for a in virtuals for b in virtuals
     ]
+
+    def flip_mask(codes):   # its modes are distinct
+        return sum(1 << (code >> 1) for code in codes)
+
+    def kept(codes):
+        return not any((flip_mask(codes) & mask).bit_count() & 1 for mask in symmetries)
+
+    singles, doubles = list(filter(kept, singles)), list(filter(kept, doubles))
     rows, flips = [], []
     for codes in singles + doubles:
         pad = (-1,) * (4 - len(codes))
         rows += [codes + pad, tuple(code ^ 1 for code in reversed(codes)) + pad]  # T_k, T_k^dagger
-        flips.append(sum(1 << (code >> 1) for code in codes))  # its modes are distinct
+        flips.append(flip_mask(codes))
     image = jordan_wigner(FermionOperator(
-        n_qubits, coefficients=np.tile([1.0, -1.0], len(flips)), factors=rows
+        n_qubits, coefficients=np.tile([1.0, -1.0], len(flips)), factors=np.reshape(rows, (-1, 4))
     ))
     if np.any(np.abs(image.coefficients.real) > 1e-12):
         raise UsageError("excitation generator is not anti-Hermitian")
     slot_of = {flip: k for k, flip in enumerate(flips)}
-    slot = np.array([slot_of[flip] for flip in image.x.tolist()])
+    slot = np.array([slot_of[flip] for flip in image.x.tolist()], dtype=np.int64)
     order = np.argsort(slot, kind="stable")
     slot, x, z, c = slot[order], image.x[order], image.z[order], image.coefficients[order]
     for xi, zi, k, scale in zip(x.tolist(), z.tolist(), slot.tolist(), (-2.0 * c.imag).tolist()):

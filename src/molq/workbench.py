@@ -27,9 +27,10 @@ from .exact import dense_ground_energy
 from .fermion import build_fermionic_hamiltonian, freeze_core
 from .integrals import Geometry, assign_basis, build_ao_integrals, load_basis
 from .integrals_io import closed_shell_pairs, parse_fcidump, write_fcidump
-from .pauli import jordan_wigner
+from .pauli import PauliSum, jordan_wigner, z2_symmetries
 from .scf import ao_to_mo, hf_reference_energy, scf_solve
 from .vqe import (
+    ANSATZ_VERSIONS,
     OPTIMIZER_METHODS,
     OptimizerConfig,
     hardware_efficient_ansatz,
@@ -37,7 +38,7 @@ from .vqe import (
     vqe_solve,
 )
 
-ANSATZE = ("uccsd", "hea")
+ANSATZE = tuple(ANSATZ_VERSIONS)
 
 
 @dataclass
@@ -143,12 +144,13 @@ def load_mo(source, basis: str | None = None, log=None):
     return ao_to_mo(ao, scf.mo_coefficients), scf
 
 
-def build_ansatz(kind: str, n_qubits: int, n_electrons: int, depth: int):
-    """The ansatz of one of ANSATZE; depth counts HEA layers."""
+def build_ansatz(kind: str, h: PauliSum, n_electrons: int, depth: int):
+    """The ansatz of one of ANSATZE on h's register; depth counts HEA
+    layers. UCCSD keeps only the slots that conserve z2_symmetries(h)."""
     if kind == "uccsd":
-        return uccsd_ansatz(n_qubits, n_electrons)
+        return uccsd_ansatz(h.n_qubits, n_electrons, z2_symmetries(h))
     if kind == "hea":
-        return hardware_efficient_ansatz(n_qubits, depth, n_electrons)
+        return hardware_efficient_ansatz(h.n_qubits, depth, n_electrons)
     raise UsageError(f"unknown ansatz {kind!r}")
 
 
@@ -175,6 +177,8 @@ def point_record(spec: ScanSpec, length: float, error: str | None = None) -> Ene
         charge=spec.charge,
         n_frozen=spec.n_frozen,
         depth=spec.depth if vqe and spec.ansatz == "hea" else None,
+        ansatz_version=ANSATZ_VERSIONS[spec.ansatz] if vqe else None,
+        budget=spec.budget if vqe else None,
         error=error,
     )
     record.record_id = record.compute_id()
@@ -200,7 +204,7 @@ def scan_point(spec: ScanSpec, length: float, db: EnergyDB | None = None) -> Ene
     if "exact" in spec.methods:
         record.e_exact = dense_ground_energy(pauli, mo.n_electrons).ground_energy
     if "vqe" in spec.methods:
-        ansatz = build_ansatz(spec.ansatz, record.n_qubits, mo.n_electrons, spec.depth)
+        ansatz = build_ansatz(spec.ansatz, pauli, mo.n_electrons, spec.depth)
         config = OptimizerConfig(
             method=spec.optimizer, budget=spec.budget, seed=spec.seed
         )

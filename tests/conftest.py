@@ -1,5 +1,7 @@
 """Shared fixtures: small molecule pipelines reused across test modules."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,18 @@ def lih_h2_hamiltonian(sto3g):
     )
     _, _, mo = pipeline(geom, sto3g)
     return jordan_wigner(build_fermionic_hamiltonian(mo))
+
+
+@pytest.fixture(scope="session")
+def hydrogen_chain(sto3g):
+    """(n_atoms, spacing in Angstrom) -> the mapped qubit Hamiltonian of
+    linear H_n / STO-3G, each built once per test run."""
+    @functools.cache
+    def build(n_atoms, spacing):
+        geom = Geometry.from_angstrom([("H", (0.0, 0.0, spacing * k)) for k in range(n_atoms)])
+        return jordan_wigner(build_fermionic_hamiltonian(pipeline(geom, sto3g)[2]))
+
+    return build
 
 
 @pytest.fixture(scope="session")

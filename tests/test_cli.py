@@ -372,6 +372,25 @@ def test_scan_charge_gets_its_own_id(capsys, tmp_path):
     assert [len(db.versions(i)) for i in ids.values()] == [1, 1]
 
 
+def test_scan_budget_gets_its_own_id(capsys, tmp_path):
+    # two budgets are two computations; each VQE record stores its budget
+    # and the version of its ansatz
+    db_dir = str(tmp_path / "db")
+    ids = {}
+    for budget in ("30", "40"):
+        assert main(["scan", "--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H",
+                     "--basis", "sto-3g", "--lengths", "0.7354", "--methods", "hf,vqe",
+                     "--budget", budget, "--db", db_dir]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        ids[budget] = line.split("id=")[1]
+    assert ids["30"] != ids["40"]
+    db = EnergyDB(db_dir)
+    for budget, record_id in ids.items():
+        record = db.get(record_id)
+        assert (record.budget, record.ansatz_version) == (int(budget), 2)
+        assert record.evaluations <= int(budget)
+
+
 def test_scan_db_curve_end_to_end(capsys, tmp_path):
     db_dir = str(tmp_path / "db")
     csv_path = tmp_path / "curve.csv"

@@ -79,6 +79,25 @@ def test_unset_setup_fields_keep_the_id():
     assert make_record(depth=1).compute_id() != make_record(depth=2).compute_id()
 
 
+def test_budget_and_ansatz_version_name_the_computation():
+    # any set budget is hashed; an ansatz version only above 1, so records
+    # of version 1 or none keep the ids they had before versions
+    base = make_record().compute_id()
+    budgets = {make_record(budget=b).compute_id() for b in (50, 60)}
+    assert len(budgets) == 2 and base not in budgets
+    assert make_record(ansatz_version=1).compute_id() == base
+    assert make_record(ansatz_version=2).compute_id() not in (base, *budgets)
+    assert (make_record(ansatz_version=2, budget=50).compute_id()
+            != make_record(ansatz_version=3, budget=50).compute_id())
+
+
+@pytest.mark.parametrize("field", ["ansatz_version", "budget"])
+def test_validate_rejects_a_non_integer_setup_field(field):
+    for value in ("2", 2.0, True):
+        with pytest.raises(UsageError, match=f"{field} must be an integer"):
+            make_record(**{field: value}).validate()
+
+
 def test_validate_accepts_good_record():
     make_record().validate()
 
@@ -518,6 +537,18 @@ def test_audit_detects_id_mismatch(tmp_path):
     data["record_id"] = "f" * 16
     path.write_text(json.dumps(data))
     assert any("claims id" in p for p in db.audit())
+
+
+def test_audit_hashes_a_hand_edited_ansatz_version(tmp_path):
+    # a version of another type is hashed as written, not compared to 1
+    db = EnergyDB(tmp_path / "db")
+    record_id = db.put(make_record(ansatz_version=2, budget=50))
+    path = db.root / db.versions(record_id)[0]["file"]
+    data = json.loads(path.read_text())
+    data["ansatz_version"] = "2"
+    path.write_text(json.dumps(data))
+    (problem,) = db.audit()
+    assert "holds content id" in problem
 
 
 def test_audit_detects_content_of_another_id(tmp_path):

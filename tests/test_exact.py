@@ -2,6 +2,7 @@
 the determinant-basis FCI oracle."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,6 +26,7 @@ from molq import (
 from molq.errors import ComputationError, ResourceError, UsageError
 from molq.exact import (
     DENSE_MAX_QUBITS,
+    LANCZOS_MAX_STEPS,
     _lanczos,
     compile_operator,
     sector_basis,
@@ -375,6 +377,34 @@ def test_lanczos_matches_eigh_on_a_random_symmetric_operator(monkeypatch):
     monkeypatch.setattr(molq.exact, "LANCZOS_MAX_STEPS", 5)
     with pytest.raises(ComputationError, match="did not converge in 5 steps"):
         _lanczos(lambda v: a @ v, 700, np.float64)
+
+
+def test_lanczos_bounds_its_vectors_in_the_operator_dtype(monkeypatch):
+    """With the guard lowered to the float64 Lanczos vectors of a 1 225-state
+    block (14 qubits, 6 electrons), a complex operator on that block, whose
+    vectors take twice the bytes, is refused before any vector is allocated,
+    and the real one still solves."""
+    basis = sector_basis(14, 6)
+    assert len(basis) == 1225
+    monkeypatch.setattr(molq.exact, "OPERATOR_MAX_BYTES", LANCZOS_MAX_STEPS * 1225 * 8)
+    rng = np.random.default_rng(13)
+    real = PauliSum(14, [PauliTerm(float(c), {q: "Z"}) for q, c in enumerate(rng.uniform(0, 1, 14))]
+                    + [PauliTerm(0.3, {0: "X", 1: "X"}), PauliTerm(0.3, {0: "Y", 1: "Y"})])
+    complex_ = PauliSum(14, real.terms + [PauliTerm(0.2, {7: "X", 8: "Y"})])
+    ops = {"real": compile_operator(real, basis), "complex": compile_operator(complex_, basis)}
+    assert ops["complex"].values.dtype == np.complex128
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="1225-state block's complex128 Lanczos"):
+            _lanczos(ops["complex"].apply, 1225, ops["complex"].values.dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20   # the refused vectors would take 5.9 MB
+    op = ops["real"]
+    energy, vector = _lanczos(op.apply, op.dim, op.values.dtype)
+    assert energy == pytest.approx(np.linalg.eigvalsh(op.dense())[0], abs=1e-10)
+    assert np.linalg.norm(op.apply(vector) - energy * vector) <= 1e-9
 
 
 def test_h8_block_is_solved_by_lanczos(sto3g):

@@ -36,6 +36,7 @@ from molq import (
     sample_expectation,
     serialize_pauli,
     uccsd_ansatz,
+    z2_symmetries,
 )
 from conftest import pipeline
 
@@ -453,6 +454,63 @@ def test_is_hermitian_merges_past_the_canonical_register():
     assert molq.pauli.is_hermitian(s)
     s = PauliSum(40, s.terms + [PauliTerm(1j, {39: "X"})])
     assert not molq.pauli.is_hermitian(s)
+
+
+# ------------------------------------------------------------ z2_symmetries
+def span(masks) -> set:
+    """Every XOR of a subset of masks."""
+    found = {0}
+    for mask in masks:
+        found |= {m ^ mask for m in found}
+    return found
+
+
+def commuting_z_masks(s) -> set:
+    """By brute force: every Z mask with even overlap with each flip mask."""
+    return {m for m in range(2**s.n_qubits)
+            if not np.any(np.bitwise_count(s.x & m) & 1)}
+
+
+def test_z2_symmetries_are_the_commuting_z_masks_on_random_sums():
+    rng = np.random.default_rng(41)
+    for n_qubits in (1, 3, 6):
+        for n_terms in (0, 1, 3, 8):
+            masks = rng.integers(0, 2**n_qubits, size=(n_terms, 2))
+            s = PauliSum(n_qubits, x=masks[:, 0], z=masks[:, 1], coefficients=np.ones(n_terms))
+            found = z2_symmetries(s)
+            assert len(span(found)) == 2 ** len(found)   # independent
+            assert span(found) == commuting_z_masks(s)
+
+
+@pytest.mark.parametrize("n_atoms", [2, 4, 6])
+def test_z2_symmetries_of_hydrogen_chains(hydrogen_chain, n_atoms):
+    """Alpha parity, beta parity and the inversion of the chain: each mask
+    commutes with every term, and a term that breaks one removes it."""
+    h = hydrogen_chain(n_atoms, 0.9)
+    found = z2_symmetries(h)
+    n = h.n_qubits // 2
+    assert len(found) == 3
+    assert {(1 << n) - 1, ((1 << n) - 1) << n} <= span(found)
+    for mask in found:
+        parity = PauliTerm(1.0, x=0, z=mask)
+        for term in h.terms:
+            assert pauli_multiply(term, parity).coefficient == pauli_multiply(parity, term).coefficient
+    for flip in (1, 1 << n | 1, 2**h.n_qubits - 1, 0b11):
+        broken = PauliSum(h.n_qubits, h.terms + [PauliTerm(1e-6, x=flip, z=0)])
+        assert span(z2_symmetries(broken)) == {
+            m for m in span(found) if not (m & flip).bit_count() & 1}
+
+
+def test_z2_symmetries_of_parity_only_molecules(sto3g, lih_h2_hamiltonian):
+    """HeH+, LiH...H2 and frozen-core LiH conserve only the alpha and beta
+    electron-number parities."""
+    heh = pipeline(Geometry.from_angstrom([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], charge=1),
+                   sto3g)[2]
+    lih = freeze_core(parse_fcidump(LIH_FCIDUMP.read_text()), 1)
+    for h in (lih_h2_hamiltonian, *(jordan_wigner(build_fermionic_hamiltonian(mo))
+                                    for mo in (heh, lih))):
+        n = h.n_qubits // 2
+        assert span(z2_symmetries(h)) == span([(1 << n) - 1, ((1 << n) - 1) << n])
 
 
 # ---------------------------------------------------------------- qwc_group

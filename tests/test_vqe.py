@@ -36,6 +36,7 @@ from molq import (
     run_circuit,
     uccsd_ansatz,
     vqe_solve,
+    z2_symmetries,
 )
 from molq.exact import compile_operator, sector_basis
 
@@ -378,6 +379,70 @@ def test_adjoint_gradient_matches_parameter_shift(system, h2_hamiltonian, h4_ham
     theta = np.random.default_rng(23).uniform(-np.pi, np.pi, ansatz.parameter_count)
     adjoint = UCCSDBlock(h, ansatz).gradient(theta)
     assert_allclose(adjoint, parameter_shift_gradient(ansatz, h, theta), rtol=0, atol=1e-10)
+
+
+def slot_flip_masks(ansatz):
+    """Each slot's flip mask: the runs of one x mask in its generators."""
+    x = ansatz.generators.x
+    return x[np.diff(x, prepend=-1) != 0].tolist()
+
+
+@pytest.mark.parametrize("n_electrons", [4, 6])
+@pytest.mark.parametrize("spacing", [0.9, 1.5])
+def test_pruned_ansatz_is_the_full_one_with_its_dropped_slots_at_zero(hydrogen_chain,
+                                                                      n_electrons, spacing):
+    # the dropped slots leave the HF determinant's Z2 sector: with all of
+    # them at 0 their gradient is 0, and the kept slots see the same energy
+    # and gradient as in the full ansatz
+    h = hydrogen_chain(n_electrons, spacing)
+    full = uccsd_ansatz(h.n_qubits, n_electrons)
+    pruned = uccsd_ansatz(h.n_qubits, n_electrons, z2_symmetries(h))
+    assert (full.parameter_count, pruned.parameter_count) == {4: (24, 12), 6: (99, 49)}[n_electrons]
+    kept = [slot_flip_masks(full).index(mask) for mask in slot_flip_masks(pruned)]
+    assert kept == sorted(kept)   # the kept slots keep their order
+    dropped = np.setdiff1d(np.arange(full.parameter_count), kept)
+    full_block, pruned_block = UCCSDBlock(h, full), UCCSDBlock(h, pruned)
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, pruned.parameter_count)
+        padded = np.zeros(full.parameter_count)
+        padded[kept] = theta
+        assert abs(pruned_block.energy(theta) - full_block.energy(padded)) <= 1e-12
+        gradient = full_block.gradient(padded)
+        assert_allclose(pruned_block.gradient(theta), gradient[kept], rtol=0, atol=1e-12)
+        assert_allclose(gradient[dropped], 0.0, rtol=0, atol=1e-12)
+
+
+def test_pruned_circuit_matches_its_block(h4_hamiltonian):
+    ansatz = uccsd_ansatz(8, 4, z2_symmetries(h4_hamiltonian))
+    assert ansatz.descriptor == "uccsd(singles=4,doubles=8)"
+    block = UCCSDBlock(h4_hamiltonian, ansatz)
+    theta = np.random.default_rng(43).uniform(-np.pi, np.pi, ansatz.parameter_count)
+    full_space = expectation(run_circuit(ansatz.circuit, theta), h4_hamiltonian)
+    assert abs(block.energy(theta) - full_space) <= 1e-12
+    assert_allclose(block.gradient(theta), parameter_shift_gradient(ansatz, h4_hamiltonian, theta),
+                    rtol=0, atol=1e-10)
+
+
+def test_number_parities_prune_no_slot():
+    # symmetries=() keeps every slot; the number parities never prune one
+    for n_qubits, n_electrons in ((4, 2), (8, 4), (12, 6)):
+        full = uccsd_ansatz(n_qubits, n_electrons)
+        n = n_qubits // 2
+        parities = uccsd_ansatz(n_qubits, n_electrons, ((1 << n) - 1, ((1 << n) - 1) << n))
+        assert parities.descriptor == full.descriptor
+        for column in ("x", "z", "coefficients"):
+            assert (getattr(parities.generators, column).tobytes()
+                    == getattr(full.generators, column).tobytes())
+
+
+def test_uccsd_with_every_slot_pruned_is_the_hf_state():
+    # H = Z_0 conserves every Z_q, so no excitation is kept
+    h = PauliSum(4, (PauliTerm(1.0, {0: "Z"}),))
+    ansatz = uccsd_ansatz(4, 2, z2_symmetries(h))
+    assert (ansatz.parameter_count, ansatz.descriptor) == (0, "uccsd(singles=0,doubles=0)")
+    result = vqe_solve(h, ansatz)
+    assert (result.energy, result.evaluations) == (-1.0, 1)
 
 
 def test_block_keeps_the_circuit_checks(h2_hamiltonian):

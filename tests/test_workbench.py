@@ -13,7 +13,9 @@ import molq.scf
 import molq.vqe
 import molq.workbench
 from molq import (
+    ANSATZ_VERSIONS,
     Geometry,
+    PauliSum,
     ScanSpec,
     dense_ground_energy,
     emit_curve,
@@ -22,6 +24,7 @@ from molq import (
     run_scan,
     scan_point,
     uccsd_ansatz,
+    vqe_solve,
 )
 from molq.db import EnergyDB, EnergyRecord
 from molq.integrals import load_basis
@@ -462,7 +465,43 @@ def test_failed_point_keeps_its_computations_id(tmp_path):
 
 def test_build_ansatz_refuses_an_unknown_kind():
     with pytest.raises(UsageError, match="unknown ansatz 'qaoa'"):
-        build_ansatz("qaoa", 4, 2, 1)
+        build_ansatz("qaoa", PauliSum(4), 2, 1)
+
+
+def test_parity_only_hamiltonians_keep_every_slot(sto3g):
+    """Frozen-core LiH, LiH...H2 and HeH+ conserve no Z2 parity beyond the
+    electron-number ones, so their UCCSD is the unpruned one, byte for byte."""
+    lih = freeze_core(parse_fcidump((FCIDUMP_DIR / "lih_d1.60.fcidump").read_text()), 1)
+    geometries = (
+        Geometry.from_angstrom([("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)),
+                                ("H", (0, 0, 3.34))]),
+        Geometry.from_angstrom([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], charge=1),
+    )
+    for mo in (lih, *(pipeline(geometry, sto3g)[2] for geometry in geometries)):
+        h = jordan_wigner(build_fermionic_hamiltonian(mo))
+        pruned = build_ansatz("uccsd", h, mo.n_electrons, 1)
+        full = uccsd_ansatz(h.n_qubits, mo.n_electrons)
+        assert pruned.descriptor == full.descriptor
+        for column in ("x", "z", "coefficients"):
+            assert (getattr(pruned.generators, column).tobytes()
+                    == getattr(full.generators, column).tobytes())
+
+
+def test_h2_scan_optimizes_the_double_alone(tmp_path, sto3g):
+    """H2's two singles break its inversion parity: the scan's UCCSD keeps
+    the one double, Nelder-Mead searches 1 dimension, not 3, and reaches
+    the unpruned ansatz's energy in a fraction of its evaluations."""
+    spec = h2_spec(methods=("hf", "vqe", "exact"), bond_lengths=[0.7354, 1.5])
+    records = run_scan(spec, EnergyDB(tmp_path / "db"))
+    for record in records:
+        geometry = Geometry.from_angstrom([(sym, xyz) for sym, *xyz in record.geometry])
+        h = jordan_wigner(build_fermionic_hamiltonian(pipeline(geometry, sto3g)[2]))
+        assert build_ansatz("uccsd", h, 2, 1).descriptor == "uccsd(singles=0,doubles=1)"
+        full = vqe_solve(h, uccsd_ansatz(4, 2))
+        assert abs(record.e_vqe - record.e_exact) <= 1e-9
+        assert abs(record.e_vqe - full.energy) <= 1e-9
+        assert 3 * record.evaluations < full.evaluations
+        assert (record.ansatz_version, record.budget) == (ANSATZ_VERSIONS["uccsd"], spec.budget)
 
 
 # ---------------------------------------------------------------------------
