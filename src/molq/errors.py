@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check that
+raises one for a bad count or seed.
 
 The CLI maps these onto exit codes: usage problems exit 1, failed
 computations exit 2, and I/O failures (plain OSError) exit 3.
@@ -37,3 +38,9 @@ class ResourceError(ComputationError):
 
 class ScanError(ComputationError):
     """Every point of a bond-length scan failed."""
+
+
+def check_integer(name: str, value, lowest: int):
+    """Raise UsageError unless value is an int (a bool is not) >= lowest."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
+        raise UsageError(f"{name} must be an integer >= {lowest}, got {value!r}")

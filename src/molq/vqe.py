@@ -8,9 +8,10 @@ G_k = JW(T_k - T_k^dagger) the anti-Hermitian generator of one spin-
 conserving excitation. One jordan_wigner call over a table holding each
 T_k and T_k^dagger as a row of factor codes gives `generators`, one
 PauliSum whose k-th run of strings sharing a flip mask is G_k. The
-circuit holds one native Pauli rotation exp(-i phi/2 P) per string P (the
-strings of one G_k commute); phi enters a shared slot through the gate's
-scale factor, which keeps the parameter-shift rule exact. Given the
+circuit, built from it on first read, adds one native Pauli rotation
+exp(-i phi/2 P) per string P (the strings of one G_k commute); phi enters
+a shared slot through the gate's scale factor, which keeps the
+parameter-shift rule exact. Given the
 Hamiltonian's Z2 symmetries (pauli.z2_symmetries), uccsd_ansatz drops
 every excitation whose flip mask breaks one: its G_k anticommutes with
 that parity and moves the state out of the HF determinant's sector, and
@@ -28,9 +29,9 @@ exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2, which holds because
 G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA has no
 generators: it runs its circuit on the full-space simulator, whose states
 are amplitude arrays, with parameter-shift gradients and, when it declares
-its electron count, a check of <N> on its final state. The circuit,
+its electron count, a check of <N> on its final state. The UCCSD circuit,
 `expectation` and `parameter_shift_gradient` stay the oracles of the block
-path.
+path; vqe_solve never reads that circuit, so a UCCSD solve never builds it.
 
 `minimize` holds the three optimizers, all under one evaluation budget and
 all failing on a non-finite objective value, which they number by the
@@ -47,10 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ComputationError, ResourceError, UsageError
+from .errors import ComputationError, ResourceError, UsageError, check_integer
 from .exact import compile_operator, pauli_matrix, sector_basis
 from .fermion import FermionOperator
 from .integrals_io import closed_shell_pairs
@@ -64,11 +66,27 @@ ANSATZ_VERSIONS = {"uccsd": 2, "hea": 1}
 
 @dataclass
 class Ansatz:
-    circuit: Circuit          # includes the HF preparation prefix
+    prefix: Circuit           # the gates before the generator slots: all of HEA, UCCSD's HF X gates
     parameter_count: int
     descriptor: str
     generators: PauliSum | None = None   # UCCSD: every G_k = JW(T_k - T_k^dagger), slot by slot
     n_electrons: int | None = None   # electrons of the HF reference, if declared
+
+    @cached_property
+    def circuit(self) -> Circuit:
+        """The prefix, then one exp(-i phi/2 P) per generator string i*c P,
+        in slot k (the index of its run of one flip mask) with
+        phi = -2 Im(c) theta_k. Built on first read; only the oracles read
+        it for an ansatz with generators."""
+        if self.generators is None:
+            return self.prefix
+        g = self.generators
+        circuit = Circuit(self.prefix.n_qubits, list(self.prefix.gates))
+        slots = np.cumsum(np.diff(g.x, prepend=g.x[:1]) != 0)
+        for x, z, k, scale in zip(g.x.tolist(), g.z.tolist(), slots.tolist(),
+                                  (-2.0 * g.coefficients.imag).tolist()):
+            circuit.pauli_rot(x, z, slot=k, scale=scale)
+        return circuit
 
 
 @dataclass
@@ -117,7 +135,7 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int | None
         circuit.ry(q, slot=slot)
         slot += 1
     return Ansatz(
-        circuit=circuit,
+        prefix=circuit,
         parameter_count=n_qubits * (depth + 1),
         descriptor=f"hea(depth={depth})",
         n_electrons=n_electrons,
@@ -136,14 +154,13 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int, symmetries=()) -> Ansatz:
     flips exactly its own modes and no two slots flip the same set, so each
     string's x mask names its slot and its merged coefficient sums only that
     slot's rows; a stable sort by slot keeps each slot's strings in JW
-    order. The strings of one slot commute, and each string i*k P becomes
-    one exp(-i phi/2 P) with phi = -2*k*theta.
+    order. No circuit is built here: Ansatz.circuit builds it from the
+    generators when an oracle reads it.
     """
     n_spatial = n_qubits // 2
     n_occ = closed_shell_pairs(n_electrons, n_spatial)
     if not 0 < n_occ < n_spatial:
         raise UsageError("UCCSD needs an occupied and a virtual orbital")
-    circuit = hf_reference_circuit(n_qubits, n_electrons)
     virtuals = range(n_occ, n_spatial)
     singles = [  # a+_a a_i
         (2 * (a + spin), 2 * (i + spin) + 1)
@@ -174,14 +191,12 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int, symmetries=()) -> Ansatz:
     slot_of = {flip: k for k, flip in enumerate(flips)}
     slot = np.array([slot_of[flip] for flip in image.x.tolist()], dtype=np.int64)
     order = np.argsort(slot, kind="stable")
-    slot, x, z, c = slot[order], image.x[order], image.z[order], image.coefficients[order]
-    for xi, zi, k, scale in zip(x.tolist(), z.tolist(), slot.tolist(), (-2.0 * c.imag).tolist()):
-        circuit.pauli_rot(xi, zi, slot=k, scale=scale)
     return Ansatz(
-        circuit=circuit,
+        prefix=hf_reference_circuit(n_qubits, n_electrons),
         parameter_count=len(flips),
         descriptor=f"uccsd(singles={len(singles)},doubles={len(doubles)})",
-        generators=PauliSum(n_qubits, x=x, z=z, coefficients=c),
+        generators=PauliSum(n_qubits, x=image.x[order], z=image.z[order],
+                            coefficients=image.coefficients[order]),
         n_electrons=n_electrons,
     )
 
@@ -203,7 +218,7 @@ class UCCSDBlock:
     """
 
     def __init__(self, h: PauliSum, a: Ansatz):
-        if a.circuit.n_qubits != h.n_qubits:
+        if a.prefix.n_qubits != h.n_qubits:
             raise UsageError("ansatz and Hamiltonian qubit counts differ")
         if h.n_qubits > MAX_QUBITS:
             raise ResourceError(f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
@@ -264,16 +279,17 @@ def parameter_shift_gradient(a: Ansatz, h: PauliSum, theta) -> np.ndarray:
     """dE/dtheta_k via +-pi/2 shifts of each gate's effective angle, scaled
     by the gate's scale factor and summed over gates sharing slot k."""
     theta = np.asarray(theta, dtype=float)
+    circuit = a.circuit
     grad = np.zeros(a.parameter_count)
-    for gi, gate in enumerate(a.circuit.gates):
+    for gi, gate in enumerate(circuit.gates):
         if gate.slot is None:
             continue
         values = []
         for sign in (1.0, -1.0):
             shifted = replace(gate, angle=gate.angle + sign * 0.5 * math.pi)
-            gates = list(a.circuit.gates)
+            gates = list(circuit.gates)
             gates[gi] = shifted
-            psi = run_circuit(Circuit(a.circuit.n_qubits, gates), theta)
+            psi = run_circuit(Circuit(circuit.n_qubits, gates), theta)
             values.append(expectation(psi, h))
         grad[gate.slot] += gate.scale * 0.5 * (values[0] - values[1])
     return grad
@@ -389,10 +405,8 @@ def minimize(objective, theta0, config: OptimizerConfig | None = None, gradient=
     shift pairs; it raises UsageError without one, before any evaluation.
     """
     config = config or OptimizerConfig()
-    if config.budget < 1:
-        raise UsageError(f"optimizer budget must be >= 1, got {config.budget}")
-    if config.seed < 0:
-        raise UsageError(f"optimizer seed must be >= 0, got {config.seed}")
+    check_integer("optimizer budget", config.budget, 1)
+    check_integer("optimizer seed", config.seed, 0)
     if config.method not in OPTIMIZER_METHODS:
         raise UsageError(f"unknown optimizer method {config.method!r}")
     if config.method == "gradient_descent" and gradient is None:
@@ -472,7 +486,7 @@ def vqe_solve(h: PauliSum, a: Ansatz, config: OptimizerConfig | None = None, log
     n_electrons raises ComputationError unless
     <N> = sum_b popcount(b) |psi_b|^2 of its final state is that count."""
     config = config or OptimizerConfig()
-    if a.circuit.n_qubits != h.n_qubits:
+    if a.prefix.n_qubits != h.n_qubits:
         raise UsageError("ansatz and Hamiltonian qubit counts differ")
     if a.generators is not None:
         block = UCCSDBlock(h, a)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .db import METHODS, EnergyDB, EnergyRecord
-from .errors import ComputationError, ScanError, UsageError
+from .errors import ComputationError, ScanError, UsageError, check_integer
 from .exact import dense_ground_energy
 from .fermion import build_fermionic_hamiltonian, freeze_core
 from .integrals import Geometry, assign_basis, build_ao_integrals, load_basis
@@ -97,12 +97,9 @@ class ScanSpec:
             raise UsageError(f"unknown ansatz {self.ansatz!r}")
         if self.optimizer not in OPTIMIZER_METHODS:
             raise UsageError(f"unknown optimizer {self.optimizer!r}")
-        for name, lowest in (("budget", 1), ("seed", 0), ("n_frozen", 0), ("depth", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
-                raise UsageError(f"{name} must be an integer >= {lowest}, got {value!r}")
-        if self.workers < 1:
-            raise UsageError("workers must be >= 1")
+        for name, lowest in (("budget", 1), ("seed", 0), ("n_frozen", 0), ("depth", 0),
+                             ("workers", 1)):
+            check_integer(name, getattr(self, name), lowest)
         record = point_record(self, lengths[0])
         record.validate()
         if self.fcidump_pattern is None:   # electrons and functions are the same at every length

@@ -221,6 +221,16 @@ def test_uccsd_matches_per_excitation_reference(n_qubits, n_electrons):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_uccsd_circuit_is_built_once_from_its_generators():
+    # the generator sum is the one copy of the slots: the circuit is built
+    # from it on first read, kept, and leaves the HF prefix as it was
+    ansatz = uccsd_ansatz(8, 4)
+    first = ansatz.circuit
+    assert ansatz.circuit is first
+    assert len(first.gates) == 4 + ansatz.generators.x.size
+    assert ansatz.prefix.gates == hf_reference_circuit(8, 4).gates
+
+
 def test_uccsd_vqe_hits_exact_h2(h2_hamiltonian):
     exact = dense_ground_energy(h2_hamiltonian).ground_energy
     result = vqe_solve(h2_hamiltonian, uccsd_ansatz(4, 2))
@@ -592,8 +602,9 @@ def test_budget_respected():
 
 def test_negative_seed_is_refused():
     for method in ("nelder_mead", "spsa", "gradient_descent"):
-        with pytest.raises(UsageError, match="seed"):
-            minimize(lambda t: 0.0, [0.0], OptimizerConfig(method=method, seed=-1))
+        for seed in (-1, 1.5, True, "1"):
+            with pytest.raises(UsageError, match="seed"):
+                minimize(lambda t: 0.0, [0.0], OptimizerConfig(method=method, seed=seed))
 
 
 def test_budget_below_one_step_evaluates_theta0():
@@ -629,7 +640,7 @@ def test_gradient_descent_without_a_gradient_is_refused():
 
 
 @pytest.mark.parametrize("method", ["nelder_mead", "spsa", "gradient_descent"])
-@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("budget", [0, -5, 2.5, True, "9"])
 def test_budget_below_one_rejected(method, budget):
     count = [0]
 

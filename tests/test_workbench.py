@@ -10,6 +10,7 @@ import pytest
 import molq.exact
 import molq.integrals
 import molq.scf
+import molq.statevector
 import molq.vqe
 import molq.workbench
 from molq import (
@@ -26,6 +27,7 @@ from molq import (
     uccsd_ansatz,
     vqe_solve,
 )
+from molq.cli import main
 from molq.db import EnergyDB, EnergyRecord
 from molq.integrals import load_basis
 from molq.workbench import build_ansatz, point_record
@@ -106,6 +108,10 @@ def test_valid_spec_passes():
         (dict(charge=3), "negative electron count"),
         # freeze_core's refusal, which every point would meet
         (dict(n_frozen=2), "cannot freeze 2 orbitals with 2 electrons"),
+        (dict(workers=2.5), "workers must be an integer"),
+        (dict(workers=True), "workers must be an integer"),
+        (dict(workers="2"), "workers must be an integer"),
+        (dict(workers=None), "workers must be an integer"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
@@ -713,6 +719,25 @@ def test_run_scan_workers_match_serial(tmp_path):
     serial = run_scan(spec_serial)
     pooled = run_scan(spec_pool)
     assert [r.e_hf for r in serial] == [r.e_hf for r in pooled]
+
+
+def test_uccsd_point_builds_no_pauli_rotation(monkeypatch, capsys, tmp_path, h2_equilibrium):
+    # a UCCSD solve runs its generator sum on the block: no layer builds the
+    # ansatz's circuit, so no Pauli rotation is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Pauli rotation was built")
+
+    monkeypatch.setattr(molq.statevector.Circuit, "pauli_rot", refuse)
+    record = scan_point(h2_spec(methods=("hf", "exact", "vqe"), ansatz="uccsd"), 0.7354)
+    assert (record.e_hf, record.e_exact, record.e_vqe) == pytest.approx(
+        (-1.1169814467789596, -1.1373058080797829, -1.1373058080797829), rel=0, abs=1e-12)
+    assert record.evaluations == 53
+    path = tmp_path / "h2.fcidump"
+    path.write_text(write_fcidump(h2_equilibrium[2]))
+    assert main(["vqe", "--fcidump", str(path), "--ansatz", "uccsd"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[0].split()[2]) == pytest.approx(-1.1373058080797835, rel=0, abs=1e-12)
+    assert "evaluations = 53" in lines
 
 
 # ---------------------------------------------------------------------------
