@@ -188,7 +188,7 @@ def serialize_terms(op: FermionOperator, limit: int | None = None) -> str:
     tokens = np.array(tokens, dtype=object)
     rows, counts = op.factors[order], counts[order]
     factors = []   # rows come sorted by factor count, so each count is one run
-    for count in np.unique(counts).tolist():
+    for count in sorted(set(counts.tolist())):
         factors += map(" ".join, tokens[rows[counts == count, :count]].tolist())
     coefficients = _format_coefficients(op.coefficients[order])
     return "".join(map("{} * ( {} )\n".format, coefficients, factors))

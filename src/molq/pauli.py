@@ -16,12 +16,13 @@ PauliTerms are only built when `terms` is read. A string acts as
 P|b> = pauli_phase(b) |b ^ x>, whose (-1)^|b&z| part is `pauli_signs`.
 `pauli_multiply` is the product rule on one pair of terms. The transform
 applies the same rule to the columns of a FermionOperator: its rows are
-grouped by factor count and each group is expanded in one array pass per
-factor. Equal strings are then merged on the key x << 32 | z, summing
-coefficients in the order the scalar fold would produce them, and sorted
-by (weight, pattern); `canonicalize` is that same merge. The int64 key
-bounds the transform and the merge to MAX_QUBITS; the int64 masks bound a
-PauliSum to MASK_QUBITS. Every string is Hermitian, so a sum is Hermitian
+grouped by factor count and each group is expanded, a bounded chunk of
+rows at a time, in one array pass per factor. Equal strings are then
+merged on the key x << 32 | z, summing coefficients in the order the
+scalar fold would produce them, and sorted by (weight, pattern);
+`canonicalize` is that same merge. The int64 key bounds the transform
+and the merge to MAX_QUBITS; the int64 masks bound a PauliSum to
+MASK_QUBITS. Every string is Hermitian, so a sum is Hermitian
 exactly when each distinct string's summed coefficient is real: that is
 `is_hermitian`, molq's one test of it, which merges on (x, z) at any width.
 A Z string m commutes with a string of flip mask x exactly when |m & x|
@@ -43,7 +44,12 @@ holds 24 bytes per expanded string (a row of k factors expands to 2^k),
 16 per distinct string and 8 per row, and its key the table's bytes:
 0.9 MB for the 10-qubit LiH...H2 Hamiltonian (2 100 rows, 33 001
 strings), at most 52 MB for a 24-mode molecular Hamiltonian (76 608
-rows), so at most about 210 MB for a full cache of those.
+rows), so at most about 210 MB for a full cache of those. The build
+writes the map in place: row r's strings start at the sum of the earlier
+rows' repeats, and each factor count's rows are expanded _JW_CHUNK_STRINGS
+(4 096) strings, or one row, at a time straight there. Only the merge key
+(8 bytes per string) and its sort live beside the map, so a cold build
+peaks under 3x the map it keeps: 2.3 MB for LiH...H2, 8.2 MB for H8.
 """
 
 from __future__ import annotations
@@ -72,6 +78,9 @@ MASK_QUBITS = 62
 # Jordan-Wigner maps kept, least recently used evicted first: a scan
 # transforms two factor tables, its Hamiltonian's and its UCCSD excitations'
 _JW_MAP_CAPACITY = 4
+# Strings a map build expands in one pass: its transient arrays stay a few
+# hundred kB whatever the table's size
+_JW_CHUNK_STRINGS = 2**12
 
 
 def _letters(x: int, z: int) -> dict:
@@ -189,10 +198,10 @@ def pauli_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
     return (1j) ** (x & z).bit_count() * pauli_signs(idx, z)
 
 
-def _merge_plan(n_qubits: int, x, z) -> tuple:
-    """The distinct strings of the int64 mask arrays x, z, sorted by
-    (weight, pattern), and the index of each input string among them."""
-    keys, inverse = np.unique(x << 32 | z, return_inverse=True)
+def _merge_plan(n_qubits: int, keys) -> tuple:
+    """The distinct strings (x, z) among the int64 keys x << 32 | z, sorted
+    by (weight, pattern), and the index of each input string among them."""
+    keys, inverse = np.unique(keys, return_inverse=True)
     x, z = keys >> 32, keys & 0xFFFFFFFF
     # the pattern string compares qubit 0 first, letter by letter, I < X < Y < Z
     qubits = np.arange(n_qubits)
@@ -221,7 +230,7 @@ def canonicalize(s: PauliSum) -> PauliSum:
     """Merge equal patterns, drop |c| < 1e-12, sort by (weight, pattern)."""
     if s.n_qubits > MAX_QUBITS:
         raise ResourceError(f"{s.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
-    x, z, c = _fold(*_merge_plan(s.n_qubits, s.x, s.z), s.coefficients)
+    x, z, c = _fold(*_merge_plan(s.n_qubits, s.x << 32 | s.z), s.coefficients)
     return PauliSum(s.n_qubits, x=x, z=z, coefficients=c)
 
 
@@ -240,7 +249,7 @@ def z2_symmetries(s: PauliSum) -> list:
     GF(2) null space of the distinct flip masks, one per qubit that is no
     pivot of their reduced row echelon form, ascending by that qubit."""
     pivots = {}   # pivot qubit -> reduced row holding it, no other row does
-    for row in np.unique(s.x).tolist():
+    for row in sorted(set(s.x.tolist())):
         for qubit, reduced in pivots.items():
             if row >> qubit & 1:
                 row ^= reduced
@@ -304,15 +313,20 @@ def _jw_map(n_modes: int, shape: tuple, table: bytes, constant_row: bool) -> tup
     if constant_row:  # the identity string comes first
         factors = np.vstack([np.full((1, shape[1]), -1), factors])
     counts = (factors >= 0).sum(axis=1)
-    parts = []  # (producing row per string, x, z, scales)
-    for count in np.unique(counts).tolist():
+    repeats = 2**counts
+    starts = np.cumsum(repeats) - repeats   # each row's first string
+    keys = np.empty(repeats.sum(), dtype=np.int64)   # x << 32 | z
+    scales = np.empty(len(keys), dtype=complex)
+    for count in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == count)
-        strings = _expand(factors[rows, :count], np.ones(len(rows)))
-        parts.append((np.repeat(rows, 2**count), *strings))
-    owner, x, z, scales = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(owner, kind="stable")
-    x, z, inverse = _merge_plan(n_modes, x[order], z[order])
-    columns = (2**counts, scales[order], inverse, x, z)
+        step = max(1, _JW_CHUNK_STRINGS >> count)
+        for first in range(0, len(rows), step):
+            chunk = rows[first:first + step]
+            x, z, c = _expand(factors[chunk, :count], np.ones(len(chunk)))
+            where = (starts[chunk, None] + np.arange(2**count)).ravel()
+            keys[where], scales[where] = x << 32 | z, c
+    x, z, inverse = _merge_plan(n_modes, keys)
+    columns = (repeats, scales, inverse, x, z)
     for column in columns:
         column.flags.writeable = False
     return columns

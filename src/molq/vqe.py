@@ -228,9 +228,10 @@ class UCCSDBlock:
         self.h = pauli_matrix(h, basis)
         x = a.generators.x   # each run of one flip mask is a slot's strings
         flips = x[np.diff(x, prepend=-1) != 0]
-        if not np.unique(flips).size == flips.size == a.parameter_count:
+        masks = len(set(flips.tolist()))
+        if not masks == flips.size == a.parameter_count:
             raise UsageError(f"{a.parameter_count} slots need as many runs of one flip mask each; "
-                             f"the generators hold {flips.size} runs of {np.unique(flips).size} masks")
+                             f"the generators hold {flips.size} runs of {masks} masks")
         op = compile_operator(a.generators, basis)
         dtype = np.result_type(self.h, op.values)
         self.h = self.h.astype(dtype, copy=False)

@@ -1,12 +1,15 @@
 """`import molq`, the database commands, an FCIDUMP-to-UCCSD gradient-
 descent point, a `molq vqe` run with the default Nelder-Mead, a
 Lanczos-sized exact energy, and geometry scans through the AO integrals,
-from the API and from `molq scan`, load numpy, not scipy; the names the
-benchmark tracer wraps and its workloads import still exist.
+from the API and from `molq scan`, load numpy, not scipy and not
+numpy.ma; the names the benchmark tracer wraps and its workloads import
+still exist.
 
 No module of molq imports scipy: boys_f0's erf is a numpy port of
-Cephes. scipy is an oracle of the tests only. The load checks run in a
-fresh interpreter because the test process has scipy loaded already.
+Cephes. scipy is an oracle of the tests only. numpy 2.4's np.unique
+imports numpy.ma when it returns only the distinct values, so molq takes
+those with set(). The load checks run in a fresh interpreter because the
+test process has scipy loaded already.
 """
 
 import ast
@@ -31,6 +34,7 @@ molq.load_basis("sto-3g")
 molq.EnergyDB(sys.argv[1])
 assert molq.cli.main(["db", "list", "--db", sys.argv[1]]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 # The lih-fcidump-gd path: FCIDUMP, frozen core, JW, the sector-exact
@@ -45,6 +49,7 @@ molq.dense_ground_energy(h, mo.n_electrons)
 config = molq.OptimizerConfig(method="gradient_descent", budget=120)
 molq.vqe_solve(h, molq.uccsd_ansatz(h.n_qubits, mo.n_electrons), config)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 # `molq vqe` on an FCIDUMP with the default optimizer, Nelder-Mead.
@@ -57,6 +62,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = molq.cli.main(["vqe", "--fcidump", sys.argv[1], "--freeze", "1"])
 assert code == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
@@ -80,6 +86,7 @@ mo = molq.MOIntegrals(n, 6, h + h.T, sum(g.transpose(p) for p in perms) / 8, 0.0
 assert len(sector_basis(2 * n, 6)) > 2**molq.exact.DENSE_MAX_QUBITS
 molq.dense_ground_energy(molq.jordan_wigner(molq.build_fermionic_hamiltonian(mo)), 6)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
@@ -94,6 +101,7 @@ spec = molq.ScanSpec(molecule="H2", bond_lengths=[0.7, 0.9], basis="sto-3g",
 records = molq.run_scan(spec, molq.EnergyDB(sys.argv[1]))
 assert [r.error for r in records] == [None, None]
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 # `molq scan` from a geometry, with its default methods.
@@ -108,41 +116,56 @@ with contextlib.redirect_stdout(io.StringIO()):
                           "--lengths", "0.7,0.9", "--db", sys.argv[1]])
 assert code == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
-def scipy_modules_loaded(child, argument):
+def modules_loaded(child, argument):
+    """The child's two printed lines: the scipy and the numpy.ma modules it
+    loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", child, str(argument)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    return out.stdout.strip()
+    return out.stdout.splitlines()
 
 
 def test_import_and_db_commands_load_no_scipy(tmp_path):
-    assert scipy_modules_loaded(CHILD, tmp_path / "db") == "[]"
+    scipy, numpy_ma = modules_loaded(CHILD, tmp_path / "db")
+    assert scipy == "[]"
+    assert numpy_ma == "[]"
 
 
 def test_fcidump_uccsd_gradient_descent_loads_no_scipy():
     fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
-    assert scipy_modules_loaded(FCIDUMP_GD_CHILD, fcidump) == "[]"
+    scipy, numpy_ma = modules_loaded(FCIDUMP_GD_CHILD, fcidump)
+    assert scipy == "[]"
+    assert numpy_ma == "[]"
 
 
 def test_cli_vqe_nelder_mead_loads_no_scipy():
     fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
-    assert scipy_modules_loaded(CLI_VQE_CHILD, fcidump) == "[]"
+    scipy, numpy_ma = modules_loaded(CLI_VQE_CHILD, fcidump)
+    assert scipy == "[]"
+    assert numpy_ma == "[]"
 
 
 def test_lanczos_exact_energy_loads_no_scipy():
-    assert scipy_modules_loaded(LANCZOS_CHILD, 3) == "[]"
+    scipy, numpy_ma = modules_loaded(LANCZOS_CHILD, 3)
+    assert scipy == "[]"
+    assert numpy_ma == "[]"
 
 
 def test_geometry_scan_loads_no_scipy(tmp_path):
-    assert scipy_modules_loaded(GEOMETRY_SCAN_CHILD, tmp_path / "db") == "[]"
+    scipy, numpy_ma = modules_loaded(GEOMETRY_SCAN_CHILD, tmp_path / "db")
+    assert scipy == "[]"
+    assert numpy_ma == "[]"
 
 
 def test_cli_geometry_scan_loads_no_scipy(tmp_path):
-    assert scipy_modules_loaded(CLI_SCAN_CHILD, tmp_path / "db") == "[]"
+    scipy, numpy_ma = modules_loaded(CLI_SCAN_CHILD, tmp_path / "db")
+    assert scipy == "[]"
+    assert numpy_ma == "[]"
 
 
 def test_no_molq_module_imports_scipy():

@@ -2,6 +2,7 @@
 qubit-wise-commuting grouping, and the text format."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -393,6 +394,67 @@ def test_jw_map_cache_under_concurrent_callers():
     finally:
         sys.setswitchinterval(interval)
     assert molq.pauli._jw_map.cache_info().currsize <= molq.pauli._JW_MAP_CAPACITY
+
+
+def jw_table(op):
+    """The arguments of op's `_jw_map`: its cache key."""
+    return op.n_modes, op.factors.shape, op.factors.tobytes(), bool(op.constant != 0.0)
+
+
+def chain_operator(sto3g, atoms):
+    """The FermionOperator of an H or LiH...H2 chain / STO-3G."""
+    return build_fermionic_hamiltonian(pipeline(Geometry.from_angstrom(atoms), sto3g)[2])
+
+
+def h_chain(n_atoms):
+    return [("H", (0, 0, 0.9 * k)) for k in range(n_atoms)]
+
+
+LIH_H2 = [("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)), ("H", (0, 0, 3.34))]
+
+
+def test_jw_map_built_one_row_at_a_time_is_the_same(sto3g, monkeypatch):
+    """Each factor count's rows are expanded in chunks of
+    _JW_CHUNK_STRINGS strings; one row per chunk gives the same five
+    arrays byte for byte. Rows of 2 and 4 factors in turn place their
+    strings by row, not by factor count."""
+    seen = []
+    monkeypatch.setattr(molq.vqe, "jordan_wigner", lambda op: seen.append(op) or jordan_wigner(op))
+    uccsd_ansatz(12, 6)
+    turns = np.array([[0, 3, -1, -1], [1, 2, 5, 6], [2, 5, -1, -1], [7, 0, 4, 3],
+                      [6, 6, -1, -1], [5, 1, 1, 2], [4, 3, -1, -1]])
+    tables = [jw_table(chain_operator(sto3g, h_chain(4))), jw_table(chain_operator(sto3g, LIH_H2)),
+              jw_table(seen[0]), (4, turns.shape, turns.tobytes(), True)]
+    build = molq.pauli._jw_map.__wrapped__   # uncached
+    maps = [build(*table) for table in tables]
+    monkeypatch.setattr(molq.pauli, "_JW_CHUNK_STRINGS", 1)
+    for table, expected in zip(tables, maps):
+        got = build(*table)
+        assert [(c.dtype, c.tobytes()) for c in got] == [(c.dtype, c.tobytes()) for c in expected]
+
+    repeats, scales, inverse, x, z = maps[-1]
+    rows = np.vstack([np.full(4, -1), turns])   # the constant row first
+    for row, start in zip(rows, np.cumsum(repeats) - repeats):
+        count = int((row >= 0).sum())
+        ex, ez, ec = molq.pauli._expand(row[None, :count], np.ones(1))
+        strings = inverse[start:start + 2**count]
+        assert (x[strings] == ex).all() and (z[strings] == ez).all()
+        assert (scales[start:start + 2**count] == ec).all()
+
+
+@pytest.mark.parametrize("n_atoms", [6, 8])
+def test_jw_map_build_peak_is_at_most_three_maps(sto3g, n_atoms):
+    """A cold build's traced peak stays within 3x the map it keeps: no
+    step holds the whole expansion beside the map."""
+    table = jw_table(chain_operator(sto3g, h_chain(n_atoms)))
+    molq.pauli._jw_map.cache_clear()
+    tracemalloc.start()
+    try:
+        columns = molq.pauli._jw_map(*table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(column.nbytes for column in columns)
 
 
 # ------------------------------------------------------------- canonicalize

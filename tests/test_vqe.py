@@ -391,6 +391,18 @@ def test_adjoint_gradient_matches_parameter_shift(system, h2_hamiltonian, h4_ham
     assert_allclose(adjoint, parameter_shift_gradient(ansatz, h, theta), rtol=0, atol=1e-10)
 
 
+def test_block_refuses_a_flip_mask_in_two_runs(h2_hamiltonian):
+    # each slot is one run of one flip mask: the first slot's strings again
+    # after the last make 4 runs of 3 masks, refused even for 4 parameters
+    ansatz = uccsd_ansatz(4, 2)
+    g = ansatz.generators
+    rows = np.concatenate([np.arange(len(g.x)), np.flatnonzero(g.x == g.x[0])])
+    twice = PauliSum(4, x=g.x[rows], z=g.z[rows], coefficients=g.coefficients[rows])
+    for count in (3, 4):
+        with pytest.raises(UsageError, match="the generators hold 4 runs of 3 masks"):
+            UCCSDBlock(h2_hamiltonian, replace(ansatz, generators=twice, parameter_count=count))
+
+
 def slot_flip_masks(ansatz):
     """Each slot's flip mask: the runs of one x mask in its generators."""
     x = ansatz.generators.x
