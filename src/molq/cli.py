@@ -176,7 +176,6 @@ def cmd_scan(args):
         optimizer=args.optimizer,
         budget=args.budget,
         seed=args.seed,
-        workers=args.workers,
     )
     db = EnergyDB(args.db) if args.db else None
     records = run_scan(spec, db)
@@ -324,7 +323,6 @@ def build_parser() -> _Parser:
     p.add_argument("--freeze", type=int, default=ScanSpec.n_frozen,
                    help="frozen-core spatial orbitals")
     add_vqe_flags(p)
-    p.add_argument("--workers", type=int, default=ScanSpec.workers)
     p.add_argument("--db", help="database directory")
     p.add_argument("--output", help="write the curve CSV here")
 

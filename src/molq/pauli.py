@@ -203,10 +203,13 @@ def _merge_plan(n_qubits: int, keys) -> tuple:
     by (weight, pattern), and the index of each input string among them."""
     keys, inverse = np.unique(keys, return_inverse=True)
     x, z = keys >> 32, keys & 0xFFFFFFFF
-    # the pattern string compares qubit 0 first, letter by letter, I < X < Y < Z
-    qubits = np.arange(n_qubits)
-    codes = _SORT_CODE[(x[:, None] >> qubits & 1) + 2 * (z[:, None] >> qubits & 1)]
-    order = np.lexsort((*codes.T[::-1], np.bitwise_count(x | z)))
+    # one int64 per string: the weight, then each qubit's letter rank
+    # (I < X < Y < Z) in two bits, qubit 0 highest; 5 + 2 * MAX_QUBITS bits
+    sort_key = np.bitwise_count(x | z).astype(np.int64)
+    for q in range(n_qubits):
+        sort_key <<= 2
+        sort_key |= _SORT_CODE[(x >> q & 1) + 2 * (z >> q & 1)]
+    order = np.argsort(sort_key)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return x[order], z[order], rank[inverse]

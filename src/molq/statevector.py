@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, ResourceError, UsageError
+from .errors import ComputationError, ResourceError, UsageError, check_integer
 from .pauli import MAX_QUBITS, PauliSum, is_hermitian, pauli_phase, pauli_signs, qwc_group
 
 
@@ -193,8 +193,8 @@ def sample_expectation(psi: np.ndarray, h: PauliSum, shots: int, seed: int) -> f
     """
     if psi.shape != (2**h.n_qubits,):
         raise UsageError("statevector and Hamiltonian qubit counts differ")
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise UsageError(f"shots must be an integer >= 1, got {shots!r}")
+    check_integer("shots", shots, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     total = 0.0
     for group in qwc_group(h):

@@ -121,8 +121,7 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, n_electrons: int | None
     """HF prefix (none without n_electrons), then `depth` [RY layer + CZ
     chain] blocks, then a final RY layer; n_qubits*(depth+1) parameters.
     A declared n_electrons is also the sector vqe_solve checks the result in."""
-    if depth < 0:
-        raise UsageError("depth must be >= 0")
+    check_integer("depth", depth, 0)
     circuit = hf_reference_circuit(n_qubits, n_electrons or 0)
     slot = 0
     for _ in range(depth):

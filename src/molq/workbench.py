@@ -9,13 +9,13 @@ ingests pre-computed FCIDUMP files) and persists one EnergyRecord per
 point, built by point_record, with the FCIDUMP of the integrals the point
 used (after frozen core) as its Hamiltonian. Points are independent jobs:
 a failing length is recorded with an error note under the id of the
-computation that failed, and the scan moves on.
+computation that failed, and the scan moves on. A scan runs its points
+one after another, in bond-length order, in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +57,7 @@ class ScanSpec:
     optimizer: str = OptimizerConfig.method   # one of OPTIMIZER_METHODS
     budget: int = OptimizerConfig.budget
     seed: int = OptimizerConfig.seed
-    workers: int = 1
+    workers: int = 1                    # scans run serially: 1 is the only value
 
     def validate(self):
         """Raise UsageError for a spec that no point could run, or whose
@@ -100,6 +100,8 @@ class ScanSpec:
         for name, lowest in (("budget", 1), ("seed", 0), ("n_frozen", 0), ("depth", 0),
                              ("workers", 1)):
             check_integer(name, getattr(self, name), lowest)
+        if self.workers != 1:
+            raise UsageError(f"workers must be 1, got {self.workers}: scans run serially")
         record = point_record(self, lengths[0])
         record.validate()
         if self.fcidump_pattern is None:   # electrons and functions are the same at every length
@@ -219,21 +221,15 @@ def run_scan(spec: ScanSpec, db: EnergyDB | None = None) -> list:
     """All scan points, in bond-length order; failures become error records.
     ScanError, naming the first failure, if every point fails."""
     spec.validate()
-
-    def one(length):
+    records = []
+    for length in spec.bond_lengths:
         try:
-            return scan_point(spec, length, db)
+            records.append(scan_point(spec, length, db))
         except Exception as exc:  # failure isolation per point
             record = point_record(spec, length, error=f"{type(exc).__name__}: {exc}")
             if db is not None:
                 db.put(record)
-            return record
-
-    if spec.workers == 1:
-        records = [one(length) for length in spec.bond_lengths]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            records = list(pool.map(one, spec.bond_lengths))
+            records.append(record)
     if all(record.error is not None for record in records):
         first = records[0]
         raise ScanError(f"every scan point failed; the first, at {first.bond_length:g} "

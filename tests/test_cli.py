@@ -211,8 +211,7 @@ def test_vqe_and_scan_take_their_defaults_from_the_library():
         assert (args.optimizer, args.budget, args.seed) == (
             OptimizerConfig.method, OptimizerConfig.budget, OptimizerConfig.seed)
     args = parser.parse_args(["scan", "--molecule", "H2", "--lengths", "0.7"])
-    assert (args.charge, args.freeze, args.workers) == (
-        ScanSpec.charge, ScanSpec.n_frozen, ScanSpec.workers)
+    assert (args.charge, args.freeze) == (ScanSpec.charge, ScanSpec.n_frozen)
     assert tuple(args.methods.split(",")) == ScanSpec.methods
 
 
@@ -254,6 +253,19 @@ def test_scan_negative_seed_writes_nothing(capsys, tmp_path):
     assert captured.err.startswith("error:") and "seed" in captured.err
     assert captured.out == ""
     assert EnergyDB(db_dir).list_ids() == []
+
+
+
+def test_scan_has_no_workers_flag(capsys, tmp_path):
+    # a scan runs its points serially; ScanSpec.workers accepts only 1
+    db_dir = tmp_path / "db"
+    assert main(["scan", "--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H",
+                 "--basis", "sto-3g", "--lengths", "0.7", "--workers", "2",
+                 "--db", str(db_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --workers 2" in captured.err
+    assert captured.out == ""
+    assert not db_dir.exists()
 
 
 def test_vqe_hea(capsys, h2_fcidump):

@@ -2,8 +2,9 @@
 descent point, a `molq vqe` run with the default Nelder-Mead, a
 Lanczos-sized exact energy, and geometry scans through the AO integrals,
 from the API and from `molq scan`, load numpy, not scipy and not
-numpy.ma; the names the benchmark tracer wraps and its workloads import
-still exist.
+numpy.ma, and neither concurrent.futures nor logging: a scan runs its
+points serially. The names the benchmark tracer wraps and its workloads
+import still exist.
 
 No module of molq imports scipy: boys_f0's erf is a numpy port of
 Cephes. scipy is an oracle of the tests only. numpy 2.4's np.unique
@@ -33,8 +34,6 @@ import molq.cli
 molq.load_basis("sto-3g")
 molq.EnergyDB(sys.argv[1])
 assert molq.cli.main(["db", "list", "--db", sys.argv[1]]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 # The lih-fcidump-gd path: FCIDUMP, frozen core, JW, the sector-exact
@@ -48,8 +47,6 @@ h = molq.jordan_wigner(molq.build_fermionic_hamiltonian(mo))
 molq.dense_ground_energy(h, mo.n_electrons)
 config = molq.OptimizerConfig(method="gradient_descent", budget=120)
 molq.vqe_solve(h, molq.uccsd_ansatz(h.n_qubits, mo.n_electrons), config)
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 # `molq vqe` on an FCIDUMP with the default optimizer, Nelder-Mead.
@@ -61,8 +58,6 @@ import molq.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = molq.cli.main(["vqe", "--fcidump", sys.argv[1], "--freeze", "1"])
 assert code == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
@@ -85,8 +80,6 @@ perms = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
 mo = molq.MOIntegrals(n, 6, h + h.T, sum(g.transpose(p) for p in perms) / 8, 0.0)
 assert len(sector_basis(2 * n, 6)) > 2**molq.exact.DENSE_MAX_QUBITS
 molq.dense_ground_energy(molq.jordan_wigner(molq.build_fermionic_hamiltonian(mo)), 6)
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
@@ -100,8 +93,6 @@ spec = molq.ScanSpec(molecule="H2", bond_lengths=[0.7, 0.9], basis="sto-3g",
                      methods=("hf", "exact", "vqe"))
 records = molq.run_scan(spec, molq.EnergyDB(sys.argv[1]))
 assert [r.error for r in records] == [None, None]
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 # `molq scan` from a geometry, with its default methods.
@@ -115,57 +106,52 @@ with contextlib.redirect_stdout(io.StringIO()):
                           "--fragment-b", "H", "--basis", "sto-3g",
                           "--lengths", "0.7,0.9", "--db", sys.argv[1]])
 assert code == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
+# Run after each child: its scipy modules, its numpy.ma modules, and
+# which of concurrent.futures and logging it loaded.
+REPORT = """\
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+print(sorted(name for name in sys.modules if name in ("concurrent.futures", "logging")))
+"""
+
+
 def modules_loaded(child, argument):
-    """The child's two printed lines: the scipy and the numpy.ma modules it
-    loaded."""
+    """Three lines, run after the child: the scipy, the numpy.ma, and the
+    concurrent.futures and logging modules it loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", child, str(argument)],
+        [sys.executable, "-c", child + REPORT, str(argument)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return out.stdout.splitlines()
 
 
 def test_import_and_db_commands_load_no_scipy(tmp_path):
-    scipy, numpy_ma = modules_loaded(CHILD, tmp_path / "db")
-    assert scipy == "[]"
-    assert numpy_ma == "[]"
+    assert modules_loaded(CHILD, tmp_path / "db") == ["[]", "[]", "[]"]
 
 
 def test_fcidump_uccsd_gradient_descent_loads_no_scipy():
     fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
-    scipy, numpy_ma = modules_loaded(FCIDUMP_GD_CHILD, fcidump)
-    assert scipy == "[]"
-    assert numpy_ma == "[]"
+    assert modules_loaded(FCIDUMP_GD_CHILD, fcidump) == ["[]", "[]", "[]"]
 
 
 def test_cli_vqe_nelder_mead_loads_no_scipy():
     fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
-    scipy, numpy_ma = modules_loaded(CLI_VQE_CHILD, fcidump)
-    assert scipy == "[]"
-    assert numpy_ma == "[]"
+    assert modules_loaded(CLI_VQE_CHILD, fcidump) == ["[]", "[]", "[]"]
 
 
 def test_lanczos_exact_energy_loads_no_scipy():
-    scipy, numpy_ma = modules_loaded(LANCZOS_CHILD, 3)
-    assert scipy == "[]"
-    assert numpy_ma == "[]"
+    assert modules_loaded(LANCZOS_CHILD, 3) == ["[]", "[]", "[]"]
 
 
 def test_geometry_scan_loads_no_scipy(tmp_path):
-    scipy, numpy_ma = modules_loaded(GEOMETRY_SCAN_CHILD, tmp_path / "db")
-    assert scipy == "[]"
-    assert numpy_ma == "[]"
+    assert modules_loaded(GEOMETRY_SCAN_CHILD, tmp_path / "db") == ["[]", "[]", "[]"]
 
 
 def test_cli_geometry_scan_loads_no_scipy(tmp_path):
-    scipy, numpy_ma = modules_loaded(CLI_SCAN_CHILD, tmp_path / "db")
-    assert scipy == "[]"
-    assert numpy_ma == "[]"
+    assert modules_loaded(CLI_SCAN_CHILD, tmp_path / "db") == ["[]", "[]", "[]"]
 
 
 def test_no_molq_module_imports_scipy():

@@ -487,6 +487,46 @@ def test_idempotent_on_random_sums():
         ]
 
 
+
+def lexsort_merge_plan(n_qubits, keys):
+    """_merge_plan's order by n_qubits + 1 lexsort keys: the weight, then
+    each qubit's letter rank (I < X < Y < Z), qubit 0 first."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    x, z = keys >> 32, keys & 0xFFFFFFFF
+    qubits = np.arange(n_qubits)
+    codes = np.array([0, 1, 3, 2])[(x[:, None] >> qubits & 1) + 2 * (z[:, None] >> qubits & 1)]
+    order = np.lexsort((*codes.T[::-1], np.bitwise_count(x | z)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return x[order], z[order], rank[inverse]
+
+
+@pytest.mark.parametrize("n_qubits", [1, 4, 10, 16, 24])
+def test_merge_plan_is_the_lexsort_order(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    full = 2**n_qubits - 1
+    x = np.append(rng.integers(0, full + 1, 20_000), [0, full, full, 0])
+    z = np.append(rng.integers(0, full + 1, 20_000), [0, full, 0, full])
+    keys = x << 32 | z
+    got = molq.pauli._merge_plan(n_qubits, keys)
+    for column, expected in zip(got, lexsort_merge_plan(n_qubits, keys)):
+        assert (column == expected).all()
+
+
+def test_merge_plan_peak_does_not_grow_with_the_register():
+    """The sort key is one int64 per distinct string, built one qubit at a
+    time: no (strings, qubits) array is held."""
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 2**24, 20_000) << 32 | rng.integers(0, 2**24, 20_000)
+    tracemalloc.start()
+    try:
+        molq.pauli._merge_plan(24, keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * keys.nbytes
+
+
 # ------------------------------------------------------------- is_hermitian
 @pytest.mark.parametrize("kind", ["real", "complex", "merged-real"])
 def test_is_hermitian_is_the_dense_matrix_rule(kind):

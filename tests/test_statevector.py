@@ -360,10 +360,18 @@ def test_sampling_shot_validation(h2_hamiltonian):
 
 
 def test_sampling_rejects_non_integer_shots(h2_hamiltonian):
+    # errors.check_integer: a bool or a numpy integer is not an int
     psi = state(Circuit(4))
-    for shots in (2.5, 100.0, "100"):
+    for shots in (2.5, 100.0, "100", True, np.int64(100)):
         with pytest.raises(UsageError, match="shots"):
             sample_expectation(psi, h2_hamiltonian, shots, 0)
+
+
+def test_sampling_rejects_a_seed_that_is_not_an_int_of_at_least_0(h2_hamiltonian):
+    psi = state(Circuit(4))
+    for seed in (-1, 1.5, True, np.int64(0)):
+        with pytest.raises(UsageError, match="seed must be an integer >= 0"):
+            sample_expectation(psi, h2_hamiltonian, 100, seed)
 
 
 def test_sampling_basis_change_on_eigenstates():

@@ -91,6 +91,12 @@ def test_hea_depth_zero_single_layer():
     assert hardware_efficient_ansatz(3, 0).parameter_count == 3
 
 
+@pytest.mark.parametrize("depth", [-1, True, 2.5, "1", None], ids=repr)
+def test_hea_depth_takes_the_one_integer_rule(depth):
+    with pytest.raises(UsageError, match="depth must be an integer >= 0"):
+        hardware_efficient_ansatz(2, depth)
+
+
 @pytest.mark.parametrize("n_atoms, length, depth", [
     (2, 0.7354, 1), (2, 0.7354, 2), (2, 1.6, 1), (2, 1.6, 2), (2, 2.5, 1), (2, 2.5, 2),
     (4, 0.9, 1),

@@ -112,6 +112,7 @@ def test_valid_spec_passes():
         (dict(workers=True), "workers must be an integer"),
         (dict(workers="2"), "workers must be an integer"),
         (dict(workers=None), "workers must be an integer"),
+        (dict(workers=2), "workers must be 1, got 2: scans run serially"),
     ],
 )
 def test_spec_validation_errors(overrides, fragment):
@@ -127,6 +128,7 @@ def test_spec_validation_errors(overrides, fragment):
         dict(optimizer="bogus"),
         dict(ansatz="hea", depth=-1),
         dict(optimizer="spsa", seed=-1),
+        dict(workers=2),
     ],
 )
 def test_run_scan_rejects_bad_spec_before_any_point(tmp_path, overrides):
@@ -594,12 +596,13 @@ def test_load_basis_keeps_shipped_parses_and_reads_files_again(tmp_path):
 
 def test_run_scan_returns_sorted_records(tmp_path):
     db = EnergyDB(tmp_path / "db")
-    spec = h2_spec(bond_lengths=[0.6, 0.7, 0.8], methods=("hf",), workers=3)
+    spec = h2_spec(bond_lengths=[0.6, 0.7, 0.8], methods=("hf",))
     records = run_scan(spec, db)
     assert [r.bond_length for r in records] == [0.6, 0.7, 0.8]
     assert all(r.error is None for r in records)
     assert sorted(db.list_ids()) == sorted(r.record_id for r in records)
     assert db.audit() == []
+
 
 
 def test_run_scan_isolates_failures(tmp_path, h2_equilibrium):
@@ -711,14 +714,6 @@ def test_hea_point_that_leaves_the_sector_fails_by_name(tmp_path):
     # so <N> is checked as a number, not by its printed digits
     assert float(str(err.value).rsplit("= ", 1)[1]) == pytest.approx(3.0, abs=1e-5)
     assert db.list_ids() == []
-
-
-def test_run_scan_workers_match_serial(tmp_path):
-    spec_serial = h2_spec(bond_lengths=[0.65, 0.75], methods=("hf",))
-    spec_pool = h2_spec(bond_lengths=[0.65, 0.75], methods=("hf",), workers=2)
-    serial = run_scan(spec_serial)
-    pooled = run_scan(spec_pool)
-    assert [r.e_hf for r in serial] == [r.e_hf for r in pooled]
 
 
 def test_uccsd_point_builds_no_pauli_rotation(monkeypatch, capsys, tmp_path, h2_equilibrium):
