@@ -17,11 +17,17 @@ equals the record's content id: the hash of the configuration fields of
 EnergyRecord.content_key, so two records differing in any of them get two ids.
 It accepts a hamiltonian_ref only as paths of files directly under
 hamiltonians/, and audit reports any other ref it reads.
+
+Ids and Hamiltonian names hash with CPython's built-in SHA-256, not
+hashlib's, whose OpenSSL libcrypto added 3.4-3.8 MB to the benchmark's
+peak_rss_mb on every workload (medians of 10 alternating pairs each, 2-core
+x86-64 host, Python 3.11); the paths that use numpy.random (Lanczos past the
+dense guard, sample_expectation, SPSA) still load OpenSSL through its
+secrets import.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -34,7 +40,15 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import UsageError
+from .errors import UsageError, check_integer
+
+try:                                    # CPython's built-in SHA-256, not OpenSSL's
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10 and 3.11
+    except ImportError:                 # an interpreter built without either
+        from hashlib import sha256
 
 VARIATIONAL_SLACK = 1e-9
 RECORD_ID = "[0-9a-f]{16}"
@@ -106,7 +120,7 @@ class EnergyRecord:
 
     def compute_id(self) -> str:
         canonical = json.dumps(self.content_key(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return sha256(canonical.encode()).hexdigest()[:16]
 
     def validate(self):
         for name in ("molecule", "basis"):
@@ -238,7 +252,7 @@ class EnergyDB:
         """Store FCIDUMP text as hamiltonians/<hash of text>.fcidump; return
         that name. The name only appears by linking a written, fsynced file,
         so when it exists it holds this text and nothing is staged."""
-        file = f"hamiltonians/{hashlib.sha256(text.encode()).hexdigest()[:16]}.fcidump"
+        file = f"hamiltonians/{sha256(text.encode()).hexdigest()[:16]}.fcidump"
         if not os.path.exists(f"{self._root}/{file}"):
             _write_new(self.hamiltonians_dir, text, [f"{self._root}/{file}"])
         return file
@@ -262,10 +276,15 @@ class EnergyDB:
 
     def get(self, record_id: str, version: int | None = None) -> EnergyRecord:
         """Version `version` (default: the latest) of a record; KeyError if
-        the id is malformed or that version does not exist."""
+        the id is malformed, the version is not an int >= 1 (checked before
+        any path is formed) or that version does not exist."""
         check_record_id(record_id)
         if version is None:
             version = len(self.versions(record_id))
+            if not version:
+                raise KeyError(f"{record_id} has no version 1")
+        else:
+            check_integer("version", version, 1, KeyError)
         return self._load(record_id, version)
 
     def _listing(self) -> dict:

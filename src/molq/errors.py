@@ -40,7 +40,7 @@ class ScanError(ComputationError):
     """Every point of a bond-length scan failed."""
 
 
-def check_integer(name: str, value, lowest: int):
-    """Raise UsageError unless value is an int (a bool is not) >= lowest."""
+def check_integer(name: str, value, lowest: int, error=UsageError):
+    """Raise `error` unless value is an int (a bool is not) >= lowest."""
     if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
-        raise UsageError(f"{name} must be an integer >= {lowest}, got {value!r}")
+        raise error(f"{name} must be an integer >= {lowest}, got {value!r}")

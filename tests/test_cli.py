@@ -761,6 +761,18 @@ def test_db_get_missing_record(capsys, tmp_path):
     assert main(["db", "get", "--db", str(tmp_path / "db"), "0" * 16]) == 1
 
 
+def test_db_get_refuses_version_0(capsys, tmp_path):
+    db_dir = tmp_path / "db"
+    record_file = tmp_path / "rec.json"
+    record_file.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g"}))
+    assert main(["db", "put", "--db", str(db_dir), str(record_file)]) == 0
+    record_id = capsys.readouterr().out.strip()
+    assert main(["db", "get", "--db", str(db_dir), record_id, "--version", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no such record" in captured.err and "integer >= 1, got 0" in captured.err
+
+
 def test_db_get_rejects_path_traversal(capsys, tmp_path):
     # a record file beside records/ must not be reachable through the id
     db_dir = tmp_path / "db"

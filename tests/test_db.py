@@ -1,5 +1,6 @@
 """File-backed energy database: identity, versioning, queries, audit."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -14,8 +15,11 @@ from pathlib import Path
 import pytest
 
 import molq
+from molq import Geometry, write_fcidump
 from molq.db import TMP_SUFFIX, VARIATIONAL_SLACK, EnergyDB, EnergyRecord
 from molq.errors import UsageError
+
+from conftest import pipeline
 
 
 def make_record(**overrides):
@@ -89,6 +93,107 @@ def test_budget_and_ansatz_version_name_the_computation():
     assert make_record(ansatz_version=2).compute_id() not in (base, *budgets)
     assert (make_record(ansatz_version=2, budget=50).compute_id()
             != make_record(ansatz_version=3, budget=50).compute_id())
+
+
+# ---------------------------------------------------------------------------
+# the hash: CPython's built-in SHA-256, against hashlib's as the oracle
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+LABELS = ("H2", "HeH+", "LiH···H₂", "H₂O", "Ångström-H₃⁺", "水", "🧪")
+KEY_FIELDS = {"molecule", "geometry", "bond_length", "basis", "ansatz", "optimizer", "seed",
+              "charge", "n_frozen", "depth", "budget", "ansatz_version"}
+
+
+def oracle_name(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def seeded_records(seed, count=150):
+    """Records whose content keys take every key field, optional ones set
+    and unset, and non-ASCII molecule labels."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        length = round(rng.uniform(0.3, 4.0), 6)
+        yield make_record(
+            molecule=rng.choice(LABELS),
+            basis=rng.choice(("sto-3g", "6-31g")),
+            geometry=rng.choice((None, [["H", 0.0, 0.0, 0.0], ["H", 0.0, 0.0, length]],
+                                 {"fcidump": "data/fcidump/lih_d1.60.fcidump"})),
+            bond_length=rng.choice((None, length)),
+            ansatz=rng.choice((None, "uccsd", "hea")),
+            optimizer=rng.choice((None, "nelder_mead", "gradient_descent", "spsa")),
+            seed=rng.choice((None, rng.randrange(2**31))),
+            charge=rng.choice((0, 1, -1)),
+            n_frozen=rng.choice((0, 1, 2)),
+            depth=rng.choice((None, 0, 3)),
+            budget=rng.choice((None, 120, 2000)),
+            ansatz_version=rng.choice((None, 1, 2)),
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_record_ids_are_the_sha256_of_the_content_key(tmp_path, seed):
+    db = EnergyDB(tmp_path / "db")
+    keys = set()
+    for record in seeded_records(seed):
+        key = record.content_key()
+        keys |= set(key)
+        expected = oracle_name(json.dumps(key, sort_keys=True, separators=(",", ":")))
+        assert record.compute_id() == expected
+        assert db.put(record) == expected
+    assert keys == KEY_FIELDS
+    assert sorted(db.list_ids()) == sorted({r.compute_id() for r in seeded_records(seed)})
+
+
+@pytest.fixture(scope="module")
+def fcidump_texts(sto3g):
+    """FCIDUMP texts of the benchmark's molecules and one shipped LiH file."""
+    molecules = {
+        "H2": ([("H", (0, 0, 0)), ("H", (0, 0, 0.7354))], 0),
+        "HeH+": ([("He", (0, 0, 0)), ("H", (0, 0, 0.9))], 1),
+        "LiH-H2": ([("Li", (0, 0, 0)), ("H", (0, 0, 1.6)), ("H", (0, 0, 2.6)),
+                    ("H", (0, 0, 3.34))], 0),
+    }
+    texts = {name: write_fcidump(pipeline(Geometry.from_angstrom(atoms, charge=charge), sto3g)[2])
+             for name, (atoms, charge) in molecules.items()}
+    texts["lih_d1.60"] = (ROOT / "data" / "fcidump" / "lih_d1.60.fcidump").read_text()
+    return texts
+
+
+def test_hamiltonian_names_are_the_sha256_of_the_text(tmp_path, fcidump_texts):
+    db = EnergyDB(tmp_path / "db")
+    for text in fcidump_texts.values():
+        assert db.put_hamiltonian(text) == f"hamiltonians/{oracle_name(text)}.fcidump"
+    assert len(os.listdir(db.hamiltonians_dir)) == len(fcidump_texts)
+    assert db.audit() == []
+
+
+FALLBACK_CHILD = """\
+import json
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import molq.db
+import hashlib
+assert molq.db.sha256 is hashlib.sha256
+records, texts = json.load(sys.stdin)
+db = molq.db.EnergyDB(sys.argv[1])
+print(json.dumps([[molq.db.EnergyRecord(**r).compute_id() for r in records],
+                  [db.put_hamiltonian(text) for text in texts]]))
+"""
+
+
+def test_an_interpreter_without_the_built_in_sha256_falls_back_to_hashlib(tmp_path,
+                                                                           fcidump_texts):
+    records = [record.to_dict() for record in seeded_records(2, count=40)]
+    texts = list(fcidump_texts.values())
+    env = {**os.environ, "PYTHONPATH": str(Path(molq.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", FALLBACK_CHILD, str(tmp_path / "db")],
+                         input=json.dumps([records, texts]), capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    ids, names = json.loads(out.stdout)
+    assert ids == [EnergyRecord(**r).compute_id() for r in records]
+    assert names == [f"hamiltonians/{oracle_name(text)}.fcidump" for text in texts]
 
 
 @pytest.mark.parametrize("field", ["ansatz_version", "budget"])
@@ -280,9 +385,14 @@ def test_put_refuses_a_preset_id_of_another_computation(tmp_path):
 
 
 def test_get_unknown_id(tmp_path):
+    # an id never put, and one whose version 1 is gone under a version 2
     db = EnergyDB(tmp_path / "db")
-    with pytest.raises(KeyError):
-        db.get("0" * 16)
+    record_id = db.put(make_record())
+    db.put(make_record())
+    (db.records_dir / f"{record_id}.v1.json").unlink()
+    for missing in ("0" * 16, record_id):
+        with pytest.raises(KeyError, match=f"{missing} has no version 1"):
+            db.get(missing)
 
 
 @pytest.mark.parametrize("record_id", ["../outside", "abc", "F" * 16, 7])
@@ -305,6 +415,17 @@ def test_get_unknown_version(tmp_path):
     record_id = db.put(make_record())
     with pytest.raises(KeyError):
         db.get(record_id, version=2)
+
+
+@pytest.mark.parametrize("version", [True, False, 1.5, 1.0, 0, -1, "1"])
+def test_get_refuses_a_version_that_is_not_an_int_of_at_least_1(tmp_path, version):
+    # a file named after the bad value exists, so no path may be formed from it
+    db = EnergyDB(tmp_path / "db")
+    record_id = db.put(make_record())
+    text = (db.records_dir / f"{record_id}.v1.json").read_text()
+    (db.records_dir / f"{record_id}.v{version}.json").write_text(text)
+    with pytest.raises(KeyError, match=f"version must be an integer >= 1, got {version!r}"):
+        db.get(record_id, version=version)
 
 
 def test_put_rejects_invalid_record(tmp_path):

@@ -3,7 +3,9 @@ descent point, a `molq vqe` run with the default Nelder-Mead, a
 Lanczos-sized exact energy, and geometry scans through the AO integrals,
 from the API and from `molq scan`, load numpy, not scipy and not
 numpy.ma, and neither concurrent.futures nor logging: a scan runs its
-points serially. The names the benchmark tracer wraps and its workloads
+points serially. All but the Lanczos one load no OpenSSL either (neither
+_hashlib nor ssl): record ids and Hamiltonian names hash with CPython's
+built-in SHA-256. The names the benchmark tracer wraps and its workloads
 import still exist.
 
 No module of molq imports scipy: boys_f0's erf is a numpy port of
@@ -108,18 +110,22 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0
 """
 
-# Run after each child: its scipy modules, its numpy.ma modules, and
-# which of concurrent.futures and logging it loaded.
+# Run after each child: its scipy modules, its numpy.ma modules, which of
+# concurrent.futures and logging it loaded, and which of OpenSSL's
+# _hashlib and ssl.
 REPORT = """\
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 print(sorted(name for name in sys.modules if name in ("concurrent.futures", "logging")))
+print(sorted(name for name in sys.modules if name in ("_hashlib", "ssl")))
 """
+NONE = ["[]", "[]", "[]", "[]"]
 
 
 def modules_loaded(child, argument):
-    """Three lines, run after the child: the scipy, the numpy.ma, and the
-    concurrent.futures and logging modules it loaded."""
+    """Four lines, run after the child: the scipy, the numpy.ma, the
+    concurrent.futures and logging, and the _hashlib and ssl modules it
+    loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", child + REPORT, str(argument)],
@@ -129,41 +135,73 @@ def modules_loaded(child, argument):
 
 
 def test_import_and_db_commands_load_no_scipy(tmp_path):
-    assert modules_loaded(CHILD, tmp_path / "db") == ["[]", "[]", "[]"]
+    assert modules_loaded(CHILD, tmp_path / "db") == NONE
 
 
 def test_fcidump_uccsd_gradient_descent_loads_no_scipy():
     fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
-    assert modules_loaded(FCIDUMP_GD_CHILD, fcidump) == ["[]", "[]", "[]"]
+    assert modules_loaded(FCIDUMP_GD_CHILD, fcidump) == NONE
 
 
 def test_cli_vqe_nelder_mead_loads_no_scipy():
     fcidump = ROOT / "data" / "fcidump" / "lih_d1.60.fcidump"
-    assert modules_loaded(CLI_VQE_CHILD, fcidump) == ["[]", "[]", "[]"]
+    assert modules_loaded(CLI_VQE_CHILD, fcidump) == NONE
 
 
 def test_lanczos_exact_energy_loads_no_scipy():
-    assert modules_loaded(LANCZOS_CHILD, 3) == ["[]", "[]", "[]"]
+    """The one child that loads OpenSSL: it draws its integrals from
+    numpy.random, as exact._lanczos draws its start vector, and numpy.random
+    imports secrets, which imports hashlib and with it _hashlib."""
+    assert modules_loaded(LANCZOS_CHILD, 3) == ["[]", "[]", "[]", "['_hashlib']"]
 
 
 def test_geometry_scan_loads_no_scipy(tmp_path):
-    assert modules_loaded(GEOMETRY_SCAN_CHILD, tmp_path / "db") == ["[]", "[]", "[]"]
+    assert modules_loaded(GEOMETRY_SCAN_CHILD, tmp_path / "db") == NONE
 
 
 def test_cli_geometry_scan_loads_no_scipy(tmp_path):
-    assert modules_loaded(CLI_SCAN_CHILD, tmp_path / "db") == ["[]", "[]", "[]"]
+    assert modules_loaded(CLI_SCAN_CHILD, tmp_path / "db") == NONE
 
 
 def test_no_molq_module_imports_scipy():
     """scipy is a test dependency only: no import of it, at module level or
     inside a function, anywhere in src/molq."""
     for path in sorted((SRC / "molq").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                 for alias in node.names]
-        names += [node.module for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) and node.level == 0]
+        names = [name for name, _ in imported_modules(ast.parse(path.read_text()))]
         assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
+
+
+def imported_modules(tree):
+    """The absolute module names a parsed source file imports, each with
+    whether the import sits in an `except ImportError` handler."""
+    fallback = {id(node) for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+                and isinstance(handler.type, ast.Name) and handler.type.id == "ImportError"
+                for node in ast.walk(handler)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, id(node) in fallback) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module, id(node) in fallback))
+    return found
+
+
+def test_only_db_hashes_and_it_uses_the_built_in_sha256():
+    """hashlib loads OpenSSL's libcrypto, about 3.5 MB of peak RSS: db.py
+    takes SHA-256 from CPython's built-in _sha2 (3.12+) or _sha256 (3.10,
+    3.11), and reaches hashlib only in the fallback for an interpreter built
+    without them. No other module of molq imports any of the three."""
+    builtin = {"_sha2", "_sha256"}
+    for path in sorted((SRC / "molq").glob("*.py")):
+        found = imported_modules(ast.parse(path.read_text()))
+        hashing = [(name, fallback) for name, fallback in found
+                   if name.split(".")[0] in builtin | {"hashlib"}]
+        if path.name != "db.py":
+            assert hashing == [], path.name
+            continue
+        assert {name for name, _ in hashing} == builtin | {"hashlib"}
+        assert [name for name, fallback in hashing if name == "hashlib" and not fallback] == []
+
 
 def test_only_the_closed_shell_rule_takes_the_electron_parity():
     """`n_electrons % 2` is the closed-shell test, and
