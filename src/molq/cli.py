@@ -12,11 +12,12 @@ import json
 import sys
 from pathlib import Path
 
+from .basis import load_basis
 from .db import METHODS, EnergyDB, EnergyRecord
 from .errors import ComputationError, UsageError
 from .exact import dense_ground_energy, fci_determinant_oracle
 from .fermion import build_fermionic_hamiltonian, freeze_core, serialize_terms
-from .integrals import assign_basis, build_ao_integrals, load_basis, parse_geometry
+from .integrals import assign_basis, build_ao_integrals, parse_geometry
 from .integrals_io import write_ao_file, write_fcidump
 from .pauli import jordan_wigner, serialize_pauli
 from .vqe import OPTIMIZER_METHODS, OptimizerConfig, vqe_solve

@@ -21,9 +21,8 @@ hamiltonians/, and audit reports any other ref it reads.
 Ids and Hamiltonian names hash with CPython's built-in SHA-256, not
 hashlib's, whose OpenSSL libcrypto added 3.4-3.8 MB to the benchmark's
 peak_rss_mb on every workload (medians of 10 alternating pairs each, 2-core
-x86-64 host, Python 3.11); the paths that use numpy.random (Lanczos past the
-dense guard, sample_expectation, SPSA) still load OpenSSL through its
-secrets import.
+x86-64 host, Python 3.11); only sample_expectation and SPSA, which draw from
+numpy.random, still load OpenSSL through its secrets import.
 """
 
 from __future__ import annotations

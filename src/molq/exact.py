@@ -285,16 +285,17 @@ def sector_basis(n_qubits: int, n_electrons: int) -> np.ndarray:
 def _lanczos(apply, dim: int, dtype) -> tuple:
     """Lowest eigenpair (value, unit vector) of the Hermitian operator
     `apply` on dim states of dtype: Lanczos with full reorthogonalization
-    from a fixed pseudo-random start, stopped once the lowest Ritz pair's
-    residual |beta_m s_m| is at most LANCZOS_TOL times the largest |Ritz
-    value| (or the Krylov space is the whole space). Refused, before any
-    vector is allocated, where its vectors of dtype pass OPERATOR_MAX_BYTES."""
+    from the fixed start (sin 1, ..., sin dim), which needs no numpy.random,
+    stopped once the lowest Ritz pair's residual |beta_m s_m| is at most
+    LANCZOS_TOL times the largest |Ritz value| (or the Krylov space is the
+    whole space). Refused, before any vector is allocated, where its vectors
+    of dtype pass OPERATOR_MAX_BYTES."""
     steps = min(dim, LANCZOS_MAX_STEPS)
     if steps * dim * np.dtype(dtype).itemsize > OPERATOR_MAX_BYTES:
         raise ResourceError(f"a {dim}-state block's {np.dtype(dtype)} Lanczos vectors "
                             "exceed the operator guard")
     q = np.zeros((steps, dim), dtype=dtype)
-    q[0] = np.random.default_rng(0).standard_normal(dim)
+    q[0] = np.sin(np.arange(1, dim + 1))
     q[0] /= np.linalg.norm(q[0])
     alpha, beta = np.zeros(steps), np.zeros(steps)
     for m in range(steps):

@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import load_basis
 from .db import METHODS, EnergyDB, EnergyRecord
 from .errors import ComputationError, ScanError, UsageError, check_integer
 from .exact import dense_ground_energy
 from .fermion import build_fermionic_hamiltonian, freeze_core
-from .integrals import Geometry, assign_basis, build_ao_integrals, load_basis
+from .integrals import Geometry, assign_basis, build_ao_integrals
 from .integrals_io import closed_shell_pairs, parse_fcidump, write_fcidump
 from .pauli import PauliSum, jordan_wigner, z2_symmetries
 from .scf import ao_to_mo, hf_reference_energy, scf_solve

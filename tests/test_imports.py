@@ -3,10 +3,12 @@ descent point, a `molq vqe` run with the default Nelder-Mead, a
 Lanczos-sized exact energy, and geometry scans through the AO integrals,
 from the API and from `molq scan`, load numpy, not scipy and not
 numpy.ma, and neither concurrent.futures nor logging: a scan runs its
-points serially. All but the Lanczos one load no OpenSSL either (neither
+points serially. None of them loads numpy.random or OpenSSL (neither
 _hashlib nor ssl): record ids and Hamiltonian names hash with CPython's
-built-in SHA-256. The names the benchmark tracer wraps and its workloads
-import still exist.
+built-in SHA-256, and the Lanczos start vector is a fixed numpy array. A
+process that only imports molq, loads a basis and uses the database loads
+no numpy at all: the package namespace is lazy. The names the benchmark
+tracer wraps and its workloads import still exist.
 
 No module of molq imports scipy: boys_f0's erf is a numpy port of
 Cephes. scipy is an oracle of the tests only. numpy 2.4's np.unique
@@ -38,6 +40,22 @@ molq.EnergyDB(sys.argv[1])
 assert molq.cli.main(["db", "list", "--db", sys.argv[1]]) == 0
 """
 
+# A process that only loads a basis and uses the database prints the molq
+# modules it loaded, and numpy if it did.
+BASIS_DB_CHILD = """\
+import sys
+import molq
+molq.load_basis("sto-3g")
+db = molq.EnergyDB(sys.argv[1])
+ref = {"integrals": db.put_hamiltonian("&FCI NORB=1,NELEC=0,MS2=0,\\n&END\\n")}
+record_id = db.put(molq.EnergyRecord(molecule="H2", basis="sto-3g", bond_length=0.7,
+                                     e_hf=-1.1, hamiltonian_ref=ref))
+assert db.get(record_id).e_hf == -1.1
+assert [r.record_id for r in db.query(molecule="H2")] == [record_id]
+assert db.audit() == []
+print(sorted(name for name in sys.modules if name == "numpy" or name.startswith("molq.")))
+"""
+
 # The lih-fcidump-gd path: FCIDUMP, frozen core, JW, the sector-exact
 # energy and UCCSD gradient descent on the electron-number block.
 FCIDUMP_GD_CHILD = """\
@@ -67,16 +85,17 @@ assert code == 0
 # lowers to 10 qubits: random 8-fold symmetric integrals on 7 orbitals, 6
 # electrons, a (3, 3) block of 1 225 states.
 LANCZOS_CHILD = """\
+import random
 import sys
 import numpy as np
 import molq
 import molq.exact
 from molq.exact import sector_basis
 molq.exact.DENSE_MAX_QUBITS = 10
-rng = np.random.default_rng(int(sys.argv[1]))
+rng = random.Random(int(sys.argv[1]))
 n = 7
-h = rng.standard_normal((n, n))
-g = rng.standard_normal((n, n, n, n))
+h = np.array([rng.gauss(0.0, 1.0) for _ in range(n**2)]).reshape(n, n)
+g = np.array([rng.gauss(0.0, 1.0) for _ in range(n**4)]).reshape(n, n, n, n)
 perms = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
          (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
 mo = molq.MOIntegrals(n, 6, h + h.T, sum(g.transpose(p) for p in perms) / 8, 0.0)
@@ -111,27 +130,104 @@ assert code == 0
 """
 
 # Run after each child: its scipy modules, its numpy.ma modules, which of
-# concurrent.futures and logging it loaded, and which of OpenSSL's
-# _hashlib and ssl.
+# concurrent.futures and logging it loaded, which of OpenSSL's _hashlib and
+# ssl, and whether numpy.random.
 REPORT = """\
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 print(sorted(name for name in sys.modules if name in ("concurrent.futures", "logging")))
 print(sorted(name for name in sys.modules if name in ("_hashlib", "ssl")))
+print(sorted(name for name in sys.modules if name == "numpy.random"))
 """
-NONE = ["[]", "[]", "[]", "[]"]
+NONE = ["[]", "[]", "[]", "[]", "[]"]
 
 
 def modules_loaded(child, argument):
-    """Four lines, run after the child: the scipy, the numpy.ma, the
-    concurrent.futures and logging, and the _hashlib and ssl modules it
-    loaded."""
+    """The lines the child prints, then five run after it: the scipy, the
+    numpy.ma, the concurrent.futures and logging, the _hashlib and ssl, and
+    the numpy.random modules it loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", child + REPORT, str(argument)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return out.stdout.splitlines()
+
+
+def test_basis_and_database_load_no_numpy(tmp_path):
+    """`import molq`, load_basis and the EnergyDB calls load neither numpy
+    nor a numeric module of molq: the namespace imports a module on first
+    use of one of its names."""
+    loaded = "['molq.basis', 'molq.db', 'molq.errors']"
+    assert modules_loaded(BASIS_DB_CHILD, tmp_path / "db") == [loaded, *NONE]
+
+
+# The 71 public names of molq as they stood when its namespace was eager;
+# dir(molq) lists them and the 12 submodules the namespace imports on use.
+PUBLIC_NAMES = {
+    "ANNIHILATION", "ANSATZ_VERSIONS", "AOIntegrals", "Ansatz", "Atom", "BOHR_PER_ANGSTROM",
+    "BasisSet", "CREATION", "Circuit", "ComputationError", "EnergyDB", "EnergyRecord",
+    "FermionOperator", "FermionTerm", "Gate", "Geometry", "GeometryError",
+    "LinearDependenceError", "MOIntegrals", "MinimizeResult", "OptimizerConfig", "ParseError",
+    "PauliSum", "PauliTerm", "ResourceError", "SCFResult", "ScanError", "ScanSpec",
+    "SpectrumResult", "UCCSDBlock", "UsageError", "VQEResult", "ao_to_mo", "assign_basis",
+    "boys_f0", "build_ao_integrals", "build_fermionic_hamiltonian", "canonicalize",
+    "dense_ground_energy", "diis_extrapolate", "emit_curve", "expectation",
+    "fci_determinant_oracle", "freeze_core", "group_measurement_basis",
+    "hardware_efficient_ansatz", "hf_reference_circuit", "hf_reference_energy",
+    "jordan_wigner", "load_basis", "minimize", "nuclear_repulsion", "parameter_shift_gradient",
+    "parse_basis", "parse_fcidump", "parse_geometry", "pauli_matrix", "pauli_multiply",
+    "qwc_group", "run_circuit", "run_scan", "sample_expectation", "scan_point", "scf_solve",
+    "serialize_pauli", "serialize_terms", "uccsd_ansatz", "vqe_solve", "write_ao_file",
+    "write_fcidump", "z2_symmetries",
+}
+NUMERIC_MODULES = {"integrals", "integrals_io", "scf", "fermion", "pauli", "statevector",
+                   "vqe", "exact", "workbench", "cli"}
+SUBMODULES = {"errors", "basis", "integrals", "integrals_io", "scf", "fermion", "pauli",
+              "statevector", "vqe", "exact", "db", "workbench"}
+
+# A fresh `import molq`: what dir() lists, whether an unknown name raises
+# AttributeError, and what `from molq import *` binds.
+NAMESPACE_CHILD = """\
+import sys
+import molq
+print(sorted(name for name in dir(molq) if not name.startswith("_")))
+try:
+    molq.no_such_name
+    print("resolved")
+except AttributeError:
+    print("AttributeError")
+namespace = {}
+exec("from molq import *", namespace)
+print(sorted(name for name in namespace if name != "__builtins__"))
+"""
+
+
+def test_the_lazy_namespace_keeps_every_public_name():
+    listed, unknown, star, *report = modules_loaded(NAMESPACE_CHILD, "")
+    assert ast.literal_eval(listed) == sorted(PUBLIC_NAMES | SUBMODULES)
+    assert unknown == "AttributeError"
+    assert ast.literal_eval(star) == sorted(PUBLIC_NAMES) == sorted(molq.__all__)
+    assert report == NONE
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in molq.__all__:
+        home = importlib.import_module(f"molq.{molq._HOME[name]}")
+        assert getattr(molq, name) is getattr(home, name), name
+    for name in SUBMODULES:
+        assert getattr(molq, name) is importlib.import_module(f"molq.{name}")
+
+
+def test_the_package_errors_db_and_basis_import_no_numeric_module():
+    """What `import molq`, load_basis and EnergyDB run needs the standard
+    library only: these modules import neither numpy nor a numeric module of
+    molq, at module level or inside a function."""
+    for name in ("__init__", "errors", "db", "basis"):
+        path = SRC / "molq" / f"{name}.py"
+        absolute = {found.split(".")[0] for found, _ in imported_modules(ast.parse(path.read_text()))}
+        assert "numpy" not in absolute, name
+        assert not molq_imports(path) & NUMERIC_MODULES, name
 
 
 def test_import_and_db_commands_load_no_scipy(tmp_path):
@@ -149,10 +245,10 @@ def test_cli_vqe_nelder_mead_loads_no_scipy():
 
 
 def test_lanczos_exact_energy_loads_no_scipy():
-    """The one child that loads OpenSSL: it draws its integrals from
-    numpy.random, as exact._lanczos draws its start vector, and numpy.random
-    imports secrets, which imports hashlib and with it _hashlib."""
-    assert modules_loaded(LANCZOS_CHILD, 3) == ["[]", "[]", "[]", "['_hashlib']"]
+    """exact._lanczos starts from a fixed numpy vector and the child draws
+    its integrals from the standard library's random: numpy.random imports
+    secrets, which imports hashlib and with it OpenSSL's _hashlib."""
+    assert modules_loaded(LANCZOS_CHILD, 3) == NONE
 
 
 def test_geometry_scan_loads_no_scipy(tmp_path):

@@ -27,9 +27,9 @@ from molq import (
     uccsd_ansatz,
     vqe_solve,
 )
+from molq.basis import load_basis
 from molq.cli import main
 from molq.db import EnergyDB, EnergyRecord
-from molq.integrals import load_basis
 from molq.workbench import build_ansatz, point_record
 from molq.errors import ComputationError, ScanError, UsageError
 from molq.fermion import (
@@ -576,8 +576,8 @@ def test_a_uccsd_scan_plans_its_operators_at_its_first_point_only():
 
 
 def test_a_scan_reads_its_basis_once(monkeypatch):
-    parses = counting(monkeypatch, molq.integrals, "parse_basis", lambda _: 1)
-    molq.integrals._read_basis.cache_clear()
+    parses = counting(monkeypatch, molq.basis, "parse_basis", lambda _: 1)
+    molq.basis._read_basis.cache_clear()
     run_scan(lih_h2_spec([1.0, 2.0, 3.0]))
     assert len(parses) == 1
 
