@@ -8,9 +8,11 @@ diagonalization -> bond-length scans persisted in a file-backed database.
 
 The namespace is lazy (PEP 562): `import molq` loads only `errors`, and
 each other public name imports its home module on first use, as
-`molq.<submodule>` does. So a process that only loads a basis and reads or
-writes the database (`load_basis`, `EnergyDB`, `EnergyRecord`) loads the
-standard library alone; the first numeric name it touches brings numpy.
+`molq.<submodule>` does; `from molq import *` imports them all. So a
+process that only loads a basis and reads or writes the database
+(`load_basis`, `EnergyDB`, `EnergyRecord`, `emit_curve`) loads the standard
+library alone, as `molq db` and `molq curve` do; the first numeric name it
+touches brings numpy.
 """
 
 from importlib import import_module as _import_module
@@ -39,18 +41,19 @@ _PUBLIC = {
         "pauli_multiply", "qwc_group", "serialize_pauli", "z2_symmetries",
     ),
     "statevector": ("Circuit", "Gate", "expectation", "run_circuit", "sample_expectation"),
+    "options": ("ANSATZ_VERSIONS", "OptimizerConfig"),
     "vqe": (
-        "ANSATZ_VERSIONS", "Ansatz", "MinimizeResult", "OptimizerConfig", "UCCSDBlock",
-        "VQEResult", "hardware_efficient_ansatz", "hf_reference_circuit", "minimize",
-        "parameter_shift_gradient", "uccsd_ansatz", "vqe_solve",
+        "Ansatz", "MinimizeResult", "UCCSDBlock", "VQEResult", "hardware_efficient_ansatz",
+        "hf_reference_circuit", "minimize", "parameter_shift_gradient", "uccsd_ansatz",
+        "vqe_solve",
     ),
     "exact": ("SpectrumResult", "dense_ground_energy", "fci_determinant_oracle", "pauli_matrix"),
-    "db": ("EnergyDB", "EnergyRecord"),
-    "workbench": ("ScanSpec", "emit_curve", "run_scan", "scan_point"),
+    "db": ("EnergyDB", "EnergyRecord", "emit_curve"),
+    "workbench": ("ScanSpec", "run_scan", "scan_point"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = list(_HOME)
+__all__ = [*_HOME, *_PUBLIC]
 __version__ = "0.1.0"
 
 

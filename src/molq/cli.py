@@ -2,7 +2,8 @@
 
 Subcommands: integrals, scf, ham, vqe, exact, scan, db
 put|get|list|query|audit, curve. Exit codes: 0 success, 1 usage error, 2
-computation error or a failed db audit, 3 I/O error.
+computation error or a failed db audit, 3 I/O error. Each command imports
+the numeric modules it uses when it runs, so db and curve load no numpy.
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ import json
 import sys
 from pathlib import Path
 
-from .basis import load_basis
-from .db import METHODS, EnergyDB, EnergyRecord
+from .db import METHODS, EnergyDB, EnergyRecord, emit_curve
 from .errors import ComputationError, UsageError
-from .exact import dense_ground_energy, fci_determinant_oracle
-from .fermion import build_fermionic_hamiltonian, freeze_core, serialize_terms
-from .integrals import assign_basis, build_ao_integrals, parse_geometry
-from .integrals_io import write_ao_file, write_fcidump
-from .pauli import jordan_wigner, serialize_pauli
-from .vqe import OPTIMIZER_METHODS, OptimizerConfig, vqe_solve
-from .workbench import ANSATZE, ScanSpec, build_ansatz, emit_curve, load_mo, run_scan
+from .options import (
+    ANSATZE,
+    DEFAULT_ANSATZ,
+    DEFAULT_DEPTH,
+    DEFAULT_METHODS,
+    OPTIMIZER_METHODS,
+    OptimizerConfig,
+)
 
 MAX_SCAN_POINTS = 10_000  # lengths in one --lengths start:stop:step range
 
@@ -52,6 +53,8 @@ def _write_output(text: str, output: str | None):
 
 
 def _load_geometry(path: str):
+    from .integrals import parse_geometry
+
     return parse_geometry(Path(path).read_text())
 
 
@@ -68,6 +71,9 @@ def _log(args):
 def _load_mo(args):
     """MO integrals from --fcidump, or from --geometry/--basis via SCF,
     with --freeze core orbitals frozen."""
+    from .fermion import freeze_core
+    from .workbench import load_mo
+
     if args.fcidump:
         source = args.fcidump
     else:
@@ -78,6 +84,10 @@ def _load_mo(args):
 
 
 def cmd_integrals(args):
+    from .basis import load_basis
+    from .integrals import assign_basis, build_ao_integrals
+    from .integrals_io import write_ao_file
+
     geom = _load_geometry(args.geometry)
     basis = load_basis(args.basis)
     ao = build_ao_integrals(geom, assign_basis(geom, basis))
@@ -87,6 +97,9 @@ def cmd_integrals(args):
 
 
 def cmd_scf(args):
+    from .integrals_io import write_fcidump
+    from .workbench import load_mo
+
     mo, result = load_mo(_load_geometry(args.geometry), args.basis, _log(args))
     print(f"E_HF = {result.e_hf!r} Hartree")
     print(f"iterations = {result.iterations}")
@@ -98,6 +111,9 @@ def cmd_scf(args):
 
 
 def cmd_ham(args):
+    from .fermion import build_fermionic_hamiltonian, serialize_terms
+    from .pauli import jordan_wigner, serialize_pauli
+
     mo = _load_mo(args)
     op = build_fermionic_hamiltonian(mo)
     if args.pauli:
@@ -110,6 +126,11 @@ def cmd_ham(args):
 
 
 def cmd_vqe(args):
+    from .fermion import build_fermionic_hamiltonian
+    from .pauli import jordan_wigner
+    from .vqe import vqe_solve
+    from .workbench import build_ansatz
+
     mo = _load_mo(args)
     pauli = jordan_wigner(build_fermionic_hamiltonian(mo))
     ansatz = build_ansatz(args.ansatz, pauli, mo.n_electrons, args.depth)
@@ -123,6 +144,10 @@ def cmd_vqe(args):
 
 
 def cmd_exact(args):
+    from .exact import dense_ground_energy, fci_determinant_oracle
+    from .fermion import build_fermionic_hamiltonian
+    from .pauli import jordan_wigner
+
     mo = _load_mo(args)
     if args.method == "fci":
         energy = fci_determinant_oracle(mo)
@@ -162,6 +187,8 @@ def _parse_fragment(text: str | None, flag: str) -> list | None:
 
 
 def cmd_scan(args):
+    from .workbench import ScanSpec, run_scan
+
     spec = ScanSpec(
         molecule=args.molecule,
         bond_lengths=_parse_lengths(args.lengths),
@@ -264,8 +291,8 @@ def build_parser() -> _Parser:
         p.add_argument("--freeze", type=int, default=0, help="frozen-core spatial orbitals")
 
     def add_vqe_flags(p):
-        p.add_argument("--ansatz", choices=ANSATZE, default=ScanSpec.ansatz)
-        p.add_argument("--depth", type=int, default=ScanSpec.depth, help="HEA layers")
+        p.add_argument("--ansatz", choices=ANSATZE, default=DEFAULT_ANSATZ)
+        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="HEA layers")
         p.add_argument("--optimizer", choices=OPTIMIZER_METHODS, default=OptimizerConfig.method)
         p.add_argument("--budget", type=int, default=OptimizerConfig.budget,
                        help="evaluation budget")
@@ -318,10 +345,10 @@ def build_parser() -> _Parser:
     p.add_argument("--fcidump-pattern",
                    help="FCIDUMP path template with {length}, e.g. lih_{length:.2f}.fcidump; "
                         "takes no --basis or fragments")
-    p.add_argument("--methods", default=",".join(ScanSpec.methods),
+    p.add_argument("--methods", default=",".join(DEFAULT_METHODS),
                    help=f"subset of {','.join(METHODS)}")
-    p.add_argument("--charge", type=int, default=ScanSpec.charge)
-    p.add_argument("--freeze", type=int, default=ScanSpec.n_frozen,
+    p.add_argument("--charge", type=int, default=0)
+    p.add_argument("--freeze", type=int, default=0,
                    help="frozen-core spatial orbitals")
     add_vqe_flags(p)
     p.add_argument("--db", help="database directory")

@@ -16,7 +16,8 @@ per-version existence checks. put accepts a preset record_id only when it
 equals the record's content id: the hash of the configuration fields of
 EnergyRecord.content_key, so two records differing in any of them get two ids.
 It accepts a hamiltonian_ref only as paths of files directly under
-hamiltonians/, and audit reports any other ref it reads.
+hamiltonians/, and audit reports any other ref it reads. emit_curve writes
+records as the CSV dissociation curve that `molq curve` prints.
 
 Ids and Hamiltonian names hash with CPython's built-in SHA-256, not
 hashlib's, whose OpenSSL libcrypto added 3.4-3.8 MB to the benchmark's
@@ -89,7 +90,7 @@ class EnergyRecord:
     charge: int = 0
     n_frozen: int = 0              # frozen-core spatial orbitals
     depth: int | None = None       # HEA layers; None for other ansatze
-    ansatz_version: int | None = None   # vqe.ANSATZ_VERSIONS of the ansatz
+    ansatz_version: int | None = None   # options.ANSATZ_VERSIONS of the ansatz
     budget: int | None = None      # optimizer evaluation budget
     evaluations: int | None = None
     error: str | None = None
@@ -369,3 +370,38 @@ class EnergyDB:
                     if not os.path.isfile(f"{self._root}/{name}"):
                         problems.append(f"{record_id}: file {file} refers to missing {name}")
         return problems
+
+
+CURVE_HEADER = "bond_length_angstrom,e_hf,e_vqe,e_exact"
+
+
+def emit_curve(records: list) -> str:
+    """CSV rows ascending by bond length, 12 significant digits, absent
+    energies left empty. A bond length may appear only once."""
+    molecules = {record.molecule for record in records}
+    if len(molecules) > 1:
+        raise UsageError(f"records mix molecules: {sorted(molecules)}")
+
+    def fmt(value):
+        return "" if value is None else format(value, ".12g")
+
+    rows = [CURVE_HEADER]
+    ordered = sorted(
+        records,
+        key=lambda r: r.bond_length if r.bond_length is not None else float("inf"),
+    )
+    for previous, record in zip([None] + ordered, ordered):
+        if record.bond_length is None:
+            raise UsageError("record without bond length in curve emission")
+        if previous is not None and previous.bond_length == record.bond_length:
+            a, b = previous.to_dict(), record.to_dict()
+            differ = [k for k in a if k not in ("record_id", "created_at") and a[k] != b[k]]
+            raise UsageError(
+                f"two records at bond length {record.bond_length:g}, differing in "
+                f"{', '.join(differ) or 'nothing'}; filter the query to one configuration"
+            )
+        rows.append(
+            f"{fmt(record.bond_length)},{fmt(record.e_hf)},"
+            f"{fmt(record.e_vqe)},{fmt(record.e_exact)}"
+        )
+    return "\n".join(rows) + "\n"

@@ -56,13 +56,9 @@ from .errors import ComputationError, ResourceError, UsageError, check_integer
 from .exact import compile_operator, pauli_matrix, sector_basis
 from .fermion import FermionOperator
 from .integrals_io import closed_shell_pairs
+from .options import OPTIMIZER_METHODS, OptimizerConfig
 from .pauli import PauliSum, is_hermitian, jordan_wigner
 from .statevector import MAX_QUBITS, Circuit, _real_energy, run_circuit, expectation
-
-# Each ansatz kind's version, which its records carry: uccsd 2 keeps only
-# the slots that conserve the Hamiltonian's Z2 symmetries, uccsd 1 kept all
-ANSATZ_VERSIONS = {"uccsd": 2, "hea": 1}
-
 
 @dataclass
 class Ansatz:
@@ -295,20 +291,12 @@ def parameter_shift_gradient(a: Ansatz, h: PauliSum, theta) -> np.ndarray:
     return grad
 
 
-OPTIMIZER_METHODS = ("nelder_mead", "spsa", "gradient_descent")
 SPSA_A = 0.1          # step-size gain a in a_k = a / (k + 1 + A)^0.602
 SPSA_C = 0.1          # perturbation gain c in c_k = c / (k + 1)^0.101
 GD_STEP = 0.1         # gradient descent moves theta by -GD_STEP * g
 GD_TOL = 1e-6         # gradient descent stops once max |g_i| < GD_TOL
 NM_FATOL = 1e-9       # Nelder-Mead absolute tolerance on the value
 NM_XATOL = 1e-8       # Nelder-Mead absolute tolerance on the parameters
-
-
-@dataclass
-class OptimizerConfig:
-    method: str = "nelder_mead"   # one of OPTIMIZER_METHODS
-    budget: int = 2000            # objective-evaluation budget
-    seed: int = 0
 
 
 @dataclass

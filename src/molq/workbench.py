@@ -1,4 +1,4 @@
-"""The point pipeline, bond-length scans and curve emission.
+"""The point pipeline and bond-length scans.
 
 One bond length goes through load_mo (an FCIDUMP, or a geometry through
 a converged SCF), frozen core, the Jordan-Wigner Hamiltonian, the
@@ -28,18 +28,18 @@ from .exact import dense_ground_energy
 from .fermion import build_fermionic_hamiltonian, freeze_core
 from .integrals import Geometry, assign_basis, build_ao_integrals
 from .integrals_io import closed_shell_pairs, parse_fcidump, write_fcidump
-from .pauli import PauliSum, jordan_wigner, z2_symmetries
-from .scf import ao_to_mo, hf_reference_energy, scf_solve
-from .vqe import (
+from .options import (
     ANSATZ_VERSIONS,
+    ANSATZE,
+    DEFAULT_ANSATZ,
+    DEFAULT_DEPTH,
+    DEFAULT_METHODS,
     OPTIMIZER_METHODS,
     OptimizerConfig,
-    hardware_efficient_ansatz,
-    uccsd_ansatz,
-    vqe_solve,
 )
-
-ANSATZE = tuple(ANSATZ_VERSIONS)
+from .pauli import PauliSum, jordan_wigner, z2_symmetries
+from .scf import ao_to_mo, hf_reference_energy, scf_solve
+from .vqe import hardware_efficient_ansatz, uccsd_ansatz, vqe_solve
 
 
 @dataclass
@@ -50,11 +50,11 @@ class ScanSpec:
     fragment_b: list | None = None      # placed `length` along z
     basis: str | None = None            # shipped basis name or file path
     fcidump_pattern: str | None = None  # e.g. "lih_{length:.2f}.fcidump"
-    methods: tuple = ("hf", "exact")    # subset of METHODS
+    methods: tuple = DEFAULT_METHODS    # subset of METHODS
     charge: int = 0
     n_frozen: int = 0                   # frozen-core spatial orbitals
-    ansatz: str = "uccsd"               # one of ANSATZE
-    depth: int = 1                      # HEA layers
+    ansatz: str = DEFAULT_ANSATZ        # one of ANSATZE
+    depth: int = DEFAULT_DEPTH          # HEA layers
     optimizer: str = OptimizerConfig.method   # one of OPTIMIZER_METHODS
     budget: int = OptimizerConfig.budget
     seed: int = OptimizerConfig.seed
@@ -236,38 +236,3 @@ def run_scan(spec: ScanSpec, db: EnergyDB | None = None) -> list:
         raise ScanError(f"every scan point failed; the first, at {first.bond_length:g} "
                         f"Angstrom, with {first.error}")
     return records
-
-
-CURVE_HEADER = "bond_length_angstrom,e_hf,e_vqe,e_exact"
-
-
-def emit_curve(records: list) -> str:
-    """CSV rows ascending by bond length, 12 significant digits, absent
-    energies left empty. A bond length may appear only once."""
-    molecules = {record.molecule for record in records}
-    if len(molecules) > 1:
-        raise UsageError(f"records mix molecules: {sorted(molecules)}")
-
-    def fmt(value):
-        return "" if value is None else format(value, ".12g")
-
-    rows = [CURVE_HEADER]
-    ordered = sorted(
-        records,
-        key=lambda r: r.bond_length if r.bond_length is not None else float("inf"),
-    )
-    for previous, record in zip([None] + ordered, ordered):
-        if record.bond_length is None:
-            raise UsageError("record without bond length in curve emission")
-        if previous is not None and previous.bond_length == record.bond_length:
-            a, b = previous.to_dict(), record.to_dict()
-            differ = [k for k in a if k not in ("record_id", "created_at") and a[k] != b[k]]
-            raise UsageError(
-                f"two records at bond length {record.bond_length:g}, differing in "
-                f"{', '.join(differ) or 'nothing'}; filter the query to one configuration"
-            )
-        rows.append(
-            f"{fmt(record.bond_length)},{fmt(record.e_hf)},"
-            f"{fmt(record.e_vqe)},{fmt(record.e_exact)}"
-        )
-    return "\n".join(rows) + "\n"

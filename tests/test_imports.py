@@ -7,8 +7,10 @@ points serially. None of them loads numpy.random or OpenSSL (neither
 _hashlib nor ssl): record ids and Hamiltonian names hash with CPython's
 built-in SHA-256, and the Lanczos start vector is a fixed numpy array. A
 process that only imports molq, loads a basis and uses the database loads
-no numpy at all: the package namespace is lazy. The names the benchmark
-tracer wraps and its workloads import still exist.
+no numpy at all: the package namespace is lazy. Nor do `molq db` and `molq
+curve`: the CLI imports the numeric modules inside the commands that use
+them. The names the benchmark tracer wraps and its workloads import still
+exist.
 
 No module of molq imports scipy: boys_f0's erf is a numpy port of
 Cephes. scipy is an oracle of the tests only. numpy 2.4's np.unique
@@ -53,6 +55,28 @@ record_id = db.put(molq.EnergyRecord(molecule="H2", basis="sto-3g", bond_length=
 assert db.get(record_id).e_hf == -1.1
 assert [r.record_id for r in db.query(molecule="H2")] == [record_id]
 assert db.audit() == []
+print(sorted(name for name in sys.modules if name == "numpy" or name.startswith("molq.")))
+"""
+
+# `molq db` and `molq curve` on a one-record database print the molq
+# modules they loaded, and numpy if they did.
+CLI_DB_CHILD = """\
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+import molq.cli
+db = sys.argv[1]
+record = Path(db).parent / "record.json"
+record.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g", "bond_length": 0.7,
+                              "e_hf": -1.1}))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    for argv in (["db", "put", str(record)], ["db", "list"], ["db", "audit"],
+                 ["db", "query", "--method", "hf", "--ansatz", "hea"],
+                 ["curve", "--molecule", "H2", "--method", "hf"]):
+        assert molq.cli.main([*argv, "--db", db]) == 0, argv
+assert out.getvalue().endswith("bond_length_angstrom,e_hf,e_vqe,e_exact\\n0.7,-1.1,,\\n")
 print(sorted(name for name in sys.modules if name == "numpy" or name.startswith("molq.")))
 """
 
@@ -162,8 +186,17 @@ def test_basis_and_database_load_no_numpy(tmp_path):
     assert modules_loaded(BASIS_DB_CHILD, tmp_path / "db") == [loaded, *NONE]
 
 
+def test_cli_db_and_curve_load_no_numpy(tmp_path):
+    """The parser's choices and defaults come from options, and the curve
+    from db: `molq db` and `molq curve` load no numeric module."""
+    loaded = "['molq.cli', 'molq.db', 'molq.errors', 'molq.options']"
+    assert modules_loaded(CLI_DB_CHILD, tmp_path / "db") == [loaded, *NONE]
+
+
 # The 71 public names of molq as they stood when its namespace was eager;
-# dir(molq) lists them and the 12 submodules the namespace imports on use.
+# dir(molq) and `from molq import *` list them and the 13 submodules the
+# namespace imports on use: the 11 that the eager namespace imported, basis
+# and options.
 PUBLIC_NAMES = {
     "ANNIHILATION", "ANSATZ_VERSIONS", "AOIntegrals", "Ansatz", "Atom", "BOHR_PER_ANGSTROM",
     "BasisSet", "CREATION", "Circuit", "ComputationError", "EnergyDB", "EnergyRecord",
@@ -183,8 +216,8 @@ PUBLIC_NAMES = {
 }
 NUMERIC_MODULES = {"integrals", "integrals_io", "scf", "fermion", "pauli", "statevector",
                    "vqe", "exact", "workbench", "cli"}
-SUBMODULES = {"errors", "basis", "integrals", "integrals_io", "scf", "fermion", "pauli",
-              "statevector", "vqe", "exact", "db", "workbench"}
+SUBMODULES = {"errors", "basis", "options", "integrals", "integrals_io", "scf", "fermion",
+              "pauli", "statevector", "vqe", "exact", "db", "workbench"}
 
 # A fresh `import molq`: what dir() lists, whether an unknown name raises
 # AttributeError, and what `from molq import *` binds.
@@ -207,23 +240,35 @@ def test_the_lazy_namespace_keeps_every_public_name():
     listed, unknown, star, *report = modules_loaded(NAMESPACE_CHILD, "")
     assert ast.literal_eval(listed) == sorted(PUBLIC_NAMES | SUBMODULES)
     assert unknown == "AttributeError"
-    assert ast.literal_eval(star) == sorted(PUBLIC_NAMES) == sorted(molq.__all__)
+    assert ast.literal_eval(star) == sorted(PUBLIC_NAMES | SUBMODULES) == sorted(molq.__all__)
     assert report == NONE
 
 
 def test_every_public_name_is_its_home_modules_object():
-    for name in molq.__all__:
-        home = importlib.import_module(f"molq.{molq._HOME[name]}")
-        assert getattr(molq, name) is getattr(home, name), name
+    """Each name's home is the module that defines it, not one that imports
+    it: a name filed under a heavier module would load that module's imports
+    on first use. A class or function names its module; a constant is
+    assigned at the top level of its home's source."""
+    for name, home_name in molq._HOME.items():
+        home = importlib.import_module(f"molq.{home_name}")
+        value = getattr(molq, name)
+        assert value is getattr(home, name), name
+        if callable(value):
+            assert value.__module__ == home.__name__, name
+        else:
+            tree = ast.parse(Path(home.__file__).read_text())
+            assigned = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                        for target in node.targets if isinstance(target, ast.Name)}
+            assert name in assigned, name
     for name in SUBMODULES:
         assert getattr(molq, name) is importlib.import_module(f"molq.{name}")
 
 
-def test_the_package_errors_db_and_basis_import_no_numeric_module():
-    """What `import molq`, load_basis and EnergyDB run needs the standard
-    library only: these modules import neither numpy nor a numeric module of
-    molq, at module level or inside a function."""
-    for name in ("__init__", "errors", "db", "basis"):
+def test_the_package_errors_db_basis_and_options_import_no_numeric_module():
+    """What `import molq`, load_basis, EnergyDB and the CLI's parser run
+    needs the standard library only: these modules import neither numpy nor
+    a numeric module of molq, at module level or inside a function."""
+    for name in ("__init__", "errors", "db", "basis", "options"):
         path = SRC / "molq" / f"{name}.py"
         absolute = {found.split(".")[0] for found, _ in imported_modules(ast.parse(path.read_text()))}
         assert "numpy" not in absolute, name
