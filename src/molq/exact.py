@@ -15,9 +15,10 @@ UCCSD block of `vqe` takes H and its generators from it. The values are
 float64 when every entry is real (molecular Hamiltonians and UCCSD
 generators in this basis) and complex128 otherwise, and each consumer
 keeps that dtype. compile_operator groups the strings by flip mask x and
-builds whole groups a chunk at a time, so no temporary holds more than
-OPERATOR_CHUNK_ENTRIES values; an operator of more than
-OPERATOR_MAX_BYTES is refused, at every call, before any value is formed.
+builds whole groups a chunk at a time, cut by `integrals._chunks`, so
+no temporary holds more than OPERATOR_CHUNK_ENTRIES values; an operator
+of more than OPERATOR_MAX_BYTES is refused, at every call, before any
+value is formed.
 
 Only the values depend on the coefficients, and a scan compiles the same
 strings on the same basis at every point. So everything else, the
@@ -58,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ResourceError, UsageError
+from .integrals import _chunks, _frozen
 from .integrals_io import MOIntegrals, closed_shell_pairs
 from .pauli import _PHASE_VALUES, PauliSum, is_hermitian, pauli_signs
 
@@ -114,31 +116,12 @@ class BlockOperator:
         return mat
 
 
-def _chunks(bounds: np.ndarray, width: int):
-    """Runs [g0, g1) of whole groups (group g holds terms bounds[g] up to
-    bounds[g + 1]) of at most OPERATOR_CHUNK_ENTRIES // width terms; a
-    larger group is a run by itself."""
-    per_chunk = OPERATOR_CHUNK_ENTRIES // width
-    g0 = 0
-    while g0 < len(bounds) - 1:
-        g1 = max(g0 + 1, int(np.searchsorted(bounds, bounds[g0] + per_chunk, side="right")) - 1)
-        yield g0, g1
-        g0 = g1
-
-
 def _targets(basis, flips):
     """For each flip mask and column b: where b ^ flip sits in the sorted
     basis (clipped), and whether it is there."""
     flipped = basis ^ flips[:, None]
     found = np.minimum(np.searchsorted(basis, flipped), len(basis) - 1)
     return found, basis[found] == flipped
-
-
-def _frozen(arrays) -> tuple:
-    """arrays as a tuple, each made read-only."""
-    for array in arrays:
-        array.flags.writeable = False
-    return tuple(arrays)
 
 
 @functools.lru_cache(maxsize=_PLAN_CAPACITY)
@@ -160,7 +143,7 @@ def _pieces(basis, bounds, flips, z):
     depend on the coefficients: (rows, cols, term, signs, starts). Entry e
     sums signs[k] * coefficient[term[k]] over k in starts[e] up to the
     next start."""
-    for g0, g1 in _chunks(bounds, len(basis)):
+    for g0, g1 in _chunks(bounds, OPERATOR_CHUNK_ENTRIES // len(basis)):
         found, hit = _targets(basis, flips[g0:g1])
         group, col = np.nonzero(hit)   # entries by group, columns ascending
         row = found[group, col]
@@ -221,7 +204,7 @@ def compile_operator(s: PauliSum, basis: np.ndarray) -> BlockOperator:
     if len(flips) * len(basis) * entry_bytes > OPERATOR_MAX_BYTES:
         n_entries = sum(
             np.count_nonzero(_targets(basis, flips[g0:g1])[1])
-            for g0, g1 in _chunks(bounds, len(basis))
+            for g0, g1 in _chunks(bounds, OPERATOR_CHUNK_ENTRIES // len(basis))
         )
         if n_entries * entry_bytes > OPERATOR_MAX_BYTES:
             raise ResourceError(

@@ -17,7 +17,9 @@ and each integral class is a numpy reduction over those primitive-pair
 arrays. The ERIs form the kernel and F0 of every (bra, ket <= bra) pair
 of function pairs at once, packed in row-major lower-triangle order, in
 runs of whole bra rows, then contract each bra row's run with its
-weights. A run's largest temporaries, the P - Q separations, hold 3
+weights. `_chunks` cuts the runs; it is molq's one cutter, and it also
+bounds the operator compile of `exact` and the Jordan-Wigner map of
+`pauli`. A run's largest temporaries, the P - Q separations, hold 3
 values per (bra, ket, primitive quartet), and a run holds at most
 _ERI_CHUNK_VALUES (2**16, 512 KB of float64) of them: in STO-3G, K = 3,
 one run, so one boys_f0 call, covers up to 6 functions, and a larger
@@ -64,13 +66,13 @@ ELEMENTS = {
 # series/closed-form switch for the Boys function
 _BOYS_SERIES_CUTOFF = 1e-6
 # Cephes ndtr.c: erf(s) = s T(s^2)/U(s^2) for s <= 1, and above it
-# erfc(s) = exp(-s^2) P(s)/Q(s); U and Q have an implicit leading 1
+# erfc(s) = exp(-s^2) P(s)/Q(s); U and Q carry p1evl's implicit leading 1.0
 _ERF_T = (
     9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
     7.00332514112805075473E3, 5.55923013010394962768E4,
 )
 _ERF_U = (
-    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
     2.26290000613890934246E4, 4.92673942608635921086E4,
 )
 _ERFC_P = (
@@ -79,7 +81,7 @@ _ERFC_P = (
     9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2,
 )
 _ERFC_Q = (
-    1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
     9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
     1.65666309194161350182E3, 5.57535340817727675546E2,
 )
@@ -150,16 +152,6 @@ def _polevl(x, coefficients):
     return a
 
 
-def _p1evl(x, coefficients):
-    """x^n + c0 x^(n-1) + ... + c(n-1) by Horner, as Cephes' p1evl: the
-    leading coefficient 1 is implicit."""
-    a = x + coefficients[0]
-    for c in coefficients[1:]:
-        a *= x
-        a += c
-    return a
-
-
 def _erf(s):
     """erf of an array of s >= 0 by Cephes' ndtr.c (see the module
     docstring): s T(s^2)/U(s^2) for s <= 1, 1 - exp(-s^2) P(s)/Q(s) for
@@ -169,10 +161,10 @@ def _erf(s):
     low = np.flatnonzero(s <= 1.0)
     sl = s[low]
     z = sl * sl
-    out[low] = sl * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    out[low] = sl * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
     mid = np.flatnonzero((s > 1.0) & (s < 6.0))
     sm = s[mid]
-    out[mid] = 1.0 - np.exp(-sm * sm) * _polevl(sm, _ERFC_P) / _p1evl(sm, _ERFC_Q)
+    out[mid] = 1.0 - np.exp(-sm * sm) * _polevl(sm, _ERFC_P) / _polevl(sm, _ERFC_Q)
     return out
 
 
@@ -240,8 +232,8 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     `basis_functions` is the (centers, exponents, coefficients) tuple of
     `assign_basis`: the functions placed on their atoms. Every integral is a
     reduction over the primitive-pair arrays of `_primitive_pairs`; the
-    ERIs run every bra pair against all ket pairs at or below it, a chunk
-    of bra rows at a time (`_bra_chunks`), so no temporary passes
+    ERIs run every bra pair against all ket pairs at or below it, a run
+    of whole bra rows at a time (cut by `_chunks`), so no temporary passes
     _ERI_CHUNK_VALUES values, a few of them at once, unless one bra row,
     3 n_pair K^4 values, is longer than that. Each unique value is
     computed once and gathered through `pair_index`, so S, Hcore and the
@@ -266,7 +258,8 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     # (bra-ket pair, a, b, c, d); P - Q adds an axis of 3
     n_pair = len(s)
     pairs = np.zeros((n_pair, n_pair))
-    for x0, x1 in _bra_chunks(n_pair, 3 * p[0].size ** 2):
+    bounds = np.arange(n_pair + 1) * np.arange(1, n_pair + 2) // 2   # pairs before bra x
+    for x0, x1 in _chunks(bounds, _ERI_CHUNK_VALUES // (3 * p[0].size ** 2)):
         bra = np.repeat(np.arange(x0, x1), np.arange(x0 + 1, x1 + 1))
         ket = np.concatenate([np.arange(x + 1) for x in range(x0, x1)])
         pb, qk = p[bra][:, :, :, None, None], p[ket][:, None, None]
@@ -293,17 +286,22 @@ def build_ao_integrals(geometry: Geometry, basis_functions) -> AOIntegrals:
     )
 
 
-def _bra_chunks(n_pair, per_pair):
-    """Runs [x0, x1) of bra pairs whose (bra, ket <= bra) pairs, at
-    `per_pair` values each, hold at most _ERI_CHUNK_VALUES values; a
-    longer bra row is a run by itself."""
-    per_chunk = _ERI_CHUNK_VALUES // per_pair
-    ends = np.arange(1, n_pair + 1) * np.arange(2, n_pair + 2) // 2   # pairs through bra x
-    x0 = 0
-    while x0 < n_pair:
-        x1 = max(x0 + 1, int(np.searchsorted(ends, x0 * (x0 + 1) // 2 + per_chunk, side="right")))
-        yield x0, x1
-        x0 = x1
+def _chunks(bounds, limit: int):
+    """Runs [g0, g1) of whole groups (group g holds items bounds[g] up to
+    bounds[g + 1]) of at most `limit` items; a larger group is a run by
+    itself."""
+    g0 = 0
+    while g0 < len(bounds) - 1:
+        g1 = max(g0 + 1, int(np.searchsorted(bounds, bounds[g0] + limit, side="right")) - 1)
+        yield g0, g1
+        g0 = g1
+
+
+def _frozen(arrays) -> tuple:
+    """arrays as a tuple, each made read-only: a cached plan's form."""
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(arrays)
 
 
 def pair_index(n):

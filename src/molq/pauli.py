@@ -46,10 +46,11 @@ holds 24 bytes per expanded string (a row of k factors expands to 2^k),
 strings), at most 52 MB for a 24-mode molecular Hamiltonian (76 608
 rows), so at most about 210 MB for a full cache of those. The build
 writes the map in place: row r's strings start at the sum of the earlier
-rows' repeats, and each factor count's rows are expanded _JW_CHUNK_STRINGS
-(4 096) strings, or one row, at a time straight there. Only the merge key
-(8 bytes per string) and its sort live beside the map, so a cold build
-peaks under 3x the map it keeps: 2.3 MB for LiH...H2, 8.2 MB for H8.
+rows' repeats, and each factor count's rows are expanded straight there
+in runs of _JW_CHUNK_STRINGS (4 096) strings, or one row, cut by
+`integrals._chunks`. Only the merge key (8 bytes per string) and its
+sort live beside the map, so a cold build peaks under 3x the map it
+keeps: 2.3 MB for LiH...H2, 8.2 MB for H8.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ import numpy as np
 
 from .errors import ResourceError, UsageError
 from .fermion import FermionOperator, _coefficient_column, _format_coefficients
+from .integrals import _chunks, _frozen
 
 COEFF_DROP = 1e-12
 
@@ -322,17 +324,13 @@ def _jw_map(n_modes: int, shape: tuple, table: bytes, constant_row: bool) -> tup
     scales = np.empty(len(keys), dtype=complex)
     for count in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == count)
-        step = max(1, _JW_CHUNK_STRINGS >> count)
-        for first in range(0, len(rows), step):
-            chunk = rows[first:first + step]
+        for r0, r1 in _chunks(np.arange(len(rows) + 1) << count, _JW_CHUNK_STRINGS):
+            chunk = rows[r0:r1]
             x, z, c = _expand(factors[chunk, :count], np.ones(len(chunk)))
             where = (starts[chunk, None] + np.arange(2**count)).ravel()
             keys[where], scales[where] = x << 32 | z, c
     x, z, inverse = _merge_plan(n_modes, keys)
-    columns = (repeats, scales, inverse, x, z)
-    for column in columns:
-        column.flags.writeable = False
-    return columns
+    return _frozen([repeats, scales, inverse, x, z])
 
 
 def jordan_wigner(op: FermionOperator) -> PauliSum:

@@ -141,6 +141,13 @@ def test_ham_limit(capsys, h2_fcidump):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
+def test_ham_pauli_limit_keeps_the_first_strings(capsys, h2_fcidump):
+    assert main(["ham", "--fcidump", h2_fcidump, "--pauli"]) == 0
+    strings = capsys.readouterr().out.splitlines(keepends=True)
+    assert main(["ham", "--fcidump", h2_fcidump, "--pauli", "--limit", "3"]) == 0
+    assert capsys.readouterr().out == "".join(strings[:3])
+
+
 @pytest.mark.parametrize("pauli", [[], ["--pauli"]])
 def test_ham_negative_limit_exits_1(capsys, pauli):
     assert main(["ham", "--fcidump", LIH_FCIDUMP, "--limit", "-1", *pauli]) == 1
@@ -792,6 +799,36 @@ def test_db_get_rejects_path_traversal(capsys, tmp_path):
 
 def test_db_put_without_file(capsys, tmp_path):
     assert main(["db", "put", "--db", str(tmp_path / "db")]) == 1
+
+
+H2_SCAN = ["scan", "--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H",
+           "--basis", "sto-3g"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ham", "--fcidump", LIH_FCIDUMP, "--limit", "abc"], "want an int >= 0, got 'abc'"),
+    (["vqe"], "--geometry is required here"),
+    (H2_SCAN + ["--lengths", "1:2:0"], "length step must be positive"),
+    (["db", "put", "--db", "{db}", ""], "db put needs a record JSON file"),
+    (["db", "get", "--db", "{db}", ""], "db get needs a record id"),
+    (["db", "put", "--db", "{db}", "{record}"], "bad record file"),
+], ids=["limit", "vqe-input", "length-step", "put-target", "get-target", "record-file"])
+def test_cli_refuses_bad_input_with_exit_1(capsys, tmp_path, argv, message):
+    record = tmp_path / "record.json"
+    record.write_text("not a record")
+    assert main([arg.format(db=tmp_path / "db", record=record) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_scan_prints_a_failed_point_beside_one_that_ran(capsys):
+    # at 1.8 Angstrom the depth-2 HEA optimum leaves the 2-electron sector
+    assert main(H2_SCAN + ["--lengths", "0.7,1.8", "--methods", "hf,vqe",
+                           "--ansatz", "hea", "--depth", "2"]) == 0
+    ran, failed = capsys.readouterr().out.splitlines()
+    assert ran.startswith("length=0.7 e_hf=") and " e_vqe=" in ran
+    assert failed.startswith(
+        "length=1.8 FAILED: ComputationError: HEA state left the 2-electron sector")
 
 
 def test_db_audit_healthy_exits_0(capsys, tmp_path):

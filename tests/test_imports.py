@@ -371,7 +371,8 @@ def molq_imports(path):
 def test_exact_imports_no_simulator():
     """The exact path reads integrals and Pauli sums and returns plain
     amplitude arrays; it needs nothing from the statevector simulator."""
-    assert molq_imports(SRC / "molq" / "exact.py") == {"errors", "integrals_io", "pauli"}
+    assert molq_imports(SRC / "molq" / "exact.py") == {
+        "errors", "integrals", "integrals_io", "pauli"}
 
 
 def load_perfbench_module(monkeypatch, name):

@@ -328,8 +328,15 @@ def test_eri_is_the_per_bra_loop_across_chunk_boundaries(sto3g, monkeypatch):
     geom = ERI_GEOMETRIES["LiH-H2"]
     basis = assign_basis(geom, sto3g)
     monkeypatch.setattr(molq.integrals, "_ERI_CHUNK_VALUES", 20 * 3 * 81)
-    assert list(molq.integrals._bra_chunks(15, 3 * 81))[:3] == [(0, 5), (5, 7), (7, 9)]
+    cut, runs = molq.integrals._chunks, []
+
+    def recorded(bounds, limit):   # the shared cutter, keeping the runs it yields
+        runs.extend(cut(bounds, limit))
+        return runs
+
+    monkeypatch.setattr(molq.integrals, "_chunks", recorded)
     assert_array_equal(build_ao_integrals(geom, basis).eri, per_bra_eri(basis))
+    assert runs[:3] == [(0, 5), (5, 7), (7, 9)]
 
 
 def test_atom_without_basis_function_rejected(sto3g):
@@ -405,6 +412,35 @@ def test_parse_basis_refuses_bad_primitives(row, name):
     with pytest.raises(ParseError, match=f"{name} must be finite") as err:
         parse_basis(f"# comment\nELEMENT H 2\n2.0 0.5\n{row}\n")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("text, match, line", [
+    ("ELEMENT H\n0.5 1.0\n", "expected 'ELEMENT <symbol> <n>'", 1),
+    ("ELEMENT H 0\n", "primitive count must be >= 1", 1),
+    ("ELEMENT H 1\n0.5\n", "expected '<exponent> <coefficient>'", 2),
+    ("ELEMENT H 1\n0.5 one\n", "bad numeric literal", 2),
+], ids=["header", "count", "row", "literal"])
+def test_parse_basis_refuses_a_malformed_block(text, match, line):
+    with pytest.raises(ParseError, match=match) as err:
+        parse_basis(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("text, error, match", [
+    ("charge one\nH 0 0 0\n", ParseError, "bad charge 'one'"),
+    ("H 0 0 x\n", ParseError, "bad coordinate"),
+    ("Xq 0 0 0\n", ParseError, "unknown element 'Xq'"),
+    ("H 0 0 0\nH 0 0 nan\n", UsageError, "non-finite coordinate for atom H"),
+], ids=["charge", "coordinate", "element", "nan"])
+def test_parse_geometry_refuses_bad_input(text, error, match):
+    with pytest.raises(error, match=match) as err:
+        parse_geometry(text)
+    assert type(err.value) is error
+
+
+def test_assign_basis_refuses_a_geometry_without_atoms(sto3g):
+    with pytest.raises(UsageError, match="empty basis"):
+        assign_basis(Geometry(()), sto3g)
 
 
 def test_contraction_self_overlap_normalized(sto3g):

@@ -81,6 +81,24 @@ def test_parse_errors():
         parse_fcidump("&FCI NORB=2,NELEC=2,MS2=0,&END\nx 1 1 0 0\n")
 
 
+@pytest.mark.parametrize("text, match, line", [
+    ("NORB=2,NELEC=2,&END\n", "must begin with &FCI", 1),
+    ("&FCI NORB=0,NELEC=0,&END\n", "NORB must be >= 1", 1),
+    ("&FCI NORB=2,NELEC=2,&END\n0.5 1 0 0 0\n", "one-body line with a zero index", 2),
+    ("&FCI NORB=2,NELEC=2,&END\n0.5 1 1 0 1\n", "two-body line with a zero index", 2),
+], ids=["no-fci", "norb-0", "one-body", "two-body"])
+def test_parse_refuses_a_malformed_file(text, match, line):
+    with pytest.raises(ParseError, match=match) as err:
+        parse_fcidump(text)
+    assert err.value.line == line
+
+
+def test_validate_refuses_mismatched_shapes():
+    mo = MOIntegrals(2, 2, np.zeros((2, 2)), np.zeros((2, 2, 2, 3)))
+    with pytest.raises(UsageError, match="shapes do not match n_orbitals"):
+        mo.validate()
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
 @pytest.mark.parametrize("indices", ["0 0 0 0", "2 1 0 0", "2 1 2 2"])
 def test_parse_refuses_non_finite_values(value, indices):

@@ -186,6 +186,15 @@ def test_jw_rejects_more_modes_than_the_qubit_guard():
     assert all(t.letters[23] in "XY" and len(t.letters) == 24 for t in edge.terms)
 
 
+@pytest.mark.parametrize("letters, match", [
+    ({0: "W"}, "bad Pauli letter 'W' on qubit 0"),
+    ({-1: "X"}, "negative qubit index -1"),
+], ids=["letter", "qubit"])
+def test_term_refuses_a_bad_letter_or_qubit(letters, match):
+    with pytest.raises(UsageError, match=match):
+        PauliTerm(1.0, letters)
+
+
 def test_sum_validation_and_columns():
     with pytest.raises(UsageError):  # a mask outside the register, from terms
         PauliSum(2, (PauliTerm(1.0, {2: "X"}),))

@@ -126,6 +126,11 @@ def fresh_gram(history):
     return gram
 
 
+def test_diis_refuses_an_empty_history():
+    with pytest.raises(UsageError, match="at least one Fock matrix"):
+        diis_extrapolate([], np.zeros((0, 0)))
+
+
 def test_diis_single_entry_identity():
     rng = np.random.default_rng(0)
     f = rng.standard_normal((3, 3))
@@ -226,6 +231,12 @@ def test_identity_transform_is_identity():
     assert_allclose(mo.h, h, rtol=0, atol=1e-14)
     assert_allclose(mo.g, g, rtol=0, atol=1e-14)
     assert mo.e_core == 0.25
+
+
+def test_transform_refuses_a_coefficient_matrix_of_another_shape():
+    ao = AOIntegrals(2, np.eye(2), np.eye(2), np.zeros((2, 2, 2, 2)), e_nuclear=0.0, n_electrons=2)
+    with pytest.raises(UsageError, match="must be 2x2"):
+        ao_to_mo(ao, np.eye(3))
 
 
 def test_transform_preserves_eightfold_symmetry():

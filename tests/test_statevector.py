@@ -138,6 +138,15 @@ def test_non_integer_qubit_index_rejected():
             run_circuit(Circuit(2, [gate]))
 
 
+@pytest.mark.parametrize("gate, match", [
+    (Gate("x", (2,)), "qubit 2 outside 0..1"),
+    (Gate("cnot", (1, 1)), "cnot needs two distinct qubits"),
+], ids=["outside", "repeated"])
+def test_qubit_outside_the_register_or_repeated_rejected(gate, match):
+    with pytest.raises(UsageError, match=match):
+        run_circuit(Circuit(2, [gate]))
+
+
 def test_unknown_gate_kind_rejected():
     with pytest.raises(UsageError, match="unknown gate kind"):
         run_circuit(Circuit(1, [Gate("h", (0,))]))

@@ -72,6 +72,8 @@ def test_hf_circuit_rejects_odd_or_overfull():
         hf_reference_circuit(4, 3)
     with pytest.raises(UsageError):
         hf_reference_circuit(4, 6)
+    with pytest.raises(UsageError, match="even qubit count"):
+        hf_reference_circuit(3, 2)
 
 
 # ----------------------------------------------- hardware_efficient_ansatz
@@ -144,6 +146,11 @@ def test_uccsd_h2_parameter_count():
     ansatz = uccsd_ansatz(4, 2)
     assert ansatz.parameter_count == 3
     assert "singles=2" in ansatz.descriptor and "doubles=1" in ansatz.descriptor
+
+
+def test_uccsd_needs_a_virtual_orbital():
+    with pytest.raises(UsageError, match="an occupied and a virtual orbital"):
+        uccsd_ansatz(4, 4)
 
 
 def test_uccsd_zero_angles_exact_hf():
@@ -544,6 +551,25 @@ def test_gradient_descent_charges_adjoint_gradients(h2_hamiltonian):
     assert result.evaluations == len(result.history) * (1 + 2 * 3)
     exact = dense_ground_energy(h2_hamiltonian, 2).ground_energy
     assert exact - 1e-9 <= result.energy <= exact + 1e-6
+
+
+def test_gradient_descent_on_a_circuit_ansatz_charges_parameter_shift_pairs(monkeypatch):
+    # one RY on Z0 + X0: E(theta) = cos theta + sin theta, 1.0 at the start
+    thetas = []
+
+    def recorded(a, h, theta):
+        thetas.append(theta.copy())
+        return parameter_shift_gradient(a, h, theta)
+
+    monkeypatch.setattr(molq.vqe, "parameter_shift_gradient", recorded)
+    h = PauliSum(1, (PauliTerm(1.0, {0: "Z"}), PauliTerm(1.0, {0: "X"})))
+    config = OptimizerConfig(method="gradient_descent", budget=10)
+    result = vqe_solve(h, hardware_efficient_ansatz(1, 0), config)
+    assert len(thetas) == len(result.history) == 3 and thetas[0] == 0.0
+    assert result.evaluations == 3 * (1 + 2) <= config.budget
+    assert result.energy < 1.0
+    theta = result.parameters[0]
+    assert result.energy == pytest.approx(math.cos(theta) + math.sin(theta), abs=1e-12)
 
 
 # ------------------------------------------------------------------ minimize

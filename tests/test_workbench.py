@@ -642,6 +642,19 @@ def test_scan_error_names_the_first_failure(tmp_path):
     assert "absent_0.7.fcidump" in message and "absent_0.8" not in message
 
 
+def test_an_scf_that_does_not_converge_is_refused(tmp_path, monkeypatch, capsys):
+    # one iteration cannot converge: the first has no energy change to test
+    monkeypatch.setattr(molq.scf, "MAX_ITERATIONS", 1)
+    db = EnergyDB(tmp_path / "db")
+    with pytest.raises(ScanError, match="every scan point failed"):
+        run_scan(h2_spec(bond_lengths=[0.7, 0.8]), db)
+    assert [r.error for r in db.query()] == ["ComputationError: SCF did not converge"] * 2
+    xyz = tmp_path / "h2.xyz"
+    xyz.write_text("H 0 0 0\nH 0 0 0.7354\n")
+    assert main(["scf", "--geometry", str(xyz), "--basis", "sto-3g"]) == 2
+    assert "computation failed: SCF did not converge" in capsys.readouterr().err
+
+
 def test_failed_points_get_distinct_ids(tmp_path):
     db = EnergyDB(tmp_path / "db")
     spec = ScanSpec(
