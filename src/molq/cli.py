@@ -2,8 +2,9 @@
 
 Subcommands: integrals, scf, ham, vqe, exact, scan, db
 put|get|list|query|audit, curve. Exit codes: 0 success, 1 usage error, 2
-computation error or a failed db audit, 3 I/O error. Each command imports
-the numeric modules it uses when it runs, so db and curve load no numpy.
+computation error or a failed db audit, 3 I/O error, an unreadable
+database record among them. Each command imports the numeric modules it
+uses when it runs, so db and curve load no numpy.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ a crash leaves at most a temporary file, which audit reports.
 
 Reads trust the listing too. A record's current version is its latest
 contiguous one: v1, v2, ... up to the first missing number; files past a
-gap are seen only by audit. query and latest_versions take that version for
+gap are seen only by audit, and put refuses to fill the gap, which would
+make them current. query and latest_versions take that version for
 every id from one listing of records/ and read one file per id, with no
 per-version existence checks. put accepts a preset record_id only when it
 equals the record's content id: the hash of the configuration fields of
@@ -232,7 +233,8 @@ class EnergyDB:
 
     def put(self, record: EnergyRecord) -> str:
         """Append the record under its content id as the first free version
-        v1, v2, ..."""
+        v1, v2, ...; UsageError, with nothing linked, where a version past
+        that one exists."""
         record.validate()
         content_id = record.compute_id()
         if record.record_id and record.record_id != content_id:
@@ -244,9 +246,21 @@ class EnergyDB:
         _write_new(
             self.records_dir,
             json.dumps(vars(record), indent=1, sort_keys=True),
-            (f"{self._root}/{_file(record.record_id, v)}" for v in itertools.count(1)),
+            self._free_versions(record.record_id),
         )
         return record.record_id
+
+    def _free_versions(self, record_id: str):
+        """The paths put tries to link, ascending: version v only where one
+        stat finds v + 1 absent. A writer links v + 1 only once v exists, so
+        v + 1 present and v absent is a gap, refused."""
+        for version in itertools.count(1):
+            path = f"{self._root}/{_file(record_id, version)}"
+            if not os.path.exists(f"{self._root}/{_file(record_id, version + 1)}"):
+                yield path
+            elif not os.path.exists(path):
+                raise UsageError(f"{record_id} has versions past missing version {version}; "
+                                 "see molq db audit")
 
     def put_hamiltonian(self, text: str) -> str:
         """Store FCIDUMP text as hamiltonians/<hash of text>.fcidump; return
@@ -265,14 +279,20 @@ class EnergyDB:
             entries.append({"version": len(entries) + 1, "file": file})
         return entries
 
+    def _parse(self, file: str) -> EnergyRecord:
+        with open(f"{self._root}/{file}") as fh:
+            return EnergyRecord.from_dict(json.load(fh))
+
     def _load(self, record_id: str, version: int) -> EnergyRecord:
-        """Version `version` of a well-formed id; KeyError if its file does not exist."""
+        """Version `version` of a well-formed id; KeyError if its file does
+        not exist, OSError naming it and `molq db audit` if it holds no record."""
+        file = _file(record_id, version)
         try:
-            with open(f"{self._root}/{_file(record_id, version)}") as fh:
-                data = json.load(fh)
+            return self._parse(file)
         except FileNotFoundError:
             raise KeyError(f"{record_id} version {version}") from None
-        return EnergyRecord.from_dict(data)
+        except (ValueError, TypeError) as exc:
+            raise OSError(f"unreadable {file} ({exc}); molq db audit lists every such file") from None
 
     def get(self, record_id: str, version: int | None = None) -> EnergyRecord:
         """Version `version` (default: the latest) of a record; KeyError if
@@ -353,8 +373,8 @@ class EnergyDB:
             for version in versions:
                 file = _file(record_id, version)
                 try:
-                    record = self._load(record_id, version)
-                except (KeyError, OSError, ValueError, TypeError) as exc:
+                    record = self._parse(file)
+                except (OSError, ValueError, TypeError) as exc:
                     problems.append(f"{record_id}: unreadable {file}: {exc}")
                     continue
                 if record.record_id != record_id:

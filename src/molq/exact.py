@@ -143,7 +143,7 @@ def _pieces(basis, bounds, flips, z):
     depend on the coefficients: (rows, cols, term, signs, starts). Entry e
     sums signs[k] * coefficient[term[k]] over k in starts[e] up to the
     next start."""
-    for g0, g1 in _chunks(bounds, OPERATOR_CHUNK_ENTRIES // len(basis)):
+    for g0, g1 in _chunks(bounds, OPERATOR_CHUNK_ENTRIES // max(len(basis), 1)):
         found, hit = _targets(basis, flips[g0:g1])
         group, col = np.nonzero(hit)   # entries by group, columns ascending
         row = found[group, col]
@@ -192,8 +192,14 @@ def compile_operator(s: PauliSum, basis: np.ndarray) -> BlockOperator:
     the chunks, where every flip mask hitting every column could pass
     OPERATOR_MAX_BYTES in this call's dtype, the entries are counted, and
     the operator refused, before any chunk or value is formed.
+
+    A basis that is not strictly ascending, or holds a state outside
+    0..2^n - 1, is refused before any cache is read; an empty one gives
+    the operator on no states.
     """
     basis = np.asarray(basis, dtype=np.int64)
+    if basis.ndim != 1 or np.any(basis[1:] <= basis[:-1]) or np.any(basis >> s.n_qubits):
+        raise UsageError(f"basis must hold strictly ascending states in 0..{2**s.n_qubits - 1}")
     masks = s.x.tobytes(), s.z.tobytes()
     order, phases, bounds, flips, z = _layout(*masks)
     coefficients = s.coefficients[order] * phases

@@ -1,9 +1,9 @@
 """Dense statevector simulator with little-endian qubit indexing.
 
-A state is its numpy array of 2**n amplitudes: run_circuit returns one,
-and expectation and sample_expectation read one. State index bit k is
-qubit k (qubit 0 least significant). Gates update the amplitude array in
-place; no gate matrix is ever materialized. Gate set:
+A state is its numpy array of 2**n amplitudes: run_circuit returns one;
+expectation and sample_expectation read one and refuse an H that fails
+pauli.is_hermitian. State index bit k is qubit k (qubit 0 least
+significant). Gates update amplitudes in place, never a matrix. Gate set:
 X, RY, RZ (on axis 1 of the view amps.reshape(-1, 2, 2**q)), CNOT and CZ
 (on axes 1 and 3 of amps.reshape(-1, 2, 2**(hi-lo-1), 2, 2**lo)) and the
 Pauli rotation (kind "pauli_rot", gathered through the flat basis index
@@ -161,25 +161,26 @@ def run_circuit(c: Circuit, theta=None) -> np.ndarray:
     return amps
 
 
-def _real_energy(value: complex, hermitian: bool) -> float:
-    """value.real, refused where the operator is Hermitian but value is not
-    real to 1e-10."""
-    if hermitian and abs(value.imag) > 1e-10:
+def _real_energy(value: complex) -> float:
+    """value.real, refused unless value is real to 1e-10."""
+    if abs(value.imag) > 1e-10:
         raise ComputationError(f"imaginary residual {value.imag:.3e} for a Hermitian operator")
     return float(value.real)
 
 
 def expectation(psi: np.ndarray, h: PauliSum) -> float:
     """Exact <psi|H|psi> of the amplitudes psi, accumulated term by term in
-    the given term order."""
+    the given term order; h is refused unless `is_hermitian`."""
     if psi.shape != (2**h.n_qubits,):
         raise UsageError("statevector and Hamiltonian qubit counts differ")
+    if not is_hermitian(h):
+        raise UsageError("PauliSum is not Hermitian")
     idx = np.arange(psi.size, dtype=np.int64)
     total = 0.0 + 0.0j
     for x, z, coeff in zip(h.x.tolist(), h.z.tolist(), h.coefficients.tolist()):
         phases = pauli_phase(idx, x, z)
         total += complex(coeff) * np.sum(np.conj(psi[idx ^ x]) * phases * psi)
-    return _real_energy(total, is_hermitian(h))
+    return _real_energy(total)
 
 
 def sample_expectation(psi: np.ndarray, h: PauliSum, shots: int, seed: int) -> float:
@@ -195,6 +196,8 @@ def sample_expectation(psi: np.ndarray, h: PauliSum, shots: int, seed: int) -> f
         raise UsageError("statevector and Hamiltonian qubit counts differ")
     check_integer("shots", shots, 1)
     check_integer("seed", seed, 0)
+    if not is_hermitian(h):
+        raise UsageError("PauliSum is not Hermitian")
     rng = np.random.default_rng(seed)
     total = 0.0
     for group in qwc_group(h):

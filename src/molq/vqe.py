@@ -25,13 +25,13 @@ and S_z, so its state never leaves its reference's (N/2, N/2) block: H (a
 dense matrix) and every G_k (gather arrays, one entry per row) are read
 once per solve from two compiled operators on that block, H and the
 generator sum (UCCSDBlock, real when both are). Each factor is applied as
-exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2, which holds because
-G^3 = -G, and gradients come from one backward (adjoint) sweep. HEA has no
-generators: it runs its circuit on the full-space simulator, whose states
-are amplitude arrays, with parameter-shift gradients and, when it declares
-its electron count, a check of <N> on its final state. The UCCSD circuit,
-`expectation` and `parameter_shift_gradient` stay the oracles of the block
-path; vqe_solve never reads that circuit, so a UCCSD solve never builds it.
+exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2 (G^3 = -G), and one
+backward sweep (G^dagger = -G) gives the gradients; the block checks both.
+HEA has no generators: it runs its circuit on the full-space simulator with
+parameter-shift gradients and, if it declares its electron count, checks
+<N> on its final state. Both refuse an H failing pauli.is_hermitian. The
+block's oracles are `expectation`, `parameter_shift_gradient` and the UCCSD
+circuit, which a solve never builds.
 
 `minimize` holds the three optimizers, all under one evaluation budget and
 all failing on a non-finite objective value, which they number by the
@@ -181,8 +181,6 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int, symmetries=()) -> Ansatz:
     image = jordan_wigner(FermionOperator(
         n_qubits, coefficients=np.tile([1.0, -1.0], len(flips)), factors=np.reshape(rows, (-1, 4))
     ))
-    if np.any(np.abs(image.coefficients.real) > 1e-12):
-        raise UsageError("excitation generator is not anti-Hermitian")
     slot_of = {flip: k for k, flip in enumerate(flips)}
     slot = np.array([slot_of[flip] for flip in image.x.tolist()], dtype=np.int64)
     order = np.argsort(slot, kind="stable")
@@ -197,8 +195,8 @@ def uccsd_ansatz(n_qubits: int, n_electrons: int, symmetries=()) -> Ansatz:
 
 
 class UCCSDBlock:
-    """A UCCSD ansatz and a Hamiltonian on the ansatz's (N/2, N/2)
-    determinant block.
+    """A UCCSD ansatz and a Hamiltonian, refused unless `is_hermitian`, on
+    the ansatz's (N/2, N/2) determinant block.
 
     The state has no amplitude outside the block, so psi^dagger H_B psi
     equals <psi|H|psi> for any H, number-conserving or not. H_B is
@@ -207,9 +205,10 @@ class UCCSDBlock:
     `exact`). G_k's strings, the k-th run of one flip mask, fill the
     entries (row, col) whose basis[row] ^ basis[col] is that mask, at most
     one per row: G_k psi = val_k * psi[src_k] (val_k = 0 on rows G_k does
-    not reach) and G_k^2 is diagonal, val_k * val_k[src_k]. The block keeps
-    one dtype: float64 for the reference, the state and lambda when H_B and
-    the generators are real, as they are for molecules; complex128 otherwise.
+    not reach) and G_k^2 is diagonal, val_k * val_k[src_k]; a slot is
+    refused unless G_k is anti-Hermitian with entries of modulus 1. One
+    dtype, float64 where H_B and the generators are real (molecules),
+    complex128 otherwise, holds the reference, the state and lambda.
     """
 
     def __init__(self, h: PauliSum, a: Ansatz):
@@ -219,6 +218,8 @@ class UCCSDBlock:
             raise ResourceError(f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
         if a.n_electrons is None:
             raise UsageError("the UCCSD block needs the ansatz's electron count")
+        if not is_hermitian(h):
+            raise UsageError("PauliSum is not Hermitian")
         basis = sector_basis(h.n_qubits, a.n_electrons)
         self.h = pauli_matrix(h, basis)
         x = a.generators.x   # each run of one flip mask is a slot's strings
@@ -234,10 +235,12 @@ class UCCSDBlock:
         src = np.tile(np.arange(len(basis)), (flips.size, 1))
         val = np.zeros(src.shape, dtype=dtype)
         src[slot, op.rows], val[slot, op.rows] = op.cols, op.values
-        self.generators = list(zip(src, val, val * np.take_along_axis(val, src, axis=1)))
+        pair = np.take_along_axis(val, src, axis=1)   # G_k[src_k[row], row]
+        if np.any(np.abs(pair + val.conj()) > 1e-12) or np.any(np.abs(val * (val * pair + 1)) > 1e-12):
+            raise UsageError("a slot's generator is not anti-Hermitian with entries of modulus 1")
+        self.generators = list(zip(src, val, val * pair))
         self.reference = np.zeros(len(basis), dtype=dtype)
         self.reference[np.searchsorted(basis, _hf_determinant(h.n_qubits, a.n_electrons))] = 1.0
-        self.hermitian = is_hermitian(h)
 
     def state(self, theta) -> np.ndarray:
         """psi(theta) as amplitudes over the block."""
@@ -251,7 +254,7 @@ class UCCSDBlock:
 
     def energy(self, theta) -> float:
         psi = self.state(theta)
-        return _real_energy(np.vdot(psi, self.h @ psi), self.hermitian)
+        return _real_energy(np.vdot(psi, self.h @ psi))
 
     def gradient(self, theta) -> np.ndarray:
         """dE/dtheta_k = 2 Re <lambda_k|G_k|psi_k>, with psi_k the state after

@@ -856,6 +856,26 @@ def test_db_audit_problems_exit_2(capsys, tmp_path):
     assert len(lines) == 2
 
 
+def test_an_unreadable_record_is_one_io_error_line_naming_it(capsys, tmp_path):
+    # these readers ended in a JSONDecodeError traceback; audit lists the file
+    db_dir = tmp_path / "db"
+    record_file = tmp_path / "rec.json"
+    record_file.write_text(json.dumps({"molecule": "H2", "basis": "sto-3g", "bond_length": 0.7}))
+    assert main(["db", "put", "--db", str(db_dir), str(record_file)]) == 0
+    record_id = capsys.readouterr().out.strip()
+    (db_dir / "records" / f"{record_id}.v1.json").write_text("{not json")
+    for argv in (["db", "list"], ["db", "query"], ["db", "get", record_id],
+                 ["curve", "--molecule", "H2"]):
+        assert main([*argv, "--db", str(db_dir)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"I/O error: unreadable records/{record_id}.v1.json")
+        assert "molq db audit" in line
+    assert main(["db", "audit", "--db", str(db_dir)]) == 2
+    assert capsys.readouterr().out.startswith(f"{record_id}: unreadable records/{record_id}.v1.json")
+
+
 def test_db_audit_missing_hamiltonian_exits_2(capsys, tmp_path):
     db_dir = tmp_path / "db"
     assert main(["scan", "--molecule", "H2", "--fragment-a", "H", "--fragment-b", "H",

@@ -780,6 +780,35 @@ def test_versions_past_a_gap_are_seen_only_by_audit(tmp_path):
     assert len(db.audit()) == 1
 
 
+@pytest.mark.parametrize("missing", [1, 2])
+def test_put_refuses_to_fill_a_version_gap(tmp_path, missing):
+    # filling v2 under a stranded v3 made the old v3 current: get returned
+    # e_hf -1.2, not the -1.5 just put, and audit found nothing
+    db = EnergyDB(tmp_path / "db")
+    for e_hf in (-1.0, -1.1, -1.2):
+        record_id = db.put(make_record(e_hf=e_hf, e_vqe=None, e_exact=None))
+    (db.records_dir / f"{record_id}.v{missing}.json").unlink()
+    before = sorted(os.listdir(db.records_dir))
+    with pytest.raises(UsageError, match=f"{record_id} .*molq db audit"):
+        db.put(make_record(e_hf=-1.5, e_vqe=None, e_exact=None))
+    assert sorted(os.listdir(db.records_dir)) == before   # nothing linked, nothing staged
+    assert [p for p in db.audit() if "not contiguous" in p]
+    assert [e["version"] for e in db.versions(record_id)] == list(range(1, missing))
+
+
+def test_put_of_a_new_id_costs_one_link_and_one_stat(tmp_path, monkeypatch):
+    db = EnergyDB(tmp_path / "db")
+    calls = []
+    for module, name in ((os, "link"), (os.path, "exists")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    db.put(make_record())
+    assert sorted(calls) == ["exists", "link"]
+
+
 def test_stray_temporary_file_is_invisible_but_audited(tmp_path):
     # What a put interrupted between writing and linking leaves behind.
     db = EnergyDB(tmp_path / "db")

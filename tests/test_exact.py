@@ -106,6 +106,37 @@ def test_pauli_matrix_on_a_basis_is_the_submatrix():
     assert np.array_equal(pauli_matrix(s, basis), full[np.ix_(basis, basis)])
 
 
+@pytest.mark.parametrize("basis", [[1, 0], [1, 1], [0, 2, 1], [-1, 0], [0, 4], [[0, 1]]],
+                         ids=["descending", "repeated", "unsorted", "negative", "past-2^n", "2-d"])
+def test_operator_refuses_a_basis_that_is_not_ascending_states_of_the_register(basis, monkeypatch):
+    # H = X0 + 0.5 Z0 on 2 qubits: [1, 0] read as the zero matrix and [1, 1]
+    # as [[-0.5, -0.5], [0, 0]] before the check; neither cache is read
+    def no_cache(*args):
+        raise AssertionError("a plan cache was read before the basis was checked")
+
+    s = PauliSum(2, (PauliTerm(1.0, {0: "X"}), PauliTerm(0.5, {0: "Z"})))
+    monkeypatch.setattr(molq.exact, "_layout", no_cache)
+    monkeypatch.setattr(molq.exact, "_plan", no_cache)
+    for build in (compile_operator, pauli_matrix):
+        with pytest.raises(UsageError, match=r"strictly ascending states in 0\.\.3"):
+            build(s, basis)
+
+
+def test_operator_takes_every_sector_basis_and_the_empty_one():
+    # the empty basis raised ZeroDivisionError; it is the operator on no states
+    s = PauliSum(2, (PauliTerm(1.0, {0: "X"}), PauliTerm(0.5, {0: "Z"})))
+    for basis in ([], np.zeros(0, dtype=np.int64)):
+        op = compile_operator(s, basis)
+        assert (op.dim, op.rows.size, op.cols.size, op.values.dtype) == (0, 0, 0, np.float64)
+        assert pauli_matrix(s, basis).shape == (0, 0)
+    # the Y string's phased coefficient is complex, so the values are too
+    assert compile_operator(PauliSum(2, (PauliTerm(1.0, {0: "Y"}),)), []).values.dtype == complex
+    s = PauliSum(8, (PauliTerm(1.0, {0: "X", 4: "X"}), PauliTerm(0.5, {7: "Z"})))
+    for n_electrons in range(9):
+        basis = sector_basis(8, n_electrons)
+        assert np.array_equal(pauli_matrix(s, basis), pauli_matrix(s)[np.ix_(basis, basis)])
+
+
 # ---------------------------------------------------------------------------
 # compile_operator against the per-flip-mask loop it replaced
 # ---------------------------------------------------------------------------

@@ -277,6 +277,22 @@ def test_qubit_count_mismatch_rejected():
             sample_expectation(psi, h, shots=10, seed=0)
 
 
+def test_a_non_hermitian_sum_has_no_expectation(monkeypatch):
+    # expectation read the real part and sample_expectation the real
+    # coefficients; both now refuse, before any amplitude is read or sampled
+    def no_work(*args):
+        raise AssertionError("read or sampled before the Hermitian check")
+
+    psi = state(Circuit(2).ry(0, angle=0.4).cnot(0, 1))
+    monkeypatch.setattr("molq.statevector.pauli_phase", no_work)
+    monkeypatch.setattr("molq.statevector.qwc_group", no_work)
+    h = PauliSum(2, (PauliTerm(1.0, {0: "Z"}), PauliTerm(0.3j, {0: "Y", 1: "X"})))
+    with pytest.raises(UsageError, match="PauliSum is not Hermitian"):
+        expectation(psi, h)
+    with pytest.raises(UsageError, match="PauliSum is not Hermitian"):
+        sample_expectation(psi, h, shots=100, seed=0)
+
+
 def test_sampling_a_real_array_rotates_a_complex_copy():
     # a Y term takes RZ(-pi/2), which a real array could not hold
     psi = np.array([0.6, 0.0, 0.0, 0.8])

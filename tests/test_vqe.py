@@ -499,6 +499,45 @@ def test_block_keeps_the_circuit_checks(h2_hamiltonian):
         block.energy(np.zeros(3))
 
 
+def test_a_non_hermitian_hamiltonian_has_no_vqe_energy(h2_hamiltonian, monkeypatch):
+    # H2 plus 0.3i Y0 X1 X2 X3: the block read the real part of its energy,
+    # yet at 0.74 Angstrom its adjoint gradient at (0.1, -0.2, 0.3) read
+    # (-0.425, -0.063, 1.660), the energy's central difference (-0.191,
+    # -0.063, 1.090)
+    h = PauliSum(4, h2_hamiltonian.terms + [PauliTerm(0.3j, {0: "Y", 1: "X", 2: "X", 3: "X"})])
+    uccsd = uccsd_ansatz(4, 2)
+    gradient_descent = OptimizerConfig(method="gradient_descent", budget=50)
+    for solve in (lambda: vqe_solve(h, uccsd, gradient_descent),
+                  lambda: vqe_solve(h, hardware_efficient_ansatz(4, 1, 2))):
+        with pytest.raises(UsageError, match="PauliSum is not Hermitian"):
+            solve()
+
+    def no_compile(*args):
+        raise AssertionError("compiled before the Hermitian check")
+
+    monkeypatch.setattr(molq.vqe, "pauli_matrix", no_compile)
+    monkeypatch.setattr(molq.vqe, "compile_operator", no_compile)
+    with pytest.raises(UsageError, match="PauliSum is not Hermitian"):
+        UCCSDBlock(h, uccsd)
+
+
+@pytest.mark.parametrize("change", ["doubled", "one-coefficient-plus-0.1"])
+def test_block_refuses_a_generator_without_unit_anti_hermitian_entries(h2_hamiltonian, change):
+    # exp(theta G) = 1 + sin(theta) G + (1 - cos(theta)) G^2 needs G^3 = -G:
+    # the doubled generators gave -0.55900 at (0.3, -0.2, 0.4), their
+    # circuit -0.55004
+    ansatz = uccsd_ansatz(4, 2)
+    g = ansatz.generators
+    coefficients = g.coefficients.copy()
+    if change == "doubled":
+        coefficients *= 2.0
+    else:
+        coefficients[0] += 0.1
+    changed = replace(ansatz, generators=PauliSum(4, x=g.x, z=g.z, coefficients=coefficients))
+    with pytest.raises(UsageError, match="not anti-Hermitian with entries of modulus 1"):
+        UCCSDBlock(h2_hamiltonian, changed)
+
+
 def test_block_rejects_a_generator_with_two_flip_masks(h2_hamiltonian):
     # the gather form keeps one entry per row, so one flip mask per generator
     generator = PauliSum(4, (PauliTerm(1j, {0: "X"}), PauliTerm(1j, {1: "X"})))
