@@ -246,7 +246,7 @@ def cmd_db(args):
         try:
             record = db.get(args.target, version=args.version)
         except KeyError as exc:
-            raise UsageError(f"no such record: {exc}")
+            raise UsageError(f"no such record: {exc.args[0]}")
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
     elif args.action == "list":
         for record_id, version in db.latest_versions().items():

@@ -14,8 +14,8 @@ gap are seen only by audit, and put refuses to fill the gap, which would
 make them current. query and latest_versions take that version for
 every id from one listing of records/ and read one file per id, with no
 per-version existence checks. put accepts a preset record_id only when it
-equals the record's content id: the hash of the configuration fields of
-EnergyRecord.content_key, so two records differing in any of them get two ids.
+equals the record's content id: the hash of the fields of _IDENTITY that
+EnergyRecord.content_key reads, so two records differing in any get two ids.
 It accepts a hamiltonian_ref only as paths of files directly under
 hamiltonians/, and audit reports any other ref it reads. emit_curve writes
 records as the CSV dissociation curve that `molq curve` prints.
@@ -58,22 +58,28 @@ RECORD_NAME = re.compile(rf"(?P<id>{RECORD_ID})\.v(?P<version>[1-9][0-9]*)\.json
 HAMILTONIAN_PATH = re.compile(r"hamiltonians/(?!\.\.?\Z)[^/]+")
 TMP_SUFFIX = ".tmp"
 
+# The fields that name a computation, each with the values at which it stays
+# out of the record id. The first seven name every record. Each later field
+# stays out when None or unset, so records stored before it existed keep
+# their ids; ansatz_version is unset at 1, not at a current default, so no
+# id changes meaning if the default does.
+_IDENTITY = {
+    "molecule": (), "geometry": (), "bond_length": (), "basis": (),
+    "ansatz": (), "optimizer": (), "seed": (),
+    "charge": (None, 0), "n_frozen": (None, 0), "depth": (None,),
+    "budget": (None,), "ansatz_version": (None, 1),
+}
+
 
 @dataclass
 class EnergyRecord:
     """One scan point: identity, energies, and method provenance.
 
-    record_id hashes only the configuration (molecule, geometry, bond
-    length, basis, ansatz, optimizer, seed, and charge, frozen orbitals,
-    HEA depth and optimizer budget when set, and the ansatz version when
-    other than 1), so re-running the same configuration yields the same id and
+    record_id hashes only the fields of _IDENTITY, which name the
+    computation, so re-running the same configuration yields the same id and
     differing results stack up as versions under it. A failed point (error
     set, no energies) has the id of the computation that failed, so its
-    fixed re-run is the next version under that id. Charge 0, no frozen
-    orbitals, no depth, no budget and ansatz versions 1 and None stay out
-    of the key, so the ids of records without those fields keep the hash
-    they had before the fields existed. The version rule is keyed to 1,
-    not to a current default, so no id changes meaning if the default does.
+    fixed re-run is the next version under that id.
     """
 
     molecule: str
@@ -99,25 +105,8 @@ class EnergyRecord:
     created_at: str = ""
 
     def content_key(self) -> dict:
-        key = {
-            "molecule": self.molecule,
-            "geometry": self.geometry,
-            "bond_length": self.bond_length,
-            "basis": self.basis,
-            "ansatz": self.ansatz,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-        }
-        for name in ("charge", "n_frozen"):
-            if getattr(self, name):
-                key[name] = getattr(self, name)
-        for name in ("depth", "budget"):
-            if getattr(self, name) is not None:
-                key[name] = getattr(self, name)
-        # a version 1 hashes as no version, so ids from before versions keep
-        if self.ansatz_version not in (None, 1):
-            key["ansatz_version"] = self.ansatz_version
-        return key
+        return {name: value for name, unset in _IDENTITY.items()
+                if (value := getattr(self, name)) not in unset}
 
     def compute_id(self) -> str:
         canonical = json.dumps(self.content_key(), sort_keys=True, separators=(",", ":"))

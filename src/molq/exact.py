@@ -193,13 +193,17 @@ def compile_operator(s: PauliSum, basis: np.ndarray) -> BlockOperator:
     OPERATOR_MAX_BYTES in this call's dtype, the entries are counted, and
     the operator refused, before any chunk or value is formed.
 
-    A basis that is not strictly ascending, or holds a state outside
-    0..2^n - 1, is refused before any cache is read; an empty one gives
-    the operator on no states.
+    A basis that is not strictly ascending, holds a state outside
+    0..2^n - 1, or is not of an integer dtype, is refused before any cache
+    is read; an empty one gives the operator on no states.
     """
-    basis = np.asarray(basis, dtype=np.int64)
-    if basis.ndim != 1 or np.any(basis[1:] <= basis[:-1]) or np.any(basis >> s.n_qubits):
-        raise UsageError(f"basis must hold strictly ascending states in 0..{2**s.n_qubits - 1}")
+    basis = np.asarray(basis)
+    if basis.size == 0 or basis.dtype.kind in "iu":
+        basis = basis.astype(np.int64, copy=False)
+    if (basis.dtype != np.int64 or basis.ndim != 1 or np.any(basis[1:] <= basis[:-1])
+            or np.any(basis >> s.n_qubits)):
+        raise UsageError(f"basis must hold strictly ascending states in 0..{2**s.n_qubits - 1}, "
+                         "as integers")
     masks = s.x.tobytes(), s.z.tobytes()
     order, phases, bounds, flips, z = _layout(*masks)
     coefficients = s.coefficients[order] * phases

@@ -216,8 +216,8 @@ class UCCSDBlock:
             raise UsageError("ansatz and Hamiltonian qubit counts differ")
         if h.n_qubits > MAX_QUBITS:
             raise ResourceError(f"{h.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
-        if a.n_electrons is None:
-            raise UsageError("the UCCSD block needs the ansatz's electron count")
+        if a.n_electrons is None or a.generators is None:
+            raise UsageError("the UCCSD block needs the ansatz's electron count and generators")
         if not is_hermitian(h):
             raise UsageError("PauliSum is not Hermitian")
         basis = sector_basis(h.n_qubits, a.n_electrons)

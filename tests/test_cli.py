@@ -766,6 +766,15 @@ def test_db_list_matches_the_per_id_path(capsys, tmp_path, monkeypatch):
 
 def test_db_get_missing_record(capsys, tmp_path):
     assert main(["db", "get", "--db", str(tmp_path / "db"), "0" * 16]) == 1
+    # the KeyError's message is printed as it is, not quoted again by str()
+    for target, message in [
+        (["0" * 16], "0000000000000000 has no version 1"),
+        (["0" * 16 + ".v1.json"], "record_id '0000000000000000.v1.json' is not 16 hex digits"),
+        (["0" * 16, "--version", "0"], "version must be an integer >= 1, got 0"),
+    ]:
+        capsys.readouterr()
+        assert main(["db", "get", "--db", str(tmp_path / "db"), *target]) == 1
+        assert capsys.readouterr().err == f"error: no such record: {message}\n"
 
 
 def test_db_get_refuses_version_0(capsys, tmp_path):

@@ -16,7 +16,7 @@ import pytest
 
 import molq
 from molq import Geometry, write_fcidump
-from molq.db import TMP_SUFFIX, VARIATIONAL_SLACK, EnergyDB, EnergyRecord
+from molq.db import _IDENTITY, TMP_SUFFIX, VARIATIONAL_SLACK, EnergyDB, EnergyRecord
 from molq.errors import UsageError
 
 from conftest import pipeline
@@ -81,6 +81,30 @@ def test_unset_setup_fields_keep_the_id():
     assert make_record().compute_id() == "abe37473d7158bfa"
     assert make_record(ansatz="hea").compute_id() == "1cc26975beff1701"
     assert make_record(depth=1).compute_id() != make_record(depth=2).compute_id()
+
+
+@pytest.mark.parametrize("overrides, record_id", [
+    (dict(charge=1), "d7316d4c1ed89ba3"),
+    (dict(n_frozen=1), "0b6c46c807cdc1a7"),
+    (dict(ansatz="hea", depth=0), "29ed88b46776e6d7"),
+    (dict(ansatz="hea", depth=1), "97b85d02d4b8b863"),
+    (dict(budget=50), "3e009ef00437cec7"),
+    (dict(ansatz_version=2), "4d787624d9434c37"),
+    (dict(charge=1, n_frozen=1, ansatz="hea", depth=1, budget=50, ansatz_version=2),
+     "d648cd2d6c71fcf1"),
+])
+def test_each_key_shape_keeps_its_id(overrides, record_id):
+    # ids of stored records, one per set of fields that join the key
+    assert make_record(**overrides).compute_id() == record_id
+
+
+RESULT_FIELDS = {"n_qubits", "e_hf", "e_vqe", "e_exact", "hamiltonian_ref", "evaluations",
+                 "error", "record_id", "created_at"}
+
+
+def test_every_record_field_names_the_computation_or_is_a_result():
+    # a new field must be put in the identity table or here before it lands
+    assert sorted(asdict(make_record())) == sorted([*_IDENTITY, *RESULT_FIELDS])
 
 
 def test_budget_and_ansatz_version_name_the_computation():

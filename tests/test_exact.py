@@ -106,11 +106,14 @@ def test_pauli_matrix_on_a_basis_is_the_submatrix():
     assert np.array_equal(pauli_matrix(s, basis), full[np.ix_(basis, basis)])
 
 
-@pytest.mark.parametrize("basis", [[1, 0], [1, 1], [0, 2, 1], [-1, 0], [0, 4], [[0, 1]]],
-                         ids=["descending", "repeated", "unsorted", "negative", "past-2^n", "2-d"])
+@pytest.mark.parametrize("basis", [[1, 0], [1, 1], [0, 2, 1], [-1, 0], [0, 4], [[0, 1]],
+                                   [0.5, 1.7], [False, True], np.array(["0", "1"])],
+                         ids=["descending", "repeated", "unsorted", "negative", "past-2^n", "2-d",
+                              "float", "bool", "text"])
 def test_operator_refuses_a_basis_that_is_not_ascending_states_of_the_register(basis, monkeypatch):
     # H = X0 + 0.5 Z0 on 2 qubits: [1, 0] read as the zero matrix and [1, 1]
-    # as [[-0.5, -0.5], [0, 0]] before the check; neither cache is read
+    # as [[-0.5, -0.5], [0, 0]] before the check, and the float, bool and
+    # text bases were cast to states [0, 1]; neither cache is read
     def no_cache(*args):
         raise AssertionError("a plan cache was read before the basis was checked")
 

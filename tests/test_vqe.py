@@ -480,7 +480,7 @@ def test_uccsd_with_every_slot_pruned_is_the_hf_state():
     assert (result.energy, result.evaluations) == (-1.0, 1)
 
 
-def test_block_keeps_the_circuit_checks(h2_hamiltonian):
+def test_block_keeps_the_circuit_checks(h2_hamiltonian, monkeypatch):
     ansatz = uccsd_ansatz(4, 2)
     block = UCCSDBlock(h2_hamiltonian, ansatz)
     for call in (block.energy, block.gradient):
@@ -488,6 +488,15 @@ def test_block_keeps_the_circuit_checks(h2_hamiltonian):
             call(np.zeros(2))
     with pytest.raises(UsageError):
         UCCSDBlock(PauliSum(6, ()), ansatz)
+    # an ansatz without generators raised AttributeError after H_B was built
+    def no_block(*args):
+        raise AssertionError("the block was built before the generators were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(molq.vqe, "sector_basis", no_block)
+        patch.setattr(molq.vqe, "pauli_matrix", no_block)
+        with pytest.raises(UsageError, match="generators"):
+            UCCSDBlock(h2_hamiltonian, hardware_efficient_ansatz(4, 1, 2))
     with pytest.raises(ResourceError, match="26 modes"):
         uccsd_ansatz(26, 2)  # its generators' JW images are refused first
     big = Ansatz(Circuit(26), 1, "uccsd", generators=PauliSum(26, ()), n_electrons=2)
